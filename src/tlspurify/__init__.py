@@ -33,7 +33,7 @@ from .reduced import (make_rhs_rct, make_rhs_z, simulate_z, spherical_to_z_s1,
                       x_to_z, z_generator, z_purity, z_to_spherical)
 from .verify import CheckResult, run_suite, suite_passed
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BathRates", "CheckResult", "ConstantDrive", "DensityState", "Drive",

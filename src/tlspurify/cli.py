@@ -108,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         emit_error(exc.code, exc.message, exc.parameter)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         emit_error("runtime-error", str(exc), "")
         return 1
 

@@ -251,6 +251,8 @@ def integrate(
             continue
         stats.accepted += 1
         t1 = t + h
+        if 0.0 < tf - t1 < 1e-14 * max(1.0, abs(t1)):
+            t1 = tf             # a step clipped to tf fell short by roundoff
 
         # ---- event search on [t, t1] -------------------------------
         terminal_hit = None

@@ -13,14 +13,15 @@ Closed forms:
     qubit coherence mu costs nothing at the optimal arrival time.
 
 Numerics:
-  * t_min_numeric integrates the (r, c, theta) flow to the pole with
-    guarded stall detection, on a scalar-specialized stepper (the 50x50
-    classification maps must fit a tight wall-clock budget on one core).
+  * t_min_numeric solves the u == 0 flow exactly: in (r sin theta,
+    r cos theta, eta - c) it is linear, so the pole and the guarded stall
+    are roots of closed-form functions, bracketed on a grid and bisected.
   * classify_region labels an initial cross-coherence xi as
-      "A": the stall condition already holds at t = 0 (no integration),
-      "B": theta rate falls through zero en route (stalled short of the pole),
+      "A": the stall condition already holds at t = 0 (no flow run),
+      "B": theta rate falls through zero en route (stalled short of the
+           pole), or the pole is provably never reached,
       "C": reaches the pole,
-      "U": undecided within the integration horizon.
+      "U": reaches the pole only after the horizon.
   * delta_p quantifies how much purity transiently overshoots the value at
     pole arrival when the initial state carries extra coherence.
 """
@@ -33,12 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive import TableDrive
-from .integrator import (EVENT_TIME_TOL, MAX_FACTOR, MIN_FACTOR, SAFETY,
-                         EventSpec, StepStats, integrate)
+from .integrator import StepStats, integrate
 from .model import (InitialStateSpec, ModelParams, build_initial_state,
                     xi_max)
 from .reduced import (POLE_GUARD, make_rhs_rct, simulate_z, x_to_z, z_purity,
-                      z_purity_many, z_to_spherical)
+                      z_purity_many)
 
 #: |gamma - 4J| below this counts as sitting on the divergence boundary
 CRITICAL_TOL = 1e-12
@@ -243,229 +243,185 @@ def _stall_curvature(params: ModelParams, r: float, c: float, th: float) -> floa
 
 
 # ====================================================================
-# Scalar (r, c, theta) engine
+# Exact u == 0 flow of the S1 block
 # ====================================================================
 
-@dataclass
-class RctRun:
-    status: str                 # "reached" | "trapped" | "horizon"
-    t_stop: float
-    r: float
-    c: float
-    theta: float
-    theta_rate: float
-    stats: StepStats
+#: grid intervals per scan chunk, and the chunk length in units of the
+#: lossless pole time: the grid is never coarser than 20 t0 / 512, so the
+#: default horizon is one chunk and longer horizons take more chunks
+SCAN_INTERVALS = 512
+SCAN_CHUNK = 20.0
+
+#: for Omega^2 < 0 the direction settles onto the attracting stall angle;
+#: the scan stops once the terms still moving it fall below this share
+#: of the settled direction, times (2J/kappa)^2.  Sign changes of the
+#: theta rate past that point are roundoff: they appear near a share of
+#: 1e-16 (2J/kappa)^2, kappa = sqrt(-Omega^2)
+SETTLE_TOL = 1e-12
 
 
-def _run_rct_scalar(params: ModelParams, r0: float, c0: float, th0: float,
-                    t_end: float, rtol: float, atol: float) -> RctRun:
-    """Integrate the u == 0 flow from (r0, c0, th0) until the pole, a
-    guarded stall, or t_end.  Same embedded pair and controller as
-    integrator.integrate, unrolled on three floats: the classification
-    maps call this thousands of times on a single core.
+class _DriftFlow:
+    """Closed-form u == 0 flow in s = (w, v, d) = (r sin theta,
+    r cos theta, eta - c).  The flow is linear and homogeneous there,
+
+        s' = (-gamma/2 + N) s,  N = [[0, 2J, -gamma/2], [-2J, 0, 0],
+                                     [-gamma/2, 0, 0]],
+
+    and N^3 = -Omega^2 N with Omega^2 = 4J^2 - gamma^2/4, so
+    s(t) = e^{-gamma t/2} (s0 + S(t) N s0 + C(t) N^2 s0).  theta is
+    atan2(w, v), so events only see the direction of s: direction(t)
+    returns E s0 + S N s0 + C N^2 s0, the bracket times a positive factor
+    chosen to keep every regime free of overflow and cancellation;
+    spherical(t) undoes the factor.
     """
-    gam = params.rates.gamma
-    eta = params.rates.eta
-    half = 0.5 * gam
-    twoJ = 2.0 * params.J
-    sin, cos, sqrt = math.sin, math.cos, math.sqrt
 
-    def rhs(r, c, th):
-        s = sin(th)
-        d = eta - c
-        rr = r if r > 1e-300 else 1e-300
-        return (-half * (r + d * s),
-                half * (r * s + d),
-                -half * (d / rr) * cos(th) + twoJ)
+    def __init__(self, params: ModelParams, r0: float, c0: float, th0: float):
+        self.params = params
+        self.a = 2.0 * params.J
+        self.b = 0.5 * params.gamma
+        self.om2 = self.a * self.a - self.b * self.b
+        n = np.array([[0.0, self.a, -self.b],
+                      [-self.a, 0.0, 0.0],
+                      [-self.b, 0.0, 0.0]])
+        s0 = np.array([r0 * math.sin(th0), r0 * math.cos(th0), params.eta - c0])
+        self.basis = tuple(tuple(map(float, b)) for b in (s0, n @ s0, n @ n @ s0))
+        self.stats = StepStats()
 
-    stats = StepStats()
-    t = 0.0
-    r, c, th = r0, c0, th0
-    fr, fc, ft = rhs(r, c, th)
-    stats.n_eval += 1
+    def _coefficients(self, t, lib):
+        """(E, S, C) at t; lib is math for a float, np for an array."""
+        if self.om2 > 0.0:
+            om = math.sqrt(self.om2)
+            half = lib.sin(0.5 * om * t) / om
+            return 1.0, lib.sin(om * t) / om, 2.0 * half * half
+        if self.om2 < 0.0:
+            # sinh and cosh forms times e^{-kappa t}
+            k = math.sqrt(-self.om2)
+            return (lib.exp(-k * t), -0.5 * lib.expm1(-2.0 * k * t) / k,
+                    0.5 * (lib.expm1(-k * t) / k) ** 2)
+        return 1.0, t, 0.5 * t * t
 
-    # starting step: crude scale estimate, the controller fixes it fast
-    scale = max(abs(fr), abs(fc), abs(ft), 1e-12)
-    h = min(0.01 * max(abs(r), abs(c), 1.0) / scale, 0.1, t_end)
+    def direction(self, t, lib=math):
+        """(w, v, d) up to a positive factor, at a float or array t."""
+        e, s, c = self._coefficients(t, lib)
+        (w0, v0, d0), (w1, v1, d1), (w2, v2, d2) = self.basis
+        return (e * w0 + s * w1 + c * w2, e * v0 + s * v1 + c * v2,
+                e * d0 + s * d1 + c * d2)
 
-    while t < t_end:
-        if h > t_end - t:
-            h = t_end - t
-        if h < 1e-14 * max(1.0, abs(t)):
-            raise RuntimeError(f"step size underflow at t = {t:.6g}")
+    def spherical(self, t: float) -> tuple[float, float, float, float]:
+        """(r, c, theta, theta rate) at t."""
+        self.stats.n_eval += 1
+        w, v, d = self.direction(t)
+        kappa = math.sqrt(-self.om2) if self.om2 < 0.0 else 0.0
+        f = math.exp((kappa - self.b) * t)      # direction -> s
+        return (f * math.hypot(w, v), self.params.eta - f * d,
+                math.atan2(w, v), self.rate(w, v, d) / (w * w + v * v))
 
-        # ---- one Dormand-Prince step, unrolled -----------------------
-        k1r, k1c, k1t = fr, fc, ft
-        k2r, k2c, k2t = rhs(r + h * 0.2 * k1r,
-                            c + h * 0.2 * k1c,
-                            th + h * 0.2 * k1t)
-        ar, ac, at_ = (3.0 / 40.0) * k1r + (9.0 / 40.0) * k2r, \
-                      (3.0 / 40.0) * k1c + (9.0 / 40.0) * k2c, \
-                      (3.0 / 40.0) * k1t + (9.0 / 40.0) * k2t
-        k3r, k3c, k3t = rhs(r + h * ar, c + h * ac, th + h * at_)
-        ar = (44.0 / 45.0) * k1r - (56.0 / 15.0) * k2r + (32.0 / 9.0) * k3r
-        ac = (44.0 / 45.0) * k1c - (56.0 / 15.0) * k2c + (32.0 / 9.0) * k3c
-        at_ = (44.0 / 45.0) * k1t - (56.0 / 15.0) * k2t + (32.0 / 9.0) * k3t
-        k4r, k4c, k4t = rhs(r + h * ar, c + h * ac, th + h * at_)
-        ar = ((19372.0 / 6561.0) * k1r - (25360.0 / 2187.0) * k2r
-              + (64448.0 / 6561.0) * k3r - (212.0 / 729.0) * k4r)
-        ac = ((19372.0 / 6561.0) * k1c - (25360.0 / 2187.0) * k2c
-              + (64448.0 / 6561.0) * k3c - (212.0 / 729.0) * k4c)
-        at_ = ((19372.0 / 6561.0) * k1t - (25360.0 / 2187.0) * k2t
-               + (64448.0 / 6561.0) * k3t - (212.0 / 729.0) * k4t)
-        k5r, k5c, k5t = rhs(r + h * ar, c + h * ac, th + h * at_)
-        ar = ((9017.0 / 3168.0) * k1r - (355.0 / 33.0) * k2r
-              + (46732.0 / 5247.0) * k3r + (49.0 / 176.0) * k4r
-              - (5103.0 / 18656.0) * k5r)
-        ac = ((9017.0 / 3168.0) * k1c - (355.0 / 33.0) * k2c
-              + (46732.0 / 5247.0) * k3c + (49.0 / 176.0) * k4c
-              - (5103.0 / 18656.0) * k5c)
-        at_ = ((9017.0 / 3168.0) * k1t - (355.0 / 33.0) * k2t
-               + (46732.0 / 5247.0) * k3t + (49.0 / 176.0) * k4t
-               - (5103.0 / 18656.0) * k5t)
-        k6r, k6c, k6t = rhs(r + h * ar, c + h * ac, th + h * at_)
-        r1 = r + h * ((35.0 / 384.0) * k1r + (500.0 / 1113.0) * k3r
-                      + (125.0 / 192.0) * k4r - (2187.0 / 6784.0) * k5r
-                      + (11.0 / 84.0) * k6r)
-        c1 = c + h * ((35.0 / 384.0) * k1c + (500.0 / 1113.0) * k3c
-                      + (125.0 / 192.0) * k4c - (2187.0 / 6784.0) * k5c
-                      + (11.0 / 84.0) * k6c)
-        th1 = th + h * ((35.0 / 384.0) * k1t + (500.0 / 1113.0) * k3t
-                        + (125.0 / 192.0) * k4t - (2187.0 / 6784.0) * k5t
-                        + (11.0 / 84.0) * k6t)
-        k7r, k7c, k7t = rhs(r1, c1, th1)
-        stats.n_eval += 6
-        er = h * ((71.0 / 57600.0) * k1r - (71.0 / 16695.0) * k3r
-                  + (71.0 / 1920.0) * k4r - (17253.0 / 339200.0) * k5r
-                  + (22.0 / 525.0) * k6r - (1.0 / 40.0) * k7r)
-        ec = h * ((71.0 / 57600.0) * k1c - (71.0 / 16695.0) * k3c
-                  + (71.0 / 1920.0) * k4c - (17253.0 / 339200.0) * k5c
-                  + (22.0 / 525.0) * k6c - (1.0 / 40.0) * k7c)
-        et = h * ((71.0 / 57600.0) * k1t - (71.0 / 16695.0) * k3t
-                  + (71.0 / 1920.0) * k4t - (17253.0 / 339200.0) * k5t
-                  + (22.0 / 525.0) * k6t - (1.0 / 40.0) * k7t)
-        sr = atol + rtol * max(abs(r), abs(r1))
-        sc = atol + rtol * max(abs(c), abs(c1))
-        st = atol + rtol * max(abs(th), abs(th1))
-        enorm = sqrt(((er / sr) ** 2 + (ec / sc) ** 2 + (et / st) ** 2) / 3.0)
-        if enorm > 1.0:
-            stats.rejected += 1
-            fac = SAFETY * enorm ** -0.2
-            h *= fac if fac > MIN_FACTOR else MIN_FACTOR
-            continue
-        stats.accepted += 1
-        t1 = t + h
+    def rate(self, w, v, d):
+        """r^2 dtheta/dt up to a positive factor: 2J r^2 - (gamma/2) d v."""
+        return self.a * (w * w + v * v) - self.b * d * v
 
-        # ---- pole crossing (terminal, rising) ------------------------
-        if th < HALF_PI <= th1:
-            t_star = _hermite_root_scalar(
-                t, h, th, ft, th1, k7t, HALF_PI)
-            w = (t_star - t) / h
-            r_s = _hermite_scalar(w, h, r, fr, r1, k7r)
-            c_s = _hermite_scalar(w, h, c, fc, c1, k7c)
-            th_s = _hermite_scalar(w, h, th, ft, th1, k7t)
-            _, _, ft_s = rhs(r_s, c_s, th_s)
-            return RctRun("reached", t_star, r_s, c_s, th_s, ft_s, stats)
+    def _bisect(self, fn, lo: float, hi: float) -> float:
+        """First float in (lo, hi] where fn turns non-positive, given
+        fn(lo) > 0 >= fn(hi)."""
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return hi
+            self.stats.n_eval += 1
+            if fn(*self.direction(mid)) > 0.0:
+                lo = mid
+            else:
+                hi = mid
 
-        # ---- stall: theta rate falls through zero --------------------
-        if ft > 0.0 >= k7t:
-            t_star = _hermite_root_rate(
-                t, h, (r, c, th), (fr, fc, ft), (r1, c1, th1),
-                (k7r, k7c, k7t), rhs)
-            w = (t_star - t) / h
-            r_s = _hermite_scalar(w, h, r, fr, r1, k7r)
-            c_s = _hermite_scalar(w, h, c, fc, c1, k7c)
-            th_s = _hermite_scalar(w, h, th, ft, th1, k7t)
-            if _stall_curvature(params, r_s, c_s, th_s) <= STALL_CURVATURE_TOL:
-                return RctRun("trapped", t_star, r_s, c_s, th_s, 0.0, stats)
+    def _stalls(self, t: float) -> bool:
+        """Stall guard of the spherical picture at a theta-rate zero.  The
+        curvature test is scale-free, so it reads the direction: the radius
+        itself may underflow on long horizons."""
+        self.stats.n_eval += 1
+        w, v, d = self.direction(t)
+        return _stall_curvature(self.params, math.hypot(w, v),
+                                self.params.eta - d,
+                                math.atan2(w, v)) <= STALL_CURVATURE_TOL
 
-        t, r, c, th = t1, r1, c1, th1
-        fr, fc, ft = k7r, k7c, k7t
-        if enorm == 0.0:
-            fac = MAX_FACTOR
+    def _settled(self) -> float:
+        """For Omega^2 < 0, when the direction stops moving.  In
+        x = e^{-kappa t} it is A0 + A1 x + A2 x^2, so it has settled onto
+        A0 once x (|A1| + |A2|) <= SETTLE_TOL (2J/kappa)^2 |A0|.  Infinite
+        otherwise."""
+        if self.om2 >= 0.0:
+            return math.inf
+        k = math.sqrt(-self.om2)
+        s0, n1, n2 = (np.array(b) for b in self.basis)
+        a0 = np.abs(0.5 * n1 / k + 0.5 * n2 / (k * k)).max()
+        moving = (np.abs(s0 - n2 / (k * k)).max()
+                  + np.abs(0.5 * n2 / (k * k) - 0.5 * n1 / k).max())
+        if a0 == 0.0:
+            return math.inf
+        share = SETTLE_TOL * (self.a / k) ** 2
+        return max(0.0, math.log(moving / (share * a0)) / k)
+
+    def first_event(self, t_end: float) -> tuple[str, float]:
+        """(status, t_stop): the pole (v falls through 0, hence w > 0), a
+        guarded stall (the theta rate falls through 0), or neither by
+        t_end.  Each event is bracketed on the grid, then bisected."""
+        t_scan = min(t_end, self._settled())
+        chunks = max(1, math.ceil(t_scan / (SCAN_CHUNK * self.params.t0)))
+        edges = np.linspace(0.0, t_scan, chunks + 1)
+        for j in range(chunks):
+            ts = np.linspace(edges[j], edges[j + 1], SCAN_INTERVALS + 1)
+            event = self._first_in(ts, j * SCAN_INTERVALS)
+            if event is not None:
+                return event
+        self.stats.accepted = chunks * SCAN_INTERVALS
+        if self.om2 <= 0.0 and not self._pole_after(t_scan):
+            return "trapped", t_end
+        return "horizon", t_end
+
+    def _first_in(self, ts: np.ndarray, done: int) -> tuple[str, float] | None:
+        """First event on the grid ts, or None; done counts the intervals
+        scanned before ts."""
+        w, v, d = self.direction(ts, np)
+        self.stats.n_eval += ts.size
+        rate = self.rate(w, v, d)
+        pole = (v[:-1] > 0.0) & (v[1:] <= 0.0)
+        stall = (rate[:-1] > 0.0) & (rate[1:] <= 0.0)
+        for k in np.flatnonzero(pole | stall):
+            self.stats.accepted = done + int(k) + 1
+            lo, hi = float(ts[k]), float(ts[k + 1])
+            t_pole = (self._bisect(lambda w, v, d: v, lo, hi) if pole[k]
+                      else math.inf)
+            if stall[k]:
+                t_stall = self._bisect(self.rate, lo, hi)
+                if t_stall < t_pole and self._stalls(t_stall):
+                    return "trapped", t_stall
+            if pole[k]:
+                return "reached", t_pole
+        return None
+
+    def _pole_after(self, t_end: float) -> bool:
+        """For Omega^2 <= 0: does v fall through zero after t_end?  v, times
+        a positive factor, is a quadratic in x = t (Omega^2 = 0) or in
+        x = e^{kappa t} (Omega^2 < 0), so its crossings are its roots."""
+        (_, v0, _), (_, p, _), (_, q, _) = self.basis
+        if self.om2 == 0.0:
+            k, c2, c1, c0 = 0.0, 0.5 * q, p, v0
         else:
-            fac = SAFETY * enorm ** -0.2
-            if fac > MAX_FACTOR:
-                fac = MAX_FACTOR
-            elif fac < MIN_FACTOR:
-                fac = MIN_FACTOR
-        h *= fac
-
-    return RctRun("horizon", t, r, c, th, ft, stats)
+            k = math.sqrt(-self.om2)
+            c2, c1, c0 = 0.5 * (p + q / k) / k, v0 - q / (k * k), 0.5 * (q / k - p) / k
+        return any(x > 0.0 and 2.0 * c2 * x + c1 < 0.0
+                   and (math.log(x) / k if k else x) > t_end
+                   for x in _real_roots(c2, c1, c0))
 
 
-def _hermite_scalar(w: float, h: float, y0: float, f0: float,
-                    y1: float, f1: float) -> float:
-    h00 = (1.0 + 2.0 * w) * (1.0 - w) ** 2
-    h10 = w * (1.0 - w) ** 2
-    h01 = w * w * (3.0 - 2.0 * w)
-    h11 = w * w * (w - 1.0)
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
-
-
-def _hermite_root_scalar(t0: float, h: float, y0: float, f0: float,
-                         y1: float, f1: float, target: float) -> float:
-    """Bisect y(t) = target on the Hermite cubic of one component."""
-    lo, hi = t0, t0 + h
-    glo = y0 - target
-    while hi - lo > EVENT_TIME_TOL:
-        mid = 0.5 * (lo + hi)
-        w = (mid - t0) / h
-        gm = _hermite_scalar(w, h, y0, f0, y1, f1) - target
-        if (glo <= 0.0) == (gm <= 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _hermite_root_rate(t0, h, y0, f0, y1, f1, rhs):
-    """Bisect the theta-rate zero using the full interpolated state."""
-    lo, hi = t0, t0 + h
-    glo = f0[2]
-    while hi - lo > EVENT_TIME_TOL:
-        mid = 0.5 * (lo + hi)
-        w = (mid - t0) / h
-        r_m = _hermite_scalar(w, h, y0[0], f0[0], y1[0], f1[0])
-        c_m = _hermite_scalar(w, h, y0[1], f0[1], y1[1], f1[1])
-        th_m = _hermite_scalar(w, h, y0[2], f0[2], y1[2], f1[2])
-        gm = rhs(r_m, c_m, th_m)[2]
-        if (glo <= 0.0) == (gm <= 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _run_rct_reference(params: ModelParams, r0: float, c0: float, th0: float,
-                       t_end: float, rtol: float, atol: float) -> RctRun:
-    """Same run on the generic integrator (cross-validation path)."""
-    rhs = make_rhs_rct(params)
-
-    def theta_rate(t, y):
-        return rhs(t, y)[2]
-
-    def stall_guard(t, y):
-        return (_stall_curvature(params, y[0], y[1], y[2])
-                <= STALL_CURVATURE_TOL)
-
-    events = (
-        EventSpec(lambda t, y: y[2] - HALF_PI, name="pole", direction=1,
-                  terminal=True),
-        EventSpec(theta_rate, name="stall", direction=-1, terminal=True,
-                  guard=stall_guard),
-    )
-    res = integrate(rhs, (0.0, t_end), np.array([r0, c0, th0]),
-                    rtol=rtol, atol=atol, events=events)
-    if res.status == "event":
-        hit = res.events[-1]
-        status = "reached" if hit.name == "pole" else "trapped"
-        y = res.y_final
-        return RctRun(status, hit.t, float(y[0]), float(y[1]), float(y[2]),
-                      float(rhs(hit.t, y)[2]), res.stats)
-    y = res.y_final
-    return RctRun("horizon", res.t_final, float(y[0]), float(y[1]),
-                  float(y[2]), float(rhs(res.t_final, y)[2]), res.stats)
+def _real_roots(c2: float, c1: float, c0: float) -> list[float]:
+    """Real roots of c2 x^2 + c1 x + c0."""
+    if c2 == 0.0:
+        return [-c0 / c1] if c1 != 0.0 else []
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    return [q / c2, c0 / q] if q != 0.0 else [0.0]
 
 
 # ====================================================================
@@ -476,7 +432,7 @@ def _run_rct_reference(params: ModelParams, r0: float, c0: float, th0: float,
 class TminResult:
     time: float                 # pole-arrival time; inf if never reached
     status: str                 # "reached" | "trapped" | "horizon"
-    t_stop: float               # where the integration actually ended
+    t_stop: float               # where the run ended
     r: float
     c: float
     theta: float
@@ -493,45 +449,47 @@ class TminResult:
 
 def t_min_numeric(params: ModelParams, xi: float = 0.0, *,
                   horizon_mult: float = 20.0, rtol: float = 1e-10,
-                  atol: float = 1e-10, method: str = "scalar") -> TminResult:
+                  atol: float = 1e-10) -> TminResult:
     """Pole-arrival time of the u == 0 flow from the thermal-product start
-    with cross coherence xi, by direct integration.
+    with cross coherence xi, from the exact solution of the flow.
 
-    Runs until the pole, a guarded stall, or horizon_mult * pi/(2J),
-    whichever first; the time is infinite in the last two cases.
+    The run ends at the pole ("reached"), at a guarded stall ("trapped"),
+    or at horizon_mult * pi/(2J) ("horizon"); the time is infinite in the
+    last two cases.  For gamma >= 4J a run that meets neither event by the
+    horizon is "trapped" when the closed form shows the pole is never
+    reached, and "horizon" when it is reached only later.  The result is
+    exact to roundoff, so rtol and atol have nothing to set; nothing in
+    the package passes them, and they stay only for outside callers that
+    do.  stats counts closed-form evaluations (n_eval) and grid intervals
+    scanned (accepted); rejected stays 0.  Work grows with the horizon
+    (one 512-interval chunk per 20 t0), except for gamma > 4J, where the
+    scan stops once the direction has settled.
     """
     if params.J <= 0.0:
         raise ValueError("t_min_numeric needs J > 0")
     r0, c0, th0 = initial_spherical(params, xi)
-    blocked = stall_cosine(params, r0, c0) <= 1.0
-    t_end = horizon_mult * params.t0
-    if method == "scalar":
-        run = _run_rct_scalar(params, r0, c0, th0, t_end, rtol, atol)
-    elif method == "reference":
-        run = _run_rct_reference(params, r0, c0, th0, t_end, rtol, atol)
-    else:
-        raise ValueError(f"method must be 'scalar' or 'reference', got {method!r}")
-    time = run.t_stop if run.status == "reached" else math.inf
-    return TminResult(time, run.status, run.t_stop, run.r, run.c, run.theta,
-                      run.theta_rate, blocked, run.stats)
+    flow = _DriftFlow(params, r0, c0, th0)
+    status, t_stop = flow.first_event(horizon_mult * params.t0)
+    time = t_stop if status == "reached" else math.inf
+    return TminResult(time, status, t_stop, *flow.spherical(t_stop),
+                      stall_cosine(params, r0, c0) <= 1.0, flow.stats)
 
 
 def classify_region(params: ModelParams, xi: float, *,
                     horizon_mult: float = 20.0, rtol: float = 1e-8,
                     atol: float = 1e-8) -> str:
     """Label the initial cross coherence: A (instant stall condition),
-    B (stalls en route), C (reaches the pole), U (undecided at horizon).
+    B (stalls en route, or provably never arrives), C (reaches the pole),
+    U (arrives only after the horizon).
 
-    The A test is analytic; only non-A cells integrate.  The looser
-    default tolerance is plenty for a label (map resolution is one cell).
+    The A test is analytic; only non-A cells run the flow.
     """
     if params.gamma == 0.0:
         return "C" if params.J > 0.0 else "U"
-    r0, c0, th0 = initial_spherical(params, xi)
+    r0, c0, _ = initial_spherical(params, xi)
     if stall_cosine(params, r0, c0) <= 1.0:
         return "A"
-    run = _run_rct_scalar(params, r0, c0, th0, horizon_mult * params.t0,
-                          rtol, atol)
+    run = t_min_numeric(params, xi, horizon_mult=horizon_mult)
     return {"reached": "C", "trapped": "B", "horizon": "U"}[run.status]
 
 
@@ -543,7 +501,7 @@ class DeltaPResult:
     p_s1_pole: float            # purity from the S1 block alone at the event
     p_max: float                # largest purity anywhere on [0, t_pole]
     t_max: float                # where that largest value sits
-    status: str                 # status of the underlying (r, c, theta) run
+    status: str                 # status of the underlying pole-time run
 
 
 def delta_p(params: ModelParams, xi: float, mu: float, *,
@@ -559,7 +517,7 @@ def delta_p(params: ModelParams, xi: float, mu: float, *,
     pole comes earlier, the coherence has not died yet, and the gain is
     positive and grows with mu.
 
-    The pole time comes from the (r, c, theta) run; the purity trace comes
+    The pole time comes from t_min_numeric; the purity trace comes
     from the reduced 8-coordinate run under the resonant drive with the
     cross coherence laid on the in-phase axis (xi real), which realizes
     the same u == 0 geometry.  The overall maximum over [0, t_pole]
@@ -567,8 +525,7 @@ def delta_p(params: ModelParams, xi: float, mu: float, *,
     by a parabolic fit through the best grid sample.
     """
     if t_pole is None:
-        lead = t_min_numeric(params, xi, horizon_mult=horizon_mult,
-                             rtol=rtol, atol=atol)
+        lead = t_min_numeric(params, xi, horizon_mult=horizon_mult)
         if lead.status != "reached":
             return DeltaPResult(math.nan, math.inf, math.nan, math.nan,
                                 math.nan, math.nan, lead.status)

@@ -4,8 +4,8 @@ purity traces.
 
 Every driver returns an output.Table; cells never hold NaN — a cell whose
 pole time is infinite carries the label "divergent", a state outside the
-positivity boundary carries "unphysical", and a region cell undecided at
-the horizon carries "U".
+positivity boundary carries "unphysical", and a region cell whose pole
+comes only after the horizon carries "U".
 
 Fan-out: jobs are split into contiguous chunks, one per worker, and the
 buffered results are reassembled in grid order, so the emitted bytes do
@@ -45,13 +45,18 @@ def _fan_out(worker, jobs: list, workers: int) -> list:
     import multiprocessing as mp
     chunk = -(-len(jobs) // workers)
     with mp.get_context("fork").Pool(workers) as pool:
-        return pool.map(worker, jobs, chunksize=chunk)
+        results = pool.map(worker, jobs, chunksize=chunk)
+        # let the workers exit on their own: the SIGTERM that leaving the
+        # block sends can land mid-start-up, and a worker that inherited
+        # a raising SIGTERM handler then hangs on exit
+        pool.close()
+        pool.join()
+    return results
 
 
 def _tmin_job(job):
-    params, xi, horizon, rtol, atol = job
-    res = t_min_numeric(params, xi, horizon_mult=horizon, rtol=rtol,
-                        atol=atol)
+    params, xi, horizon = job
+    res = t_min_numeric(params, xi, horizon_mult=horizon)
     return res.time, res.status
 
 
@@ -64,8 +69,7 @@ def _gain_row_job(job):
     """One fixed-xi row of the coherence map: a single pole-time run,
     then one reduced run per physical mu cell."""
     params, xi, mus, mu_cap, horizon, rtol, atol = job
-    lead = t_min_numeric(params, xi, horizon_mult=horizon, rtol=rtol,
-                         atol=atol)
+    lead = t_min_numeric(params, xi, horizon_mult=horizon)
     cells: list[object] = []
     for mu in mus:
         if mu > mu_cap:
@@ -107,8 +111,7 @@ def simulate_trace(cfg: RunConfig) -> Table:
     on_resonance = isinstance(drive, ConstantDrive) and drive.detuning == 0.0
     if on_resonance and params.J > 0.0 and cfg.xi_im == 0.0:
         lead = t_min_numeric(params, math.hypot(cfg.xi_re, cfg.xi_im),
-                             horizon_mult=cfg.horizon, rtol=cfg.rel_tol,
-                             atol=cfg.abs_tol)
+                             horizon_mult=cfg.horizon)
         pole_status = lead.status
         if lead.status == "reached":
             t_end = lead.time
@@ -143,8 +146,8 @@ def scan_gamma(cfg: RunConfig) -> Table:
     xi_val = xi_max(base)           # thermal populations do not move with gamma
     ratios = axis.values()
 
-    jobs = [(base.with_gamma_over_j(float(g)), xi_val, cfg.horizon,
-             cfg.rel_tol, cfg.abs_tol) for g in ratios]
+    jobs = [(base.with_gamma_over_j(float(g)), xi_val, cfg.horizon)
+            for g in ratios]
     correlated = _fan_out(_tmin_job, jobs, cfg.workers)
 
     table = Table("scan-gamma",
@@ -183,7 +186,7 @@ def scan_beta(cfg: RunConfig) -> Table:
     for b in betas:
         p = replace(base, beta=float(b))
         rows.append(p)
-        jobs.append((p, xi_max(p), cfg.horizon, cfg.rel_tol, cfg.abs_tol))
+        jobs.append((p, xi_max(p), cfg.horizon))
     correlated = _fan_out(_tmin_job, jobs, cfg.workers)
 
     meta = {"t0": t0, "J": base.J, "kappa": base.kappa}
@@ -209,7 +212,8 @@ def scan_beta(cfg: RunConfig) -> Table:
 def region_map(cfg: RunConfig) -> Table:
     """Label the (coupling, correlation) plane by how the drift flow ends:
     A - the stall condition already holds at t = 0; B - the flow stalls en
-    route; C - the pole is reached; U - undecided at the horizon."""
+    route or never reaches the pole; C - the pole is reached; U - the pole
+    is reached only after the horizon."""
     beta = cfg.beta if cfg.was_set("model.beta") else 0.1
     base = replace(cfg.params(), beta=beta)
     j_axis = cfg.axis("j_frac") or SweepAxis("j_frac", 0.6, 1.05, 50)
@@ -291,8 +295,7 @@ def purity_trace(cfg: RunConfig) -> Table:
     jobs = []
     layout = []
     for tag, xi in (("xi0", 0.0), ("xihalf", xi_half)):
-        lead = t_min_numeric(params, xi, horizon_mult=cfg.horizon,
-                             rtol=cfg.rel_tol, atol=cfg.abs_tol)
+        lead = t_min_numeric(params, xi, horizon_mult=cfg.horizon)
         if lead.status != "reached":
             raise ValueError(
                 f"purity-trace needs a reachable pole; status "

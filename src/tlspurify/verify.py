@@ -153,7 +153,7 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
     for ratio in (1.0, 2.0, 3.5):
         p = params.with_gamma_over_j(ratio)
         exact = t_min_analytic(p)
-        run = t_min_numeric(p, 0.0, rtol=rtol, atol=atol)
+        run = t_min_numeric(p, 0.0)
         worst = max(worst, abs(run.time - exact) / exact)
         tot = StepStats(tot.accepted + run.stats.accepted,
                         tot.rejected + run.stats.rejected,
@@ -162,7 +162,7 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
                          "worst relative gap at gamma/J = 1, 2, 3.5", tot))
 
     # -- purity on pole arrival ---------------------------------------
-    run = t_min_numeric(params, 0.0, rtol=rtol, atol=atol)
+    run = t_min_numeric(params, 0.0)
     resid = abs(run.purity - uncorrelated_pole_purity(params))
     checks.append(_check("pole-purity", resid, 1e-5,
                          "gap to the bath-polarization value", run.stats))

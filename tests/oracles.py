@@ -5,14 +5,25 @@ recipe (commutator plus jump-operator dissipator) out of its own Pauli
 algebra and shares no code with the package internals.  Agreement between
 this and the 16-coordinate generator is the backbone equivalence the
 whole suite leans on.
+
+The pole-time oracle integrates the nonlinear (r, c, theta) equations on
+the adaptive integrator, a path independent of the closed-form linear
+solve behind optimal.t_min_numeric.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
+from tlspurify.integrator import EventSpec, StepStats, integrate
 from tlspurify.model import (InitialStateSpec, ModelParams, matrix_to_x,
                              min_eigenvalue, mu_max, xi_max)
+from tlspurify.optimal import (STALL_CURVATURE_TOL, _stall_curvature,
+                               initial_spherical)
+from tlspurify.reduced import make_rhs_rct
 
 # ====================================================================
 # Pauli algebra and model operators
@@ -115,3 +126,46 @@ def _family_x(params: ModelParams, spec: InitialStateSpec) -> np.ndarray:
     rho[1, 2] = 1.0j * spec.xi
     rho = rho + rho.conj().T - np.diag(rho.diagonal().real)
     return matrix_to_x(rho)
+
+
+# ====================================================================
+# Pole time by direct integration of the (r, c, theta) flow
+# ====================================================================
+
+@dataclass
+class RctRun:
+    status: str                 # "reached" | "trapped" | "horizon"
+    t_stop: float
+    r: float
+    c: float
+    theta: float
+    stats: StepStats
+
+
+def rct_pole_run(params: ModelParams, xi: float = 0.0, *,
+                 horizon_mult: float = 20.0, rtol: float = 1e-10,
+                 atol: float = 1e-10) -> RctRun:
+    """Integrate the u == 0 (r, c, theta) flow from the thermal-product
+    start until the pole, a guarded stall, or horizon_mult * pi/(2J)."""
+    rhs = make_rhs_rct(params)
+    r0, c0, th0 = initial_spherical(params, xi)
+
+    def stall_guard(t, y):
+        return (_stall_curvature(params, y[0], y[1], y[2])
+                <= STALL_CURVATURE_TOL)
+
+    events = (
+        EventSpec(lambda t, y: y[2] - 0.5 * math.pi, name="pole",
+                  direction=1, terminal=True),
+        EventSpec(lambda t, y: rhs(t, y)[2], name="stall", direction=-1,
+                  terminal=True, guard=stall_guard),
+    )
+    res = integrate(rhs, (0.0, horizon_mult * params.t0),
+                    np.array([r0, c0, th0]), rtol=rtol, atol=atol,
+                    events=events)
+    status = "horizon"
+    if res.status == "event":
+        status = "reached" if res.events[-1].name == "pole" else "trapped"
+    r, c, th = (float(v) for v in res.y_final)
+    return RctRun(status, res.t_final, r, c, th, res.stats)
+

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from tlspurify import cli
 from tlspurify.cli import build_parser, main
 
 # filled by the session fixture at the bottom of this module
@@ -89,6 +90,21 @@ def test_runtime_error_exit(capsys, tmp_path):
     err = json.loads(capsys.readouterr().err)
     assert err["code"] == "runtime-error"
     assert "pole" in err["message"]
+
+
+def test_runtime_error_from_driver(capsys, monkeypatch):
+    """A RuntimeError deep in a run (say, step-size underflow in the
+    integrator) ends as an error object and exit 1, not a traceback."""
+    def underflow(cfg):
+        raise RuntimeError("step size underflow at t = 1.5")
+
+    monkeypatch.setitem(cli._COMMANDS, "scan-gamma", underflow)
+    assert main(["scan-gamma"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["code"] == "runtime-error"
+    assert err["message"] == "step size underflow at t = 1.5"
 
 
 def test_command_required():

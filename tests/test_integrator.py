@@ -52,6 +52,16 @@ def test_scalar_linear_flow_property(rate, t_end):
                                            abs=1e-9)
 
 
+def test_last_step_lands_on_span_end():
+    """A step clipped to the span end can fall short of it by roundoff;
+    the run must end there, not fail with a step-size underflow."""
+    t_end = 0.42985418664295233
+    res = integrate(lambda t, y: 0.0 * y, (0.0, t_end), np.array([1.0]),
+                    rtol=1e-10, atol=1e-12)
+    assert res.t_final == t_end
+    assert res.y_final[0] == 1.0
+
+
 # ====================================================================
 # Events
 # ====================================================================

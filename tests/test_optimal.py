@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from tlspurify.optimal import (CRITICAL_TOL, DeltaPResult, Threshold,
                                t_min_numeric, uncorrelated_pole_purity,
                                xi_fixed)
 from tlspurify.reduced import x_to_z, z_to_spherical
+
+from oracles import rct_pole_run
 
 # Frozen oracle values (quadrature / bisection cross-checks, 17 digits)
 T_MIN_RATIO2 = 24.183991523122902       # J = 0.1, gamma = 0.2
@@ -266,25 +269,105 @@ def test_xi_fixed_empty_and_saturated():
 @pytest.mark.parametrize("ratio,xi_frac", [(1.0, 0.0), (1.0, 0.5),
                                            (3.0, 0.0), (3.0, 0.5)])
 def test_scalar_engine_matches_reference(ratio, xi_frac):
+    """The closed-form engine against the (r, c, theta) run on the
+    generic integrator: two independent paths to the same event."""
     p = ModelParams(kappa=0.1).with_gamma_over_j(ratio)
     xi = xi_frac * xi_max(p)
-    a = t_min_numeric(p, xi, method="scalar")
-    b = t_min_numeric(p, xi, method="reference")
+    a = t_min_numeric(p, xi)
+    b = rct_pole_run(p, xi)
     assert a.status == b.status == "reached"
-    # event location across two independent steppers; the shallow pole
-    # approach at small gamma/J bounds the agreement near 1e-8 relative
-    assert a.time == pytest.approx(b.time, rel=1e-7)
+    # the shallow pole approach at small gamma/J bounds the integrated
+    # event time near 1e-8 relative
+    assert a.time == pytest.approx(b.t_stop, rel=1e-7)
     assert a.theta == pytest.approx(math.pi / 2, abs=1e-6)
 
 
+def test_scalar_engine_matches_reference_trapped():
+    p = ModelParams(beta=0.1, kappa=0.1, J=0.9 * J_MIN_BETA01)
+    xi = 2.0 * XI_FIXED_BETA01
+    a = t_min_numeric(p, xi, horizon_mult=40)
+    # the stall is a zero of the integrated theta rate, located less
+    # sharply than the pole: 1e-10 leaves 1.7e-7, 1e-12 leaves 4e-9
+    b = rct_pole_run(p, xi, horizon_mult=40, rtol=1e-12, atol=1e-12)
+    assert a.status == b.status == "trapped"
+    assert a.t_stop == pytest.approx(b.t_stop, rel=1e-7)
+    assert a.theta == pytest.approx(b.theta, abs=1e-6)
+
+
 def test_t_min_numeric_matches_analytic_uncorrelated():
-    for ratio in (0.5, 2.0, 3.5):
-        p = ModelParams(kappa=0.1).with_gamma_over_j(ratio)
+    for kw, ratio in [
+        ({"kappa": 0.1}, 0.5), ({"kappa": 0.1}, 2.0), ({"kappa": 0.1}, 3.5),
+        ({"kappa": 0.1}, 3.9),
+        ({"beta": 0.1, "kappa": 0.1}, 3.912),
+        ({"beta": 0.1, "kappa": 0.1}, 3.948),
+    ]:
+        p = ModelParams(**kw).with_gamma_over_j(ratio)
         run = t_min_numeric(p, 0.0)
-        assert run.status == "reached"
-        assert run.time == pytest.approx(t_min_analytic(p), rel=1e-6)
+        assert run.status == "reached", (kw, ratio)
+        assert run.time == pytest.approx(t_min_analytic(p), rel=1e-12)
         assert run.purity == pytest.approx(uncorrelated_pole_purity(p),
                                            abs=1e-5)
+
+
+@pytest.mark.parametrize("ratio", [4.0, 4.0 - 1e-9, 4.0 + 1e-9, 0.0])
+@pytest.mark.parametrize("xi_frac", [0.0, 1.0])
+def test_t_min_numeric_degenerate_bounded(ratio, xi_frac):
+    """On and next to gamma = 4J, and without loss, every run ends with a
+    defined status in a bounded number of closed-form evaluations."""
+    p = ModelParams(kappa=0.1).with_gamma_over_j(ratio)
+    run = t_min_numeric(p, xi_frac * xi_max(p))
+    assert run.status in ("reached", "trapped", "horizon")
+    assert (run.status == "reached") == math.isfinite(run.time)
+    assert 0 < run.stats.n_eval < 1000
+    assert run.stats.rejected == 0
+    if ratio == 0.0 and xi_frac == 0.0:
+        assert run.time == pytest.approx(math.pi / (2.0 * p.J), rel=1e-12)
+
+
+@pytest.mark.parametrize("j_frac", [0.9, 1.0])     # Omega^2 < 0, == 0
+def test_t_min_numeric_past_horizon(j_frac):
+    """For gamma >= 4J and no event by the horizon the closed form tells a
+    pole that never comes (trapped) from one that comes late (horizon)."""
+    hot = ModelParams(beta=0.1, kappa=0.1)
+    p = replace(hot, J=j_frac * j_min(hot.gamma))
+    assert t_min_numeric(p, 0.0, horizon_mult=5).status == "trapped"
+    xi = 5.0 * XI_FIXED_BETA01
+    t_pole = t_min_numeric(p, xi).time
+    late = t_min_numeric(p, xi, horizon_mult=0.9 * t_pole / p.t0)
+    assert late.status == "horizon"
+    assert late.t_stop == pytest.approx(0.9 * t_pole, rel=1e-12)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 2.0, 3.9])
+def test_t_min_numeric_long_horizon(ratio):
+    """The scan grid keeps its spacing on long horizons, so the periodic
+    direction of gamma < 4J cannot alias past the first pole crossing."""
+    p = ModelParams(kappa=0.1).with_gamma_over_j(ratio)
+    run = t_min_numeric(p, 0.0, horizon_mult=1200)
+    assert run.status == "reached"
+    assert run.time == pytest.approx(t_min_analytic(p), rel=1e-12)
+    assert (t_min_numeric(p, xi_max(p), horizon_mult=1200).time
+            == t_min_numeric(p, xi_max(p)).time)
+
+
+@pytest.mark.parametrize("j_frac", [0.9, 0.999])
+@pytest.mark.parametrize("xi_frac", [0.0, 1.0])
+def test_t_min_numeric_settled_direction(j_frac, xi_frac):
+    """For gamma > 4J the direction settles onto the attracting stall
+    angle, where the theta rate is zero up to roundoff: the scan stops
+    there, so a long horizon ends at the horizon, not at a roundoff sign
+    change of the rate, in bounded work."""
+    hot = ModelParams(beta=0.1, kappa=0.1)
+    p = replace(hot, J=j_frac * j_min(hot.gamma))
+    run = t_min_numeric(p, xi_frac * XI_FIXED_BETA01, horizon_mult=2000)
+    assert run.status == "trapped"
+    assert run.t_stop == 2000 * p.t0
+    assert run.stats.n_eval < 10_000
+
+
+def test_t_min_numeric_late_pole_below_critical():
+    p = ModelParams(beta=0.1, kappa=0.1).with_gamma_over_j(3.948)
+    assert t_min_numeric(p, 0.0, horizon_mult=5).status == "horizon"
 
 
 def test_t_min_numeric_correlated_is_faster():
@@ -297,8 +380,6 @@ def test_t_min_numeric_correlated_is_faster():
 def test_t_min_numeric_validation():
     with pytest.raises(ValueError):
         t_min_numeric(ModelParams(J=0.0))
-    with pytest.raises(ValueError):
-        t_min_numeric(ModelParams(kappa=0.1), method="rk4")
 
 
 def test_t_min_numeric_trapped_run():

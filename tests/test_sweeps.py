@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import signal
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tlspurify
 from tlspurify.config import RunConfig
 from tlspurify.optimal import t_min_analytic
 from tlspurify.output import write_table
@@ -264,6 +270,38 @@ def test_fan_out_preserves_order():
     forked = _fan_out(_tag_job, jobs, 3)        # chunks of 3, 3, 1
     assert serial == [(x, x * x) for x in jobs]
     assert forked == serial
+
+
+_FAN_OUT_UNDER_SIGTERM_HANDLER = """
+import signal
+from tlspurify.sweeps import _fan_out
+
+def stop(signum, frame):
+    raise SystemExit(128 + signum)
+
+def square(x):
+    return x * x
+
+signal.signal(signal.SIGTERM, stop)
+for _ in range(150):
+    assert _fan_out(square, [1, 2], 2) == [1, 4]
+"""
+
+
+def test_fan_out_survives_inherited_sigterm_handler():
+    """Workers forked from a process whose SIGTERM handler raises must
+    still shut down: fast jobs used to leave one hanging on exit."""
+    src = str(Path(tlspurify.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-c", _FAN_OUT_UNDER_SIGTERM_HANDLER],
+                            env={**os.environ, "PYTHONPATH": src},
+                            stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)     # the hung worker too
+        proc.communicate()
+        pytest.fail("fan-out hung with an inherited SIGTERM handler")
+    assert proc.returncode == 0, err.decode()
 
 
 def test_workers_do_not_change_bytes():
