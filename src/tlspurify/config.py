@@ -20,7 +20,7 @@ Schema (all keys optional; defaults shown):
       abs_tol: 1.0e-10
       rel_tol: 1.0e-10
       horizon: 20.0       # give-up time in units of the lossless pole time
-      samples: 601        # sample count for trace outputs
+      samples: 601        # sample count for trace outputs, at most 100000
       workers: 1
       out: null           # null = stdout
       format: csv         # csv | json
@@ -51,6 +51,12 @@ __all__ = ["ConfigError", "SweepAxis", "RunConfig", "load_config",
            "AXIS_NAMES"]
 
 AXIS_NAMES = ("gamma_over_j", "beta", "xi_frac", "mu_frac", "j_frac")
+
+#: upper bound on run.samples.  A trace holds one row per sample (19
+#: floats for simulate, 2 x mu_count traces for purity-trace), and the
+#: samples are evaluated as one array, so an unbounded count turns into an
+#: allocation of many GiB; 100000 rows is far past any plot
+MAX_SAMPLES = 100_000
 
 _DEFAULTS = {
     "model": {"omega_q": 1.0, "omega_tls": 3.0, "beta": 1.0,
@@ -95,12 +101,16 @@ def _want_number(value, key: str, *, minimum: float | None = None,
     return v
 
 
-def _want_int(value, key: str, *, minimum: int) -> int:
+def _want_int(value, key: str, *, minimum: int,
+              maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError("bad-value", f"{key} must be an integer, got {value!r}",
                           key)
     if value < minimum:
         raise ConfigError("bad-value", f"{key} must be >= {minimum}, got {value}",
+                          key)
+    if maximum is not None and value > maximum:
+        raise ConfigError("bad-value", f"{key} must be <= {maximum}, got {value}",
                           key)
     return value
 
@@ -306,7 +316,8 @@ class RunConfig:
             abs_tol=_want_number(r["abs_tol"], "run.abs_tol", minimum=0.0),
             rel_tol=_want_number(r["rel_tol"], "run.rel_tol", minimum=0.0),
             horizon=_want_number(r["horizon"], "run.horizon", minimum=1.0),
-            samples=_want_int(r["samples"], "run.samples", minimum=2),
+            samples=_want_int(r["samples"], "run.samples", minimum=2,
+                              maximum=MAX_SAMPLES),
             workers=_want_int(r["workers"], "run.workers", minimum=1),
             out=r["out"] if r["out"] is None or isinstance(r["out"], str)
                 else str(r["out"]),

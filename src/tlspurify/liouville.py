@@ -11,6 +11,12 @@ frame term (a qubit z-rotation).  The lab frame skips the rotating-frame
 reduction entirely and evolves the density matrix under the bare
 Hamiltonian with the same dissipator; it serves as an end-to-end check of
 the rotating-frame approximation.
+
+A constant drive gives constant coefficients in both frames, so simulate
+propagates it exactly (integrator.propagate); a detuning delta becomes
+constant in the frame that co-rotates at delta about K = FIELD_FRAME/2,
+because e^{phi K} C e^{-phi K} = cos(phi) C + sin(phi) D and K commutes
+with A and B.  Tabulated drives and runs with events are integrated.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .drive import ConstantDrive, Drive, resonant
-from .integrator import EventSpec, IvpResult, integrate
-from .model import OFFDIAG_SLOTS, DensityState, ModelParams, x_to_matrix
+from .integrator import EventSpec, IvpResult, integrate, propagate
+from .model import DensityState, ModelParams, matrix_to_x, x_to_matrix
 
 # ====================================================================
 # Static fields of the rotating-frame flow (0-based coordinate slots)
@@ -76,6 +82,9 @@ FIELD_FRAME = _mat({
     (12, 13): 2.0, (13, 12): -2.0,
 })
 
+#: generator of the frame that co-rotates with a constant detuning
+FRAME_ROTATION = 0.5 * FIELD_FRAME
+
 
 def rwa_generator(params: ModelParams, j1: float, j2: float,
                   alpha: float = 0.0) -> np.ndarray:
@@ -131,33 +140,35 @@ def lab_hamiltonian(params: ModelParams, epsilon: float) -> np.ndarray:
             - params.J * _SXSX)
 
 
-def make_rhs_lab(params: ModelParams, drive: Drive):
-    """Matrix-level master equation in the lab frame, mapped through the
-    same 16 real coordinates.  No secular or rotating-frame approximation;
-    jump operators act on the defect only."""
+def lab_liouvillian(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(L0, L_eps) of the lab-frame master equation on the 16 real
+    coordinates: dx/dt = (L0 + epsilon L_eps) x.  Column k is the
+    matrix-level equation (commutator with the bare Hamiltonian plus the
+    defect dissipator) applied to basis vector k.  No secular or
+    rotating-frame approximation; jump operators act on the defect only."""
     r = params.rates
-    g1, g2 = r.gamma1, r.gamma2
-    l1dl1 = _SM_T.T @ _SM_T      # projector on defect excited
-    l2dl2 = _SP_T.T @ _SP_T      # projector on defect ground
-    h_static = (lab_hamiltonian(params, drive.epsilon(0.0, params))
-                if isinstance(drive, ConstantDrive) else None)
+    basis = np.array([x_to_matrix(e) for e in np.eye(16)])
+
+    def commutator(h):
+        return -1j * (h @ basis - basis @ h)
+
+    def dissipator(op):
+        n = op.T @ op
+        return op @ basis @ op.T - 0.5 * (n @ basis + basis @ n)
+
+    l0 = (commutator(lab_hamiltonian(params, 0.0))
+          + r.gamma1 * dissipator(_SM_T) + r.gamma2 * dissipator(_SP_T))
+    l_eps = commutator(-0.5 * _SZ_Q)
+    return (np.array([matrix_to_x(m) for m in l0]).T,
+            np.array([matrix_to_x(m) for m in l_eps]).T)
+
+
+def make_rhs_lab(params: ModelParams, drive: Drive):
+    """Right-hand side of the lab-frame flow for the given drive."""
+    l0, l_eps = lab_liouvillian(params)
 
     def rhs(t: float, x: np.ndarray) -> np.ndarray:
-        rho = x_to_matrix(x)
-        h = (h_static if h_static is not None
-             else lab_hamiltonian(params, drive.epsilon(t, params)))
-        drho = -1j * (h @ rho - rho @ h)
-        drho += g1 * (_SM_T @ rho @ _SP_T
-                      - 0.5 * (l1dl1 @ rho + rho @ l1dl1))
-        drho += g2 * (_SP_T @ rho @ _SM_T
-                      - 0.5 * (l2dl2 @ rho + rho @ l2dl2))
-        dx = np.empty(16)
-        for k in range(4):
-            dx[k] = drho[k, k].real
-        for (i, j), (re, im) in OFFDIAG_SLOTS.items():
-            dx[re] = drho[i, j].real
-            dx[im] = drho[i, j].imag
-        return dx
+        return (l0 + drive.epsilon(t, params) * l_eps) @ x
 
     return rhs
 
@@ -212,14 +223,27 @@ def simulate(
     events: tuple[EventSpec, ...] = (),
     dense: bool = False,
 ) -> IvpResult:
-    """Evolve a density state over t_span in the chosen frame."""
+    """Evolve a density state over t_span in the chosen frame.
+
+    A constant drive without events is propagated exactly, and rtol and
+    atol do not apply; any other run is integrated to them.
+    """
     if drive is None:
         drive = resonant()
+    if frame not in ("rwa", "lab"):
+        raise ValueError(f"frame must be 'rwa' or 'lab', got {frame!r}")
+    if isinstance(drive, ConstantDrive) and not events:
+        if frame == "lab":
+            l0, l_eps = lab_liouvillian(params)
+            return propagate(l0 + drive.epsilon(0.0, params) * l_eps,
+                             t_span, state.x, dense=dense)
+        delta = drive.detuning
+        return propagate(
+            rwa_generator(params, params.J, 0.0) - delta * FRAME_ROTATION,
+            t_span, state.x, rotation=(FRAME_ROTATION, delta), dense=dense)
     if frame == "rwa":
         rhs = make_rhs_rwa(params, drive)
-    elif frame == "lab":
-        rhs = make_rhs_lab(params, drive)
     else:
-        raise ValueError(f"frame must be 'rwa' or 'lab', got {frame!r}")
+        rhs = make_rhs_lab(params, drive)
     return integrate(rhs, t_span, state.x, rtol=rtol, atol=atol,
                      events=events, dense=dense)

@@ -54,6 +54,14 @@ def thermal_populations(omega: float, beta: float) -> tuple[float, float]:
     return a, 1.0 - a
 
 
+def bose_occupation(omega: float, beta: float) -> float:
+    """Thermal occupation 1/(e^{beta omega} - 1) of a bath mode, written as
+    e^{-x}/(1 - e^{-x}) with x = beta omega so that it falls to 0 in the
+    cold limit instead of overflowing."""
+    x = beta * omega
+    return math.exp(-x) / -math.expm1(-x)
+
+
 @dataclass(frozen=True)
 class BathRates:
     """Decay channels of the defect: emission gamma1, absorption gamma2."""
@@ -77,7 +85,7 @@ def bath_rates(kappa: float, omega_tls: float, beta: float) -> BathRates:
         raise ValueError(f"bath_rates needs beta > 0, got {beta}")
     if omega_tls <= 0.0:
         raise ValueError(f"omega_tls must be positive, got {omega_tls}")
-    n_occ = 1.0 / math.expm1(beta * omega_tls)
+    n_occ = bose_occupation(omega_tls, beta)
     gamma1 = kappa * (n_occ + 1.0)
     gamma2 = kappa * n_occ
     gamma = gamma1 + gamma2
@@ -149,8 +157,7 @@ class ModelParams:
         """Same model with kappa chosen so the total rate equals ``gamma``."""
         if gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {gamma}")
-        n_occ = 1.0 / math.expm1(self.beta * self.omega_tls)
-        return replace(self, kappa=gamma / (2.0 * n_occ + 1.0))
+        return replace(self, kappa=gamma / (2.0 * self.rates.n_occ + 1.0))
 
     def with_gamma_over_j(self, ratio: float) -> "ModelParams":
         return self.with_gamma(ratio * self.J)

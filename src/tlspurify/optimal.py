@@ -308,13 +308,16 @@ class _DriftFlow:
                 e * d0 + s * d1 + c * d2)
 
     def spherical(self, t: float) -> tuple[float, float, float, float]:
-        """(r, c, theta, theta rate) at t."""
+        """(r, c, theta, theta rate) at t.  At zero radius theta has no
+        meaning; it reads 0, as in reduced.z_to_spherical, and so does its
+        rate."""
         self.stats.n_eval += 1
         w, v, d = self.direction(t)
         kappa = math.sqrt(-self.om2) if self.om2 < 0.0 else 0.0
         f = math.exp((kappa - self.b) * t)      # direction -> s
+        r2 = w * w + v * v
         return (f * math.hypot(w, v), self.params.eta - f * d,
-                math.atan2(w, v), self.rate(w, v, d) / (w * w + v * v))
+                math.atan2(w, v), self.rate(w, v, d) / r2 if r2 else 0.0)
 
     def rate(self, w, v, d):
         """r^2 dtheta/dt up to a positive factor: 2J r^2 - (gamma/2) d v."""
@@ -363,7 +366,11 @@ class _DriftFlow:
     def first_event(self, t_end: float) -> tuple[str, float]:
         """(status, t_stop): the pole (v falls through 0, hence w > 0), a
         guarded stall (the theta rate falls through 0), or neither by
-        t_end.  Each event is bracketed on the grid, then bisected."""
+        t_end.  Each event is bracketed on the grid, then bisected.  A
+        start at the centre of the sphere (r = 0 and c = eta, as from a
+        cold bath at xi = 0) is a rest point and never reaches the pole."""
+        if not any(self.basis[0]):
+            return "trapped", t_end
         t_scan = min(t_end, self._settled())
         chunks = max(1, math.ceil(t_scan / (SCAN_CHUNK * self.params.t0)))
         edges = np.linspace(0.0, t_scan, chunks + 1)

@@ -1,7 +1,10 @@
 """Self-check suite: oracle equivalences, conserved quantities, closed forms.
 
 Every check measures a residual and holds it to a stated tolerance; checks
-that integrate also report accepted/rejected step counts.  ``run_suite``
+that propagate also report accepted/rejected step counts (node steps, with
+none rejected, for an exact run).  Each check compares two independent
+paths: the constant-coefficient runs that simulate propagates exactly are
+held against Runge-Kutta integration of the same flow or of its reduction.  ``run_suite``
 accepts an override for the reduced-system right-hand side so a deliberately
 broken generator can be shown to trip the equivalence check (negative
 control for the suite itself).
@@ -13,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .drive import resonant
 from .integrator import StepStats, integrate
-from .liouville import rwa_generator, simulate
+from .liouville import make_rhs_rwa, rwa_generator, simulate
 from .model import (InitialStateSpec, ModelParams, build_initial_state,
                     min_eigenvalue, mu_max, xi_max)
 from .optimal import (delta_p, initial_spherical, s2_resonant_solution,
@@ -89,15 +93,28 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
     full = simulate(params, state, t_span, rtol=rtol, atol=atol, dense=True)
     z0 = x_to_z(state.x)
     z_rhs = z_rhs_override if z_rhs_override is not None else make_rhs_z(params)
-    red = integrate(z_rhs, t_span, z0, rtol=rtol, atol=atol, dense=True)
-    ts = np.linspace(t_span[0], t_span[1], 400)
-    z_from_full = np.array([x_to_z(x) for x in full.trajectory(ts)])
-    resid = float(np.abs(z_from_full - red.trajectory(ts)).max())
+    red = integrate(z_rhs, t_span, z0, rtol=rtol, atol=atol)
+    z_from_full = np.array([x_to_z(x) for x in full.trajectory(red.t)])
+    resid = float(np.abs(z_from_full - red.y).max())
     stats = StepStats(full.stats.accepted + red.stats.accepted,
                       full.stats.rejected + red.stats.rejected,
                       full.stats.n_eval + red.stats.n_eval)
     checks.append(_check("full-vs-reduced", resid, 1e-8,
-                         "max-abs z gap on [0, 2 T0], correlated start", stats))
+                         "max-abs z gap at the reduced run's steps on "
+                         "[0, 2 T0], correlated start", stats))
+
+    # -- exact propagation matches Runge-Kutta on the same run ----------
+    rk = integrate(make_rhs_rwa(params, resonant()), t_span, state.x,
+                   rtol=rtol, atol=atol)
+    resid = float(np.abs(full.trajectory(rk.t) - rk.y).max())
+    stats = StepStats(full.stats.accepted + rk.stats.accepted,
+                      full.stats.rejected + rk.stats.rejected,
+                      full.stats.n_eval + rk.stats.n_eval)
+    checks.append(_check("exact-vs-rk", resid, 1e-8,
+                         "max-abs x gap at the integrated run's steps on "
+                         "[0, 2 T0], same start", stats))
+
+    ts = np.linspace(t_span[0], t_span[1], 400)
 
     # -- trace preserved along the full run ---------------------------
     xs = full.trajectory(ts)
@@ -158,7 +175,7 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
         tot = StepStats(tot.accepted + run.stats.accepted,
                         tot.rejected + run.stats.rejected,
                         tot.n_eval + run.stats.n_eval)
-    checks.append(_check("pole-time-closed-form", worst, 1e-6,
+    checks.append(_check("pole-time-closed-form", worst, 1e-12,
                          "worst relative gap at gamma/J = 1, 2, 3.5", tot))
 
     # -- purity on pole arrival ---------------------------------------

@@ -4,7 +4,8 @@ The matrix-form master equation here is assembled from the textbook
 recipe (commutator plus jump-operator dissipator) out of its own Pauli
 algebra and shares no code with the package internals.  Agreement between
 this and the 16-coordinate generator is the backbone equivalence the
-whole suite leans on.
+whole suite leans on; the lab-frame equation is checked the same way
+against the package's lab Liouvillian.
 
 The pole-time oracle integrates the nonlinear (r, c, theta) equations on
 the adaptive integrator, a path independent of the closed-form linear
@@ -46,11 +47,10 @@ L_EMIT = np.kron(I2, SM)
 L_ABSORB = np.kron(I2, SM.conj().T)
 
 
-def lindblad_rhs(params: ModelParams, rho: np.ndarray, j1: float, j2: float,
-                 alpha: float = 0.0) -> np.ndarray:
-    """drho/dt of the rotating-frame master equation, matrices only."""
+def _master_rhs(params: ModelParams, h: np.ndarray,
+                rho: np.ndarray) -> np.ndarray:
+    """Commutator with h plus the defect dissipator, matrices only."""
     r = params.rates
-    h = j1 * H_EXCHANGE + j2 * H_QUADRATURE + alpha * H_FRAME
     d = -1.0j * (h @ rho - rho @ h)
     for g, op in ((r.gamma1, L_EMIT), (r.gamma2, L_ABSORB)):
         opd = op.conj().T
@@ -58,6 +58,24 @@ def lindblad_rhs(params: ModelParams, rho: np.ndarray, j1: float, j2: float,
         d = d + g * (op @ rho @ opd
                      - 0.5 * (anticomm @ rho + rho @ anticomm))
     return d
+
+
+def lindblad_rhs(params: ModelParams, rho: np.ndarray, j1: float, j2: float,
+                 alpha: float = 0.0) -> np.ndarray:
+    """drho/dt of the rotating-frame master equation, matrices only."""
+    h = j1 * H_EXCHANGE + j2 * H_QUADRATURE + alpha * H_FRAME
+    return _master_rhs(params, h, rho)
+
+
+def lab_rhs(params: ModelParams, rho: np.ndarray,
+            epsilon: float) -> np.ndarray:
+    """drho/dt of the lab-frame master equation, matrices only: the bare
+    Hamiltonian with the qubit splitting shifted by epsilon, and the same
+    defect dissipator."""
+    h = (-0.5 * (params.omega_q + epsilon) * np.kron(SZ, I2)
+         - 0.5 * params.omega_tls * np.kron(I2, SZ)
+         - params.J * np.kron(SX, SX))
+    return _master_rhs(params, h, rho)
 
 
 def partial_trace_defect(rho: np.ndarray) -> np.ndarray:

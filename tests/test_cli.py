@@ -107,6 +107,32 @@ def test_runtime_error_from_driver(capsys, monkeypatch):
     assert err["message"] == "step size underflow at t = 1.5"
 
 
+@pytest.mark.parametrize("beta", [100, 1000])
+@pytest.mark.parametrize("command", ["simulate", "scan-gamma",
+                                     "coherence-map", "verify"])
+def test_cold_bath_never_tracebacks(capsys, tmp_path, beta, command):
+    """In the cold limit n_occ -> 0 and the S1 radius vanishes; every
+    command ends in a table or a JSON error object.  Only verify may
+    refuse: its coherence check starts from a fixed mu_q that a cold
+    qubit cannot carry."""
+    cfg = tmp_path / "cold.yaml"
+    cfg.write_text(
+        f"model:\n  beta: {beta}\n"
+        "run:\n  samples: 11\n  horizon: 2.0\n"
+        "sweep:\n  axes:\n"
+        "    - {name: gamma_over_j, start: 1.0, stop: 4.4, count: 3}\n"
+        "    - {name: xi_frac, start: 0.0, stop: 1.0, count: 2}\n"
+        "    - {name: mu_frac, start: 0.0, stop: 1.0, count: 2}\n")
+    code = main([command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out.startswith(f"# {command}\n")
+        assert captured.err == ""
+    else:
+        assert (command, code) == ("verify", 1)
+        assert json.loads(captured.err)["code"] == "runtime-error"
+
+
 def test_command_required():
     with pytest.raises(SystemExit) as exc:
         main([])

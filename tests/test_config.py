@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from tlspurify.config import (AXIS_NAMES, ConfigError, RunConfig, SweepAxis,
-                              load_config)
+from tlspurify.config import (AXIS_NAMES, MAX_SAMPLES, ConfigError, RunConfig,
+                              SweepAxis, load_config)
 from tlspurify.drive import ConstantDrive, resonant
 
 
@@ -84,6 +84,10 @@ def test_bad_values():
     assert _err({"model": {"beta": -0.5}}).code == "bad-value"
     assert _err({"run": {"frame": "dressed"}}).code == "bad-value"
     assert _err({"run": {"samples": 1}}).code == "bad-value"
+    too_many = _err({"run": {"samples": MAX_SAMPLES + 1}})
+    assert (too_many.code, too_many.parameter) == ("bad-value", "run.samples")
+    assert RunConfig.from_dict(
+        {"run": {"samples": MAX_SAMPLES}}).samples == MAX_SAMPLES
     assert _err({"run": {"horizon": 0.5}}).code == "bad-value"
     assert _err({"sweep": {"mu_count": 1}}).code == "bad-value"
     assert _err({"sweep": {"axes": "beta"}}).code == "bad-value"

@@ -1,4 +1,5 @@
-"""The embedded Runge-Kutta stepper: accuracy, events, bookkeeping."""
+"""The embedded Runge-Kutta stepper (accuracy, events, bookkeeping) and
+the exact propagator of constant-coefficient flows."""
 
 from __future__ import annotations
 
@@ -10,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from tlspurify.integrator import EventSpec, integrate
+from tlspurify.integrator import EventSpec, integrate, propagate
+from tlspurify.integrator import expm as exact_expm
+from tlspurify.model import ModelParams
+from tlspurify.reduced import z_generator
 
 
 # ====================================================================
@@ -156,3 +160,67 @@ def test_trajectory_shapes():
     assert out.shape == (7, 2)
     assert res.trajectory(0.0).shape == (2,)
     assert np.abs(res.trajectory(0.0) - np.array([1.0, 2.0])).max() < 1e-14
+
+
+# ====================================================================
+# Exact propagation of constant-coefficient flows
+# ====================================================================
+
+def _rel_gap(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+def test_expm_matches_scipy_random():
+    """A random 16x16 matrix, at norms that take no squaring and several."""
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(16, 16))
+    for scale in (0.01, 0.3, 1.0, 4.0):
+        assert _rel_gap(exact_expm(scale * a), expm(scale * a)) < 1e-13
+
+
+def test_expm_matches_scipy_defective_z_generator():
+    """The augmented reduced generator at gamma = 4J exactly, where the
+    S1 block is defective (a repeated eigenvalue with one eigenvector)."""
+    base = ModelParams(kappa=0.1)
+    p = ModelParams(kappa=0.1, J=0.25 * base.gamma)
+    assert p.gamma == 4.0 * p.J
+    m, b = z_generator(p, p.J, 0.0)
+    aug = np.zeros((9, 9))
+    aug[:8, :8] = m
+    aug[:8, 8] = b
+    for t in (0.1, p.t0, 5.0 * p.t0):
+        assert _rel_gap(exact_expm(t * aug), expm(t * aug)) < 1e-13
+
+
+def test_expm_of_zero_is_identity():
+    zero = np.zeros((9, 9))
+    got = exact_expm(zero)
+    assert np.array_equal(expm(zero), np.eye(9))
+    assert np.abs(got - np.eye(9)).max() <= 2.0 ** -52
+    assert np.array_equal(got - np.diag(np.diag(got)), zero)
+
+
+def test_propagate_matches_expm_between_nodes():
+    """Nodes, midpoints and arbitrary times of an affine run match
+    e^{At} applied to the augmented state, scalar or array."""
+    rng = np.random.default_rng(3)
+    a = 0.7 * rng.normal(size=(5, 5))
+    b = rng.normal(size=5)
+    y0 = rng.normal(size=5)
+    aug = np.zeros((6, 6))
+    aug[:5, :5] = a
+    aug[:5, 5] = b
+    res = propagate(a, (0.5, 4.0), y0, b=b, dense=True)
+    assert res.stats.rejected == 0
+    assert res.stats.accepted == len(res.t) - 1 > 1
+    ts = np.concatenate([res.t, 0.5 * (res.t[1:] + res.t[:-1]),
+                         rng.uniform(0.5, 4.0, size=50)])
+    got = res.trajectory(ts)
+    exact = np.array([(expm((t - 0.5) * aug) @ np.append(y0, 1.0))[:5]
+                      for t in ts])
+    assert _rel_gap(got, exact) < 1e-13
+    assert _rel_gap(res.y, exact[:len(res.t)]) < 1e-13
+    assert res.trajectory(2.5).shape == (5,)
+    assert res.y_final == pytest.approx(exact[len(res.t) - 1], rel=1e-13)
+    with pytest.raises(ValueError):
+        propagate(a, (1.0, 1.0), y0)

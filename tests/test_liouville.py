@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from oracles import (lindblad_rhs, partial_trace_defect, partial_trace_qubit,
-                     random_density_x)
-from tlspurify.drive import ConstantDrive, resonant
-from tlspurify.integrator import EventSpec
-from tlspurify.liouville import (lab_hamiltonian, make_rhs_rwa, qubit_purity,
-                                 qubit_reduced, rwa_generator, simulate,
-                                 tls_purity, tls_reduced)
+from oracles import (lab_rhs, lindblad_rhs, partial_trace_defect,
+                     partial_trace_qubit, random_density_x)
+from tlspurify import liouville
+from tlspurify.drive import ConstantDrive, TableDrive, resonant
+from tlspurify.integrator import EventSpec, integrate
+from tlspurify.liouville import (lab_hamiltonian, make_rhs_lab, make_rhs_rwa,
+                                 qubit_purity, qubit_reduced, rwa_generator,
+                                 simulate, tls_purity, tls_reduced)
 from tlspurify.model import (InitialStateSpec, ModelParams,
                              build_initial_state, matrix_to_x, mu_max,
                              x_to_matrix, xi_max)
@@ -149,3 +150,65 @@ def test_simulate_event_passthrough(params_bath):
                    events=(ev,))
     assert res.status == "event"
     assert qubit_purity(res.y_final) == pytest.approx(target, abs=1e-8)
+
+
+# ====================================================================
+# Exact propagation of constant drives
+# ====================================================================
+
+def test_lab_liouvillian_matches_matrix_oracle(params_bath, rng):
+    """The lab right-hand side, built once from the 16 basis vectors, is
+    the matrix-level lab master equation at every drive shift."""
+    drive = TableDrive((0.0, 5.0), (-0.4, 0.9))
+    rhs = make_rhs_lab(params_bath, drive)
+    for t in (0.0, 1.7, 5.0, 8.0):
+        eps = drive.epsilon(t, params_bath)
+        for _ in range(5):
+            x = random_density_x(rng)
+            expected = matrix_to_x(lab_rhs(params_bath, x_to_matrix(x), eps))
+            assert np.abs(rhs(t, x) - expected).max() < 1e-14
+
+
+@pytest.mark.parametrize("frame", ["rwa", "lab"])
+@pytest.mark.parametrize("detuning", [0.0, 0.25])
+def test_exact_simulate_matches_rk(params_bath, frame, detuning):
+    """A constant drive is propagated exactly; Runge-Kutta at
+    rtol = atol = 1e-12 lands on it at every accepted step, also for a
+    span that does not start at 0 (the co-rotating frame's phase)."""
+    xi = 0.5 * xi_max(params_bath)
+    mu = 0.5 * mu_max(params_bath, xi)
+    spec = InitialStateSpec(mu_q=mu, nu_q=0.3 * mu, xi_re=xi)
+    state = build_initial_state(params_bath, spec)
+    drive = ConstantDrive(detuning)
+    make_rhs = make_rhs_rwa if frame == "rwa" else make_rhs_lab
+    bound = {"rwa": 1e-11, "lab": 1e-10}[frame]
+    for span in ((0.0, 2.0 * params_bath.t0), (1.3, 1.3 + params_bath.t0)):
+        exact = simulate(params_bath, state, span, drive, frame=frame,
+                         dense=True)
+        assert exact.stats.rejected == 0
+        rk = integrate(make_rhs(params_bath, drive), span, state.x,
+                       rtol=1e-12, atol=1e-12)
+        assert np.abs(exact.trajectory(rk.t) - rk.y).max() < bound
+        assert np.abs(exact.y_final - rk.y_final).max() < bound
+
+
+def test_table_drive_and_events_stay_on_rk(params_bath, monkeypatch):
+    """Only a constant drive without events takes the exact path."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("events", ()))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(liouville, "integrate", spy)
+    state = build_initial_state(params_bath, InitialStateSpec())
+    span = (0.0, params_bath.t0)
+    table = TableDrive((0.0, 10.0), (0.0, 0.2))
+    ev = EventSpec(lambda t, x: qubit_purity(x) - 0.99, name="purity",
+                   direction=1, terminal=True)
+    for frame in ("rwa", "lab"):
+        simulate(params_bath, state, span, table, frame=frame)
+        simulate(params_bath, state, span, resonant(), frame=frame,
+                 events=(ev,))
+        simulate(params_bath, state, span, ConstantDrive(0.1), frame=frame)
+    assert [len(evs) for evs in calls] == [0, 1, 0, 1]

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from oracles import random_density_matrix, random_density_x
 from tlspurify.model import (OFFDIAG_SLOTS, DensityState, InitialStateSpec,
-                             ModelParams, bath_rates, build_initial_state,
-                             matrix_to_x, min_eigenvalue, mu_max,
-                             thermal_populations, x_to_matrix, xi_max)
+                             ModelParams, bath_rates, bose_occupation,
+                             build_initial_state, matrix_to_x,
+                             min_eigenvalue, mu_max, thermal_populations,
+                             x_to_matrix, xi_max)
 
 # Frozen reference values, all recomputed from their printed closed forms.
 A_Q_BETA1 = 0.7310585786300049       # 1/(1 + e^-1)
@@ -66,6 +67,22 @@ def test_bath_rates_eta_identity():
 def test_bath_rates_frozen_value():
     assert bath_rates(0.1, 3.0, 0.1).gamma == pytest.approx(
         GAMMA_BETA01, rel=1e-14)
+
+
+def test_bath_occupation_cold_limit():
+    """n_occ falls to 0 in the cold limit instead of overflowing, and
+    keeps its closed form where 1/expm1 is fine."""
+    assert bose_occupation(3.0, 1.0) == pytest.approx(1.0 / math.expm1(3.0),
+                                                      rel=1e-15)
+    assert bose_occupation(3.0, 1e-3) == pytest.approx(
+        1.0 / math.expm1(3e-3), rel=1e-14)
+    assert 0.0 < bose_occupation(3.0, 100.0) < 1e-130
+    assert bose_occupation(3.0, 1000.0) == 0.0
+    cold = bath_rates(0.1, 3.0, 1000.0)
+    assert (cold.gamma1, cold.gamma2, cold.eta) == (0.1, 0.0, 0.5)
+    p = ModelParams(beta=1000.0).with_gamma(0.2)
+    assert p.kappa == 0.2
+    assert p.gamma == 0.2
 
 
 def test_bath_rates_validation():

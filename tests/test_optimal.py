@@ -382,6 +382,23 @@ def test_t_min_numeric_validation():
         t_min_numeric(ModelParams(J=0.0))
 
 
+def test_t_min_numeric_zero_radius():
+    """A cold bath at xi = 0 starts the S1 block at the centre of the
+    sphere (r = 0, c = eta), a rest point: the pole is never reached, and
+    theta and its rate read 0."""
+    for beta in (100.0, 1000.0):
+        p = ModelParams(beta=beta, kappa=0.1)
+        r0, c0, _ = initial_spherical(p, 0.0)
+        assert (r0, c0) == (0.0, p.eta)
+        run = t_min_numeric(p, 0.0)
+        assert run.status == "trapped"
+        assert run.time == math.inf
+        assert run.t_stop == 20.0 * p.t0
+        assert (run.r, run.c, run.theta, run.theta_rate) == (0.0, p.eta,
+                                                             0.0, 0.0)
+        assert classify_region(p, 0.0) == "B"
+
+
 def test_t_min_numeric_trapped_run():
     """Just under the critical coupling, a small extra coherence puts the
     start in the en-route stall region: the flow pinches onto the

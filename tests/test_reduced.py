@@ -10,14 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import random_density_x
+from tlspurify import reduced
 from tlspurify.drive import ConstantDrive, TableDrive, resonant
 from tlspurify.integrator import integrate
 from tlspurify.liouville import qubit_purity, rwa_generator, simulate
 from tlspurify.model import (InitialStateSpec, ModelParams,
                              build_initial_state, mu_max, xi_max)
-from tlspurify.reduced import (make_rhs_rct, make_rhs_rct_phi, simulate_z,
-                               spherical_to_z_s1, x_to_z, z_generator,
-                               z_purity, z_purity_many, z_to_spherical)
+from tlspurify.reduced import (make_rhs_rct, make_rhs_rct_phi, make_rhs_z,
+                               simulate_z, spherical_to_z_s1, x_to_z,
+                               z_generator, z_purity, z_purity_many,
+                               z_to_spherical)
 
 # Frozen by hand from the coordinate layout: each z entry reads specific
 # x slots, so a handcrafted x with distinct slot values pins the wiring.
@@ -185,3 +187,35 @@ def test_rct_phi_rhs_zero_control(params_bath):
     d_pole = rhs_u(0.0, np.array([0.1, 0.3, math.pi / 2 - 1e-12, 0.0]))
     assert np.all(np.isfinite(d_pole))
     assert abs(d_pole[3]) > 0.0
+
+
+@pytest.mark.parametrize("detuning", [0.0, 0.25])
+def test_exact_simulate_z_matches_rk(params_bath, detuning):
+    """The affine reduced flow under a constant drive is propagated
+    exactly; Runge-Kutta at rtol = atol = 1e-12 lands on it."""
+    xi = 0.5 * xi_max(params_bath)
+    mu = 0.5 * mu_max(params_bath, xi)
+    z0 = x_to_z(build_initial_state(
+        params_bath, InitialStateSpec(mu_q=mu, xi_re=xi)).x)
+    drive = ConstantDrive(detuning)
+    span = (0.5, 2.0 * params_bath.t0)
+    exact = simulate_z(params_bath, z0, span, drive, dense=True)
+    rk = integrate(make_rhs_z(params_bath, drive), span, z0,
+                   rtol=1e-12, atol=1e-12)
+    assert exact.stats.rejected == 0
+    assert np.abs(exact.trajectory(rk.t) - rk.y).max() < 1e-11
+
+
+def test_simulate_z_table_drive_stays_on_rk(params_bath, monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(reduced, "integrate", spy)
+    z0 = x_to_z(build_initial_state(params_bath, InitialStateSpec()).x)
+    drive = TableDrive((0.0, 10.0), (0.0, 0.2))
+    simulate_z(params_bath, z0, (0.0, params_bath.t0), drive)
+    simulate_z(params_bath, z0, (0.0, params_bath.t0), resonant())
+    assert len(calls) == 1

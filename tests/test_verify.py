@@ -12,6 +12,7 @@ from tlspurify.verify import CheckResult, run_suite, suite_passed
 EXPECTED_ORDER = [
     "generator-trace-free",
     "full-vs-reduced",
+    "exact-vs-rk",
     "trace-preservation",
     "positivity",
     "z-conservation",
