@@ -23,9 +23,9 @@ from .model import (BathRates, DensityState, InitialStateSpec, ModelParams,
                     min_eigenvalue, mu_max, thermal_populations, x_to_matrix,
                     xi_max)
 from .optimal import (classify_region, classify_regime, compile_u_control,
-                      delta_from_u, delta_p, fixed_point_theta,
-                      initial_spherical, is_divergent, j_min,
-                      pole_purity_ceiling, s2_first_zero,
+                      delta_from_u, delta_p, first_events, fixed_point_theta,
+                      initial_spherical, is_divergent, j_min, pole_gains,
+                      pole_purity_ceiling, region_labels, s2_first_zero,
                       s2_resonant_solution, stall_cosine, t_min_analytic,
                       t_min_from_rates, t_min_numeric,
                       uncorrelated_pole_purity, xi_fixed)
@@ -40,10 +40,11 @@ __all__ = [
     "EventSpec", "InitialStateSpec", "IvpResult", "ModelParams", "StepStats",
     "TableDrive", "Trajectory", "bath_rates", "build_initial_state",
     "classify_region", "classify_regime", "compile_u_control", "delta_from_u",
-    "delta_p", "fixed_point_theta", "initial_spherical", "integrate",
-    "is_divergent", "j_min", "make_rhs_rct", "make_rhs_z", "matrix_to_x",
-    "min_eigenvalue", "mu_max", "pole_purity_ceiling", "qubit_purity",
-    "qubit_reduced", "resonant", "run_suite", "rwa_generator",
+    "delta_p", "first_events", "fixed_point_theta", "initial_spherical",
+    "integrate", "is_divergent", "j_min", "make_rhs_rct", "make_rhs_z",
+    "matrix_to_x", "min_eigenvalue", "mu_max", "pole_gains",
+    "pole_purity_ceiling", "qubit_purity", "qubit_reduced",
+    "region_labels", "resonant", "run_suite", "rwa_generator",
     "s2_first_zero", "s2_resonant_solution", "simulate", "simulate_z",
     "spherical_to_z_s1", "stall_cosine", "suite_passed", "t_min_analytic",
     "t_min_from_rates", "t_min_numeric", "thermal_populations", "tls_purity",

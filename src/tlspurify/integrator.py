@@ -369,6 +369,15 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
+def augment(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[[A, b], [0, 0]]: y' = A y + b as a linear flow on (y, 1)."""
+    dim = len(b)
+    aug = np.zeros((dim + 1, dim + 1))
+    aug[:dim, :dim] = a
+    aug[:dim, dim] = b
+    return aug
+
+
 def _rotate(k: np.ndarray, phi, y: np.ndarray) -> np.ndarray:
     """e^{phi K} applied to each row of y, for a generator of plane
     rotations (K^3 = -K): e^{phi K} = I + sin(phi) K + (1 - cos(phi)) K^2.
@@ -455,10 +464,7 @@ def propagate(
     if rotation is not None:
         y = _rotate(rotation[0], -rotation[1] * t0, y)
     if b is not None:
-        aug = np.zeros((dim + 1, dim + 1))
-        aug[:dim, :dim] = a
-        aug[:dim, dim] = b
-        a = aug
+        a = augment(a, b)
         y = np.append(y, 1.0)
     norm = float(np.abs(a).sum(axis=0).max())
     n = max(1, math.ceil(norm * (tf - t0) / NODE_NORM))

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .integrator import StepStats, integrate
 from .model import (InitialStateSpec, ModelParams, build_initial_state,
                     xi_max)
 from .reduced import (POLE_GUARD, make_rhs_rct, simulate_z, x_to_z, z_purity,
-                      z_purity_many)
+                      z_purity_many, z_states_at)
 
 #: |gamma - 4J| below this counts as sitting on the divergence boundary
 CRITICAL_TOL = 1e-12
@@ -156,31 +157,43 @@ def s2_first_zero(params: ModelParams) -> float:
 # Initial point and stall condition of the (r, c, theta) flow
 # ====================================================================
 
+def _initial_points(a_q, a_t, eta, xi):
+    """(r0, c0, theta0) arrays of thermal-product starts, from the ground
+    populations a_q, a_t, the bath scale eta and the cross coherence xi,
+    one entry per cell."""
+    xi = np.asarray(xi, dtype=float)
+    if (xi < 0.0).any():
+        raise ValueError(f"xi is a magnitude, got {xi[xi < 0.0].flat[0]}")
+    d = 0.5 * (a_t - a_q)
+    r0 = np.hypot(d, xi)
+    c0 = eta - d
+    ratio = np.divide(xi, r0, out=np.ones_like(r0), where=r0 > 0.0)
+    theta0 = np.where(r0 > 0.0, -np.arccos(np.minimum(1.0, ratio)), 0.0)
+    return r0, c0, theta0
+
+
 def initial_spherical(params: ModelParams, xi: float = 0.0) -> tuple[float, float, float]:
     """(r0, c0, theta0) of the thermal-product start with cross coherence
     of magnitude xi >= 0.  theta0 = -arccos(xi / r0): the polarization gap
     puts the state in the southern hemisphere, the coherence lifts it."""
-    if xi < 0.0:
-        raise ValueError(f"xi is a magnitude, got {xi}")
     a_q, _ = params.qubit_populations
     a_t, _ = params.tls_populations
-    d = 0.5 * (a_t - a_q)
-    r0 = math.hypot(d, xi)
-    c0 = params.eta - d
-    theta0 = -math.acos(min(1.0, xi / r0)) if r0 > 0.0 else 0.0
-    return r0, c0, theta0
+    return tuple(float(x) for x in
+                 _initial_points(a_q, a_t, params.eta, xi))
+
+
+def _stall_cosines(J, gamma, eta, r, c):
+    """stall_cosine for arrays of cells: inf where gamma <= 0 or c >= eta."""
+    d = np.subtract(eta, c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = 4.0 * J * r / (gamma * d)
+    return np.where((gamma > 0.0) & (d > 0.0), arg, np.inf)
 
 
 def stall_cosine(params: ModelParams, r: float, c: float) -> float:
     """cos(theta) at which the theta rate vanishes: (4J / gamma) r/(eta - c).
     A stall point exists at the given (r, c) iff this lands in (0, 1]."""
-    gam = params.gamma
-    if gam <= 0.0:
-        return math.inf
-    d = params.eta - c
-    if d <= 0.0:
-        return math.inf
-    return 4.0 * params.J * r / (gam * d)
+    return float(_stall_cosines(params.J, params.gamma, params.eta, r, c))
 
 
 def fixed_point_theta(params: ModelParams, r: float, c: float) -> float | None:
@@ -232,13 +245,13 @@ def xi_fixed(params: ModelParams) -> Threshold:
     return Threshold(0.5 * (lo + hi), False)
 
 
-def _stall_curvature(params: ModelParams, r: float, c: float, th: float) -> float:
-    """d2(theta)/dt2 on the theta-rate zero set: negative curvature means
-    the rate keeps falling (a genuine stall, not a graze)."""
-    gam = params.gamma
-    d = params.eta - c
-    rr = r if r > 1e-300 else 1e-300
-    return (0.25 * gam * gam * math.cos(th) * math.sin(th)
+def _stall_curvature(gamma, eta, r, c, th):
+    """d2(theta)/dt2 on the theta-rate zero set, for floats or arrays of
+    cells: negative curvature means the rate keeps falling (a genuine
+    stall, not a graze)."""
+    d = eta - c
+    rr = np.maximum(r, 1e-300)
+    return (0.25 * gamma * gamma * np.cos(th) * np.sin(th)
             * (r * r - d * d) / (rr * rr))
 
 
@@ -252,6 +265,16 @@ def _stall_curvature(params: ModelParams, r: float, c: float, th: float) -> floa
 SCAN_INTERVALS = 512
 SCAN_CHUNK = 20.0
 
+#: grid intervals a scanning cell evaluates at once; a cell leaves the
+#: scan with the first block that brackets an event
+SCAN_BLOCK = 64
+
+#: most elements in any temporary array of the scan: a block takes at most
+#: MAX_WORK // (SCAN_BLOCK + 1) cells at once, and a bisection at most
+#: MAX_WORK brackets, so large batches and long horizons cost time, not
+#: memory; beyond that the engine keeps a few dozen floats per cell
+MAX_WORK = 2 ** 14
+
 #: for Omega^2 < 0 the direction settles onto the attracting stall angle;
 #: the scan stops once the terms still moving it fall below this share
 #: of the settled direction, times (2J/kappa)^2.  Sign changes of the
@@ -259,165 +282,271 @@ SCAN_CHUNK = 20.0
 #: 1e-16 (2J/kappa)^2, kappa = sqrt(-Omega^2)
 SETTLE_TOL = 1e-12
 
+#: run statuses by code, and the region label of each
+_STATUSES = ("reached", "trapped", "horizon")
+_LABELS = np.array(["C", "B", "U"])
+_REACHED, _TRAPPED, _HORIZON = range(3)
+
 
 class _DriftFlow:
-    """Closed-form u == 0 flow in s = (w, v, d) = (r sin theta,
-    r cos theta, eta - c).  The flow is linear and homogeneous there,
+    """Closed-form u == 0 flow of a batch of cells, in s = (w, v, d) =
+    (r sin theta, r cos theta, eta - c).  The flow of each cell is linear
+    and homogeneous there,
 
         s' = (-gamma/2 + N) s,  N = [[0, 2J, -gamma/2], [-2J, 0, 0],
                                      [-gamma/2, 0, 0]],
 
     and N^3 = -Omega^2 N with Omega^2 = 4J^2 - gamma^2/4, so
     s(t) = e^{-gamma t/2} (s0 + S(t) N s0 + C(t) N^2 s0).  theta is
-    atan2(w, v), so events only see the direction of s: direction(t)
-    returns E s0 + S N s0 + C N^2 s0, the bracket times a positive factor
-    chosen to keep every regime free of overflow and cancellation;
-    spherical(t) undoes the factor.
+    atan2(w, v), so events only see the direction of s:
+    _Rows.direction(t) returns E s0 + S N s0 + C N^2 s0, the bracket times
+    a positive factor chosen to keep every regime free of overflow and
+    cancellation; spherical(t) undoes the factor.
+
+    Every attribute holds one entry per cell (a = 2J, b = gamma/2,
+    Omega^2, eta, and the basis s0, N s0, N^2 s0), and every step is
+    elementwise, so a cell's result does not depend on the batch it runs
+    in.  Methods that work on some cells take them as an index array.
     """
 
-    def __init__(self, params: ModelParams, r0: float, c0: float, th0: float):
-        self.params = params
-        self.a = 2.0 * params.J
-        self.b = 0.5 * params.gamma
+    def __init__(self, J, gamma, eta, r0, c0, th0):
+        self.a = 2.0 * J
+        self.b = 0.5 * gamma
+        self.eta = eta
         self.om2 = self.a * self.a - self.b * self.b
-        n = np.array([[0.0, self.a, -self.b],
-                      [-self.a, 0.0, 0.0],
-                      [-self.b, 0.0, 0.0]])
-        s0 = np.array([r0 * math.sin(th0), r0 * math.cos(th0), params.eta - c0])
-        self.basis = tuple(tuple(map(float, b)) for b in (s0, n @ s0, n @ n @ s0))
-        self.stats = StepStats()
+        self.root = np.sqrt(np.abs(self.om2))   # Omega, or kappa
+        s0 = np.array([r0 * np.sin(th0), r0 * np.cos(th0), eta - c0])
+        n1 = self._apply_n(s0)
+        self.basis = np.array([s0, n1, self._apply_n(n1)])  # term, axis, cell
+        self.n_eval = np.zeros(self.a.size, dtype=np.int64)
 
-    def _coefficients(self, t, lib):
-        """(E, S, C) at t; lib is math for a float, np for an array."""
-        if self.om2 > 0.0:
-            om = math.sqrt(self.om2)
-            half = lib.sin(0.5 * om * t) / om
-            return 1.0, lib.sin(om * t) / om, 2.0 * half * half
-        if self.om2 < 0.0:
-            # sinh and cosh forms times e^{-kappa t}
-            k = math.sqrt(-self.om2)
-            return (lib.exp(-k * t), -0.5 * lib.expm1(-2.0 * k * t) / k,
-                    0.5 * (lib.expm1(-k * t) / k) ** 2)
-        return 1.0, t, 0.5 * t * t
+    def _apply_n(self, s):
+        w, v, d = s
+        return np.array([self.a * v - self.b * d, -self.a * w, -self.b * w])
 
-    def direction(self, t, lib=math):
-        """(w, v, d) up to a positive factor, at a float or array t."""
-        e, s, c = self._coefficients(t, lib)
-        (w0, v0, d0), (w1, v1, d1), (w2, v2, d2) = self.basis
-        return (e * w0 + s * w1 + c * w2, e * v0 + s * v1 + c * v2,
-                e * d0 + s * d1 + c * d2)
-
-    def spherical(self, t: float) -> tuple[float, float, float, float]:
-        """(r, c, theta, theta rate) at t.  At zero radius theta has no
-        meaning; it reads 0, as in reduced.z_to_spherical, and so does its
-        rate."""
-        self.stats.n_eval += 1
-        w, v, d = self.direction(t)
-        kappa = math.sqrt(-self.om2) if self.om2 < 0.0 else 0.0
-        f = math.exp((kappa - self.b) * t)      # direction -> s
+    def spherical(self, t):
+        """(r, c, theta, theta rate) of every cell at its time t.  At zero
+        radius theta has no meaning; it reads 0, as in
+        reduced.z_to_spherical, and so does its rate."""
+        rows = _Rows(self, np.arange(t.size))
+        self.n_eval += 1
+        w, v, d = rows.direction(t[:, None])
+        rate = rows.rate(w, v, d)[:, 0]
+        w, v, d = w[:, 0], v[:, 0], d[:, 0]
+        kappa = np.where(self.om2 < 0.0, self.root, 0.0)
+        f = np.exp((kappa - self.b) * t)        # direction -> s
         r2 = w * w + v * v
-        return (f * math.hypot(w, v), self.params.eta - f * d,
-                math.atan2(w, v), self.rate(w, v, d) / r2 if r2 else 0.0)
+        return (f * np.hypot(w, v), self.eta - f * d, np.arctan2(w, v),
+                np.divide(rate, r2, out=np.zeros_like(rate), where=r2 != 0.0))
 
-    def rate(self, w, v, d):
-        """r^2 dtheta/dt up to a positive factor: 2J r^2 - (gamma/2) d v."""
-        return self.a * (w * w + v * v) - self.b * d * v
-
-    def _bisect(self, fn, lo: float, hi: float) -> float:
-        """First float in (lo, hi] where fn turns non-positive, given
-        fn(lo) > 0 >= fn(hi)."""
+    def _bisect(self, cells, lo, hi, stall):
+        """First float in (lo, hi] where v (stall False) or the theta rate
+        (stall True) turns non-positive, for every bracket at once, given
+        a positive value at lo and a non-positive one at hi.  A bracket
+        that has closed keeps its ends while the others go on."""
+        rows = _Rows(self, cells)
+        with_stalls = stall.any()
+        evals = np.zeros(cells.size, dtype=np.int64)
         while True:
             mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
+            inside = (lo < mid) & (mid < hi)
+            if not inside.any():
+                np.add.at(self.n_eval, cells, evals)
                 return hi
-            self.stats.n_eval += 1
-            if fn(*self.direction(mid)) > 0.0:
-                lo = mid
+            evals += inside
+            if with_stalls:
+                w, v, d = rows.direction(mid[:, None])
+                f = np.where(stall[:, None], rows.rate(w, v, d), v)[:, 0]
             else:
-                hi = mid
+                f = rows.direction(mid[:, None], axes=(1,))[0][:, 0]
+            up = f > 0.0
+            lo = np.where(inside & up, mid, lo)
+            hi = np.where(inside & ~up, mid, hi)
 
-    def _stalls(self, t: float) -> bool:
-        """Stall guard of the spherical picture at a theta-rate zero.  The
-        curvature test is scale-free, so it reads the direction: the radius
-        itself may underflow on long horizons."""
-        self.stats.n_eval += 1
-        w, v, d = self.direction(t)
-        return _stall_curvature(self.params, math.hypot(w, v),
-                                self.params.eta - d,
-                                math.atan2(w, v)) <= STALL_CURVATURE_TOL
+    def _stalls(self, cells, t):
+        """Stall guard of the spherical picture at theta-rate zeros.  The
+        curvature test is scale-free, so it reads the direction: the
+        radius itself may underflow on long horizons."""
+        self.n_eval[cells] += 1
+        w, v, d = (x[:, 0] for x in _Rows(self, cells).direction(t[:, None]))
+        return _stall_curvature(2.0 * self.b[cells], self.eta[cells],
+                                np.hypot(w, v), self.eta[cells] - d,
+                                np.arctan2(w, v)) <= STALL_CURVATURE_TOL
 
-    def _settled(self) -> float:
+    def _settled(self):
         """For Omega^2 < 0, when the direction stops moving.  In
         x = e^{-kappa t} it is A0 + A1 x + A2 x^2, so it has settled onto
         A0 once x (|A1| + |A2|) <= SETTLE_TOL (2J/kappa)^2 |A0|.  Infinite
         otherwise."""
-        if self.om2 >= 0.0:
-            return math.inf
-        k = math.sqrt(-self.om2)
-        s0, n1, n2 = (np.array(b) for b in self.basis)
-        a0 = np.abs(0.5 * n1 / k + 0.5 * n2 / (k * k)).max()
-        moving = (np.abs(s0 - n2 / (k * k)).max()
-                  + np.abs(0.5 * n2 / (k * k) - 0.5 * n1 / k).max())
-        if a0 == 0.0:
-            return math.inf
-        share = SETTLE_TOL * (self.a / k) ** 2
-        return max(0.0, math.log(moving / (share * a0)) / k)
+        out = np.full(self.om2.size, np.inf)
+        hyp = self.om2 < 0.0
+        k = self.root[hyp]
+        s0, n1, n2 = self.basis[:, :, hyp]
+        a0 = np.abs(0.5 * n1 / k + 0.5 * n2 / (k * k)).max(axis=0)
+        moving = (np.abs(s0 - n2 / (k * k)).max(axis=0)
+                  + np.abs(0.5 * n2 / (k * k) - 0.5 * n1 / k).max(axis=0))
+        share = SETTLE_TOL * (self.a[hyp] / k) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            when = np.maximum(0.0, np.log(moving / (share * a0)) / k)
+        out[hyp] = np.where(a0 == 0.0, np.inf, when)
+        return out
 
-    def first_event(self, t_end: float) -> tuple[str, float]:
-        """(status, t_stop): the pole (v falls through 0, hence w > 0), a
-        guarded stall (the theta rate falls through 0), or neither by
-        t_end.  Each event is bracketed on the grid, then bisected.  A
-        start at the centre of the sphere (r = 0 and c = eta, as from a
-        cold bath at xi = 0) is a rest point and never reaches the pole."""
-        if not any(self.basis[0]):
-            return "trapped", t_end
-        t_scan = min(t_end, self._settled())
-        chunks = max(1, math.ceil(t_scan / (SCAN_CHUNK * self.params.t0)))
-        edges = np.linspace(0.0, t_scan, chunks + 1)
-        for j in range(chunks):
-            ts = np.linspace(edges[j], edges[j + 1], SCAN_INTERVALS + 1)
-            event = self._first_in(ts, j * SCAN_INTERVALS)
-            if event is not None:
-                return event
-        self.stats.accepted = chunks * SCAN_INTERVALS
-        if self.om2 <= 0.0 and not self._pole_after(t_scan):
-            return "trapped", t_end
-        return "horizon", t_end
+    def events(self, t_end, t0):
+        """(status, t_stop, intervals scanned) of every cell: the pole (v
+        falls through 0, hence w > 0), a guarded stall (the theta rate falls
+        through 0), or neither by t_end.  The grid of each cell is
+        np.linspace(0, t_scan, 513) per chunk; it is scanned in blocks, and
+        every block's brackets are bisected together.  A start at the
+        centre of the sphere (r = 0 and c = eta, as from a cold bath at
+        xi = 0) is a rest point and never reaches the pole."""
+        n = t_end.size
+        status = np.full(n, _HORIZON)
+        t_stop = t_end.copy()
+        rest = ~self.basis[0].any(axis=0)
+        status[rest] = _TRAPPED
+        t_scan = np.minimum(t_end, self._settled())
+        chunks = np.maximum(1.0, np.ceil(t_scan / (SCAN_CHUNK * t0)))
+        self._grid = (t_scan, chunks, t_scan / chunks)
+        total = chunks.astype(np.int64) * SCAN_INTERVALS
+        accepted = np.zeros(n, dtype=np.int64)
+        pos = np.zeros(n, dtype=np.int64)         # next interval to scan
+        scanning = ~rest
+        exhausted = np.zeros(n, dtype=bool)
+        pending = []
+        while True:
+            cells = np.flatnonzero(scanning)[:MAX_WORK // (SCAN_BLOCK + 1)]
+            if cells.size:
+                found = self._scan_block(cells, pos, total)
+                pending.append(found)
+                scanning[found[0]] = False
+                pos[cells] += SCAN_BLOCK
+                done = cells[scanning[cells] & (pos[cells] >= total[cells])]
+                scanning[done] = False
+                exhausted[done] = True
+                continue
+            if not pending:
+                break
+            # every cell has a bracket or has run out of grid: bisect them
+            found = [np.concatenate(x) for x in zip(*pending)]
+            pending = []
+            for start in range(0, found[0].size, MAX_WORK // 2):
+                cells, interval, lo, hi, pole, stall = (
+                    x[start:start + MAX_WORK // 2] for x in found)
+                accepted[cells] = interval + 1
+                event = self._decide(cells, lo, hi, pole, stall, status,
+                                     t_stop)
+                pos[cells[~event]] = interval[~event] + 1
+                scanning[cells[~event]] = True
+        accepted[exhausted] = total[exhausted]
+        for i in np.flatnonzero(exhausted & (self.om2 <= 0.0)):
+            if not self._pole_after(i, float(t_scan[i])):
+                status[i] = _TRAPPED
+        return status, t_stop, accepted
 
-    def _first_in(self, ts: np.ndarray, done: int) -> tuple[str, float] | None:
-        """First event on the grid ts, or None; done counts the intervals
-        scanned before ts."""
-        w, v, d = self.direction(ts, np)
-        self.stats.n_eval += ts.size
-        rate = self.rate(w, v, d)
-        pole = (v[:-1] > 0.0) & (v[1:] <= 0.0)
-        stall = (rate[:-1] > 0.0) & (rate[1:] <= 0.0)
-        for k in np.flatnonzero(pole | stall):
-            self.stats.accepted = done + int(k) + 1
-            lo, hi = float(ts[k]), float(ts[k + 1])
-            t_pole = (self._bisect(lambda w, v, d: v, lo, hi) if pole[k]
-                      else math.inf)
-            if stall[k]:
-                t_stall = self._bisect(self.rate, lo, hi)
-                if t_stall < t_pole and self._stalls(t_stall):
-                    return "trapped", t_stall
-            if pole[k]:
-                return "reached", t_pole
-        return None
+    def _grid_times(self, cells, q):
+        """Times of the grid points q of each cell: point k of chunk j is
+        k * step_j + edge_j, as np.linspace computes it, and a chunk's
+        last point is the next chunk's edge."""
+        t_scan, chunks, width = (x[cells, None] for x in self._grid)
+        j, k = np.divmod(q, SCAN_INTERVALS)
+        e0 = np.where(j >= chunks, t_scan, j * width)
+        e1 = np.where(j + 1 >= chunks, t_scan, (j + 1) * width)
+        return k * ((e1 - e0) / SCAN_INTERVALS) + e0
 
-    def _pole_after(self, t_end: float) -> bool:
-        """For Omega^2 <= 0: does v fall through zero after t_end?  v, times
-        a positive factor, is a quadratic in x = t (Omega^2 = 0) or in
-        x = e^{kappa t} (Omega^2 < 0), so its crossings are its roots."""
-        (_, v0, _), (_, p, _), (_, q, _) = self.basis
-        if self.om2 == 0.0:
+    def _scan_block(self, cells, pos, total):
+        """One block of grid intervals for each cell: (cells that bracket
+        an event, the first such interval, its ends, and whether it
+        brackets the pole and a stall)."""
+        q = np.minimum(pos[cells, None] + np.arange(SCAN_BLOCK + 1),
+                       total[cells, None])
+        t = self._grid_times(cells, q)
+        self.n_eval[cells] += SCAN_BLOCK + 1
+        rows = _Rows(self, cells)
+        w, v, d = rows.direction(t)
+        rate = rows.rate(w, v, d)
+        pole = (v[:, :-1] > 0.0) & (v[:, 1:] <= 0.0)
+        stall = (rate[:, :-1] > 0.0) & (rate[:, 1:] <= 0.0)
+        hit = pole | stall
+        k = hit.argmax(axis=1)
+        rows = np.flatnonzero(hit[np.arange(cells.size), k])
+        k = k[rows]
+        return (cells[rows], pos[cells[rows]] + k, t[rows, k], t[rows, k + 1],
+                pole[rows, k], stall[rows, k])
+
+    def _decide(self, cells, lo, hi, pole, stall, status, t_stop):
+        """Bisect the brackets of every cell together and record the
+        events; returns which cells got one.  A stall counts when it comes
+        before the pole in its interval and passes the guard."""
+        which = np.concatenate([np.flatnonzero(pole), np.flatnonzero(stall)])
+        is_stall = np.arange(which.size) >= np.count_nonzero(pole)
+        roots = self._bisect(cells[which], lo[which], hi[which], is_stall)
+        t_pole = np.full(cells.size, np.inf)
+        t_pole[pole] = roots[~is_stall]
+        t_stall = np.full(cells.size, np.inf)
+        t_stall[stall] = roots[is_stall]
+        trapped = stall & (t_stall < t_pole)
+        trapped[trapped] = self._stalls(cells[trapped], t_stall[trapped])
+        reached = pole & ~trapped
+        status[cells[trapped]] = _TRAPPED
+        t_stop[cells[trapped]] = t_stall[trapped]
+        status[cells[reached]] = _REACHED
+        t_stop[cells[reached]] = t_pole[reached]
+        return trapped | reached
+
+    def _pole_after(self, i: int, t_end: float) -> bool:
+        """For Omega^2 <= 0: does v of cell i fall through zero after
+        t_end?  v, times a positive factor, is a quadratic in x = t
+        (Omega^2 = 0) or in x = e^{kappa t} (Omega^2 < 0), so its crossings
+        are its roots."""
+        v0, p, q = (float(x) for x in self.basis[:, 1, i])
+        if self.om2[i] == 0.0:
             k, c2, c1, c0 = 0.0, 0.5 * q, p, v0
         else:
-            k = math.sqrt(-self.om2)
+            k = float(self.root[i])
             c2, c1, c0 = 0.5 * (p + q / k) / k, v0 - q / (k * k), 0.5 * (q / k - p) / k
         return any(x > 0.0 and 2.0 * c2 * x + c1 < 0.0
                    and (math.log(x) / k if k else x) > t_end
                    for x in _real_roots(c2, c1, c0))
+
+
+class _Rows:
+    """The constants of some cells of a _DriftFlow, gathered once, one row
+    per cell, for evaluation at per-row times."""
+
+    def __init__(self, flow: _DriftFlow, cells):
+        om2 = flow.om2[cells]
+        root = flow.root[cells, None]
+        self.trig = np.flatnonzero(om2 > 0.0)
+        self.hyp = np.flatnonzero(om2 < 0.0)
+        self.om = root[self.trig]
+        self.kappa = root[self.hyp]
+        self.basis = flow.basis[:, :, cells, None]
+        self.a = flow.a[cells, None]
+        self.b = flow.b[cells, None]
+
+    def direction(self, t, axes=(0, 1, 2)):
+        """(w, v, d) up to a positive factor at the times t, shaped
+        (rows, times), or the given axes of it."""
+        e = np.ones_like(t)
+        s = t.copy()
+        c = 0.5 * t * t
+        if self.trig.size:
+            om, tt = self.om, t[self.trig]
+            half = np.sin(0.5 * om * tt) / om
+            s[self.trig] = np.sin(om * tt) / om
+            c[self.trig] = 2.0 * half * half
+        if self.hyp.size:
+            # sinh and cosh forms times e^{-kappa t}
+            k, tt = self.kappa, t[self.hyp]
+            e[self.hyp] = np.exp(-k * tt)
+            s[self.hyp] = -0.5 * np.expm1(-2.0 * k * tt) / k
+            c[self.hyp] = 0.5 * (np.expm1(-k * tt) / k) ** 2
+        b = self.basis
+        return tuple(e * b[0, j] + s * b[1, j] + c * b[2, j] for j in axes)
+
+    def rate(self, w, v, d):
+        """r^2 dtheta/dt up to a positive factor: 2J r^2 - (gamma/2) d v."""
+        return self.a * (w * w + v * v) - self.b * d * v
 
 
 def _real_roots(c2: float, c1: float, c0: float) -> list[float]:
@@ -454,6 +583,69 @@ class TminResult:
         return 0.5 + 2.0 * z1 * z1
 
 
+class _Cells(NamedTuple):
+    """Per-cell arrays of a batch: model constants and thermal start."""
+
+    J: np.ndarray
+    gamma: np.ndarray
+    eta: np.ndarray
+    t0: np.ndarray
+    r0: np.ndarray
+    c0: np.ndarray
+    th0: np.ndarray
+
+    @classmethod
+    def of(cls, params_seq, xis) -> "_Cells":
+        """The rates of each distinct parameter set are computed once: a
+        sweep row shares one."""
+        known: dict[ModelParams, tuple] = {}
+        for p in params_seq:
+            if p not in known:
+                known[p] = (p.J, p.gamma, p.eta, p.t0,
+                            p.qubit_populations[0], p.tls_populations[0])
+        cols = np.array([known[p] for p in params_seq],
+                        dtype=float).reshape(-1, 6).T
+        J, gamma, eta, t0, a_q, a_t = cols
+        return cls(J, gamma, eta, t0,
+                   *_initial_points(a_q, a_t, eta, np.asarray(xis, float)))
+
+    def take(self, rows) -> "_Cells":
+        return _Cells(*(x[rows] for x in self))
+
+    def blocked(self) -> np.ndarray:
+        """The stall condition holds at t = 0 (region A)."""
+        return _stall_cosines(self.J, self.gamma, self.eta, self.r0,
+                              self.c0) <= 1.0
+
+
+def _run_flows(cells: _Cells, horizon_mult: float):
+    """The u == 0 flow of every cell: (status, t_stop, r, c, theta,
+    theta rate, intervals scanned, evaluations), one entry per cell."""
+    if (cells.J <= 0.0).any():
+        raise ValueError("t_min_numeric needs J > 0")
+    flow = _DriftFlow(cells.J, cells.gamma, cells.eta, cells.r0, cells.c0,
+                      cells.th0)
+    status, t_stop, accepted = flow.events(horizon_mult * cells.t0, cells.t0)
+    return (status, t_stop, *flow.spherical(t_stop), accepted, flow.n_eval)
+
+
+def first_events(params_seq, xis, horizon_mult: float = 20.0
+                 ) -> list[TminResult]:
+    """t_min_numeric over a batch of cells, cell k at params_seq[k] and
+    cross coherence xis[k]: one array-valued engine for the whole batch,
+    with the same result for each cell as a batch of one."""
+    cells = _Cells.of(params_seq, xis)
+    status, t_stop, r, c, th, rate, accepted, n_eval = _run_flows(
+        cells, horizon_mult)
+    blocked = cells.blocked()
+    return [TminResult(t if s == _REACHED else math.inf, _STATUSES[s], t,
+                       *row, StepStats(accepted=a, n_eval=e))
+            for s, t, *row, a, e in zip(
+                status.tolist(), t_stop.tolist(), r.tolist(), c.tolist(),
+                th.tolist(), rate.tolist(), blocked.tolist(),
+                accepted.tolist(), n_eval.tolist())]
+
+
 def t_min_numeric(params: ModelParams, xi: float = 0.0, *,
                   horizon_mult: float = 20.0, rtol: float = 1e-10,
                   atol: float = 1e-10) -> TminResult:
@@ -470,16 +662,22 @@ def t_min_numeric(params: ModelParams, xi: float = 0.0, *,
     do.  stats counts closed-form evaluations (n_eval) and grid intervals
     scanned (accepted); rejected stays 0.  Work grows with the horizon
     (one 512-interval chunk per 20 t0), except for gamma > 4J, where the
-    scan stops once the direction has settled.
+    scan stops once the direction has settled.  This is first_events on
+    a batch of one.
     """
-    if params.J <= 0.0:
-        raise ValueError("t_min_numeric needs J > 0")
-    r0, c0, th0 = initial_spherical(params, xi)
-    flow = _DriftFlow(params, r0, c0, th0)
-    status, t_stop = flow.first_event(horizon_mult * params.t0)
-    time = t_stop if status == "reached" else math.inf
-    return TminResult(time, status, t_stop, *flow.spherical(t_stop),
-                      stall_cosine(params, r0, c0) <= 1.0, flow.stats)
+    return first_events([params], [xi], horizon_mult)[0]
+
+
+def region_labels(params_seq, xis, horizon_mult: float = 20.0) -> list[str]:
+    """classify_region over a batch of cells; the cells that need the flow
+    run it as one batch."""
+    cells = _Cells.of(params_seq, xis)
+    labels = np.where(cells.gamma == 0.0,
+                      np.where(cells.J > 0.0, "C", "U"), "A")
+    run = np.flatnonzero((cells.gamma != 0.0) & ~cells.blocked())
+    status = _run_flows(cells.take(run), horizon_mult)[0]
+    labels[run] = _LABELS[status.astype(int)]
+    return labels.tolist()
 
 
 def classify_region(params: ModelParams, xi: float, *,
@@ -489,15 +687,10 @@ def classify_region(params: ModelParams, xi: float, *,
     B (stalls en route, or provably never arrives), C (reaches the pole),
     U (arrives only after the horizon).
 
-    The A test is analytic; only non-A cells run the flow.
+    The A test is analytic; only non-A cells run the flow.  This is
+    region_labels on a batch of one.
     """
-    if params.gamma == 0.0:
-        return "C" if params.J > 0.0 else "U"
-    r0, c0, _ = initial_spherical(params, xi)
-    if stall_cosine(params, r0, c0) <= 1.0:
-        return "A"
-    run = t_min_numeric(params, xi, horizon_mult=horizon_mult)
-    return {"reached": "C", "trapped": "B", "horizon": "U"}[run.status]
+    return region_labels([params], [xi], horizon_mult)[0]
 
 
 @dataclass
@@ -509,6 +702,19 @@ class DeltaPResult:
     p_max: float                # largest purity anywhere on [0, t_pole]
     t_max: float                # where that largest value sits
     status: str                 # status of the underlying pole-time run
+
+
+def pole_gains(params: ModelParams, xi: float, mus, t_pole: float
+               ) -> np.ndarray:
+    """(delta_p, p_pole, p_s1) at the pole time t_pole of each start
+    (mu, xi) of a coherence-map row, one row per mu.  The reduced resonant
+    run of every start is one exponential, applied as one product."""
+    z0s = [x_to_z(build_initial_state(
+        params, InitialStateSpec(mu_q=mu, xi_re=xi)).x) for mu in mus]
+    zf = z_states_at(params, z0s, t_pole)
+    p_pole = z_purity_many(zf)
+    p_s1 = 0.5 + 2.0 * zf[:, 0] ** 2
+    return np.column_stack([p_pole / p_s1 - 1.0, p_pole, p_s1])
 
 
 def delta_p(params: ModelParams, xi: float, mu: float, *,
@@ -524,12 +730,13 @@ def delta_p(params: ModelParams, xi: float, mu: float, *,
     pole comes earlier, the coherence has not died yet, and the gain is
     positive and grows with mu.
 
-    The pole time comes from t_min_numeric; the purity trace comes
-    from the reduced 8-coordinate run under the resonant drive with the
-    cross coherence laid on the in-phase axis (xi real), which realizes
-    the same u == 0 geometry.  The overall maximum over [0, t_pole]
-    (initial transient included) is reported alongside as p_max, refined
-    by a parabolic fit through the best grid sample.
+    The pole time comes from t_min_numeric; the purity at the pole comes
+    from pole_gains, the row routine of coherence-map: the reduced
+    8-coordinate run under the resonant drive with the cross coherence
+    laid on the in-phase axis (xi real), which realizes the same u == 0
+    geometry.  The overall maximum over [0, t_pole] (initial transient
+    included) is reported alongside as p_max, from n_samples samples of
+    the same run refined by a parabolic fit through the best one.
     """
     if t_pole is None:
         lead = t_min_numeric(params, xi, horizon_mult=horizon_mult)
@@ -537,10 +744,10 @@ def delta_p(params: ModelParams, xi: float, mu: float, *,
             return DeltaPResult(math.nan, math.inf, math.nan, math.nan,
                                 math.nan, math.nan, lead.status)
         t_pole = lead.time
+    gain, p_pole, p_s1 = pole_gains(params, xi, [mu], t_pole)[0].tolist()
     state = build_initial_state(params, InitialStateSpec(mu_q=mu, xi_re=xi))
-    z0 = x_to_z(state.x)
-    res = simulate_z(params, z0, (0.0, t_pole), rtol=rtol, atol=atol,
-                     dense=True)
+    res = simulate_z(params, x_to_z(state.x), (0.0, t_pole), rtol=rtol,
+                     atol=atol, dense=True)
     traj = res.trajectory
     ts = np.linspace(0.0, t_pole, n_samples)
     ps = z_purity_many(traj(ts))
@@ -557,11 +764,7 @@ def delta_p(params: ModelParams, xi: float, mu: float, *,
             p_v = float(z_purity(traj(float(t_v))))
             if p_v > p_max:
                 t_max, p_max = float(t_v), p_v
-    zf = res.y_final
-    p_pole = float(z_purity(zf))
-    p_s1 = float(0.5 + 2.0 * zf[0] ** 2)
-    return DeltaPResult(p_pole / p_s1 - 1.0, t_pole, p_pole, p_s1,
-                        p_max, t_max, "reached")
+    return DeltaPResult(gain, t_pole, p_pole, p_s1, p_max, t_max, "reached")
 
 
 # ====================================================================

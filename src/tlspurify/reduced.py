@@ -43,7 +43,8 @@ from typing import Callable
 import numpy as np
 
 from .drive import ConstantDrive, Drive, resonant
-from .integrator import EventSpec, IvpResult, integrate, propagate
+from .integrator import (EventSpec, IvpResult, augment, expm, integrate,
+                         propagate)
 from .model import ModelParams
 
 #: angular distance from the poles below which phi is meaningless
@@ -190,6 +191,14 @@ def simulate_z(
     rhs = make_rhs_z(params, drive)
     return integrate(rhs, t_span, z0, rtol=rtol, atol=atol,
                      events=events, dense=dense)
+
+
+def z_states_at(params: ModelParams, z0s, t: float) -> np.ndarray:
+    """z(t) of the resonant reduced run from each row of z0s: one
+    exponential of the augmented generator [[M, b], [0, 0]] over [0, t],
+    applied to every start as one product."""
+    step = expm(augment(*z_generator(params, params.J, 0.0)) * t)
+    return np.reshape(z0s, (-1, 8)) @ step[:8, :8].T + step[:8, 8]
 
 
 # ====================================================================

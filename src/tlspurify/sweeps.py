@@ -7,8 +7,12 @@ pole time is infinite carries the label "divergent", a state outside the
 positivity boundary carries "unphysical", and a region cell whose pole
 comes only after the horizon carries "U".
 
-Fan-out: jobs are split into contiguous chunks, one per worker, and the
-buffered results are reassembled in grid order, so the emitted bytes do
+Fan-out: the cells of a sweep are split into contiguous batches, one per
+worker, and each worker runs its whole batch through one array-valued
+engine call (optimal.first_events or optimal.region_labels; coherence-map
+batches its rows' pole times the same way, then takes one exponential
+per row).  The engine gives each cell the result of its own batch of one,
+and the results are reassembled in grid order, so the emitted bytes do
 not depend on the worker count.
 """
 
@@ -24,8 +28,8 @@ from .drive import ConstantDrive
 from .liouville import qubit_purity, simulate, tls_purity
 from .model import (InitialStateSpec, ModelParams, build_initial_state,
                     mu_max, xi_max)
-from .optimal import (classify_region, delta_p, j_min, t_min_from_rates,
-                      t_min_numeric)
+from .optimal import (first_events, j_min, pole_gains, region_labels,
+                      t_min_from_rates, t_min_numeric)
 from .output import Table
 from .reduced import simulate_z, x_to_z, z_purity_many
 from .verify import run_suite, suite_passed
@@ -54,33 +58,45 @@ def _fan_out(worker, jobs: list, workers: int) -> list:
     return results
 
 
-def _tmin_job(job):
-    params, xi, horizon = job
-    res = t_min_numeric(params, xi, horizon_mult=horizon)
-    return res.time, res.status
+def _fan_out_batches(worker, cells: list, shared, workers: int) -> list:
+    """Run worker over contiguous batches of cells, one batch per worker,
+    as worker((batch, shared)) -> one result per cell; the results come
+    back in grid order."""
+    size = max(1, -(-len(cells) // max(1, workers)))
+    batches = [(cells[k:k + size], shared) for k in range(0, len(cells), size)]
+    return [r for batch in _fan_out(worker, batches, workers) for r in batch]
 
 
-def _region_job(job):
-    params, xi, horizon = job
-    return classify_region(params, xi, horizon_mult=horizon)
+def _tmin_batch(job):
+    cells, horizon = job
+    params, xis = zip(*cells)
+    return [(run.time, run.status)
+            for run in first_events(params, xis, horizon)]
 
 
-def _gain_row_job(job):
-    """One fixed-xi row of the coherence map: a single pole-time run,
-    then one reduced run per physical mu cell."""
-    params, xi, mus, mu_cap, horizon, rtol, atol = job
-    lead = t_min_numeric(params, xi, horizon_mult=horizon)
-    cells: list[object] = []
-    for mu in mus:
-        if mu > mu_cap:
-            cells.append("unphysical")
-        elif lead.status != "reached":
-            cells.append("divergent")
-        else:
-            res = delta_p(params, xi, mu, rtol=rtol, atol=atol,
-                          t_pole=lead.time)
-            cells.append(res.delta_p)
-    return cells
+def _region_batch(job):
+    cells, horizon = job
+    params, xis = zip(*cells)
+    return region_labels(params, xis, horizon)
+
+
+def _gain_rows(job):
+    """Rows of the coherence map: one batched pole-time run for the
+    rows' leads, then one exponential per row for all its physical mu
+    cells."""
+    rows, (mus, horizon) = job
+    params, xis, _ = zip(*rows)
+    out = []
+    for (p, xi, cap), lead in zip(rows, first_events(params, xis, horizon)):
+        cells: list[object] = ["unphysical" if mu > cap else "divergent"
+                               for mu in mus]
+        if lead.status == "reached":
+            phys = [k for k, mu in enumerate(mus) if mu <= cap]
+            gains = pole_gains(p, xi, [mus[k] for k in phys], lead.time)
+            for k, gain in zip(phys, gains[:, 0].tolist()):
+                cells[k] = gain
+        out.append(cells)
+    return out
 
 
 def _trace_job(job):
@@ -146,9 +162,9 @@ def scan_gamma(cfg: RunConfig) -> Table:
     xi_val = xi_max(base)           # thermal populations do not move with gamma
     ratios = axis.values()
 
-    jobs = [(base.with_gamma_over_j(float(g)), xi_val, cfg.horizon)
-            for g in ratios]
-    correlated = _fan_out(_tmin_job, jobs, cfg.workers)
+    cells = [(base.with_gamma_over_j(float(g)), xi_val) for g in ratios]
+    correlated = _fan_out_batches(_tmin_batch, cells, cfg.horizon,
+                                  cfg.workers)
 
     table = Table("scan-gamma",
                   ["gamma_over_j", "gamma",
@@ -181,13 +197,12 @@ def scan_beta(cfg: RunConfig) -> Table:
     t0 = base.t0
     betas = axis.values()
 
-    rows = []
-    jobs = []
+    cells = []
     for b in betas:
         p = replace(base, beta=float(b))
-        rows.append(p)
-        jobs.append((p, xi_max(p), cfg.horizon))
-    correlated = _fan_out(_tmin_job, jobs, cfg.workers)
+        cells.append((p, xi_max(p)))
+    correlated = _fan_out_batches(_tmin_batch, cells, cfg.horizon,
+                                  cfg.workers)
 
     meta = {"t0": t0, "J": base.J, "kappa": base.kappa}
     star = _beta_star(base)
@@ -197,11 +212,11 @@ def scan_beta(cfg: RunConfig) -> Table:
                   ["beta", "gamma", "xi_max",
                    "t_over_t0_uncorrelated", "t_over_t0_correlated"],
                   metadata=meta)
-    for b, p, job, (t_corr, status) in zip(betas, rows, jobs, correlated):
+    for b, (p, xi), (t_corr, status) in zip(betas, cells, correlated):
         t_unc = t_min_from_rates(p.J, p.gamma)
         cell_unc = t_unc / t0 if math.isfinite(t_unc) else "divergent"
         cell_corr = t_corr / t0 if status == "reached" else "divergent"
-        table.add(float(b), p.gamma, job[1], cell_unc, cell_corr)
+        table.add(float(b), p.gamma, xi, cell_unc, cell_corr)
     return table
 
 
@@ -229,8 +244,8 @@ def region_map(cfg: RunConfig) -> Table:
         for xf in x_axis.values():
             xi = float(xf) * xi_cap
             cells.append((float(jf), p.J, float(xf), xi))
-            jobs.append((p, xi, cfg.horizon))
-    labels = _fan_out(_region_job, jobs, cfg.workers)
+            jobs.append((p, xi))
+    labels = _fan_out_batches(_region_batch, jobs, cfg.horizon, cfg.workers)
 
     table = Table("region-map",
                   ["j_frac", "J", "xi_frac", "xi", "region"],
@@ -262,9 +277,9 @@ def coherence_map(cfg: RunConfig) -> Table:
         xi = float(xf) * xi_cap
         cap = mu_max(params, xi)
         rows.append((float(xf), xi, cap))
-        jobs.append((params, xi, tuple(mus), cap, cfg.horizon,
-                     cfg.rel_tol, cfg.abs_tol))
-    results = _fan_out(_gain_row_job, jobs, cfg.workers)
+        jobs.append((params, xi, cap))
+    results = _fan_out_batches(_gain_rows, jobs, (mus, cfg.horizon),
+                               cfg.workers)
 
     table = Table("coherence-map",
                   ["xi_frac", "xi", "mu_q", "mu_max", "delta_p"],
@@ -330,6 +345,10 @@ def verify_table(cfg: RunConfig, z_rhs_override=None) -> tuple[Table, bool]:
     """Run the self-check suite and lay the report out as a table."""
     checks = run_suite(cfg.params(), rtol=cfg.rel_tol, atol=cfg.abs_tol,
                        z_rhs_override=z_rhs_override)
+    blind = [c.name for c in checks if not math.isfinite(c.residual)]
+    if blind:
+        raise ValueError("no finite residual in verify check "
+                         + ", ".join(blind))
     ok = suite_passed(checks)
     table = Table("verify",
                   ["check", "passed", "residual", "tol",

@@ -169,7 +169,7 @@ def rct_pole_run(params: ModelParams, xi: float = 0.0, *,
     r0, c0, th0 = initial_spherical(params, xi)
 
     def stall_guard(t, y):
-        return (_stall_curvature(params, y[0], y[1], y[2])
+        return (_stall_curvature(params.gamma, params.eta, y[0], y[1], y[2])
                 <= STALL_CURVATURE_TOL)
 
     events = (

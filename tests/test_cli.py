@@ -113,8 +113,8 @@ def test_runtime_error_from_driver(capsys, monkeypatch):
 def test_cold_bath_never_tracebacks(capsys, tmp_path, beta, command):
     """In the cold limit n_occ -> 0 and the S1 radius vanishes; every
     command ends in a table or a JSON error object.  Only verify may
-    refuse: its coherence check starts from a fixed mu_q that a cold
-    qubit cannot carry."""
+    refuse: the thermal start is the rest point, so the pole-time check
+    has no finite residual, and the error names it."""
     cfg = tmp_path / "cold.yaml"
     cfg.write_text(
         f"model:\n  beta: {beta}\n"
@@ -130,7 +130,9 @@ def test_cold_bath_never_tracebacks(capsys, tmp_path, beta, command):
         assert captured.err == ""
     else:
         assert (command, code) == ("verify", 1)
-        assert json.loads(captured.err)["code"] == "runtime-error"
+        err = json.loads(captured.err)
+        assert err["code"] == "runtime-error"
+        assert "pole-time-closed-form" in err["message"]
 
 
 def test_command_required():

@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from tlspurify.config import (AXIS_NAMES, MAX_SAMPLES, ConfigError, RunConfig,
-                              SweepAxis, load_config)
+from tlspurify.config import (AXIS_NAMES, MAX_HORIZON, MAX_SAMPLES,
+                              ConfigError, RunConfig, SweepAxis, load_config)
 from tlspurify.drive import ConstantDrive, resonant
 
 
@@ -89,6 +89,14 @@ def test_bad_values():
     assert RunConfig.from_dict(
         {"run": {"samples": MAX_SAMPLES}}).samples == MAX_SAMPLES
     assert _err({"run": {"horizon": 0.5}}).code == "bad-value"
+    too_long = _err({"run": {"horizon": MAX_HORIZON * 1.001}})
+    assert (too_long.code, too_long.parameter) == ("bad-value", "run.horizon")
+    assert RunConfig.from_dict(
+        {"run": {"horizon": MAX_HORIZON}}).horizon == MAX_HORIZON
+    with pytest.raises(ConfigError) as flag:
+        RunConfig.from_dict({}).override(horizon=MAX_HORIZON * 1.001)
+    assert (flag.value.code, flag.value.parameter) == ("bad-value",
+                                                       "run.horizon")
     assert _err({"sweep": {"mu_count": 1}}).code == "bad-value"
     assert _err({"sweep": {"axes": "beta"}}).code == "bad-value"
     assert _err(

@@ -7,16 +7,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from tlspurify.model import ModelParams, build_initial_state, InitialStateSpec, mu_max, xi_max
+from tlspurify import optimal
 from tlspurify.optimal import (CRITICAL_TOL, DeltaPResult, Threshold,
                                classify_region, classify_regime,
                                compile_u_control, delta_from_u, delta_p,
-                               fixed_point_theta, initial_spherical,
-                               is_divergent, j_min, pole_purity_ceiling,
-                               s2_first_zero, s2_resonant_solution,
-                               stall_cosine, t_min_analytic, t_min_from_rates,
+                               first_events, fixed_point_theta,
+                               initial_spherical, is_divergent, j_min,
+                               pole_gains, pole_purity_ceiling,
+                               region_labels, s2_first_zero,
+                               s2_resonant_solution, stall_cosine,
+                               t_min_analytic, t_min_from_rates,
                                t_min_numeric, uncorrelated_pole_purity,
                                xi_fixed)
 from tlspurify.reduced import x_to_z, z_to_spherical
@@ -429,6 +434,102 @@ def test_classify_region_labels():
 
 
 # ====================================================================
+# Batched engine
+# ====================================================================
+
+_HOT = ModelParams(beta=0.1, kappa=0.1)
+
+#: (params, horizon_mult) of every regime the batch must keep apart:
+#: gamma < 4J, gamma = 4J exactly (Omega^2 = 0), gamma > 4J settling onto
+#: the stall angle within the horizon, and the beta = 40 rest point
+_REGIMES = [
+    ModelParams(kappa=0.1).with_gamma_over_j(2.0),
+    ModelParams(kappa=0.1).with_gamma_over_j(3.9),
+    replace(_HOT, J=_HOT.gamma / 4.0),
+    replace(_HOT, J=0.9 * J_MIN_BETA01),
+    replace(_HOT, J=0.999 * J_MIN_BETA01),
+    ModelParams(beta=40.0, kappa=0.1),
+]
+
+
+def test_regimes_cover_every_branch():
+    assert replace(_HOT, J=_HOT.gamma / 4.0).J * 4.0 == _HOT.gamma
+    assert initial_spherical(_REGIMES[-1], 0.0)[0] == 0.0
+    run = t_min_numeric(_REGIMES[3], 0.0, horizon_mult=2000)
+    assert run.status == "trapped" and run.t_stop == 2000 * _REGIMES[3].t0
+
+
+@settings(max_examples=25, deadline=None)
+@given(cells=st.lists(st.tuples(st.integers(0, len(_REGIMES) - 1),
+                                st.sampled_from([0.0, 0.3, 1.0])
+                                | st.floats(0.0, 1.0)),
+                      min_size=1, max_size=12),
+       horizon=st.sampled_from([3.0, 20.0, 300.0]),
+       order=st.randoms(use_true_random=False))
+def test_first_events_match_batches_of_one(cells, horizon, order):
+    """Every cell of a batch, in any order, gets bit for bit the result
+    of its own batch of one: time, status, stop point, spherical state,
+    stall flag and work counters."""
+    order.shuffle(cells)
+    params = [_REGIMES[k] for k, _ in cells]
+    xis = [f * xi_max(p) for p, (_, f) in zip(params, cells)]
+    batch = first_events(params, xis, horizon)
+    for p, xi, run in zip(params, xis, batch):
+        assert run == t_min_numeric(p, xi, horizon_mult=horizon)
+    assert region_labels(params, xis, horizon) == [
+        classify_region(p, xi, horizon_mult=horizon)
+        for p, xi in zip(params, xis)]
+
+
+def test_scan_grid_matches_linspace():
+    """The block scan sees each chunk's grid exactly as
+    np.linspace(edge_j, edge_j+1, 513) of np.linspace(0, t_scan, chunks + 1)
+    would give it, the chunk ends included."""
+    flow = optimal._DriftFlow(*(np.ones(3) for _ in range(6)))
+    t_scan = np.array([0.0, 37.7, 1000.1])
+    chunks = np.array([1.0, 1.0, 7.0])
+    assert (t_scan[2] / 7.0) * 7.0 != t_scan[2]     # the last edge is t_scan
+    flow._grid = (t_scan, chunks, t_scan / chunks)
+    n = optimal.SCAN_INTERVALS
+    for i in range(3):
+        edges = np.linspace(0.0, t_scan[i], int(chunks[i]) + 1)
+        want = np.concatenate([np.linspace(edges[j], edges[j + 1], n + 1)[:-1]
+                               for j in range(int(chunks[i]))]
+                              + [edges[-1:]])
+        q = np.arange(want.size)[None, :]
+        got = flow._grid_times(np.array([i]), q)[0]
+        assert got.tobytes() == want.tobytes()
+
+
+def test_engine_working_set_is_bounded():
+    """A 2,500-cell region-map batch keeps the engine's temporaries
+    capped: the traced peak stays under 4 MB (about 2.3 MB measured), far
+    below the 2,500 x 513-point grid one array would need."""
+    import tracemalloc
+    jm = j_min(_HOT.gamma)
+    params, xis = [], []
+    for jf in np.linspace(0.6, 1.05, 50):
+        p = replace(_HOT, J=float(jf) * jm)
+        params += [p] * 50
+        xis += [float(xf) * XI_MAX_BETA01 for xf in np.linspace(0, 1, 50)]
+    tracemalloc.start()
+    try:
+        labels = region_labels(params, xis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(labels) == 2500
+    assert peak < 4e6
+
+
+def test_first_events_empty_and_validation():
+    assert first_events([], []) == []
+    assert region_labels([], []) == []
+    with pytest.raises(ValueError):
+        first_events([ModelParams(kappa=0.1), ModelParams(J=0.0)], [0.0, 0.0])
+
+
+# ====================================================================
 # Relative purity gain from the coherence block
 # ====================================================================
 
@@ -461,6 +562,23 @@ def test_delta_p_reuses_given_pole_time():
     assert a.delta_p == pytest.approx(b.delta_p, rel=1e-10)
     assert b.p_max >= b.p_pole - 1e-12
     assert 0.0 <= b.t_max <= b.t_pole
+
+
+def test_pole_gains_row():
+    """One exponential per coherence-map row: its cells are delta_p's
+    values, and a row of one mu gives the same."""
+    p = ModelParams(kappa=0.1).with_gamma_over_j(2.0)
+    xi = 0.5 * xi_max(p)
+    t_pole = t_min_numeric(p, xi).time
+    mus = [f * mu_max(p, xi) for f in (0.0, 0.3, 0.9)]
+    row = pole_gains(p, xi, mus, t_pole)
+    assert row.shape == (3, 3)
+    for mu, (gain, p_pole, p_s1) in zip(mus, row):
+        res = delta_p(p, xi, mu, t_pole=t_pole)
+        assert abs(res.delta_p - gain) < 1e-13
+        assert (res.p_pole, res.p_s1_pole) == pytest.approx(
+            (p_pole, p_s1), abs=1e-13)
+    assert pole_gains(p, xi, [], t_pole).shape == (0, 3)
 
 
 def test_delta_p_unreached_pole():

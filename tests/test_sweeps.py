@@ -16,7 +16,8 @@ import pytest
 
 import tlspurify
 from tlspurify.config import RunConfig
-from tlspurify.optimal import t_min_analytic
+from tlspurify.model import mu_max
+from tlspurify.optimal import delta_p, t_min_analytic
 from tlspurify.output import write_table
 from tlspurify.sweeps import (_fan_out, coherence_map, purity_trace,
                               region_map, scan_beta, scan_gamma,
@@ -223,6 +224,24 @@ def test_coherence_map_cells():
     assert all(grid[(1.0, mu)][4] == "unphysical" for mu in mus[1:])
 
 
+def test_coherence_map_cells_match_delta_p():
+    """Each computed cell of the map is delta_p's value at that start."""
+    cfg = _cfg(run={"workers": 2}, sweep={"axes": [
+        {"name": "xi_frac", "start": 0.0, "stop": 1.0, "count": 4},
+        {"name": "mu_frac", "start": 0.0, "stop": 1.0, "count": 4}]})
+    tab = coherence_map(cfg)
+    params = cfg.params()
+    computed = 0
+    for xf, xi, mu, cap, cell in tab.rows:
+        assert cap == mu_max(params, xi)
+        if isinstance(cell, str):
+            assert cell == "unphysical" and mu > cap
+            continue
+        assert abs(cell - delta_p(params, xi, mu).delta_p) < 1e-13
+        computed += 1
+    assert computed >= 8
+
+
 # ====================================================================
 # Purity traces
 # ====================================================================
@@ -319,3 +338,22 @@ def test_workers_do_not_change_bytes():
     three = render(3)
     assert one == three
     assert one.startswith("# scan-beta\n")
+
+
+def test_workers_do_not_change_region_map_bytes():
+    """Each worker classifies one contiguous batch of cells; the labels
+    do not depend on how the grid is cut."""
+    def render(workers: int) -> str:
+        cfg = _cfg(run={"workers": workers}, sweep={"axes": [
+            {"name": "j_frac", "start": 0.6, "stop": 1.05, "count": 7},
+            {"name": "xi_frac", "start": 0.0, "stop": 1.0, "count": 5}]})
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            write_table(region_map(cfg), cfg)
+        return buf.getvalue()
+
+    one = render(1)
+    labels = {line.rsplit(",", 1)[-1] for line in one.splitlines()
+              if not line.startswith("#")}
+    assert {"A", "B", "C"} <= labels
+    assert render(2) == one

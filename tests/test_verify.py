@@ -73,6 +73,14 @@ def test_verify_table_shape():
     assert table.metadata["all_passed"] is True
 
 
+def test_verify_on_colder_bath():
+    """Past beta ~ 2.2 a qubit cannot carry mu = 0.3; the coherence check
+    starts below its ceiling, and every check still passes."""
+    table, ok = verify_table(RunConfig.from_dict({"model": {"beta": 3.0}}))
+    assert ok
+    assert [r[0] for r in table.rows] == EXPECTED_ORDER
+
+
 def test_verify_table_reports_failure():
     from tlspurify.model import ModelParams
     params = ModelParams().with_gamma_over_j(2.0)
