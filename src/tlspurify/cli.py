@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import sweeps
-from .config import ConfigError, load_config
+from .config import ConfigError, choices, load_config
 from .output import emit_error, write_table
 
 __all__ = ["main", "build_parser"]
@@ -47,9 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="YAML run configuration")
     common.add_argument("--out", metavar="PATH",
                         help="output file (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"),
+    common.add_argument("--format", choices=choices("format"),
                         help="output format (default: csv)")
-    common.add_argument("--frame", choices=("rwa", "lab"),
+    common.add_argument("--frame", choices=choices("frame"),
                         help="propagation frame for simulate")
     common.add_argument("--tol", metavar="ABS:REL",
                         help="integration tolerances, e.g. 1e-10:1e-10")
@@ -69,20 +71,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_tol(text: str) -> tuple[float, float]:
+    """The two numbers of ABS:REL; the config checks their range."""
     try:
         abs_part, rel_part = text.split(":")
-        abs_tol, rel_tol = float(abs_part), float(rel_part)
+        return float(abs_part), float(rel_part)
     except ValueError:
         raise ConfigError("bad-value",
                           f"--tol must look like ABS:REL, got {text!r}",
                           "--tol") from None
-    if abs_tol <= 0.0 or rel_tol <= 0.0:
-        raise ConfigError("bad-value", "--tol parts must be positive", "--tol")
-    return abs_tol, rel_tol
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # a float that overflows or turns NaN ends the run as an error object
+    # instead of a warning on stderr and a table built on it
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config)
         overrides = {"out": args.out, "format": args.format,
@@ -108,7 +115,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         emit_error(exc.code, exc.message, exc.parameter)
         return 2
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, MemoryError, OSError,
+            RuntimeError) as exc:
         emit_error("runtime-error", str(exc), "")
         return 1
 

@@ -1,33 +1,14 @@
-"""Run configuration: YAML schema, validation, and CLI-override plumbing.
+"""Run configuration: the field table, YAML loading, and CLI overrides.
 
-Schema (all keys optional; defaults shown):
-
-    model:
-      omega_q: 1.0        # qubit splitting (sets the unit system)
-      omega_tls: 3.0      # defect splitting; must exceed omega_q
-      beta: 1.0           # inverse bath temperature
-      J: 0.1              # qubit-defect coupling
-      kappa: 0.1          # bare defect-bath rate
-    state:
-      mu_q: 0.0           # real qubit coherence
-      nu_q: 0.0           # imaginary qubit coherence
-      xi_re: 0.0          # in-phase cross coherence
-      xi_im: 0.0          # quadrature cross coherence
-    drive:
-      epsilon: null       # null = resonant; number = constant drive amplitude
-    run:
-      frame: rwa          # rwa | lab
-      abs_tol: 1.0e-10
-      rel_tol: 1.0e-10
-      horizon: 20.0       # give-up time in units of the lossless pole time,
-                          # at most 1000
-      samples: 601        # sample count for trace outputs, at most 100000
-      workers: 1
-      out: null           # null = stdout
-      format: csv         # csv | json
-    sweep:
-      mu_count: 5         # coherence-grid size for trace commands
-      axes: []            # [{name, start, stop, count, scale}]
+Every setting is a RunConfig field whose metadata names its YAML section
+and its range (minimum, above, maximum or choices); its annotation is its
+type and its default is the dataclass default.  That one table drives
+validation, the tracking of explicitly set keys, the config echo of CSV
+files, the JSON header and the CLI overrides.  Fields marked plumbing
+(worker count, output path) cannot change the computed content and stay
+out of the echo and the header.  The model fields carry no range here:
+ModelParams holds them, and the config builds one to check them.  The
+README's configuration block documents the table, defaults included.
 
 Axis names are the sweep-domain coordinates: gamma_over_j and beta are
 absolute; xi_frac, mu_frac, and j_frac are fractions of the physical
@@ -35,21 +16,22 @@ ceilings (xi_max, mu_max at zero cross coherence, and the smallest
 pole-reaching coupling, respectively).
 """
 
-from __future__ import annotations
-
 import json
 import math
-from dataclasses import dataclass, field, replace
+import operator
+import re
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import yaml
 
 from .drive import ConstantDrive, Drive, resonant
-from .model import InitialStateSpec, ModelParams
+from .model import InitialStateSpec, ModelParams, ParamError
 
 __all__ = ["ConfigError", "SweepAxis", "RunConfig", "load_config",
-           "AXIS_NAMES"]
+           "choices", "AXIS_NAMES"]
 
 AXIS_NAMES = ("gamma_over_j", "beta", "xi_frac", "mu_frac", "j_frac")
 
@@ -66,17 +48,6 @@ MAX_SAMPLES = 100_000
 #: x86_64 host), against 512 at the default 20
 MAX_HORIZON = 1000.0
 
-_DEFAULTS = {
-    "model": {"omega_q": 1.0, "omega_tls": 3.0, "beta": 1.0,
-              "J": 0.1, "kappa": 0.1},
-    "state": {"mu_q": 0.0, "nu_q": 0.0, "xi_re": 0.0, "xi_im": 0.0},
-    "drive": {"epsilon": None},
-    "run": {"frame": "rwa", "abs_tol": 1e-10, "rel_tol": 1e-10,
-            "horizon": 20.0, "samples": 601, "workers": 1,
-            "out": None, "format": "csv"},
-    "sweep": {"mu_count": 5, "axes": []},
-}
-
 
 class ConfigError(Exception):
     """Invalid configuration; carries the machine-readable error fields."""
@@ -92,61 +63,78 @@ class ConfigError(Exception):
                            "parameter": self.parameter})
 
 
-def _want_number(value, key: str, *, minimum: float | None = None,
-                 maximum: float | None = None,
-                 allow_none: bool = False) -> float | None:
-    if value is None and allow_none:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError("bad-value", f"{key} must be a number, got {value!r}",
+#: the range keys a field's metadata may give, with their tests
+_BOUNDS = (("minimum", ">=", operator.ge), ("above", ">", operator.gt),
+           ("maximum", "<=", operator.le))
+
+
+def _unknown(mapping: dict, known) -> list[str]:
+    """The keys of mapping that are not known, as sorted strings."""
+    return sorted(str(k) for k in mapping if k not in known)
+
+
+def _value(f: Field, value, key: str):
+    """value checked against the type in f's annotation and the range in
+    its metadata; raises ConfigError naming key."""
+    kind, spec = f.type, f.metadata
+    if type(None) in get_args(kind):
+        if value is None:
+            return None
+        kind = get_args(kind)[0]
+    if "choices" in spec:
+        if value not in spec["choices"]:
+            raise ConfigError("bad-value",
+                              f"{key} must be one of "
+                              f"{', '.join(spec['choices'])}, got {value!r}",
+                              key)
+    elif kind is str:
+        if not isinstance(value, str):
+            raise ConfigError("bad-value",
+                              f"{key} must be a string, got {value!r}", key)
+    elif kind in (int, float):
+        value = _number(value, kind, key)
+        for bound, sign, holds in _BOUNDS:
+            if bound in spec and not holds(value, spec[bound]):
+                raise ConfigError("bad-value",
+                                  f"{key} must be {sign} {spec[bound]}, "
+                                  f"got {value}", key)
+    elif value is None:                     # the sweep axes
+        value = ()
+    elif isinstance(value, list):
+        value = tuple(SweepAxis.from_dict(a, f"{key}[{i}]")
+                      for i, a in enumerate(value))
+    else:
+        raise ConfigError("bad-value", f"{key} must be a list", key)
+    return value
+
+
+def _number(value, kind: type, key: str):
+    """value as an int, or as a finite float."""
+    if isinstance(value, bool) or not isinstance(
+            value, int if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError("bad-value", f"{key} must be {what}, got {value!r}",
                           key)
-    v = float(value)
-    if not math.isfinite(v):
+    if kind is int:
+        return value
+    try:
+        number = float(value)
+    except OverflowError:                   # an integer past 1.8e308
+        number = math.inf
+    if not math.isfinite(number):
         raise ConfigError("bad-value", f"{key} must be finite, got {value!r}",
                           key)
-    if minimum is not None and v < minimum:
-        raise ConfigError("bad-value", f"{key} must be >= {minimum}, got {v}",
-                          key)
-    if maximum is not None and v > maximum:
-        raise ConfigError("bad-value", f"{key} must be <= {maximum}, got {v}",
-                          key)
-    return v
-
-
-def _want_horizon(value) -> float:
-    return _want_number(value, "run.horizon", minimum=1.0,
-                        maximum=MAX_HORIZON)
-
-
-def _want_int(value, key: str, *, minimum: int,
-              maximum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError("bad-value", f"{key} must be an integer, got {value!r}",
-                          key)
-    if value < minimum:
-        raise ConfigError("bad-value", f"{key} must be >= {minimum}, got {value}",
-                          key)
-    if maximum is not None and value > maximum:
-        raise ConfigError("bad-value", f"{key} must be <= {maximum}, got {value}",
-                          key)
-    return value
-
-
-def _want_choice(value, key: str, choices: tuple[str, ...]) -> str:
-    if value not in choices:
-        raise ConfigError("bad-value",
-                          f"{key} must be one of {', '.join(choices)}, "
-                          f"got {value!r}", key)
-    return value
+    return number
 
 
 @dataclass(frozen=True)
 class SweepAxis:
-    name: str
+    name: str = field(metadata={"choices": AXIS_NAMES})
     start: float
     stop: float
-    count: int
-    scale: str = "linear"               # linear | log
+    count: int = field(default=2, metadata={"minimum": 2})
+    scale: str = field(default="linear",
+                       metadata={"choices": ("linear", "log")})
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
@@ -157,66 +145,62 @@ class SweepAxis:
     def from_dict(raw: dict, where: str) -> "SweepAxis":
         if not isinstance(raw, dict):
             raise ConfigError("bad-value", f"{where} must be a mapping", where)
-        extra = set(raw) - {"name", "start", "stop", "count", "scale"}
+        extra = _unknown(raw, {f.name for f in fields(SweepAxis)})
         if extra:
-            raise ConfigError("unknown-key",
-                              f"unknown axis key(s) {sorted(extra)}", where)
-        name = raw.get("name")
-        if name not in AXIS_NAMES:
-            raise ConfigError("bad-value",
-                              f"{where}.name must be one of "
-                              f"{', '.join(AXIS_NAMES)}, got {name!r}",
-                              f"{where}.name")
-        start = _want_number(raw.get("start"), f"{where}.start")
-        stop = _want_number(raw.get("stop"), f"{where}.stop")
-        count = _want_int(raw.get("count", 2), f"{where}.count", minimum=2)
-        scale = _want_choice(raw.get("scale", "linear"), f"{where}.scale",
-                             ("linear", "log"))
-        if scale == "log" and (start <= 0.0 or stop <= 0.0):
+            raise ConfigError("unknown-key", f"unknown axis key(s) {extra}",
+                              where)
+        axis = SweepAxis(**{
+            f.name: _value(f, raw.get(f.name, None if f.default is MISSING
+                                      else f.default), f"{where}.{f.name}")
+            for f in fields(SweepAxis)})
+        if axis.scale == "log" and (axis.start <= 0.0 or axis.stop <= 0.0):
             raise ConfigError("bad-value",
                               f"{where}: log scale needs positive endpoints",
                               f"{where}.scale")
-        return SweepAxis(name, start, stop, count, scale)
+        return axis
+
+
+def _field(section: str, default, *, plumbing: bool = False, **bounds):
+    """A RunConfig field: its YAML section, default and range."""
+    return field(default=default,
+                 metadata={"section": section, "plumbing": plumbing, **bounds})
 
 
 @dataclass
 class RunConfig:
-    # model
-    omega_q: float = 1.0
-    omega_tls: float = 3.0
-    beta: float = 1.0
-    J: float = 0.1
-    kappa: float = 0.1
-    # state
-    mu_q: float = 0.0
-    nu_q: float = 0.0
-    xi_re: float = 0.0
-    xi_im: float = 0.0
-    # drive
-    epsilon: float | None = None
-    # run
-    frame: str = "rwa"
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    horizon: float = 20.0
-    samples: int = 601
-    workers: int = 1
-    out: str | None = None
-    format: str = "csv"
-    # sweep
-    mu_count: int = 5
-    axes: tuple[SweepAxis, ...] = ()
+    omega_q: float = _field("model", 1.0)
+    omega_tls: float = _field("model", 3.0)
+    beta: float = _field("model", 1.0)
+    J: float = _field("model", 0.1)
+    kappa: float = _field("model", 0.1)
+    mu_q: float = _field("state", 0.0)
+    nu_q: float = _field("state", 0.0)
+    xi_re: float = _field("state", 0.0)
+    xi_im: float = _field("state", 0.0)
+    epsilon: float | None = _field("drive", None)
+    frame: str = _field("run", "rwa", choices=("rwa", "lab"))
+    abs_tol: float = _field("run", 1e-10, above=0.0)
+    rel_tol: float = _field("run", 1e-10, above=0.0)
+    horizon: float = _field("run", 20.0, minimum=1.0, maximum=MAX_HORIZON)
+    samples: int = _field("run", 601, minimum=2, maximum=MAX_SAMPLES)
+    workers: int = _field("run", 1, minimum=1, plumbing=True)
+    out: str | None = _field("run", None, plumbing=True)
+    format: str = _field("run", "csv", choices=("csv", "json"))
+    mu_count: int = _field("sweep", 5, minimum=2)
+    axes: tuple[SweepAxis, ...] = _field("sweep", ())
     # keys the user set explicitly (dotted), for per-command defaulting
     explicit: frozenset = field(default_factory=frozenset)
 
     # ----------------------------------------------------------------
+    def _section(self, section: str) -> dict:
+        return {f.name: getattr(self, f.name) for f in _TABLE.values()
+                if f.metadata["section"] == section}
+
     def params(self) -> ModelParams:
-        return ModelParams(omega_q=self.omega_q, omega_tls=self.omega_tls,
-                           beta=self.beta, J=self.J, kappa=self.kappa)
+        return ModelParams(**self._section("model"))
 
     def state_spec(self) -> InitialStateSpec:
-        return InitialStateSpec(mu_q=self.mu_q, nu_q=self.nu_q,
-                                xi_re=self.xi_re, xi_im=self.xi_im)
+        return InitialStateSpec(**self._section("state"))
 
     def drive(self) -> Drive:
         if self.epsilon is None:
@@ -233,6 +217,11 @@ class RunConfig:
     def was_set(self, dotted: str) -> bool:
         return dotted in self.explicit
 
+    def _content(self):
+        """(dotted key, value) of each field that can change the output."""
+        return [(key, getattr(self, f.name)) for key, f in _TABLE.items()
+                if not f.metadata["plumbing"]]
+
     def echo_lines(self) -> list[str]:
         """Sorted ``key = value`` lines describing the full configuration.
 
@@ -240,123 +229,89 @@ class RunConfig:
         cannot change the computed content, and identical configs must
         yield byte-identical files whatever the fan-out.
         """
-        flat: dict[str, object] = {
-            "model.omega_q": self.omega_q, "model.omega_tls": self.omega_tls,
-            "model.beta": self.beta, "model.J": self.J,
-            "model.kappa": self.kappa,
-            "state.mu_q": self.mu_q, "state.nu_q": self.nu_q,
-            "state.xi_re": self.xi_re, "state.xi_im": self.xi_im,
-            "drive.epsilon": self.epsilon,
-            "run.frame": self.frame, "run.abs_tol": self.abs_tol,
-            "run.rel_tol": self.rel_tol, "run.horizon": self.horizon,
-            "run.samples": self.samples, "run.format": self.format,
-            "sweep.mu_count": self.mu_count,
-        }
-        for k, ax in enumerate(self.axes):
+        flat = dict(self._content())
+        for k, ax in enumerate(flat.pop("sweep.axes")):
             flat[f"sweep.axes[{k}]"] = (f"{ax.name} {ax.start!r}:{ax.stop!r}"
                                         f":{ax.count}:{ax.scale}")
         return [f"{key} = {flat[key]!r}" for key in sorted(flat)]
 
     def to_dict(self) -> dict:
         """Nested plain-data form (for the JSON document header)."""
-        return {
-            "model": {"omega_q": self.omega_q, "omega_tls": self.omega_tls,
-                      "beta": self.beta, "J": self.J, "kappa": self.kappa},
-            "state": {"mu_q": self.mu_q, "nu_q": self.nu_q,
-                      "xi_re": self.xi_re, "xi_im": self.xi_im},
-            "drive": {"epsilon": self.epsilon},
-            "run": {"frame": self.frame, "abs_tol": self.abs_tol,
-                    "rel_tol": self.rel_tol, "horizon": self.horizon,
-                    "samples": self.samples, "format": self.format},
-            "sweep": {"mu_count": self.mu_count,
-                      "axes": [{"name": a.name, "start": a.start,
-                                "stop": a.stop, "count": a.count,
-                                "scale": a.scale} for a in self.axes]},
-        }
+        doc: dict[str, dict] = {}
+        for key, value in self._content():
+            section, name = key.split(".")
+            if name == "axes":
+                value = [asdict(ax) for ax in value]
+            doc.setdefault(section, {})[name] = value
+        return doc
 
     # ----------------------------------------------------------------
+    def _with(self, given: dict) -> "RunConfig":
+        """This config with the dotted keys of given set, each checked
+        against the table, and the model checked by ModelParams."""
+        cfg = replace(self, explicit=self.explicit | frozenset(given),
+                      **{_TABLE[key].name: _value(_TABLE[key], value, key)
+                         for key, value in given.items()})
+        try:
+            cfg.params()
+        except ParamError as exc:
+            raise ConfigError("bad-value", f"model.{exc}",
+                              f"model.{exc.name}") from None
+        return cfg
+
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
         if raw is None:
             raw = {}
         if not isinstance(raw, dict):
             raise ConfigError("bad-value", "config root must be a mapping", "")
-        extra = set(raw) - set(_DEFAULTS)
+        sections = {f.metadata["section"] for f in _TABLE.values()}
+        extra = _unknown(raw, sections)
         if extra:
-            raise ConfigError("unknown-key",
-                              f"unknown section(s) {sorted(extra)}",
-                              sorted(extra)[0])
-        explicit: set[str] = set()
-        merged: dict[str, dict] = {}
-        for section, defaults in _DEFAULTS.items():
-            given = raw.get(section, {})
-            if given is None:
-                given = {}
-            if not isinstance(given, dict):
+            raise ConfigError("unknown-key", f"unknown section(s) {extra}",
+                              extra[0])
+        given = {}
+        for section, keys in raw.items():
+            if keys is None:
+                continue
+            if not isinstance(keys, dict):
                 raise ConfigError("bad-value",
                                   f"section {section} must be a mapping",
                                   section)
-            bad = set(given) - set(defaults)
-            if bad:
-                key = f"{section}.{sorted(bad)[0]}"
-                raise ConfigError("unknown-key", f"unknown key {key}", key)
-            merged[section] = {**defaults, **given}
-            explicit |= {f"{section}.{k}" for k in given}
-
-        m, s, d, r, w = (merged["model"], merged["state"], merged["drive"],
-                         merged["run"], merged["sweep"])
-        omega_q = _want_number(m["omega_q"], "model.omega_q")
-        omega_tls = _want_number(m["omega_tls"], "model.omega_tls")
-        if not 0.0 < omega_q < omega_tls:
-            raise ConfigError("bad-value",
-                              "need 0 < model.omega_q < model.omega_tls",
-                              "model.omega_q")
-        beta = _want_number(m["beta"], "model.beta", minimum=0.0)
-        big_j = _want_number(m["J"], "model.J")
-        kappa = _want_number(m["kappa"], "model.kappa", minimum=0.0)
-        raw_axes = w["axes"] or []
-        if not isinstance(raw_axes, list):
-            raise ConfigError("bad-value", "sweep.axes must be a list",
-                              "sweep.axes")
-        axes = tuple(SweepAxis.from_dict(a, f"sweep.axes[{i}]")
-                     for i, a in enumerate(raw_axes))
-        return RunConfig(
-            omega_q=omega_q, omega_tls=omega_tls, beta=beta, J=big_j,
-            kappa=kappa,
-            mu_q=_want_number(s["mu_q"], "state.mu_q"),
-            nu_q=_want_number(s["nu_q"], "state.nu_q"),
-            xi_re=_want_number(s["xi_re"], "state.xi_re"),
-            xi_im=_want_number(s["xi_im"], "state.xi_im"),
-            epsilon=_want_number(d["epsilon"], "drive.epsilon",
-                                 allow_none=True),
-            frame=_want_choice(r["frame"], "run.frame", ("rwa", "lab")),
-            abs_tol=_want_number(r["abs_tol"], "run.abs_tol", minimum=0.0),
-            rel_tol=_want_number(r["rel_tol"], "run.rel_tol", minimum=0.0),
-            horizon=_want_horizon(r["horizon"]),
-            samples=_want_int(r["samples"], "run.samples", minimum=2,
-                              maximum=MAX_SAMPLES),
-            workers=_want_int(r["workers"], "run.workers", minimum=1),
-            out=r["out"] if r["out"] is None or isinstance(r["out"], str)
-                else str(r["out"]),
-            format=_want_choice(r["format"], "run.format", ("csv", "json")),
-            mu_count=_want_int(w["mu_count"], "sweep.mu_count", minimum=2),
-            axes=axes,
-            explicit=frozenset(explicit),
-        )
+            dotted = {f"{section}.{k}": v for k, v in keys.items()}
+            extra = _unknown(dotted, _TABLE)
+            if extra:
+                raise ConfigError("unknown-key", f"unknown key {extra[0]}",
+                                  extra[0])
+            given.update(dotted)
+        return RunConfig()._with(given)
 
     def override(self, **kw) -> "RunConfig":
         """CLI-flag overrides; None values leave the config untouched."""
-        changes = {k: v for k, v in kw.items() if v is not None}
-        if not changes:
-            return self
-        if "horizon" in changes:
-            changes["horizon"] = _want_horizon(changes["horizon"])
-        cfg = replace(self, **changes)
-        section = {"out": "run", "format": "run", "frame": "run",
-                   "abs_tol": "run", "rel_tol": "run", "horizon": "run",
-                   "workers": "run"}
-        extra = {f"{section.get(k, 'run')}.{k}" for k in changes}
-        return replace(cfg, explicit=self.explicit | frozenset(extra))
+        given = {_DOTTED[k]: v for k, v in kw.items() if v is not None}
+        return self._with(given) if given else self
+
+
+#: the field table: dotted key -> field, in declaration order
+_TABLE = {f"{f.metadata['section']}.{f.name}": f for f in fields(RunConfig)
+          if f.metadata}
+_DOTTED = {f.name: key for key, f in _TABLE.items()}
+
+
+def choices(name: str) -> tuple[str, ...]:
+    """The allowed values of a choice field of the table."""
+    return _TABLE[_DOTTED[name]].metadata["choices"]
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader with the YAML 1.2 float syntax, under which 1e6 and
+    1.0e6 are numbers (YAML 1.1 wants a dot and a signed exponent)."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"))
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -368,8 +323,10 @@ def load_config(path: str | Path | None) -> RunConfig:
         raise ConfigError("missing-file", f"config file not found: {p}",
                           str(p))
     try:
-        raw = yaml.safe_load(p.read_text())
-    except yaml.YAMLError as exc:
+        raw = yaml.load(p.read_text(), Loader=_Loader)
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        # ValueError: an integer past Python's digit limit;
+        # RecursionError: nesting deeper than the composer can follow
         raise ConfigError("parse-error", f"config is not valid YAML: {exc}",
                           str(p)) from None
     return RunConfig.from_dict(raw)

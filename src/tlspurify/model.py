@@ -96,6 +96,14 @@ def bath_rates(kappa: float, omega_tls: float, beta: float) -> BathRates:
     return BathRates(n_occ=n_occ, gamma1=gamma1, gamma2=gamma2, gamma=gamma, eta=eta)
 
 
+class ParamError(ValueError):
+    """A model parameter out of its range; name is the parameter."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(f"{name} {message}")
+        self.name = name
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Static model parameters.
@@ -111,18 +119,17 @@ class ModelParams:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if self.omega_q <= 0.0:
-            raise ValueError(f"omega_q must be positive, got {self.omega_q}")
-        if self.omega_tls <= self.omega_q:
-            raise ValueError(
-                f"model requires omega_q < omega_tls, got {self.omega_q} >= {self.omega_tls}"
-            )
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.J < 0.0:
-            raise ValueError(f"J must be >= 0, got {self.J}")
-        if self.kappa < 0.0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+        if not self.omega_q > 0.0:
+            raise ParamError("omega_q", f"must be > 0, got {self.omega_q}")
+        if not self.omega_tls > self.omega_q:
+            raise ParamError("omega_tls", f"must be > omega_q = {self.omega_q}, "
+                             f"got {self.omega_tls}")
+        if not self.beta > 0.0:
+            raise ParamError("beta", f"must be > 0, got {self.beta}")
+        if not self.J >= 0.0:
+            raise ParamError("J", f"must be >= 0, got {self.J}")
+        if not self.kappa >= 0.0:
+            raise ParamError("kappa", f"must be >= 0, got {self.kappa}")
 
     # -- derived thermal quantities ------------------------------------
 

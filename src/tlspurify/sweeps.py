@@ -19,11 +19,12 @@ not depend on the worker count.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 
-from .config import RunConfig, SweepAxis
+from .config import ConfigError, RunConfig, SweepAxis
 from .drive import ConstantDrive
 from .liouville import qubit_purity, simulate, tls_purity
 from .model import (InitialStateSpec, ModelParams, build_initial_state,
@@ -42,13 +43,19 @@ __all__ = ["simulate_trace", "scan_gamma", "scan_beta", "region_map",
 # Worker fan-out
 # ====================================================================
 
+def _pool_size(workers: int, n_jobs: int) -> int:
+    """Processes to start: never more than the jobs or the cores."""
+    return max(1, min(workers, n_jobs, os.cpu_count() or 1))
+
+
 def _fan_out(worker, jobs: list, workers: int) -> list:
     """Run worker over jobs, preserving order; static contiguous chunks."""
-    if workers <= 1 or len(jobs) <= 1:
+    size = _pool_size(workers, len(jobs))
+    if size == 1:
         return [worker(job) for job in jobs]
     import multiprocessing as mp
-    chunk = -(-len(jobs) // workers)
-    with mp.get_context("fork").Pool(workers) as pool:
+    chunk = -(-len(jobs) // size)
+    with mp.get_context("fork").Pool(size) as pool:
         results = pool.map(worker, jobs, chunksize=chunk)
         # let the workers exit on their own: the SIGTERM that leaving the
         # block sends can land mid-start-up, and a worker that inherited
@@ -62,7 +69,7 @@ def _fan_out_batches(worker, cells: list, shared, workers: int) -> list:
     """Run worker over contiguous batches of cells, one batch per worker,
     as worker((batch, shared)) -> one result per cell; the results come
     back in grid order."""
-    size = max(1, -(-len(cells) // max(1, workers)))
+    size = max(1, -(-len(cells) // _pool_size(workers, len(cells))))
     batches = [(cells[k:k + size], shared) for k in range(0, len(cells), size)]
     return [r for batch in _fan_out(worker, batches, workers) for r in batch]
 
@@ -107,6 +114,16 @@ def _trace_job(job):
                      atol=atol, dense=True)
     ts = np.linspace(0.0, t_end, n)
     return z_purity_many(res.trajectory(ts))
+
+
+def _coupled(params: ModelParams) -> ModelParams:
+    """params, for a command that reports pole times in units of
+    t0 = pi/(2J): there is no such unit without coupling."""
+    if params.J == 0.0:
+        raise ConfigError("bad-value",
+                          "model.J must be > 0 for this command: it reports "
+                          "pole times in units of pi/(2J)", "model.J")
+    return params
 
 
 # ====================================================================
@@ -157,7 +174,7 @@ def scan_gamma(cfg: RunConfig) -> Table:
     """Normalized pole time against gamma/J: closed form for the bare
     thermal start, direct integration for the maximally correlated one."""
     axis = cfg.axis("gamma_over_j") or SweepAxis("gamma_over_j", 0.0, 4.4, 45)
-    base = cfg.params()
+    base = _coupled(cfg.params())
     t0 = base.t0
     xi_val = xi_max(base)           # thermal populations do not move with gamma
     ratios = axis.values()
@@ -193,7 +210,7 @@ def scan_beta(cfg: RunConfig) -> Table:
     thermal start and for the maximally correlated one; both columns are
     normalized by the lossless time pi/(2J)."""
     axis = cfg.axis("beta") or SweepAxis("beta", 0.05, 4.0, 80)
-    base = cfg.params()
+    base = _coupled(cfg.params())
     t0 = base.t0
     betas = axis.values()
 
@@ -264,7 +281,7 @@ def coherence_map(cfg: RunConfig) -> Table:
     """Relative purity gain from the coherence block over the
     (correlation, coherence) plane; cells beyond the positivity boundary
     are labeled, not computed."""
-    params = cfg.params()
+    params = _coupled(cfg.params())
     x_axis = cfg.axis("xi_frac") or SweepAxis("xi_frac", 0.0, 1.0, 21)
     m_axis = cfg.axis("mu_frac") or SweepAxis("mu_frac", 0.0, 1.0, 21)
     xi_cap = xi_max(params)
@@ -300,7 +317,7 @@ def purity_trace(cfg: RunConfig) -> Table:
     coherence and at half the maximal one.  Metadata carries the two
     reference levels: the defect's thermal purity and the largest purity
     the trace family attains at its pole time."""
-    params = cfg.params()
+    params = _coupled(cfg.params())
     xi_half = 0.5 * xi_max(params)
     a_t, _ = params.tls_populations
     p_tls0 = 0.5 + 2.0 * (a_t - 0.5) ** 2
@@ -343,7 +360,8 @@ def purity_trace(cfg: RunConfig) -> Table:
 
 def verify_table(cfg: RunConfig, z_rhs_override=None) -> tuple[Table, bool]:
     """Run the self-check suite and lay the report out as a table."""
-    checks = run_suite(cfg.params(), rtol=cfg.rel_tol, atol=cfg.abs_tol,
+    checks = run_suite(_coupled(cfg.params()), rtol=cfg.rel_tol,
+                       atol=cfg.abs_tol,
                        z_rhs_override=z_rhs_override)
     blind = [c.name for c in checks if not math.isfinite(c.residual)]
     if blind:

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tlspurify.model import ModelParams
+
+# CI runs with --hypothesis-profile=ci: the same examples on every run, so
+# a rare draw cannot fail one build and pass the next; local runs keep
+# drawing fresh examples
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(scope="session")

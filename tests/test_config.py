@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from tlspurify.config import (AXIS_NAMES, MAX_HORIZON, MAX_SAMPLES,
                               ConfigError, RunConfig, SweepAxis, load_config)
@@ -61,10 +64,13 @@ def test_missing_and_invalid_files(tmp_path):
         load_config(tmp_path / "nope.yaml")
     assert exc.value.code == "missing-file"
     bad = tmp_path / "bad.yaml"
-    bad.write_text("model: [unclosed\n")
-    with pytest.raises(ConfigError) as exc:
-        load_config(bad)
-    assert exc.value.code == "parse-error"
+    for text in ("model: [unclosed\n",
+                 "model: {J: " + "1" * 5000 + "}\n",   # past int()'s limit
+                 "[" * 5000 + "]" * 5000 + "\n"):      # past the stack
+        bad.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            load_config(bad)
+        assert exc.value.code == "parse-error"
 
 
 def test_unknown_keys():
@@ -75,6 +81,11 @@ def test_unknown_keys():
     e = _err({"sweep": {"axes": [{"name": "beta", "start": 1, "stop": 2,
                                   "xcount": 3}]}})
     assert e.code == "unknown-key"
+    # keys YAML reads as numbers, booleans or null are unknown too
+    e = _err({1: {}, "model": {}, None: 2})
+    assert (e.code, e.parameter) == ("unknown-key", "1")
+    e = _err({"model": {True: 1.0, 2.5: 0.0}})
+    assert (e.code, e.parameter) == ("unknown-key", "model.2.5")
 
 
 def test_bad_values():
@@ -82,6 +93,20 @@ def test_bad_values():
     assert _err({"model": {"beta": "hot"}}).code == "bad-value"
     assert _err({"model": {"omega_q": 3.0, "omega_tls": 1.0}}).code == "bad-value"
     assert _err({"model": {"beta": -0.5}}).code == "bad-value"
+    # every range, the model's included, names its dotted key
+    for raw, key in (({"model": {"beta": 0}}, "model.beta"),
+                     ({"model": {"J": -0.1}}, "model.J"),
+                     ({"model": {"kappa": -1e-3}}, "model.kappa"),
+                     ({"model": {"omega_q": 0.0}}, "model.omega_q"),
+                     ({"model": {"omega_tls": 1.0}}, "model.omega_tls"),
+                     ({"model": {"J": 10**400}}, "model.J"),
+                     ({"run": {"abs_tol": 0}}, "run.abs_tol"),
+                     ({"run": {"rel_tol": 0.0}}, "run.rel_tol"),
+                     ({"run": {"workers": 0}}, "run.workers"),
+                     ({"run": {"out": 5}}, "run.out"),
+                     ({"state": {"mu_q": float("nan")}}, "state.mu_q")):
+        e = _err(raw)
+        assert (e.code, e.parameter) == ("bad-value", key), raw
     assert _err({"run": {"frame": "dressed"}}).code == "bad-value"
     assert _err({"run": {"samples": 1}}).code == "bad-value"
     too_many = _err({"run": {"samples": MAX_SAMPLES + 1}})
@@ -151,6 +176,13 @@ def test_override():
     assert new.was_set("run.workers")
     assert new.was_set("run.format")
     assert not cfg.was_set("run.workers")   # original untouched
+    # every flag passes the same range as its config key
+    for kw, key in (({"workers": 0}, "run.workers"),
+                    ({"abs_tol": 0.0}, "run.abs_tol"),
+                    ({"frame": "dressed"}, "run.frame")):
+        with pytest.raises(ConfigError) as exc:
+            cfg.override(**kw)
+        assert (exc.value.code, exc.value.parameter) == ("bad-value", key)
 
 
 def test_echo_lines_exclude_plumbing():
@@ -192,3 +224,36 @@ def test_axis_lookup():
     ax = cfg.axis("xi_frac")
     assert ax is not None and ax.count == 3
     assert cfg.axis("beta") is None
+
+
+def test_yaml_12_floats(tmp_path):
+    """1e6, 1.0e6 and 1e-3 are numbers, as YAML 1.2 reads them; an integer
+    stays an integer and a quoted number stays a string."""
+    p = tmp_path / "run.yaml"
+    p.write_text("drive:\n  epsilon: 1e6\n"
+                 "model:\n  J: 1.0e-1\n  kappa: 1e-3\n  beta: 2\n"
+                 "run:\n  samples: 101\n  horizon: 1E+2\n")
+    cfg = load_config(p)
+    assert cfg.epsilon == 1_000_000.0
+    assert (cfg.J, cfg.kappa, cfg.beta) == (0.1, 1e-3, 2.0)
+    assert cfg.samples == 101 and cfg.horizon == 100.0
+    p.write_text("run:\n  samples: 1e2\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(p)
+    assert exc.value.parameter == "run.samples"
+    p.write_text("drive:\n  epsilon: '1e6'\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(p)
+    assert exc.value.parameter == "drive.epsilon"
+
+
+def test_readme_config_block_is_the_table():
+    """The README's configuration block sets every key of the table, and
+    only those, to its default."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text[text.index("## Configuration"):]
+    block = section[section.index("```yaml\n") + 8:]
+    cfg = RunConfig.from_dict(yaml.safe_load(block[:block.index("```")]))
+    assert cfg.explicit == {f"{f.metadata['section']}.{f.name}"
+                            for f in fields(RunConfig) if f.metadata}
+    assert replace(cfg, explicit=frozenset()) == RunConfig()

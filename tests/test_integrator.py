@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from tlspurify.integrator import EventSpec, integrate, propagate
+from tlspurify.integrator import (MAX_NODES, EventSpec, integrate,
+                                  propagate)
 from tlspurify.integrator import expm as exact_expm
 from tlspurify.model import ModelParams
 from tlspurify.reduced import z_generator
@@ -143,8 +144,9 @@ def test_zero_rhs_stays_constant():
 
 
 def test_invalid_span_raises():
-    with pytest.raises(ValueError):
-        integrate(lambda t, y: -y, (1.0, 1.0), np.array([1.0]))
+    for span in ((1.0, 1.0), (0.0, math.inf), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            integrate(lambda t, y: -y, span, np.array([1.0]))
 
 
 def test_max_step_is_respected():
@@ -198,6 +200,22 @@ def test_expm_of_zero_is_identity():
     assert np.array_equal(expm(zero), np.eye(9))
     assert np.abs(got - np.eye(9)).max() <= 2.0 ** -52
     assert np.array_equal(got - np.diag(np.diag(got)), zero)
+
+
+def test_propagate_refuses_past_node_cap():
+    """A run needing far more than MAX_NODES node steps (2e18 here, and
+    an infinite span) is refused before its node grid is allocated,
+    which would have raised MemoryError instead; the cap itself runs."""
+    a = np.array([[-1e12]])
+    for span in ((0.0, 1e6), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="MAX_NODES"):
+            propagate(a, span, np.ones(1))
+    unit = np.array([[-1.0]])               # ||A||_1 = 1, NODE_NORM = 1/2
+    edge = 0.5 * MAX_NODES
+    assert propagate(unit, (0.0, edge), np.ones(1)).stats.accepted \
+        == MAX_NODES
+    with pytest.raises(ValueError, match="MAX_NODES"):
+        propagate(unit, (0.0, edge * (1.0 + 1e-9)), np.ones(1))
 
 
 def test_propagate_matches_expm_between_nodes():

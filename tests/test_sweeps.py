@@ -19,9 +19,9 @@ from tlspurify.config import RunConfig
 from tlspurify.model import mu_max
 from tlspurify.optimal import delta_p, t_min_analytic
 from tlspurify.output import write_table
-from tlspurify.sweeps import (_fan_out, coherence_map, purity_trace,
-                              region_map, scan_beta, scan_gamma,
-                              simulate_trace)
+from tlspurify.sweeps import (_fan_out, _fan_out_batches, coherence_map,
+                              purity_trace, region_map, scan_beta,
+                              scan_gamma, simulate_trace)
 
 T0 = 15.707963267948966                 # pi / (2 J) at J = 0.1
 RATIO_AT_2 = 1.5396007178390019         # t_min / t0 at gamma / J = 2
@@ -321,6 +321,60 @@ def test_fan_out_survives_inherited_sigterm_handler():
         proc.communicate()
         pytest.fail("fan-out hung with an inherited SIGTERM handler")
     assert proc.returncode == 0, err.decode()
+
+
+def test_fan_out_never_outgrows_cores_or_jobs(monkeypatch):
+    """The pool starts min(workers, jobs, cores) processes, and none for
+    one; the batches follow the same count.  A fake context records the
+    sizes, so no extreme worker count ever runs."""
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize):
+            return [fn(job) for job in jobs]
+
+        def close(self):
+            pass
+
+        def join(self):
+            pass
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda _: FakeContext)
+    for cores, workers, n_jobs, started in ((2, 8, 45, [2]),
+                                            (4, 10**9, 3, [3]),
+                                            (64, 2, 10, [2]),
+                                            (None, 8, 10, []),
+                                            (2, 8, 1, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        sizes.clear()
+        assert _fan_out(abs, list(range(-n_jobs, 0)), workers) \
+            == list(range(n_jobs, 0, -1))
+        assert sizes == started
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    batches = []
+
+    def record(job):
+        batches.append(len(job[0]))
+        return job[0]
+
+    assert _fan_out_batches(record, list(range(45)), None, 10**9) \
+        == list(range(45))
+    assert batches == [23, 22]
 
 
 def test_workers_do_not_change_bytes():
