@@ -29,7 +29,7 @@ from .optimal import (classify_region, classify_regime, compile_u_control,
                       s2_resonant_solution, stall_cosine, t_min_analytic,
                       t_min_from_rates, t_min_numeric,
                       uncorrelated_pole_purity, xi_fixed)
-from .reduced import (make_rhs_rct, make_rhs_z, simulate_z, spherical_to_z_s1,
+from .reduced import (make_rhs_s1, make_rhs_z, simulate_z, spherical_to_z_s1,
                       x_to_z, z_generator, z_purity, z_to_spherical)
 from .verify import CheckResult, run_suite, suite_passed
 
@@ -41,7 +41,7 @@ __all__ = [
     "TableDrive", "Trajectory", "bath_rates", "build_initial_state",
     "classify_region", "classify_regime", "compile_u_control", "delta_from_u",
     "delta_p", "first_events", "fixed_point_theta", "initial_spherical",
-    "integrate", "is_divergent", "j_min", "make_rhs_rct", "make_rhs_z",
+    "integrate", "is_divergent", "j_min", "make_rhs_s1", "make_rhs_z",
     "matrix_to_x", "min_eigenvalue", "mu_max", "pole_gains",
     "pole_purity_ceiling", "qubit_purity", "qubit_reduced",
     "region_labels", "resonant", "run_suite", "rwa_generator",

@@ -41,6 +41,14 @@ AXIS_NAMES = ("gamma_over_j", "beta", "xi_frac", "mu_frac", "j_frac")
 #: allocation of many GiB; 100000 rows is far past any plot
 MAX_SAMPLES = 100_000
 
+#: upper bound on a sweep axis count and on sweep.mu_count.  A grid is
+#: built in Python lists before any work, one row per cell: at the bound,
+#: fresh on a 2-core x86_64 host, region-map's 250,000 cells take 4.3 s
+#: and 221 MB RSS, a 500 x 500 coherence-map 6.6 s and 156 MB, and
+#: purity-trace's 601,000 rows at the default samples 6.2 s and 319 MB.
+#: The default and benchmark grids need at most 80
+MAX_COUNT = 500
+
 #: upper bound on run.horizon.  Below gamma = 4J the pole-time scan keeps
 #: its grid spacing, so its work grows linearly with the horizon: at 1000
 #: one gamma = 4J cell scans 25,600 intervals (26,001 closed-form
@@ -132,7 +140,8 @@ class SweepAxis:
     name: str = field(metadata={"choices": AXIS_NAMES})
     start: float
     stop: float
-    count: int = field(default=2, metadata={"minimum": 2})
+    count: int = field(default=2, metadata={"minimum": 2,
+                                            "maximum": MAX_COUNT})
     scale: str = field(default="linear",
                        metadata={"choices": ("linear", "log")})
 
@@ -186,7 +195,7 @@ class RunConfig:
     workers: int = _field("run", 1, minimum=1, plumbing=True)
     out: str | None = _field("run", None, plumbing=True)
     format: str = _field("run", "csv", choices=("csv", "json"))
-    mu_count: int = _field("sweep", 5, minimum=2)
+    mu_count: int = _field("sweep", 5, minimum=2, maximum=MAX_COUNT)
     axes: tuple[SweepAxis, ...] = _field("sweep", ())
     # keys the user set explicitly (dotted), for per-command defaulting
     explicit: frozenset = field(default_factory=frozenset)

@@ -55,6 +55,14 @@ SAFETY = 0.9
 #: absolute time resolution of located events
 EVENT_TIME_TOL = 1e-10
 
+#: most attempted (accepted + rejected) steps of one integrate() run.
+#: Tolerances far below roundoff (rtol = atol = 1e-30) shrink the steps
+#: until the span takes forever, and no step ever underflows; past the cap
+#: the run ends with a RuntimeError, after about 2 s for the 8-coordinate
+#: flow on a 2-core x86_64 host.  The largest run of the test suite takes
+#: 3,738 attempted steps (the lab-frame Runge-Kutta run at 1e-12)
+MAX_STEPS = 20_000
+
 
 # ====================================================================
 # Result containers
@@ -241,6 +249,10 @@ def integrate(
     status = "completed"
 
     while t < tf:
+        if stats.accepted + stats.rejected >= MAX_STEPS:
+            raise RuntimeError(f"integration past MAX_STEPS = {MAX_STEPS} "
+                               f"attempted steps at t = {t:.6g} of {tf:.6g}:"
+                               " the tolerances are too tight for the span")
         h = min(h, tf - t, max_step)
         if h < 1e-14 * max(1.0, abs(t)):
             raise RuntimeError(f"step size underflow at t = {t:.6g}")
@@ -348,6 +360,13 @@ TAYLOR_TERMS = 12
 #: (the detuned lab-frame simulate)
 MAX_NODES = 100_000
 
+#: requested times an ExactTrajectory evaluates at once.  Each time in a
+#: chunk holds its TAYLOR_TERMS + 1 series terms, so the working memory is
+#: that of one chunk, about 3.6 MB for a 17-slot state, however many times
+#: are asked for.  The default 601 samples and delta_p's 2,001 are each
+#: one chunk
+EVAL_CHUNK = 2048
+
 
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by Pade-13 scaling and squaring."""
@@ -412,6 +431,17 @@ class ExactTrajectory:
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.empty((t_arr.size, self.dim))
+        for start in range(0, t_arr.size, EVAL_CHUNK):
+            chunk = t_arr[start:start + EVAL_CHUNK]
+            out[start:start + EVAL_CHUNK] = self.states(chunk,
+                                                        self._series(chunk))
+        if np.isscalar(t) or np.asarray(t).ndim == 0:
+            return out[0]
+        return out
+
+    def _series(self, t_arr: np.ndarray) -> np.ndarray:
+        """Propagated state at each time of t_arr, affine slot included."""
         h = (self.ts[-1] - self.ts[0]) / (len(self.ts) - 1)
         k = np.clip(np.rint((t_arr - self.ts[0]) / h).astype(int),
                     0, len(self.ts) - 1)
@@ -421,14 +451,10 @@ class ExactTrajectory:
         terms = [self.ys[nodes]]
         for j in range(1, TAYLOR_TERMS + 1):
             terms.append(terms[-1] @ (self.a.T / j))
+        terms = np.stack(terms, axis=1)
         powers = np.vander(t_arr - self.ts[k], TAYLOR_TERMS + 1,
                            increasing=True)
-        out = np.matmul(powers[:, None, :],
-                        np.stack(terms, axis=1)[which])[:, 0]
-        out = self.states(t_arr, out)
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return out[0]
-        return out
+        return np.matmul(powers[:, None, :], terms[which])[:, 0]
 
 
 def propagate(

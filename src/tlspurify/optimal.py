@@ -38,7 +38,7 @@ from .drive import TableDrive
 from .integrator import StepStats, integrate
 from .model import (InitialStateSpec, ModelParams, build_initial_state,
                     xi_max)
-from .reduced import (POLE_GUARD, make_rhs_rct, simulate_z, x_to_z, z_purity,
+from .reduced import (POLE_GUARD, make_rhs_s1, simulate_z, x_to_z, z_purity,
                       z_purity_many, z_states_at)
 
 #: |gamma - 4J| below this counts as sitting on the divergence boundary
@@ -182,6 +182,14 @@ def initial_spherical(params: ModelParams, xi: float = 0.0) -> tuple[float, floa
                  _initial_points(a_q, a_t, params.eta, xi))
 
 
+def initial_direction(params: ModelParams, xi: float = 0.0) -> np.ndarray:
+    """Start q0 = (r0 sin theta0, r0 cos theta0, eta - c0) of the
+    reduced.make_rhs_s1 flow from the thermal-product start."""
+    r0, c0, th0 = initial_spherical(params, xi)
+    return np.array([r0 * math.sin(th0), r0 * math.cos(th0),
+                     params.eta - c0])
+
+
 def _stall_cosines(J, gamma, eta, r, c):
     """stall_cosine for arrays of cells: inf where gamma <= 0 or c >= eta."""
     d = np.subtract(eta, c)
@@ -291,12 +299,9 @@ _REACHED, _TRAPPED, _HORIZON = range(3)
 class _DriftFlow:
     """Closed-form u == 0 flow of a batch of cells, in s = (w, v, d) =
     (r sin theta, r cos theta, eta - c).  The flow of each cell is linear
-    and homogeneous there,
-
-        s' = (-gamma/2 + N) s,  N = [[0, 2J, -gamma/2], [-2J, 0, 0],
-                                     [-gamma/2, 0, 0]],
-
-    and N^3 = -Omega^2 N with Omega^2 = 4J^2 - gamma^2/4, so
+    and homogeneous there, s' = (-gamma/2 + N) s with N = N(2J) of
+    reduced.make_rhs_s1, and N^3 = -Omega^2 N with
+    Omega^2 = 4J^2 - gamma^2/4, so
     s(t) = e^{-gamma t/2} (s0 + S(t) N s0 + C(t) N^2 s0).  theta is
     atan2(w, v), so events only see the direction of s:
     _Rows.direction(t) returns E s0 + S N s0 + C N^2 s0, the bracket times
@@ -785,11 +790,11 @@ def compile_u_control(params: ModelParams, u_times, u_values,
                       atol: float = 1e-10, n_samples: int = 2001):
     """Turn a piecewise-linear u(t) table into a detuning drive.
 
-    Propagates (r, c, theta) under the tabulated u from the thermal-product
-    start with cross coherence xi, then samples
-    delta(t) = du/dt - J tan(theta(t)) sin(u(t)) and wraps it in a
-    TableDrive with the accumulated phase convention (the one u-control
-    derives in).  Returns (drive, rct_result).
+    Integrates the S1 direction q (reduced.make_rhs_s1) under the tabulated
+    u from the thermal-product start with cross coherence xi, then samples
+    delta(t) = du/dt - J tan(theta(t)) sin(u(t)), theta = atan2(q_w, q_v),
+    and wraps it in a TableDrive with the accumulated phase convention (the
+    one u-control derives in).  Returns (drive, q_result).
     """
     u_times = np.asarray(u_times, dtype=float)
     u_values = np.asarray(u_values, dtype=float)
@@ -807,12 +812,13 @@ def compile_u_control(params: ModelParams, u_times, u_values,
         return float((u_values[k + 1] - u_values[k])
                      / (u_times[k + 1] - u_times[k]))
 
-    r0, c0, th0 = initial_spherical(params, xi)
-    rhs = make_rhs_rct(params, u_fn)
-    res = integrate(rhs, (float(u_times[0]), float(u_times[-1])),
-                    np.array([r0, c0, th0]), rtol=rtol, atol=atol, dense=True)
+    res = integrate(make_rhs_s1(params, u_fn),
+                    (float(u_times[0]), float(u_times[-1])),
+                    initial_direction(params, xi), rtol=rtol, atol=atol,
+                    dense=True)
     ts = np.linspace(float(u_times[0]), float(u_times[-1]), n_samples)
-    thetas = res.trajectory(ts)[:, 2]
+    q = res.trajectory(ts)
+    thetas = np.arctan2(q[:, 0], q[:, 1])
     deltas = np.array([
         delta_from_u(params, u_fn(t), u_rate(t), th)
         for t, th in zip(ts, thetas)

@@ -33,6 +33,14 @@ with theta in [-pi/2, pi/2] (cos(theta) >= 0 by construction) and phi set
 to 0 within POLE_GUARD of the poles, where the azimuth degenerates.
 Purity grows with z[0]^2 alone in S1, so driving theta to +pi/2 (all of r
 into the polarization, "north pole") is the purification target.
+
+The (eta - c)/r term is singular at r = 0, so controlled runs integrate
+the direction q = e^{gamma t/2} (r sin(theta), r cos(theta), eta - c),
+whose flow is linear and regular (a = 2 J cos(u)):
+
+    q' = N(a) q,  N(a) = [[0, a, -gamma/2], [-a, 0, 0], [-gamma/2, 0, 0]],
+    theta = atan2(q_w, q_v),  r = e^{-gamma t/2} |(q_w, q_v)|,
+    c = eta - e^{-gamma t/2} q_d.
 """
 
 from __future__ import annotations
@@ -231,32 +239,15 @@ def spherical_to_z_s1(r: float, c: float, theta: float,
     ])
 
 
-def make_rhs_rct(params: ModelParams,
-                 u: Callable[[float], float] | None = None):
-    """(r, c, theta) dynamics under an azimuth-relative control u(t).
-
-    u = None means u == 0 (drive phase locked to the azimuth), the policy
-    used by every time-optimal result here.  phi is not propagated: the
-    S1 observables r, c, theta are independent of it.
-    """
+def make_rhs_rct(params: ModelParams):
+    """(r, c, theta) dynamics under u == 0, singular at r = 0 through its
+    (eta - c)/r term.  No package path calls it: controlled runs use the
+    regular make_rhs_s1.  It stays as a reference form of the spherical
+    equations for the tests and for perfbench's RHS probe."""
     gam = params.rates.gamma
     eta = params.rates.eta
     J = params.J
     half = 0.5 * gam
-
-    if u is None:
-        def rhs0(t: float, y: np.ndarray) -> np.ndarray:
-            r, c, th = y
-            s, co = math.sin(th), math.cos(th)
-            d = eta - c
-            rr = r if r > 1e-300 else 1e-300
-            return np.array([
-                -half * (r + d * s),
-                half * (r * s + d),
-                -half * (d / rr) * co + 2.0 * J,
-            ])
-
-        return rhs0
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         r, c, th = y
@@ -266,30 +257,23 @@ def make_rhs_rct(params: ModelParams,
         return np.array([
             -half * (r + d * s),
             half * (r * s + d),
-            -half * (d / rr) * co + 2.0 * J * math.cos(u(t)),
+            -half * (d / rr) * co + 2.0 * J,
         ])
 
     return rhs
 
 
-def make_rhs_rct_phi(params: ModelParams,
-                     u: Callable[[float], float]):
-    """(r, c, theta, phi) dynamics including the azimuth equation.
+def make_rhs_s1(params: ModelParams,
+                u: Callable[[float], float] | None = None):
+    """Right-hand side q' = N(2J cos u(t)) q of the S1 direction
+    q = e^{gamma t/2} (r sin theta, r cos theta, eta - c) under an
+    azimuth-relative control u(t); u = None means u == 0."""
+    b = 0.5 * params.rates.gamma
+    two_j = 2.0 * params.J
 
-    Used with u(t) prescribed directly, which pairs with the accumulated
-    phase convention (frame term alpha == 0).  The tan(theta) factor is
-    clamped at the POLE_GUARD ring where the azimuth loses meaning.
-    """
-    rct = make_rhs_rct(params, u)
-    J = params.J
-    tan_cap = math.tan(0.5 * math.pi - POLE_GUARD)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        drct = rct(t, y[:3])
-        th = y[2]
-        tt = math.tan(th) if abs(th) < 0.5 * math.pi - POLE_GUARD else \
-            math.copysign(tan_cap, th)
-        dphi = -J * tt * math.sin(u(t))
-        return np.append(drct, dphi)
+    def rhs(t: float, q: np.ndarray) -> np.ndarray:
+        a = two_j if u is None else two_j * math.cos(u(t))
+        w, v, d = q
+        return np.array([a * v - b * d, -a * w, -b * w])
 
     return rhs

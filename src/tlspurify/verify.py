@@ -21,9 +21,9 @@ from .integrator import StepStats, integrate
 from .liouville import make_rhs_rwa, rwa_generator, simulate
 from .model import (InitialStateSpec, ModelParams, build_initial_state,
                     min_eigenvalue, mu_max, xi_max)
-from .optimal import (delta_p, initial_spherical, s2_resonant_solution,
+from .optimal import (delta_p, initial_direction, s2_resonant_solution,
                       t_min_analytic, t_min_numeric, uncorrelated_pole_purity)
-from .reduced import make_rhs_rct, make_rhs_z, x_to_z
+from .reduced import make_rhs_s1, make_rhs_z, x_to_z
 
 __all__ = ["CheckResult", "run_suite", "suite_passed"]
 
@@ -140,12 +140,17 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
                          "max |r + c - eta| at xi = 0", res0.stats))
 
     # -- radius never grows under the drift flow ----------------------
-    r0, c0, th0 = initial_spherical(params, xi)
-    rct = integrate(make_rhs_rct(params), (0.0, 1.5 * t_min_analytic(params)),
-                    np.array([r0, c0, th0]), rtol=rtol, atol=atol, dense=True)
-    growth = float(max(0.0, rct.trajectory.fs[:, 0].max()))
-    checks.append(_check("radius-monotone", growth, 1e-10,
-                         "largest dr/dt at an accepted step", rct.stats))
+    # r = e^{-gamma t/2} |q_wv| on the regular S1 direction flow, so
+    # dr/dt = e^{-gamma t/2} (q_wv . q_wv' / |q_wv| - (gamma/2) |q_wv|)
+    s1 = integrate(make_rhs_s1(params), t_span, initial_direction(params, xi),
+                   rtol=rtol, atol=atol, dense=True)
+    q, dq = s1.y[:, :2], s1.trajectory.fs[:, :2]
+    norm = np.hypot(q[:, 0], q[:, 1])
+    rate = np.exp(-0.5 * params.gamma * s1.t) * (np.divide(
+        (q * dq).sum(axis=1), norm, out=np.zeros_like(norm), where=norm > 0.0)
+        - 0.5 * params.gamma * norm)
+    checks.append(_check("radius-monotone", float(max(0.0, rate.max())),
+                         1e-10, "largest dr/dt at an accepted step", s1.stats))
 
     # -- coherence block closed form ----------------------------------
     # a cold qubit carries little coherence: the start keeps mu = 0.3

@@ -7,9 +7,10 @@ this and the 16-coordinate generator is the backbone equivalence the
 whole suite leans on; the lab-frame equation is checked the same way
 against the package's lab Liouvillian.
 
-The pole-time oracle integrates the nonlinear (r, c, theta) equations on
-the adaptive integrator, a path independent of the closed-form linear
-solve behind optimal.t_min_numeric.
+The pole-time oracle integrates the regular S1 direction flow
+q' = N(2J) q (reduced.make_rhs_s1) on the adaptive integrator and watches
+its events, a path independent of the closed-form solution of the same
+flow behind optimal.t_min_numeric.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from tlspurify.integrator import EventSpec, StepStats, integrate
 from tlspurify.model import (InitialStateSpec, ModelParams, matrix_to_x,
                              min_eigenvalue, mu_max, xi_max)
 from tlspurify.optimal import (STALL_CURVATURE_TOL, _stall_curvature,
-                               initial_spherical)
-from tlspurify.reduced import make_rhs_rct
+                               initial_direction)
+from tlspurify.reduced import make_rhs_s1
 
 # ====================================================================
 # Pauli algebra and model operators
@@ -147,11 +148,11 @@ def _family_x(params: ModelParams, spec: InitialStateSpec) -> np.ndarray:
 
 
 # ====================================================================
-# Pole time by direct integration of the (r, c, theta) flow
+# Pole time by direct integration of the S1 direction flow
 # ====================================================================
 
 @dataclass
-class RctRun:
+class S1Run:
     status: str                 # "reached" | "trapped" | "horizon"
     t_stop: float
     r: float
@@ -160,30 +161,35 @@ class RctRun:
     stats: StepStats
 
 
-def rct_pole_run(params: ModelParams, xi: float = 0.0, *,
-                 horizon_mult: float = 20.0, rtol: float = 1e-10,
-                 atol: float = 1e-10) -> RctRun:
-    """Integrate the u == 0 (r, c, theta) flow from the thermal-product
-    start until the pole, a guarded stall, or horizon_mult * pi/(2J)."""
-    rhs = make_rhs_rct(params)
-    r0, c0, th0 = initial_spherical(params, xi)
+def s1_pole_run(params: ModelParams, xi: float = 0.0, *,
+                horizon_mult: float = 20.0, rtol: float = 1e-10,
+                atol: float = 1e-10) -> S1Run:
+    """Integrate the u == 0 direction q = e^{gamma t/2} (w, v, d) from the
+    thermal-product start until the pole (q_v falls through 0), a guarded
+    stall (r^2 dtheta/dt, up to a positive factor, falls through 0), or
+    horizon_mult * pi/(2J).  The stall guard is scale-free, so it reads
+    the direction as it is."""
+    a, b, eta = 2.0 * params.J, 0.5 * params.gamma, params.eta
 
-    def stall_guard(t, y):
-        return (_stall_curvature(params.gamma, params.eta, y[0], y[1], y[2])
+    def stall_guard(t, q):
+        return (_stall_curvature(params.gamma, eta, math.hypot(q[0], q[1]),
+                                 eta - q[2], math.atan2(q[0], q[1]))
                 <= STALL_CURVATURE_TOL)
 
     events = (
-        EventSpec(lambda t, y: y[2] - 0.5 * math.pi, name="pole",
-                  direction=1, terminal=True),
-        EventSpec(lambda t, y: rhs(t, y)[2], name="stall", direction=-1,
-                  terminal=True, guard=stall_guard),
+        EventSpec(lambda t, q: q[1], name="pole", direction=-1,
+                  terminal=True),
+        EventSpec(lambda t, q: a * (q[0] ** 2 + q[1] ** 2) - b * q[2] * q[1],
+                  name="stall", direction=-1, terminal=True,
+                  guard=stall_guard),
     )
-    res = integrate(rhs, (0.0, horizon_mult * params.t0),
-                    np.array([r0, c0, th0]), rtol=rtol, atol=atol,
+    res = integrate(make_rhs_s1(params), (0.0, horizon_mult * params.t0),
+                    initial_direction(params, xi), rtol=rtol, atol=atol,
                     events=events)
     status = "horizon"
     if res.status == "event":
         status = "reached" if res.events[-1].name == "pole" else "trapped"
-    r, c, th = (float(v) for v in res.y_final)
-    return RctRun(status, res.t_final, r, c, th, res.stats)
-
+    w, v, d = res.y_final
+    f = math.exp(-b * res.t_final)
+    return S1Run(status, res.t_final, f * math.hypot(w, v), eta - f * d,
+                 math.atan2(w, v), res.stats)

@@ -185,6 +185,44 @@ def test_run_past_the_node_cap_is_a_runtime_error(capsys, tmp_path):
     assert "MAX_NODES" in err["message"]
 
 
+def test_tolerance_below_roundoff_is_a_runtime_error(capsys):
+    """At rtol = atol = 1e-30 the Runge-Kutta steps shrink without end;
+    the step budget ends the run with one error object."""
+    assert main(["verify", "--tol", "1e-30:1e-30"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["code"] == "runtime-error"
+    assert "MAX_STEPS" in err["message"]
+
+
+@pytest.mark.parametrize("kappa", [0.36, 0.362, 1.0])
+def test_verify_near_and_past_the_critical_line(capsys, tmp_path, kappa):
+    """kappa = 0.36 puts gamma/J at 3.977: every check runs and passes.
+    At 0.362 and 1.0 (gamma >= 4J) the bare start never reaches the pole,
+    so the coherence-gain check has no residual: one error object names
+    it, and nothing else is written."""
+    cfg = tmp_path / "kappa.yaml"
+    cfg.write_text(f"model:\n  kappa: {kappa}\n")
+    code = main(["verify", "--config", str(cfg), "--format", "json"])
+    captured = capsys.readouterr()
+    if kappa == 0.36:
+        assert code == 0
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["metadata"]["all_passed"] is True
+        return
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["code"] == "runtime-error"
+    assert "coherence-gain-uncorrelated" in err["message"]
+
+
 @pytest.mark.parametrize("beta", [100, 1000])
 @pytest.mark.parametrize("command", ["simulate", "scan-gamma",
                                      "coherence-map", "verify"])
@@ -304,12 +342,14 @@ _CONFIG = st.fixed_dictionaries({}, optional={
 
 @settings(max_examples=300, deadline=None)
 @given(command=st.sampled_from(["simulate", "scan-gamma", "scan-beta",
-                                "region-map", "coherence-map"]),
+                                "region-map", "coherence-map",
+                                "purity-trace", "verify"]),
        raw=_or_odd(_CONFIG))
 def test_error_contract_holds_for_random_configs(command, raw):
     """Any YAML mapping ends in a table (exit 0), a run-time error (exit
     1) or a config error (exit 2); every failure leaves exactly one JSON
-    error object on stderr, and nothing raises or warns."""
+    error object on stderr, and nothing raises or warns.  verify may also
+    exit 1 with its table and verify-failed."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.yaml"
         path.write_text(yaml.safe_dump(raw))
@@ -330,4 +370,6 @@ def test_error_contract_holds_for_random_configs(command, raw):
     doc = json.loads(lines[0])
     assert set(doc) == {"code", "message", "parameter"}
     expected = {1: {"runtime-error"}, 2: {"bad-value", "unknown-key"}}
+    if command == "verify":
+        expected[1].add("verify-failed")
     assert doc["code"] in expected[code]

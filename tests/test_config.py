@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 import yaml
 
-from tlspurify.config import (AXIS_NAMES, MAX_HORIZON, MAX_SAMPLES,
-                              ConfigError, RunConfig, SweepAxis, load_config)
+from tlspurify.config import (AXIS_NAMES, MAX_COUNT, MAX_HORIZON,
+                              MAX_SAMPLES, ConfigError, RunConfig, SweepAxis, load_config)
 from tlspurify.drive import ConstantDrive, resonant
 
 
@@ -134,6 +134,22 @@ def test_bad_values():
         {"sweep": {"axes": [{"name": "beta", "start": 0.1, "stop": 1.0,
                              "count": 1}]}}).code == "bad-value"
     assert _err([1, 2]).code == "bad-value"
+    # grid sizes have a ceiling, named by the dotted key
+    for raw, key in (
+            ({"sweep": {"mu_count": MAX_COUNT + 1}}, "sweep.mu_count"),
+            ({"sweep": {"mu_count": 10**12}}, "sweep.mu_count"),
+            ({"sweep": {"axes": [{"name": "beta", "start": 0.1, "stop": 1.0,
+                                  "count": 10**12}]}},
+             "sweep.axes[0].count"),
+            ({"sweep": {"axes": [
+                {"name": "j_frac", "start": 0.6, "stop": 1.0, "count": 3},
+                {"name": "xi_frac", "start": 0.0, "stop": 1.0,
+                 "count": MAX_COUNT + 1}]}}, "sweep.axes[1].count")):
+        e = _err(raw)
+        assert (e.code, e.parameter) == ("bad-value", key), raw
+    at_bound = RunConfig.from_dict({"sweep": {"mu_count": MAX_COUNT, "axes": [
+        {"name": "beta", "start": 0.1, "stop": 1.0, "count": MAX_COUNT}]}})
+    assert at_bound.mu_count == at_bound.axes[0].count == MAX_COUNT
 
 
 def test_axis_values():

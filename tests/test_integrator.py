@@ -4,6 +4,7 @@ the exact propagator of constant-coefficient flows."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from tlspurify.integrator import (MAX_NODES, EventSpec, integrate,
-                                  propagate)
+from tlspurify import integrator
+from tlspurify.integrator import (EVAL_CHUNK, MAX_NODES, EventSpec,
+                                  integrate, propagate)
 from tlspurify.integrator import expm as exact_expm
 from tlspurify.model import ModelParams
 from tlspurify.reduced import z_generator
@@ -155,6 +157,22 @@ def test_max_step_is_respected():
     assert np.diff(res.t).max() <= 0.25 + 1e-12
 
 
+def test_step_budget(monkeypatch):
+    """A run that has attempted MAX_STEPS steps and is not done ends with
+    a RuntimeError; a run within the budget is untouched."""
+    def run():
+        return integrate(lambda t, y: -y, (0.0, 10.0), np.array([1.0]),
+                         rtol=1e-12, atol=1e-12)
+
+    free = run()
+    needed = free.stats.accepted + free.stats.rejected
+    monkeypatch.setattr(integrator, "MAX_STEPS", needed)
+    assert np.array_equal(run().y, free.y)
+    monkeypatch.setattr(integrator, "MAX_STEPS", needed - 1)
+    with pytest.raises(RuntimeError, match="MAX_STEPS"):
+        run()
+
+
 def test_trajectory_shapes():
     res = integrate(lambda t, y: -y, (0.0, 1.0), np.array([1.0, 2.0]),
                     dense=True)
@@ -242,3 +260,24 @@ def test_propagate_matches_expm_between_nodes():
     assert res.y_final == pytest.approx(exact[len(res.t) - 1], rel=1e-13)
     with pytest.raises(ValueError):
         propagate(a, (1.0, 1.0), y0)
+
+
+def test_exact_trajectory_memory_is_bounded():
+    """One call at 100,000 times evaluates them EVAL_CHUNK at a time: its
+    peak allocation stays below twice the output array, and the chunks
+    agree with evaluating their times on their own."""
+    rng = np.random.default_rng(5)
+    res = propagate(0.1 * rng.normal(size=(16, 16)), (0.0, 50.0),
+                    rng.normal(size=16), b=rng.normal(size=16), dense=True)
+    ts = np.linspace(0.0, 50.0, 100_000)
+    tracemalloc.start()
+    try:
+        out = res.trajectory(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (100_000, 16)
+    assert peak < 2 * out.nbytes
+    assert np.array_equal(out[:EVAL_CHUNK], res.trajectory(ts[:EVAL_CHUNK]))
+    picks = np.array([EVAL_CHUNK, 50_000, 99_999])
+    assert _rel_gap(out[picks], res.trajectory(ts[picks])) < 1e-13

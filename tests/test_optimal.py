@@ -26,7 +26,7 @@ from tlspurify.optimal import (CRITICAL_TOL, DeltaPResult, Threshold,
                                xi_fixed)
 from tlspurify.reduced import x_to_z, z_to_spherical
 
-from oracles import rct_pole_run
+from oracles import s1_pole_run
 
 # Frozen oracle values (quadrature / bisection cross-checks, 17 digits)
 T_MIN_RATIO2 = 24.183991523122902       # J = 0.1, gamma = 0.2
@@ -37,6 +37,9 @@ C0_BETA1 = 0.34181635272621913          # eta - r0
 J_MIN_BETA01 = 0.1679147956755041       # gamma(beta=0.1, kappa=0.1) / 4
 XI_FIXED_BETA01 = 0.011978091887540274  # at J = 0.9 j_min, beta = 0.1
 XI_MAX_BETA01 = 0.24690493263942287
+#: region-map's default grid point j_frac = 1.0133 (index 45 of
+#: linspace(0.6, 1.05, 50)) at beta = 0.1: gamma/J = 3.948
+J_FOUND = float(np.linspace(0.6, 1.05, 50)[45]) * J_MIN_BETA01
 
 
 def _quad_pole_time(J: float, gamma: float) -> float:
@@ -274,12 +277,12 @@ def test_xi_fixed_empty_and_saturated():
 @pytest.mark.parametrize("ratio,xi_frac", [(1.0, 0.0), (1.0, 0.5),
                                            (3.0, 0.0), (3.0, 0.5)])
 def test_scalar_engine_matches_reference(ratio, xi_frac):
-    """The closed-form engine against the (r, c, theta) run on the
+    """The closed-form engine against the S1 direction run on the
     generic integrator: two independent paths to the same event."""
     p = ModelParams(kappa=0.1).with_gamma_over_j(ratio)
     xi = xi_frac * xi_max(p)
     a = t_min_numeric(p, xi)
-    b = rct_pole_run(p, xi)
+    b = s1_pole_run(p, xi)
     assert a.status == b.status == "reached"
     # the shallow pole approach at small gamma/J bounds the integrated
     # event time near 1e-8 relative
@@ -291,12 +294,25 @@ def test_scalar_engine_matches_reference_trapped():
     p = ModelParams(beta=0.1, kappa=0.1, J=0.9 * J_MIN_BETA01)
     xi = 2.0 * XI_FIXED_BETA01
     a = t_min_numeric(p, xi, horizon_mult=40)
-    # the stall is a zero of the integrated theta rate, located less
-    # sharply than the pole: 1e-10 leaves 1.7e-7, 1e-12 leaves 4e-9
-    b = rct_pole_run(p, xi, horizon_mult=40, rtol=1e-12, atol=1e-12)
+    # the stall is a zero of the integrated theta rate: 1e-10 leaves
+    # 8e-11 relative, 1e-12 leaves 4e-13
+    b = s1_pole_run(p, xi, horizon_mult=40, rtol=1e-12, atol=1e-12)
     assert a.status == b.status == "trapped"
     assert a.t_stop == pytest.approx(b.t_stop, rel=1e-7)
     assert a.theta == pytest.approx(b.theta, abs=1e-6)
+
+
+def test_reference_arrives_near_critical():
+    """Next to gamma = 4J the radius falls to 1e-13 before the pole; the
+    direction flow keeps the event, where an (r, c, theta) run took the
+    collapse for a stall at 9.49 t0."""
+    p = ModelParams(beta=0.1, kappa=0.1, J=J_FOUND)
+    a = t_min_numeric(p, 0.0)
+    b = s1_pole_run(p, 0.0)
+    assert a.status == b.status == "reached"
+    assert a.time == pytest.approx(b.t_stop, rel=1e-7)
+    assert b.theta == pytest.approx(math.pi / 2, abs=1e-6)
+    assert b.r < 1e-10
 
 
 def test_t_min_numeric_matches_analytic_uncorrelated():
@@ -614,9 +630,25 @@ def test_compile_u_control_zero_schedule():
     run = t_min_numeric(p, 0.0)
     # the compiled trajectory passes the pole at the free arrival time
     ts = np.linspace(0.0, t_end, 400)
-    th = res.trajectory(ts)[:, 2]
+    q = res.trajectory(ts)
+    th = np.arctan2(q[:, 0], q[:, 1])
     k = int(np.argmin(np.abs(th - math.pi / 2)))
     assert ts[k] == pytest.approx(run.time, abs=0.02 * run.time)
+
+
+def test_compile_u_control_zero_schedule_near_critical():
+    """At gamma/J = 3.948 (region-map's J = 1.0133 j_min cell, beta = 0.1,
+    xi = 0) the radius falls to 1e-13 before the pole.  The regular
+    direction flow still passes theta = pi/2 at the engine's arrival time,
+    11.76 t0, to 1e-7 relative."""
+    p = ModelParams(beta=0.1, kappa=0.1, J=J_FOUND)
+    run = t_min_numeric(p, 0.0)
+    assert run.status == "reached"
+    assert run.time / p.t0 == pytest.approx(11.7612, abs=1e-4)
+    _, res = compile_u_control(p, (0.0, 1.2 * run.time), (0.0, 0.0))
+    q = res.trajectory(np.array([1.0 - 1e-7, 1.0 + 1e-7]) * run.time)
+    before, after = np.arctan2(q[:, 0], q[:, 1])
+    assert before < math.pi / 2 < after
 
 
 def test_compile_u_control_validation():
@@ -638,7 +670,8 @@ def test_compile_u_control_consistency():
     u_values = 0.3 * np.sin(math.pi * u_times / t_end)
     drive, res = compile_u_control(p, u_times, u_values, n_samples=301)
     ts = np.asarray(drive.ts)
-    thetas = res.trajectory(ts)[:, 2]
+    q = res.trajectory(ts)
+    thetas = np.arctan2(q[:, 0], q[:, 1])
     for k in (40, 150, 260):
         t = float(ts[k])
         seg = min(int(np.searchsorted(u_times, t, side="right")) - 1,

@@ -16,7 +16,8 @@ from tlspurify.integrator import integrate
 from tlspurify.liouville import qubit_purity, rwa_generator, simulate
 from tlspurify.model import (InitialStateSpec, ModelParams,
                              build_initial_state, mu_max, xi_max)
-from tlspurify.reduced import (make_rhs_rct, make_rhs_rct_phi, make_rhs_z,
+from tlspurify.optimal import initial_direction, t_min_numeric
+from tlspurify.reduced import (make_rhs_rct, make_rhs_s1, make_rhs_z,
                                simulate_z, spherical_to_z_s1, x_to_z,
                                z_generator, z_purity, z_purity_many,
                                z_to_spherical)
@@ -176,17 +177,23 @@ def test_rct_flow_matches_z_flow(params_bath):
     assert np.abs(sph - rct).max() < 1e-8
 
 
-def test_rct_phi_rhs_zero_control(params_bath):
-    rhs = make_rhs_rct_phi(params_bath, lambda t: 0.0)
-    d = rhs(0.0, np.array([0.1, 0.3, 0.2, 0.5]))
-    assert d.shape == (4,)
-    assert d[3] == 0.0
-    # with the control on, the tangent clamp keeps the azimuth rate
-    # finite hard against the pole
-    rhs_u = make_rhs_rct_phi(params_bath, lambda t: 0.5)
-    d_pole = rhs_u(0.0, np.array([0.1, 0.3, math.pi / 2 - 1e-12, 0.0]))
-    assert np.all(np.isfinite(d_pole))
-    assert abs(d_pole[3]) > 0.0
+@pytest.mark.parametrize("ratio", [1.0, 3.9])
+def test_s1_direction_flow_matches_z_flow(ratio):
+    """e^{-gamma t/2} q of the direction flow is (z[0] - c, z[1], eta - c)
+    of the resonant reduced run from the same correlated start, at every
+    accepted step through the pole and past it."""
+    p = ModelParams(kappa=0.1).with_gamma_over_j(ratio)
+    xi = 0.5 * xi_max(p)
+    z0 = x_to_z(build_initial_state(p, InitialStateSpec(xi_re=xi)).x)
+    t_end = 1.2 * t_min_numeric(p, xi).time
+    qres = integrate(make_rhs_s1(p), (0.0, t_end), initial_direction(p, xi),
+                     rtol=1e-10, atol=1e-10)
+    zs = simulate_z(p, z0, (0.0, t_end), dense=True).trajectory(qres.t)
+    c = -0.5 * (zs[:, 3] + 1.0)
+    s = np.column_stack([zs[:, 0] - c, zs[:, 1], p.eta - c])
+    qs = qres.y * np.exp(-0.5 * p.gamma * qres.t)[:, None]
+    assert (qres.y[:, 1] < 0.0).any()         # past the pole
+    assert np.abs(qs - s).max() < 1e-9
 
 
 @pytest.mark.parametrize("detuning", [0.0, 0.25])
