@@ -7,7 +7,8 @@ Layers, from the full model down to closed forms:
 - ``liouville``   full 16-coordinate dynamics (rotating and lab frames)
 - ``reduced``     closed 8-coordinate dynamics and spherical coordinates
 - ``drive``       drive protocols (resonant, constant-detuning, tabulated)
-- ``integrator``  embedded Runge-Kutta stepper with events & dense output
+- ``integrator``  embedded Runge-Kutta stepper with events & dense output,
+                  and exact propagation of constant-coefficient flows
 - ``optimal``     pole times, stall analysis, coherence purity gain
 - ``verify``      self-check suite with measured residuals
 - ``sweeps``      table builders behind the CLI commands

@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--horizon", metavar="MULT", type=float,
                         help="give-up time in units of the lossless pole time")
     common.add_argument("--workers", metavar="N", type=int,
-                        help="worker processes for sweep fan-out")
+                        help="accepted for compatibility; changes nothing")
 
     parser = argparse.ArgumentParser(
         prog="tlspurify",

@@ -49,6 +49,13 @@ MAX_SAMPLES = 100_000
 #: The default and benchmark grids need at most 80
 MAX_COUNT = 500
 
+#: upper bound on purity-trace's 2 x sweep.mu_count x run.samples rows,
+#: which the two keys' own bounds allow up to 1e8: MAX_COUNT squared, the
+#: largest table region-map and coherence-map can emit.  At the bound,
+#: fresh on a 2-core x86_64 host, 125 mu values x 1000 samples take 2.2 s
+#: and 151 MB RSS, 2 x 62,500 samples 2.3 s and 156 MB
+MAX_ROWS = MAX_COUNT ** 2
+
 #: upper bound on run.horizon.  Below gamma = 4J the pole-time scan keeps
 #: its grid spacing, so its work grows linearly with the horizon: at 1000
 #: one gamma = 4J cell scans 25,600 intervals (26,001 closed-form

@@ -7,24 +7,21 @@ pole time is infinite carries the label "divergent", a state outside the
 positivity boundary carries "unphysical", and a region cell whose pole
 comes only after the horizon carries "U".
 
-Fan-out: the cells of a sweep are split into contiguous batches, one per
-worker, and each worker runs its whole batch through one array-valued
-engine call (optimal.first_events or optimal.region_labels; coherence-map
-batches its rows' pole times the same way, then takes one exponential
-per row).  The engine gives each cell the result of its own batch of one,
-and the results are reassembled in grid order, so the emitted bytes do
-not depend on the worker count.
+One process: each sweep hands its whole grid to one array-valued engine
+call (optimal.first_events or optimal.region_labels; coherence-map takes
+its rows' pole times the same way, then one exponential per row), and the
+engine gives each cell the result of its own batch of one.  So the emitted
+bytes do not depend on how a grid is cut, and run.workers changes nothing.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, SweepAxis
+from .config import MAX_ROWS, ConfigError, RunConfig, SweepAxis
 from .drive import ConstantDrive
 from .liouville import qubit_purity, simulate, tls_purity
 from .model import (InitialStateSpec, ModelParams, build_initial_state,
@@ -39,76 +36,8 @@ __all__ = ["simulate_trace", "scan_gamma", "scan_beta", "region_map",
            "coherence_map", "purity_trace", "verify_table"]
 
 
-# ====================================================================
-# Worker fan-out
-# ====================================================================
-
-def _pool_size(workers: int, n_jobs: int) -> int:
-    """Processes to start: never more than the jobs or the cores."""
-    return max(1, min(workers, n_jobs, os.cpu_count() or 1))
-
-
-def _fan_out(worker, jobs: list, workers: int) -> list:
-    """Run worker over jobs, preserving order; static contiguous chunks."""
-    size = _pool_size(workers, len(jobs))
-    if size == 1:
-        return [worker(job) for job in jobs]
-    import multiprocessing as mp
-    chunk = -(-len(jobs) // size)
-    with mp.get_context("fork").Pool(size) as pool:
-        results = pool.map(worker, jobs, chunksize=chunk)
-        # let the workers exit on their own: the SIGTERM that leaving the
-        # block sends can land mid-start-up, and a worker that inherited
-        # a raising SIGTERM handler then hangs on exit
-        pool.close()
-        pool.join()
-    return results
-
-
-def _fan_out_batches(worker, cells: list, shared, workers: int) -> list:
-    """Run worker over contiguous batches of cells, one batch per worker,
-    as worker((batch, shared)) -> one result per cell; the results come
-    back in grid order."""
-    size = max(1, -(-len(cells) // _pool_size(workers, len(cells))))
-    batches = [(cells[k:k + size], shared) for k in range(0, len(cells), size)]
-    return [r for batch in _fan_out(worker, batches, workers) for r in batch]
-
-
-def _tmin_batch(job):
-    cells, horizon = job
-    params, xis = zip(*cells)
-    return [(run.time, run.status)
-            for run in first_events(params, xis, horizon)]
-
-
-def _region_batch(job):
-    cells, horizon = job
-    params, xis = zip(*cells)
-    return region_labels(params, xis, horizon)
-
-
-def _gain_rows(job):
-    """Rows of the coherence map: one batched pole-time run for the
-    rows' leads, then one exponential per row for all its physical mu
-    cells."""
-    rows, (mus, horizon) = job
-    params, xis, _ = zip(*rows)
-    out = []
-    for (p, xi, cap), lead in zip(rows, first_events(params, xis, horizon)):
-        cells: list[object] = ["unphysical" if mu > cap else "divergent"
-                               for mu in mus]
-        if lead.status == "reached":
-            phys = [k for k, mu in enumerate(mus) if mu <= cap]
-            gains = pole_gains(p, xi, [mus[k] for k in phys], lead.time)
-            for k, gain in zip(phys, gains[:, 0].tolist()):
-                cells[k] = gain
-        out.append(cells)
-    return out
-
-
-def _trace_job(job):
+def _trace(params, xi, mu, t_end, n, rtol, atol):
     """Purity samples of one reduced run."""
-    params, xi, mu, t_end, n, rtol, atol = job
     state = build_initial_state(params, InitialStateSpec(mu_q=mu, xi_re=xi))
     res = simulate_z(params, x_to_z(state.x), (0.0, t_end), rtol=rtol,
                      atol=atol, dense=True)
@@ -179,19 +108,19 @@ def scan_gamma(cfg: RunConfig) -> Table:
     xi_val = xi_max(base)           # thermal populations do not move with gamma
     ratios = axis.values()
 
-    cells = [(base.with_gamma_over_j(float(g)), xi_val) for g in ratios]
-    correlated = _fan_out_batches(_tmin_batch, cells, cfg.horizon,
-                                  cfg.workers)
+    correlated = first_events([base.with_gamma_over_j(float(g))
+                               for g in ratios], [xi_val] * len(ratios),
+                              cfg.horizon)
 
     table = Table("scan-gamma",
                   ["gamma_over_j", "gamma",
                    "t_over_t0_uncorrelated", "t_over_t0_correlated"],
                   metadata={"t0": t0, "xi_max": xi_val, "J": base.J})
-    for g, (t_corr, status) in zip(ratios, correlated):
+    for g, run in zip(ratios, correlated):
         gamma = float(g) * base.J
         t_unc = t_min_from_rates(base.J, gamma)
         cell_unc = t_unc / t0 if math.isfinite(t_unc) else "divergent"
-        cell_corr = t_corr / t0 if status == "reached" else "divergent"
+        cell_corr = run.time / t0 if run.status == "reached" else "divergent"
         table.add(float(g), gamma, cell_unc, cell_corr)
     return table
 
@@ -214,12 +143,9 @@ def scan_beta(cfg: RunConfig) -> Table:
     t0 = base.t0
     betas = axis.values()
 
-    cells = []
-    for b in betas:
-        p = replace(base, beta=float(b))
-        cells.append((p, xi_max(p)))
-    correlated = _fan_out_batches(_tmin_batch, cells, cfg.horizon,
-                                  cfg.workers)
+    params = [replace(base, beta=float(b)) for b in betas]
+    xis = [xi_max(p) for p in params]
+    correlated = first_events(params, xis, cfg.horizon)
 
     meta = {"t0": t0, "J": base.J, "kappa": base.kappa}
     star = _beta_star(base)
@@ -229,10 +155,10 @@ def scan_beta(cfg: RunConfig) -> Table:
                   ["beta", "gamma", "xi_max",
                    "t_over_t0_uncorrelated", "t_over_t0_correlated"],
                   metadata=meta)
-    for b, (p, xi), (t_corr, status) in zip(betas, cells, correlated):
+    for b, p, xi, run in zip(betas, params, xis, correlated):
         t_unc = t_min_from_rates(p.J, p.gamma)
         cell_unc = t_unc / t0 if math.isfinite(t_unc) else "divergent"
-        cell_corr = t_corr / t0 if status == "reached" else "divergent"
+        cell_corr = run.time / t0 if run.status == "reached" else "divergent"
         table.add(float(b), p.gamma, xi, cell_unc, cell_corr)
     return table
 
@@ -254,15 +180,14 @@ def region_map(cfg: RunConfig) -> Table:
     jm = j_min(gamma)
     xi_cap = xi_max(base)
 
-    jobs = []
     cells = []
+    params = []
     for jf in j_axis.values():
         p = replace(base, J=float(jf) * jm)
         for xf in x_axis.values():
-            xi = float(xf) * xi_cap
-            cells.append((float(jf), p.J, float(xf), xi))
-            jobs.append((p, xi))
-    labels = _fan_out_batches(_region_batch, jobs, cfg.horizon, cfg.workers)
+            cells.append((float(jf), p.J, float(xf), float(xf) * xi_cap))
+            params.append(p)
+    labels = region_labels(params, [xi for *_, xi in cells], cfg.horizon)
 
     table = Table("region-map",
                   ["j_frac", "J", "xi_frac", "xi", "region"],
@@ -288,21 +213,24 @@ def coherence_map(cfg: RunConfig) -> Table:
     mu_cap0 = mu_max(params, 0.0)
     mus = [float(mf) * mu_cap0 for mf in m_axis.values()]
 
-    rows = []
-    jobs = []
-    for xf in x_axis.values():
-        xi = float(xf) * xi_cap
-        cap = mu_max(params, xi)
-        rows.append((float(xf), xi, cap))
-        jobs.append((params, xi, cap))
-    results = _fan_out_batches(_gain_rows, jobs, (mus, cfg.horizon),
-                               cfg.workers)
+    xfs = [float(xf) for xf in x_axis.values()]
+    xis = [xf * xi_cap for xf in xfs]
+    leads = first_events([params] * len(xis), xis, cfg.horizon)
 
     table = Table("coherence-map",
                   ["xi_frac", "xi", "mu_q", "mu_max", "delta_p"],
                   metadata={"xi_max": xi_cap, "mu_max_uncorrelated": mu_cap0,
                             "t0": params.t0})
-    for (xf, xi, cap), cells in zip(rows, results):
+    for xf, xi, lead in zip(xfs, xis, leads):
+        # one exponential per row for all its physical mu cells
+        cap = mu_max(params, xi)
+        cells: list[object] = ["unphysical" if mu > cap else "divergent"
+                               for mu in mus]
+        if lead.status == "reached":
+            phys = [k for k, mu in enumerate(mus) if mu <= cap]
+            gains = pole_gains(params, xi, [mus[k] for k in phys], lead.time)
+            for k, gain in zip(phys, gains[:, 0].tolist()):
+                cells[k] = gain
         for mu, cell in zip(mus, cells):
             table.add(xf, xi, float(mu), cap, cell)
     return table
@@ -317,40 +245,40 @@ def purity_trace(cfg: RunConfig) -> Table:
     coherence and at half the maximal one.  Metadata carries the two
     reference levels: the defect's thermal purity and the largest purity
     the trace family attains at its pole time."""
+    rows = 2 * cfg.mu_count * cfg.samples
+    if rows > MAX_ROWS:
+        raise ConfigError("bad-value",
+                          f"purity-trace emits 2 x sweep.mu_count x "
+                          f"run.samples rows: {rows} is above {MAX_ROWS}",
+                          "sweep.mu_count")
     params = _coupled(cfg.params())
-    xi_half = 0.5 * xi_max(params)
-    a_t, _ = params.tls_populations
-    p_tls0 = 0.5 + 2.0 * (a_t - 0.5) ** 2
-
-    table = Table("purity-trace", ["xi", "mu_q", "t", "purity"],
-                  metadata={"p_tls_initial": p_tls0})
-    jobs = []
-    layout = []
-    for tag, xi in (("xi0", 0.0), ("xihalf", xi_half)):
-        lead = t_min_numeric(params, xi, horizon_mult=cfg.horizon)
+    xis = {"xi0": 0.0, "xihalf": 0.5 * xi_max(params)}
+    leads = first_events([params] * 2, list(xis.values()), cfg.horizon)
+    for xi, lead in zip(xis.values(), leads):
         if lead.status != "reached":
             raise ValueError(
                 f"purity-trace needs a reachable pole; status "
                 f"{lead.status!r} at xi = {xi} (gamma/J = "
                 f"{params.gamma / params.J:.3f})")
+    a_t, _ = params.tls_populations
+    p_tls0 = 0.5 + 2.0 * (a_t - 0.5) ** 2
+
+    table = Table("purity-trace", ["xi", "mu_q", "t", "purity"],
+                  metadata={"p_tls_initial": p_tls0})
+    for (tag, xi), lead in zip(xis.items(), leads):
         cap = mu_max(params, xi)
         t_end = 1.15 * lead.time
         table.metadata[f"t_pole_{tag}"] = lead.time
+        # reference level: the top-coherence trace's purity at the pole
+        top = _trace(params, xi, cap, lead.time, 2, cfg.rel_tol, cfg.abs_tol)
+        table.metadata[f"p_max_{tag}"] = float(top[-1])
+        ts = np.linspace(0.0, t_end, cfg.samples)
         for frac in np.linspace(0.0, 1.0, cfg.mu_count):
             mu = float(frac) * cap
-            layout.append((xi, mu, t_end))
-            jobs.append((params, xi, mu, t_end, cfg.samples,
-                         cfg.rel_tol, cfg.abs_tol))
-        # reference level: the top-coherence trace's purity at the pole
-        top = _trace_job((params, xi, cap, lead.time, 2,
-                          cfg.rel_tol, cfg.abs_tol))
-        table.metadata[f"p_max_{tag}"] = float(top[-1])
-    traces = _fan_out(_trace_job, jobs, cfg.workers)
-
-    for (xi, mu, t_end), ps in zip(layout, traces):
-        ts = np.linspace(0.0, t_end, cfg.samples)
-        for t, p in zip(ts, ps):
-            table.add(float(xi), float(mu), float(t), float(p))
+            ps = _trace(params, xi, mu, t_end, cfg.samples, cfg.rel_tol,
+                        cfg.abs_tol)
+            for t, p in zip(ts, ps):
+                table.add(float(xi), float(mu), float(t), float(p))
     return table
 
 

@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 import tlspurify
-from tlspurify.config import RunConfig
+from tlspurify.cli import main as cli_main
+from tlspurify.config import MAX_ROWS, ConfigError, RunConfig
 from tlspurify.model import mu_max
 from tlspurify.optimal import delta_p, t_min_analytic
 from tlspurify.output import write_table
-from tlspurify.sweeps import (_fan_out, _fan_out_batches, coherence_map,
-                              purity_trace, region_map, scan_beta,
-                              scan_gamma, simulate_trace)
+from tlspurify.sweeps import (coherence_map, purity_trace, region_map,
+                              scan_beta, scan_gamma, simulate_trace)
 
 T0 = 15.707963267948966                 # pi / (2 J) at J = 0.1
 RATIO_AT_2 = 1.5396007178390019         # t_min / t0 at gamma / J = 2
@@ -275,106 +275,95 @@ def test_purity_trace_needs_reachable_pole():
         purity_trace(_cfg(model={"J": 0.02}))   # gamma / J > 4
 
 
-# ====================================================================
-# Worker fan-out
-# ====================================================================
+def test_purity_trace_rows_are_bounded():
+    """2 x mu_count x samples rows: each key passes its own bound here,
+    but together they are 4 rows past MAX_ROWS, so nothing runs."""
+    cfg = _cfg(run={"samples": MAX_ROWS // 4 + 1}, sweep={"mu_count": 2})
+    with pytest.raises(ConfigError) as exc:
+        purity_trace(cfg)
+    assert (exc.value.code, exc.value.parameter) == ("bad-value",
+                                                     "sweep.mu_count")
 
-def _tag_job(x):
-    return (x, x * x)
 
+# ====================================================================
+# Worker count
+# ====================================================================
 
 def test_fan_out_preserves_order():
-    jobs = list(range(7))
-    serial = _fan_out(_tag_job, jobs, 1)
-    forked = _fan_out(_tag_job, jobs, 3)        # chunks of 3, 3, 1
-    assert serial == [(x, x * x) for x in jobs]
-    assert forked == serial
+    """Sweep rows come out in grid order whatever the worker count."""
+    def rows(workers: int):
+        cfg = _cfg(run={"workers": workers}, sweep={"axes": [
+            {"name": "gamma_over_j", "start": 4.4, "stop": 0.0, "count": 7},
+            {"name": "j_frac", "start": 0.6, "stop": 1.05, "count": 3},
+            {"name": "xi_frac", "start": 1.0, "stop": 0.0, "count": 4}]})
+        return scan_gamma(cfg).rows, region_map(cfg).rows
+
+    gammas, regions = rows(1)
+    assert [r[0] for r in gammas] == np.linspace(4.4, 0.0, 7).tolist()
+    assert [(r[0], r[2]) for r in regions] == [
+        (jf, xf) for jf in np.linspace(0.6, 1.05, 3).tolist()
+        for xf in np.linspace(1.0, 0.0, 4).tolist()]
+    assert rows(3) == (gammas, regions)
 
 
-_FAN_OUT_UNDER_SIGTERM_HANDLER = """
+_SWEEP_UNDER_SIGTERM_HANDLER = """
+import os
 import signal
-from tlspurify.sweeps import _fan_out
+from tlspurify.cli import main
 
 def stop(signum, frame):
     raise SystemExit(128 + signum)
 
-def square(x):
-    return x * x
-
 signal.signal(signal.SIGTERM, stop)
-for _ in range(150):
-    assert _fan_out(square, [1, 2], 2) == [1, 4]
+for _ in range(20):
+    assert main(["scan-gamma", "--workers", "2", "--out", os.devnull]) == 0
 """
 
 
 def test_fan_out_survives_inherited_sigterm_handler():
-    """Workers forked from a process whose SIGTERM handler raises must
-    still shut down: fast jobs used to leave one hanging on exit."""
+    """A sweep at --workers 2 in a process whose SIGTERM handler raises
+    finishes: there is no worker to shut down."""
     src = str(Path(tlspurify.__file__).resolve().parents[1])
-    proc = subprocess.Popen([sys.executable, "-c", _FAN_OUT_UNDER_SIGTERM_HANDLER],
+    proc = subprocess.Popen([sys.executable, "-c", _SWEEP_UNDER_SIGTERM_HANDLER],
                             env={**os.environ, "PYTHONPATH": src},
                             stderr=subprocess.PIPE, start_new_session=True)
     try:
         _, err = proc.communicate(timeout=60)
     except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)     # the hung worker too
+        os.killpg(proc.pid, signal.SIGKILL)     # and anything it started
         proc.communicate()
-        pytest.fail("fan-out hung with an inherited SIGTERM handler")
+        pytest.fail("a sweep hung under an inherited SIGTERM handler")
     assert proc.returncode == 0, err.decode()
 
 
-def test_fan_out_never_outgrows_cores_or_jobs(monkeypatch):
-    """The pool starts min(workers, jobs, cores) processes, and none for
-    one; the batches follow the same count.  A fake context records the
-    sizes, so no extreme worker count ever runs."""
+def test_fan_out_never_outgrows_cores_or_jobs(monkeypatch, tmp_path,
+                                              capsys):
+    """Every command runs in the calling process at any worker count:
+    with process creation made to raise, each still writes its table at
+    --workers 10**9."""
     import multiprocessing
 
-    sizes = []
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep started a process")
 
-    class FakePool:
-        def __init__(self, size):
-            sizes.append(size)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize):
-            return [fn(job) for job in jobs]
-
-        def close(self):
-            pass
-
-        def join(self):
-            pass
-
-    class FakeContext:
-        Pool = FakePool
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda _: FakeContext)
-    for cores, workers, n_jobs, started in ((2, 8, 45, [2]),
-                                            (4, 10**9, 3, [3]),
-                                            (64, 2, 10, [2]),
-                                            (None, 8, 10, []),
-                                            (2, 8, 1, [])):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        sizes.clear()
-        assert _fan_out(abs, list(range(-n_jobs, 0)), workers) \
-            == list(range(n_jobs, 0, -1))
-        assert sizes == started
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    batches = []
-
-    def record(job):
-        batches.append(len(job[0]))
-        return job[0]
-
-    assert _fan_out_batches(record, list(range(45)), None, 10**9) \
-        == list(range(45))
-    assert batches == [23, 22]
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    cfg = tmp_path / "small.yaml"
+    cfg.write_text("run:\n  samples: 11\n  horizon: 2.0\n"
+                   "sweep:\n  mu_count: 2\n  axes:\n"
+                   "    - {name: gamma_over_j, start: 1.0, stop: 4.4, count: 3}\n"
+                   "    - {name: beta, start: 0.5, stop: 2.0, count: 3}\n"
+                   "    - {name: j_frac, start: 0.6, stop: 1.05, count: 3}\n"
+                   "    - {name: xi_frac, start: 0.0, stop: 1.0, count: 3}\n"
+                   "    - {name: mu_frac, start: 0.0, stop: 1.0, count: 3}\n")
+    for command in ("simulate", "scan-gamma", "scan-beta", "region-map",
+                    "coherence-map", "purity-trace", "verify"):
+        assert cli_main([command, "--config", str(cfg),
+                         "--workers", str(10**9)]) == 0, command
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"# {command}\n")
+        assert captured.err == ""
 
 
 def test_workers_do_not_change_bytes():
@@ -395,8 +384,7 @@ def test_workers_do_not_change_bytes():
 
 
 def test_workers_do_not_change_region_map_bytes():
-    """Each worker classifies one contiguous batch of cells; the labels
-    do not depend on how the grid is cut."""
+    """The labels do not depend on the worker count."""
     def render(workers: int) -> str:
         cfg = _cfg(run={"workers": workers}, sweep={"axes": [
             {"name": "j_frac", "start": 0.6, "stop": 1.05, "count": 7},
