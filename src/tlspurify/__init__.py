@@ -9,32 +9,51 @@ Layers, from the full model down to closed forms:
 - ``drive``       drive protocols (resonant, constant-detuning, tabulated)
 - ``integrator``  embedded Runge-Kutta stepper with events & dense output,
                   and exact propagation of constant-coefficient flows
-- ``optimal``     pole times, stall analysis, coherence purity gain
+- ``pole``        closed-form engine of the u == 0 flow: pole times and
+                  stall labels, on numpy and ``model`` alone
+- ``optimal``     coherence purity gain, stall analysis, u-control
+                  compilation; re-exports the ``pole`` names
 - ``verify``      self-check suite with measured residuals
-- ``sweeps``      table builders behind the CLI commands
+- ``scans``       the pole-engine sweeps: scan-gamma, scan-beta, region-map
+- ``sweeps``      the other table builders behind the CLI
 - ``cli``         the ``tlspurify`` command
+
+Importing the package loads none of its modules.  Each name of
+``__all__`` is imported from its home module on first access (PEP 562),
+so ``import tlspurify.cli`` costs only the CLI, the config and the
+writer, and a command loads the modules its driver uses.
 """
 
-from .drive import ConstantDrive, Drive, TableDrive, resonant
-from .integrator import EventSpec, IvpResult, StepStats, Trajectory, integrate
-from .liouville import (qubit_purity, qubit_reduced, rwa_generator, simulate,
-                        tls_purity, tls_reduced)
-from .model import (BathRates, DensityState, InitialStateSpec, ModelParams,
-                    bath_rates, build_initial_state, matrix_to_x,
-                    min_eigenvalue, mu_max, thermal_populations, x_to_matrix,
-                    xi_max)
-from .optimal import (classify_region, classify_regime, compile_u_control,
-                      delta_from_u, delta_p, first_events, fixed_point_theta,
-                      initial_spherical, is_divergent, j_min, pole_gains,
-                      pole_purity_ceiling, region_labels, s2_first_zero,
-                      s2_resonant_solution, stall_cosine, t_min_analytic,
-                      t_min_from_rates, t_min_numeric,
-                      uncorrelated_pole_purity, xi_fixed)
-from .reduced import (make_rhs_s1, make_rhs_z, simulate_z, spherical_to_z_s1,
-                      x_to_z, z_generator, z_purity, z_to_spherical)
-from .verify import CheckResult, run_suite, suite_passed
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+#: home module of every name the package root resolves: those of __all__,
+#: and xi_max, which the root has always offered outside __all__
+_EXPORTS = {
+    "drive": ("ConstantDrive", "Drive", "TableDrive", "resonant"),
+    "integrator": ("EventSpec", "IvpResult", "Trajectory", "integrate"),
+    "liouville": ("qubit_purity", "qubit_reduced", "rwa_generator",
+                  "simulate", "tls_purity", "tls_reduced"),
+    "model": ("BathRates", "DensityState", "InitialStateSpec", "ModelParams",
+              "StepStats", "bath_rates", "build_initial_state",
+              "matrix_to_x", "min_eigenvalue", "mu_max",
+              "thermal_populations", "x_to_matrix", "xi_max"),
+    "optimal": ("compile_u_control", "delta_from_u", "delta_p",
+                "fixed_point_theta", "pole_gains", "pole_purity_ceiling",
+                "s2_first_zero", "s2_resonant_solution",
+                "uncorrelated_pole_purity", "xi_fixed"),
+    "pole": ("classify_region", "classify_regime", "first_events",
+             "initial_spherical", "is_divergent", "j_min", "region_labels",
+             "stall_cosine", "t_min_analytic", "t_min_from_rates",
+             "t_min_numeric"),
+    "reduced": ("make_rhs_s1", "make_rhs_z", "simulate_z",
+                "spherical_to_z_s1", "x_to_z", "z_generator", "z_purity",
+                "z_to_spherical"),
+    "verify": ("CheckResult", "run_suite", "suite_passed"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
 
 __all__ = [
     "BathRates", "CheckResult", "ConstantDrive", "DensityState", "Drive",
@@ -52,3 +71,16 @@ __all__ = [
     "tls_reduced", "uncorrelated_pole_purity", "x_to_matrix", "x_to_z",
     "xi_fixed", "z_generator", "z_purity", "z_to_spherical", "__version__",
 ]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

@@ -17,20 +17,32 @@ import sys
 
 import numpy as np
 
-from . import sweeps
 from .config import ConfigError, choices, load_config
 from .output import emit_error, write_table
 
 __all__ = ["main", "build_parser"]
 
+
+def _driver(module: str, name: str):
+    """The driver `name` of the package module `module`, imported when the
+    command runs: a pole-time scan never loads the integrator stack.
+    (__import__ rather than importlib.import_module, so that
+    ``python -X importtime`` lists the driver module too.)"""
+    def run(cfg):
+        found = __import__(f"{__package__}.{module}", fromlist=[name])
+        return getattr(found, name)(cfg)
+    return run
+
+
 _COMMANDS = {
-    "simulate": sweeps.simulate_trace,
-    "scan-gamma": sweeps.scan_gamma,
-    "scan-beta": sweeps.scan_beta,
-    "region-map": sweeps.region_map,
-    "coherence-map": sweeps.coherence_map,
-    "purity-trace": sweeps.purity_trace,
+    "simulate": _driver("sweeps", "simulate_trace"),
+    "scan-gamma": _driver("scans", "scan_gamma"),
+    "scan-beta": _driver("scans", "scan_beta"),
+    "region-map": _driver("scans", "region_map"),
+    "coherence-map": _driver("sweeps", "coherence_map"),
+    "purity-trace": _driver("sweeps", "purity_trace"),
 }
+_VERIFY = _driver("sweeps", "verify_table")
 
 _HELP = {
     "simulate": "integrate one full-model trajectory and emit it",
@@ -100,7 +112,7 @@ def _run(args: argparse.Namespace) -> int:
         cfg = cfg.override(**overrides)
 
         if args.command == "verify":
-            table, ok = sweeps.verify_table(cfg)
+            table, ok = _VERIFY(cfg)
             write_table(table, cfg)
             if not ok:
                 emit_error("verify-failed",

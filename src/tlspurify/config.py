@@ -16,19 +16,21 @@ ceilings (xi_max, mu_max at zero cross coherence, and the smallest
 pole-reaching coupling, respectively).
 """
 
+import functools
 import json
 import math
 import operator
 import re
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import get_args
+from typing import TYPE_CHECKING, get_args
 
 import numpy as np
-import yaml
 
-from .drive import ConstantDrive, Drive, resonant
 from .model import InitialStateSpec, ModelParams, ParamError
+
+if TYPE_CHECKING:
+    from .drive import Drive
 
 __all__ = ["ConfigError", "SweepAxis", "RunConfig", "load_config",
            "choices", "AXIS_NAMES"]
@@ -218,7 +220,10 @@ class RunConfig:
     def state_spec(self) -> InitialStateSpec:
         return InitialStateSpec(**self._section("state"))
 
-    def drive(self) -> Drive:
+    def drive(self) -> "Drive":
+        # imported here: the pole-time sweeps never build a drive
+        from .drive import ConstantDrive, resonant
+
         if self.epsilon is None:
             return resonant()
         return ConstantDrive(self.epsilon - (self.omega_tls - self.omega_q))
@@ -319,15 +324,19 @@ def choices(name: str) -> tuple[str, ...]:
     return _TABLE[_DOTTED[name]].metadata["choices"]
 
 
-class _Loader(yaml.SafeLoader):
+@functools.cache
+def _loader(yaml):
     """SafeLoader with the YAML 1.2 float syntax, under which 1e6 and
     1.0e6 are numbers (YAML 1.1 wants a dot and a signed exponent)."""
 
+    class Loader(yaml.SafeLoader):
+        pass
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
-    list("-+.0123456789"))
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+        list("-+.0123456789"))
+    return Loader
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -338,8 +347,10 @@ def load_config(path: str | Path | None) -> RunConfig:
     if not p.exists():
         raise ConfigError("missing-file", f"config file not found: {p}",
                           str(p))
+    import yaml     # only a run with a config file needs the parser
+
     try:
-        raw = yaml.load(p.read_text(), Loader=_Loader)
+        raw = yaml.load(p.read_text(), Loader=_loader(yaml))
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         # ValueError: an integer past Python's digit limit;
         # RecursionError: nesting deeper than the composer can follow

@@ -26,6 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .model import StepStats
+
 # ====================================================================
 # Butcher tableau (Dormand-Prince 5(4))
 # ====================================================================
@@ -67,13 +69,6 @@ MAX_STEPS = 20_000
 # ====================================================================
 # Result containers
 # ====================================================================
-
-@dataclass
-class StepStats:
-    accepted: int = 0
-    rejected: int = 0
-    n_eval: int = 0
-
 
 @dataclass(frozen=True)
 class EventSpec:

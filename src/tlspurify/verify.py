@@ -191,18 +191,19 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
     checks.append(_check("pole-time-closed-form", worst, 1e-12,
                          "worst relative gap at gamma/J = 1, 2, 3.5", tot))
 
-    # -- purity on pole arrival ---------------------------------------
-    resid = abs(bare.purity - uncorrelated_pole_purity(params))
-    checks.append(_check("pole-purity", resid, 1e-5,
-                         "gap to the bath-polarization value", bare.stats))
-
-    # -- no coherence gain without correlation ------------------------
-    # the gain is read at the bare start's pole; where that start never
-    # reaches it (gamma >= 4J, or a pole past the horizon) the check runs
+    # the two checks below read the bare start's pole; where that start
+    # never reaches it (gamma >= 4J, or a pole past the horizon) they run
     # at gamma/J = 2 instead, the fixed ratio of the closed-form checks
     p, lead = params, bare
     if bare.status != "reached":
         p, lead = fixed[1], runs[1]
+
+    # -- purity on pole arrival ---------------------------------------
+    resid = abs(lead.purity - uncorrelated_pole_purity(p))
+    checks.append(_check("pole-purity", resid, 1e-5,
+                         "gap to the bath-polarization value", lead.stats))
+
+    # -- no coherence gain without correlation ------------------------
     gain = math.nan
     if lead.status == "reached":
         gain = delta_p(p, 0.0, mu_max(p, 0.0), rtol=rtol, atol=atol,

@@ -10,7 +10,7 @@ against the package's lab Liouvillian.
 The pole-time oracle integrates the regular S1 direction flow
 q' = N(2J) q (reduced.make_rhs_s1) on the adaptive integrator and watches
 its events, a path independent of the closed-form solution of the same
-flow behind optimal.t_min_numeric.
+flow behind pole.t_min_numeric.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 from tlspurify.integrator import EventSpec, StepStats, integrate
 from tlspurify.model import (InitialStateSpec, ModelParams, matrix_to_x,
                              min_eigenvalue, mu_max, xi_max)
-from tlspurify.optimal import (STALL_CURVATURE_TOL, _stall_curvature,
-                               initial_direction)
+from tlspurify.pole import (STALL_CURVATURE_TOL, _stall_curvature,
+                            initial_direction)
 from tlspurify.reduced import make_rhs_s1
 
 # ====================================================================
@@ -193,3 +193,34 @@ def s1_pole_run(params: ModelParams, xi: float = 0.0, *,
     f = math.exp(-b * res.t_final)
     return S1Run(status, res.t_final, f * math.hypot(w, v), eta - f * d,
                  math.atan2(w, v), res.stats)
+
+
+# ====================================================================
+# Reference CSV renderer: one isinstance chain per cell
+# ====================================================================
+
+def _reference_cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value reached the writer: {x!r}")
+    return f"{x:.16e}"
+
+
+def reference_csv(table, cfg) -> str:
+    """The CSV text of an output.Table, rendered cell by cell and joined
+    at once: the renderer the column-wise writer must match byte for
+    byte."""
+    lines = [f"# {table.command}"]
+    lines += [f"# {line}" for line in cfg.echo_lines()]
+    for key in sorted(table.metadata):
+        lines.append(f"# meta {key} = {_reference_cell(table.metadata[key])}")
+    lines.append(",".join(table.columns))
+    for row in table.rows:
+        lines.append(",".join(_reference_cell(v) for v in row))
+    return "\n".join(lines) + "\n"

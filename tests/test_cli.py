@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,6 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tlspurify
 from tlspurify import cli
 from tlspurify.cli import build_parser, main
 from tlspurify.config import AXIS_NAMES
@@ -100,6 +104,43 @@ def test_runtime_error_exit(capsys, tmp_path):
     err = json.loads(capsys.readouterr().err)
     assert err["code"] == "runtime-error"
     assert "pole" in err["message"]
+
+
+_IMPORTS_OF_THE_SCANS = """
+import json, os, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("tlspurify"))
+
+import tlspurify.cli as cli
+seen = {"import": loaded(), "yaml": "yaml" in sys.modules}
+for command in ("scan-gamma", "scan-beta", "region-map"):
+    assert cli.main([command, "--out", os.devnull]) == 0
+seen["scans"] = loaded()
+import tlspurify
+seen["unresolved"] = [n for n in tlspurify.__all__
+                      if getattr(tlspurify, n, None) is None]
+print(json.dumps(seen))
+"""
+
+
+def test_commands_load_only_what_they_run():
+    """In a fresh interpreter, importing the CLI loads no driver and no
+    YAML parser, and the three pole-engine scans never load the
+    integrator stack; every name of the package root still resolves."""
+    src = str(Path(tlspurify.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _IMPORTS_OF_THE_SCANS],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    seen = json.loads(proc.stdout)
+    assert seen["import"] == ["tlspurify", "tlspurify.cli", "tlspurify.config",
+                              "tlspurify.model", "tlspurify.output"]
+    assert not seen["yaml"]
+    stack = {f"tlspurify.{m}" for m in
+             ("integrator", "liouville", "reduced", "verify", "drive")}
+    assert not stack & set(seen["scans"])
+    assert seen["unresolved"] == []
 
 
 def test_runtime_error_from_driver(capsys, monkeypatch):

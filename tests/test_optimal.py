@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from tlspurify.model import ModelParams, build_initial_state, InitialStateSpec, mu_max, xi_max
-from tlspurify import optimal
+from tlspurify import pole
 from tlspurify.optimal import (CRITICAL_TOL, DeltaPResult, Threshold,
                                classify_region, classify_regime,
                                compile_u_control, delta_from_u, delta_p,
@@ -501,12 +501,12 @@ def test_scan_grid_matches_linspace():
     """The block scan sees each chunk's grid exactly as
     np.linspace(edge_j, edge_j+1, 513) of np.linspace(0, t_scan, chunks + 1)
     would give it, the chunk ends included."""
-    flow = optimal._DriftFlow(*(np.ones(3) for _ in range(6)))
+    flow = pole._DriftFlow(*(np.ones(3) for _ in range(6)))
     t_scan = np.array([0.0, 37.7, 1000.1])
     chunks = np.array([1.0, 1.0, 7.0])
     assert (t_scan[2] / 7.0) * 7.0 != t_scan[2]     # the last edge is t_scan
     flow._grid = (t_scan, chunks, t_scan / chunks)
-    n = optimal.SCAN_INTERVALS
+    n = pole.SCAN_INTERVALS
     for i in range(3):
         edges = np.linspace(0.0, t_scan[i], int(chunks[i]) + 1)
         want = np.concatenate([np.linspace(edges[j], edges[j + 1], n + 1)[:-1]

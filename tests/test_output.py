@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tlspurify import output
 from tlspurify.config import RunConfig
 from tlspurify.output import Table, emit_error, fmt_float, write_table
+
+from oracles import reference_csv
 
 
 def _demo_table() -> Table:
@@ -106,3 +114,108 @@ def test_emit_error(capsys):
     err = capsys.readouterr().err
     assert json.loads(err) == {"code": "bad-value", "message": "broken knob",
                                "parameter": "run.samples"}
+
+
+# ====================================================================
+# Column-wise CSV writer against the per-cell reference
+# ====================================================================
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1e-310, 1.7976931348623157e308, -1.7976931348623157e308,
+                1e-300, 0.1, 1 / 3]
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_EDGE_FLOATS))
+#: a float cell is a Python float or a numpy float64
+_FLOAT_CELLS = st.one_of(_FLOATS, _FLOATS.map(np.float64))
+_LABELS = st.sampled_from(["divergent", "unphysical", "A", "B", "C", "U"])
+_INTS = st.integers(-10 ** 20, 10 ** 20)
+#: what one column holds: the kinds the drivers emit, and anything at all
+_COLUMNS = st.sampled_from(["float", "float+label", "label", "bool", "int",
+                            "mixed"])
+_CELLS = {
+    "float": _FLOAT_CELLS,
+    "float+label": st.one_of(_FLOAT_CELLS, _LABELS),
+    "label": _LABELS,
+    "bool": st.booleans(),
+    "int": _INTS,
+    "mixed": st.one_of(_FLOAT_CELLS, _LABELS, st.booleans(), _INTS,
+                       st.floats(width=32, allow_nan=False,
+                                 allow_infinity=False).map(np.float32)),
+}
+
+
+@st.composite
+def _tables(draw) -> Table:
+    kinds = draw(st.lists(_COLUMNS, min_size=1, max_size=5))
+    metadata = draw(st.dictionaries(
+        st.text("abcdefgh_", min_size=1, max_size=6),
+        st.one_of(_FLOAT_CELLS, _LABELS, st.booleans(), _INTS), max_size=4))
+    table = Table("demo", [f"c{k}" for k in range(len(kinds))],
+                  metadata=metadata)
+    for _ in range(draw(st.integers(0, 12))):
+        table.add(*(draw(_CELLS[kind]) for kind in kinds))
+    return table
+
+
+def _written(table: Table, chunk_rows: int) -> tuple[str | None, bool]:
+    """(text, raised) of write_table on a fresh file, with the body cut
+    into chunks of chunk_rows rows; text is None when no file is left."""
+    saved = output.CHUNK_ROWS
+    output.CHUNK_ROWS = chunk_rows
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.csv"
+            try:
+                write_table(table, RunConfig.from_dict({}), out=path)
+                raised = False
+            except ValueError:
+                raised = True
+            return (path.read_text() if path.exists() else None), raised
+    finally:
+        output.CHUNK_ROWS = saved
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables(), chunk_rows=st.integers(1, 5))
+def test_csv_matches_per_cell_reference(table, chunk_rows):
+    """Float and float64 cells, -0.0, subnormals and extreme exponents,
+    labels inside float columns, bools, ints and metadata: the
+    column-wise writer gives the reference's bytes, in any chunking."""
+    text, raised = _written(table, chunk_rows)
+    assert not raised
+    assert text == reference_csv(table, RunConfig.from_dict({}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=_tables(), bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       as_numpy=st.booleans(), where=st.floats(0.0, 1.0),
+       in_metadata=st.booleans())
+def test_non_finite_cell_raises_before_any_byte(table, bad, as_numpy, where,
+                                                in_metadata):
+    """A NaN or infinity anywhere, in a float column or among labels or in
+    the metadata, raises and leaves no file."""
+    value = np.float64(bad) if as_numpy else bad
+    if in_metadata or not table.rows:
+        table.metadata["zz_bad"] = value
+    else:
+        k = int(where * (len(table.rows) * len(table.columns) - 1))
+        row, col = divmod(k, len(table.columns))
+        cells = list(table.rows[row])
+        cells[col] = value
+        table.rows[row] = tuple(cells)
+    with pytest.raises(ValueError):
+        reference_csv(table, RunConfig.from_dict({}))
+    assert _written(table, 2) == (None, True)
+
+
+def test_csv_writes_in_chunks(tmp_path):
+    """A body longer than one chunk goes out in several writes of at most
+    CHUNK_ROWS rows each, and their bytes are the reference's."""
+    table = Table("demo", ["t", "label", "flag"])
+    for k in range(2 * output.CHUNK_ROWS + 3):
+        table.add(k / 7.0, "divergent" if k % 5 else 0.5, k % 2 == 0)
+    cfg = RunConfig.from_dict({})
+    chunks = list(output._csv_chunks(table, cfg))
+    assert len(chunks) == 1 + 3
+    assert all(c.count("\n") <= output.CHUNK_ROWS for c in chunks[1:])
+    assert "".join(chunks) == reference_csv(table, cfg)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from tlspurify.config import RunConfig
 from tlspurify.reduced import make_rhs_z
@@ -91,3 +92,20 @@ def test_verify_table_reports_failure():
     assert table.metadata["all_passed"] is False
     flags = {r[0]: r[1] for r in table.rows}
     assert flags["full-vs-reduced"] is False
+
+
+@pytest.mark.parametrize("kappa", [0.362, 1.0])
+def test_pole_purity_past_critical_runs_at_ratio_two(kappa):
+    """Where the bare start never reaches the pole (its pole past the
+    horizon at kappa 0.362, gamma > 4J at 1.0), pole-purity is checked at
+    gamma/J = 2 instead of passing on a stop point that is no pole: it
+    reports the residual and step count the suite gives at gamma/J = 2."""
+    params = RunConfig.from_dict({"model": {"kappa": kappa}}).params()
+
+    def pole_purity(p):
+        return next(c for c in run_suite(p) if c.name == "pole-purity")
+
+    got = pole_purity(params)
+    want = pole_purity(params.with_gamma_over_j(2.0))
+    assert (got.residual, got.n_steps) == (want.residual, want.n_steps)
+    assert got.passed
