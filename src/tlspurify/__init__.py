@@ -7,8 +7,9 @@ Layers, from the full model down to closed forms:
 - ``liouville``   full 16-coordinate dynamics (rotating and lab frames)
 - ``reduced``     closed 8-coordinate dynamics and spherical coordinates
 - ``drive``       drive protocols (resonant, constant-detuning, tabulated)
-- ``integrator``  embedded Runge-Kutta stepper with events & dense output,
-                  and exact propagation of constant-coefficient flows
+- ``integrator``  embedded Runge-Kutta stepper with dense output, for
+                  time-dependent flows, and exact propagation of
+                  constant-coefficient flows
 - ``pole``        closed-form engine of the u == 0 flow: pole times and
                   stall labels, on numpy and ``model`` alone
 - ``optimal``     coherence purity gain, stall analysis, u-control
@@ -32,7 +33,7 @@ __version__ = "0.1.0"
 #: and xi_max, which the root has always offered outside __all__
 _EXPORTS = {
     "drive": ("ConstantDrive", "Drive", "TableDrive", "resonant"),
-    "integrator": ("EventSpec", "IvpResult", "Trajectory", "integrate"),
+    "integrator": ("IvpResult", "Trajectory", "integrate"),
     "liouville": ("qubit_purity", "qubit_reduced", "rwa_generator",
                   "simulate", "tls_purity", "tls_reduced"),
     "model": ("BathRates", "DensityState", "InitialStateSpec", "ModelParams",
@@ -55,22 +56,8 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}
 
-__all__ = [
-    "BathRates", "CheckResult", "ConstantDrive", "DensityState", "Drive",
-    "EventSpec", "InitialStateSpec", "IvpResult", "ModelParams", "StepStats",
-    "TableDrive", "Trajectory", "bath_rates", "build_initial_state",
-    "classify_region", "classify_regime", "compile_u_control", "delta_from_u",
-    "delta_p", "first_events", "fixed_point_theta", "initial_spherical",
-    "integrate", "is_divergent", "j_min", "make_rhs_s1", "make_rhs_z",
-    "matrix_to_x", "min_eigenvalue", "mu_max", "pole_gains",
-    "pole_purity_ceiling", "qubit_purity", "qubit_reduced",
-    "region_labels", "resonant", "run_suite", "rwa_generator",
-    "s2_first_zero", "s2_resonant_solution", "simulate", "simulate_z",
-    "spherical_to_z_s1", "stall_cosine", "suite_passed", "t_min_analytic",
-    "t_min_from_rates", "t_min_numeric", "thermal_populations", "tls_purity",
-    "tls_reduced", "uncorrelated_pole_purity", "x_to_matrix", "x_to_z",
-    "xi_fixed", "z_generator", "z_purity", "z_to_spherical", "__version__",
-]
+__all__ = sorted(name for name in _HOME if name != "xi_max")
+__all__.append("__version__")
 
 
 def __getattr__(name: str):

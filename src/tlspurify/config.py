@@ -35,7 +35,18 @@ if TYPE_CHECKING:
 __all__ = ["ConfigError", "SweepAxis", "RunConfig", "load_config",
            "choices", "AXIS_NAMES"]
 
-AXIS_NAMES = ("gamma_over_j", "beta", "xi_frac", "mu_frac", "j_frac")
+#: the domain of each sweep axis, as range keys of _BOUNDS that both of
+#: its endpoints must meet: past them a grid point has no model (beta,
+#: gamma or J out of range) or no positive initial state (xi past its
+#: ceiling, a negative fraction of a ceiling)
+AXIS_DOMAINS = {
+    "gamma_over_j": {"minimum": 0.0},
+    "beta": {"above": 0.0},
+    "xi_frac": {"minimum": 0.0, "maximum": 1.0},
+    "mu_frac": {"minimum": 0.0},
+    "j_frac": {"minimum": 0.0},
+}
+AXIS_NAMES = tuple(AXIS_DOMAINS)
 
 #: upper bound on run.samples.  A trace holds one row per sample (19
 #: floats for simulate, 2 x mu_count traces for purity-trace), and the
@@ -109,12 +120,7 @@ def _value(f: Field, value, key: str):
             raise ConfigError("bad-value",
                               f"{key} must be a string, got {value!r}", key)
     elif kind in (int, float):
-        value = _number(value, kind, key)
-        for bound, sign, holds in _BOUNDS:
-            if bound in spec and not holds(value, spec[bound]):
-                raise ConfigError("bad-value",
-                                  f"{key} must be {sign} {spec[bound]}, "
-                                  f"got {value}", key)
+        value = _in_range(_number(value, kind, key), spec, key)
     elif value is None:                     # the sweep axes
         value = ()
     elif isinstance(value, list):
@@ -122,6 +128,17 @@ def _value(f: Field, value, key: str):
                       for i, a in enumerate(value))
     else:
         raise ConfigError("bad-value", f"{key} must be a list", key)
+    return value
+
+
+def _in_range(value, spec, key: str):
+    """value, once it meets every range key of spec; raises ConfigError
+    naming key."""
+    for bound, sign, holds in _BOUNDS:
+        if bound in spec and not holds(value, spec[bound]):
+            raise ConfigError("bad-value",
+                              f"{key} must be {sign} {spec[bound]}, "
+                              f"got {value}", key)
     return value
 
 
@@ -171,6 +188,9 @@ class SweepAxis:
             f.name: _value(f, raw.get(f.name, None if f.default is MISSING
                                       else f.default), f"{where}.{f.name}")
             for f in fields(SweepAxis)})
+        for end in ("start", "stop"):
+            _in_range(getattr(axis, end), AXIS_DOMAINS[axis.name],
+                      f"{where}.{end}")
         if axis.scale == "log" and (axis.start <= 0.0 or axis.stop <= 0.0):
             raise ConfigError("bad-value",
                               f"{where}: log scale needs positive endpoints",

@@ -1,15 +1,16 @@
-"""Propagation of the flows: adaptive Dormand-Prince 5(4) integration with
-events and dense output, and exact propagation of constant-coefficient
-flows by the matrix exponential.
+"""Propagation of the flows: adaptive Dormand-Prince 5(4) integration
+with dense output, and exact propagation of constant-coefficient flows by
+the matrix exponential.
 
 The Runge-Kutta integrator is deliberately hand-rolled rather than wrapping
 scipy.integrate.solve_ivp: the analysis layer needs per-run
-acceptance/rejection statistics, event location with guard predicates (to
-tell a genuine crossing from a grazing stall), and an interpolant we
-control, all with byte-reproducible results independent of how work is
-distributed across processes.  The tableau is the classic DOPRI5 embedded
-pair; dense evaluation uses the cubic Hermite interpolant of each accepted
-step, whose error is far below the working tolerances here.
+acceptance/rejection statistics and an interpolant we control, all with
+byte-reproducible results independent of how work is distributed across
+processes.  It serves the runs whose coefficients change with time
+(tabulated drives, compiled u-controls) and the independent side of the
+verify checks.  The tableau is the classic DOPRI5 embedded pair; dense
+evaluation uses the cubic Hermite interpolant of each accepted step, whose
+error is far below the working tolerances here.
 
 A flow y' = A y + b with constant A and b needs no stepping: propagate()
 lays exact nodes y_{k+1} = e^{A h} y_k over the span and evaluates any time
@@ -21,8 +22,8 @@ alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -54,9 +55,6 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 5.0
 SAFETY = 0.9
 
-#: absolute time resolution of located events
-EVENT_TIME_TOL = 1e-10
-
 #: most attempted (accepted + rejected) steps of one integrate() run.
 #: Tolerances far below roundoff (rtol = atol = 1e-30) shrink the steps
 #: until the span takes forever, and no step ever underflows; past the cap
@@ -70,32 +68,6 @@ MAX_STEPS = 20_000
 # Result containers
 # ====================================================================
 
-@dataclass(frozen=True)
-class EventSpec:
-    """Scalar event g(t, y) watched for sign changes at accepted steps.
-
-    direction: +1 only rising crossings, -1 only falling, 0 both.
-    guard: optional predicate evaluated at the located crossing; a hit is
-        discarded when it returns False (used e.g. to demand a curvature
-        condition at a stationary point).
-    terminal: stop the run at the first accepted hit of this event.
-    """
-
-    fn: Callable[[float, np.ndarray], float]
-    name: str = ""
-    direction: int = 0
-    terminal: bool = False
-    guard: Callable[[float, np.ndarray], bool] | None = None
-
-
-@dataclass(frozen=True)
-class EventHit:
-    name: str
-    index: int          # position in the events sequence
-    t: float
-    y: np.ndarray
-
-
 class Trajectory:
     """Piecewise cubic Hermite view of the accepted steps of one run."""
 
@@ -103,10 +75,6 @@ class Trajectory:
         self.ts = ts            # (n+1,)
         self.ys = ys            # (n+1, dim)
         self.fs = fs            # (n+1, dim)
-
-    @property
-    def t_end(self) -> float:
-        return float(self.ts[-1])
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -124,10 +92,8 @@ class Trajectory:
 class IvpResult:
     t: np.ndarray                       # accepted step times, t[0] = t0
     y: np.ndarray                       # states at those times, shape (len(t), dim)
-    status: str                         # "completed" or "event"
     stats: StepStats
-    events: list[EventHit] = field(default_factory=list)
-    trajectory: Trajectory | ExactTrajectory | None = None
+    trajectory: Trajectory | ExactTrajectory
 
     @property
     def t_final(self) -> float:
@@ -136,12 +102,6 @@ class IvpResult:
     @property
     def y_final(self) -> np.ndarray:
         return self.y[-1]
-
-    def first_event(self, name: str) -> EventHit | None:
-        for hit in self.events:
-            if hit.name == name:
-                return hit
-        return None
 
 
 # ====================================================================
@@ -192,19 +152,6 @@ def _hermite(t, t0, h, y0, f0, y1, f1):
     return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
 
 
-def _locate_crossing(g, t0, t1, g0, g1):
-    """Bisect a scalar sign change to EVENT_TIME_TOL.  g0, g1 straddle 0."""
-    lo, hi, glo = t0, t1, g0
-    while hi - lo > EVENT_TIME_TOL:
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if (glo <= 0.0) == (gm <= 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def integrate(
     f: Callable[[float, np.ndarray], np.ndarray],
     t_span: tuple[float, float],
@@ -212,17 +159,11 @@ def integrate(
     *,
     rtol: float = 1e-10,
     atol: float = 1e-10,
-    events: Sequence[EventSpec] = (),
-    max_step: float = math.inf,
-    dense: bool = False,
 ) -> IvpResult:
     """Integrate y' = f(t, y) forward over t_span.
 
-    Accepted steps are recorded as-is (no resampling); use the trajectory
-    (dense=True) to evaluate in between.  Events are searched on each
-    accepted step via the Hermite interpolant and bisected to
-    EVENT_TIME_TOL; a terminal hit ends the run with the state advanced to
-    the located time by one clipped RK step.
+    Accepted steps are recorded as-is (no resampling); the trajectory
+    evaluates in between by the Hermite interpolant of each step.
     """
     t0, tf = float(t_span[0]), float(t_span[1])
     if not t0 < tf < math.inf:          # an endless span never ends the loop
@@ -233,22 +174,18 @@ def integrate(
     stats.n_eval += 1
     h = _initial_step(f, t0, y, fy, tf, atol, rtol)
     stats.n_eval += 1
-    h = min(h, max_step)
 
     ts = [t0]
     ys = [y.copy()]
     fs = [fy.copy()]
-    hits: list[EventHit] = []
-    g_prev = [ev.fn(t0, y) for ev in events]
     t = t0
-    status = "completed"
 
     while t < tf:
         if stats.accepted + stats.rejected >= MAX_STEPS:
             raise RuntimeError(f"integration past MAX_STEPS = {MAX_STEPS} "
                                f"attempted steps at t = {t:.6g} of {tf:.6g}:"
                                " the tolerances are too tight for the span")
-        h = min(h, tf - t, max_step)
+        h = min(h, tf - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise RuntimeError(f"step size underflow at t = {t:.6g}")
         y1, f1, err = _rk_step(f, t, y, fy, h)
@@ -262,54 +199,6 @@ def integrate(
         t1 = t + h
         if 0.0 < tf - t1 < 1e-14 * max(1.0, abs(t1)):
             t1 = tf             # a step clipped to tf fell short by roundoff
-
-        # ---- event search on [t, t1] -------------------------------
-        terminal_hit = None
-        if events:
-            step_hits = []
-            for idx, ev in enumerate(events):
-                g1v = ev.fn(t1, y1)
-                g0v = g_prev[idx]
-                crossed = (
-                    (ev.direction >= 0 and g0v < 0.0 <= g1v)
-                    or (ev.direction <= 0 and g0v > 0.0 >= g1v)
-                )
-                g_prev[idx] = g1v
-                if not crossed:
-                    continue
-
-                def g_interp(tt, _ev=ev):
-                    yy = _hermite(tt, t, h, y, fy, y1, f1)
-                    return _ev.fn(tt, yy)
-
-                t_star = _locate_crossing(g_interp, t, t1, g0v, g1v)
-                y_star = _hermite(t_star, t, h, y, fy, y1, f1)
-                if ev.guard is not None and not ev.guard(t_star, y_star):
-                    continue
-                step_hits.append(EventHit(ev.name, idx, t_star, y_star))
-            step_hits.sort(key=lambda hit: hit.t)
-            for hit in step_hits:
-                if events[hit.index].terminal:
-                    terminal_hit = hit
-                    break
-                hits.append(hit)
-
-        if terminal_hit is not None:
-            # advance to the event time with a fresh clipped step
-            h_ev = terminal_hit.t - t
-            if h_ev > 1e-13:
-                y_ev, f_ev, _ = _rk_step(f, t, y, fy, h_ev)
-                stats.n_eval += 6
-            else:
-                y_ev, f_ev = y.copy(), fy.copy()
-            hits.append(EventHit(terminal_hit.name, terminal_hit.index,
-                                 terminal_hit.t, y_ev))
-            ts.append(terminal_hit.t)
-            ys.append(y_ev)
-            fs.append(f_ev)
-            status = "event"
-            break
-
         ts.append(t1)
         ys.append(y1.copy())
         fs.append(f1.copy())
@@ -321,9 +210,8 @@ def integrate(
 
     t_arr = np.array(ts)
     y_arr = np.array(ys)
-    traj = Trajectory(t_arr, y_arr, np.array(fs)) if dense else None
-    return IvpResult(t=t_arr, y=y_arr, status=status, stats=stats,
-                     events=hits, trajectory=traj)
+    return IvpResult(t=t_arr, y=y_arr, stats=stats,
+                     trajectory=Trajectory(t_arr, y_arr, np.array(fs)))
 
 
 # ====================================================================
@@ -459,7 +347,6 @@ def propagate(
     *,
     b: np.ndarray | None = None,
     rotation: tuple[np.ndarray, float] | None = None,
-    dense: bool = False,
 ) -> IvpResult:
     """Exact solution of y' = A y + b (b = 0 when omitted) over t_span.
 
@@ -502,6 +389,5 @@ def propagate(
     for k in range(n):
         ys[k + 1] = step @ ys[k]
     traj = ExactTrajectory(a, ts, ys, dim, rotation)
-    return IvpResult(t=ts, y=traj.states(ts, ys), status="completed",
-                     stats=StepStats(accepted=n, n_eval=n),
-                     trajectory=traj if dense else None)
+    return IvpResult(t=ts, y=traj.states(ts, ys),
+                     stats=StepStats(accepted=n, n_eval=n), trajectory=traj)

@@ -16,7 +16,7 @@ A constant drive gives constant coefficients in both frames, so simulate
 propagates it exactly (integrator.propagate); a detuning delta becomes
 constant in the frame that co-rotates at delta about K = FIELD_FRAME/2,
 because e^{phi K} C e^{-phi K} = cos(phi) C + sin(phi) D and K commutes
-with A and B.  Tabulated drives and runs with events are integrated.
+with A and B.  Tabulated drives are integrated.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .drive import ConstantDrive, Drive, resonant
-from .integrator import EventSpec, IvpResult, integrate, propagate
+from .integrator import IvpResult, integrate, propagate
 from .model import DensityState, ModelParams, matrix_to_x, x_to_matrix
 
 # ====================================================================
@@ -220,30 +220,27 @@ def simulate(
     frame: str = "rwa",
     rtol: float = 1e-10,
     atol: float = 1e-10,
-    events: tuple[EventSpec, ...] = (),
-    dense: bool = False,
 ) -> IvpResult:
     """Evolve a density state over t_span in the chosen frame.
 
-    A constant drive without events is propagated exactly, and rtol and
-    atol do not apply; any other run is integrated to them.
+    A constant drive is propagated exactly, and rtol and atol do not
+    apply; any other drive is integrated to them.
     """
     if drive is None:
         drive = resonant()
     if frame not in ("rwa", "lab"):
         raise ValueError(f"frame must be 'rwa' or 'lab', got {frame!r}")
-    if isinstance(drive, ConstantDrive) and not events:
+    if isinstance(drive, ConstantDrive):
         if frame == "lab":
             l0, l_eps = lab_liouvillian(params)
             return propagate(l0 + drive.epsilon(0.0, params) * l_eps,
-                             t_span, state.x, dense=dense)
+                             t_span, state.x)
         delta = drive.detuning
         return propagate(
             rwa_generator(params, params.J, 0.0) - delta * FRAME_ROTATION,
-            t_span, state.x, rotation=(FRAME_ROTATION, delta), dense=dense)
+            t_span, state.x, rotation=(FRAME_ROTATION, delta))
     if frame == "rwa":
         rhs = make_rhs_rwa(params, drive)
     else:
         rhs = make_rhs_lab(params, drive)
-    return integrate(rhs, t_span, state.x, rtol=rtol, atol=atol,
-                     events=events, dense=dense)
+    return integrate(rhs, t_span, state.x, rtol=rtol, atol=atol)

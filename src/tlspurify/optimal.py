@@ -209,7 +209,7 @@ def delta_p(params: ModelParams, xi: float, mu: float, *,
     gain, p_pole, p_s1 = pole_gains(params, xi, [mu], t_pole)[0].tolist()
     state = build_initial_state(params, InitialStateSpec(mu_q=mu, xi_re=xi))
     res = simulate_z(params, x_to_z(state.x), (0.0, t_pole), rtol=rtol,
-                     atol=atol, dense=True)
+                     atol=atol)
     traj = res.trajectory
     ts = np.linspace(0.0, t_pole, n_samples)
     ps = z_purity_many(traj(ts))
@@ -271,8 +271,7 @@ def compile_u_control(params: ModelParams, u_times, u_values,
 
     res = integrate(make_rhs_s1(params, u_fn),
                     (float(u_times[0]), float(u_times[-1])),
-                    initial_direction(params, xi), rtol=rtol, atol=atol,
-                    dense=True)
+                    initial_direction(params, xi), rtol=rtol, atol=atol)
     ts = np.linspace(float(u_times[0]), float(u_times[-1]), n_samples)
     q = res.trajectory(ts)
     thetas = np.arctan2(q[:, 0], q[:, 1])

@@ -9,9 +9,12 @@ reaching a writer is a bug and raises instead of leaking into a file.
 A CSV body is formatted column by column: a column of plain floats goes
 through one row format string, and only the other columns (labels, a
 float column with labels in it, bools, ints) are rendered cell by cell.
-Every cell is checked before the first byte is written, and the body then
-goes out in chunks of CHUNK_ROWS rows, so the text of a whole table is
-never held at once.
+A JSON document is written as its sorted-key head up to "rows":[, then
+the rows, then ]}: "rows" sorts after every other key, so the bytes are
+those of json.dumps on the whole document.  In both formats every cell is
+checked before the first byte is written, and the body then goes out in
+chunks of CHUNK_ROWS rows, so the text of a whole table is never held at
+once.
 """
 
 from __future__ import annotations
@@ -29,11 +32,18 @@ from .config import RunConfig
 
 __all__ = ["Table", "fmt_float", "write_table", "emit_error"]
 
-#: rows of CSV text formatted and written at a time
+#: rows of text formatted and written at a time
 CHUNK_ROWS = 4096
 
 #: cell types a column may hold to be formatted by one row format string
 _FLOAT_TYPES = {float, np.float64}
+
+#: cell types a JSON document takes as they are (a bool is an int)
+_JSON_TYPES = (str, int, float, type(None))
+
+#: the JSON encoder of every document: sorted keys, no NaN, no spaces
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False,
+                           separators=(",", ":")).encode
 
 
 def fmt_float(x: float) -> str:
@@ -52,12 +62,23 @@ def _cell(v) -> str:
     return fmt_float(float(v))
 
 
-def _json_value(v):
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite value reached the writer: {v!r}")
-        return v
-    return v
+def _check_finite(floats) -> None:
+    """Raise on the first non-finite value of a sequence of floats."""
+    finite = np.isfinite(np.array(floats, dtype=float))
+    if not finite.all():
+        fmt_float(float(floats[int(finite.argmin())]))      # raises
+
+
+def _check_json(values) -> None:
+    """Raise unless the JSON encoder takes every one of values and each
+    float among them is finite."""
+    kinds = set(map(type, values))
+    for kind in kinds:
+        if not issubclass(kind, _JSON_TYPES):
+            raise TypeError(f"Object of type {kind.__name__} "
+                            "is not JSON serializable")
+    _check_finite(values if kinds <= _FLOAT_TYPES
+                  else [v for v in values if isinstance(v, float)])
 
 
 @dataclass
@@ -79,9 +100,7 @@ def _column(values: tuple) -> tuple[str, list | tuple]:
     column of plain floats keeps its values, once every one is checked to
     be finite; any other column is rendered cell by cell."""
     if set(map(type, values)) <= _FLOAT_TYPES:
-        finite = np.isfinite(np.array(values, dtype=float))
-        if not finite.all():
-            fmt_float(float(values[int(finite.argmin())]))    # raises
+        _check_finite(values)
         return "{:.16e}", values
     return "{}", [_cell(v) for v in values]
 
@@ -107,17 +126,27 @@ def _csv_chunks(table: Table, cfg: RunConfig):
     return chunks()
 
 
-def _render_json(table: Table, cfg: RunConfig) -> str:
-    doc = {
-        "command": table.command,
-        "config": cfg.to_dict(),
-        "metadata": {k: _json_value(v) for k, v in
-                     sorted(table.metadata.items())},
-        "columns": table.columns,
-        "rows": [[_json_value(v) for v in row] for row in table.rows],
-    }
-    return json.dumps(doc, sort_keys=True, allow_nan=False,
-                      separators=(",", ":")) + "\n"
+def _json_chunks(table: Table, cfg: RunConfig):
+    """The JSON text of the table, as an iterator of chunks: the head up to
+    "rows":[, then CHUNK_ROWS rows at a time, then ]}.  Every cell is
+    checked before this returns, so a bad cell raises before the first
+    chunk is written."""
+    _check_json(list(table.metadata.values()))
+    for values in zip(*table.rows):
+        _check_json(values)
+    head = _encode({"command": table.command, "config": cfg.to_dict(),
+                    "metadata": table.metadata, "columns": table.columns})
+    rows = iter(table.rows)
+
+    def chunks():
+        yield head[:-1] + ',"rows":['
+        sep = ""
+        while body := list(islice(rows, CHUNK_ROWS)):
+            yield sep + _encode(body)[1:-1]
+            sep = ","
+        yield "]}\n"
+
+    return chunks()
 
 
 def write_table(table: Table, cfg: RunConfig, *, fmt: str | None = None,
@@ -127,8 +156,7 @@ def write_table(table: Table, cfg: RunConfig, *, fmt: str | None = None,
     fmt = fmt or cfg.format
     if out == "use-config":
         out = cfg.out
-    chunks = ([_render_json(table, cfg)] if fmt == "json"
-              else _csv_chunks(table, cfg))
+    chunks = (_json_chunks if fmt == "json" else _csv_chunks)(table, cfg)
     if out is None:
         sys.stdout.writelines(chunks)
     else:

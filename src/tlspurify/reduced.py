@@ -51,8 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .drive import ConstantDrive, Drive, resonant
-from .integrator import (EventSpec, IvpResult, augment, expm, integrate,
-                         propagate)
+from .integrator import IvpResult, augment, expm, integrate, propagate
 from .model import ModelParams
 
 #: angular distance from the poles below which phi is meaningless
@@ -182,23 +181,20 @@ def simulate_z(
     *,
     rtol: float = 1e-10,
     atol: float = 1e-10,
-    events: tuple[EventSpec, ...] = (),
-    dense: bool = False,
 ) -> IvpResult:
-    """Evolve the reduced coordinates over t_span.  A constant drive without
-    events is propagated exactly (the affine flow on the augmented 9x9
-    generator, in the co-rotating frame when detuned), and rtol and atol do
-    not apply; any other run is integrated to them."""
+    """Evolve the reduced coordinates over t_span.  A constant drive is
+    propagated exactly (the affine flow on the augmented 9x9 generator, in
+    the co-rotating frame when detuned), and rtol and atol do not apply;
+    any other drive is integrated to them."""
     if drive is None:
         drive = resonant()
-    if isinstance(drive, ConstantDrive) and not events:
+    if isinstance(drive, ConstantDrive):
         delta = drive.detuning
         m, b = z_generator(params, params.J, 0.0)
         return propagate(m - delta * _Z_ROTATION, t_span, z0, b=b,
-                         rotation=(_Z_ROTATION, delta), dense=dense)
+                         rotation=(_Z_ROTATION, delta))
     rhs = make_rhs_z(params, drive)
-    return integrate(rhs, t_span, z0, rtol=rtol, atol=atol,
-                     events=events, dense=dense)
+    return integrate(rhs, t_span, z0, rtol=rtol, atol=atol)
 
 
 def z_states_at(params: ModelParams, z0s, t: float) -> np.ndarray:

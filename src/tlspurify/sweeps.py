@@ -39,7 +39,7 @@ def _trace(params, xi, mu, t_end, n, rtol, atol):
     """Purity samples of one reduced run."""
     state = build_initial_state(params, InitialStateSpec(mu_q=mu, xi_re=xi))
     res = simulate_z(params, x_to_z(state.x), (0.0, t_end), rtol=rtol,
-                     atol=atol, dense=True)
+                     atol=atol)
     ts = np.linspace(0.0, t_end, n)
     return z_purity_many(res.trajectory(ts))
 
@@ -68,7 +68,7 @@ def simulate_trace(cfg: RunConfig) -> Table:
             t_end = lead.time
 
     res = simulate(params, state, (0.0, t_end), drive, frame=cfg.frame,
-                   rtol=cfg.rel_tol, atol=cfg.abs_tol, dense=True)
+                   rtol=cfg.rel_tol, atol=cfg.abs_tol)
     ts = np.linspace(0.0, t_end, cfg.samples)
     xs = res.trajectory(ts)
 

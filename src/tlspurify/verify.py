@@ -92,7 +92,7 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
     spec = InitialStateSpec(mu_q=mu, xi_re=0.5 * xi)
     state = build_initial_state(params, spec)
     t_span = (0.0, 2.0 * params.t0)
-    full = simulate(params, state, t_span, rtol=rtol, atol=atol, dense=True)
+    full = simulate(params, state, t_span, rtol=rtol, atol=atol)
     z0 = x_to_z(state.x)
     z_rhs = z_rhs_override if z_rhs_override is not None else make_rhs_z(params)
     red = integrate(z_rhs, t_span, z0, rtol=rtol, atol=atol)
@@ -145,7 +145,7 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
     # r = e^{-gamma t/2} |q_wv| on the regular S1 direction flow, so
     # dr/dt = e^{-gamma t/2} (q_wv . q_wv' / |q_wv| - (gamma/2) |q_wv|)
     s1 = integrate(make_rhs_s1(params), t_span, initial_direction(params, xi),
-                   rtol=rtol, atol=atol, dense=True)
+                   rtol=rtol, atol=atol)
     q, dq = s1.y[:, :2], s1.trajectory.fs[:, :2]
     norm = np.hypot(q[:, 0], q[:, 1])
     rate = np.exp(-0.5 * params.gamma * s1.t) * (np.divide(
@@ -165,7 +165,7 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
         p = params.with_gamma_over_j(ratio)
         st = build_initial_state(p, InitialStateSpec(mu_q=mu_s2))
         zr = integrate(make_rhs_z(p), (0.0, 3.0 * p.t0), x_to_z(st.x),
-                       rtol=rtol, atol=atol, dense=True)
+                       rtol=rtol, atol=atol)
         tt = np.linspace(0.0, 3.0 * p.t0, 300)
         exact = s2_resonant_solution(p, mu_s2, tt)
         worst = max(worst, float(np.abs(zr.trajectory(tt)[:, 4] - exact).max()))

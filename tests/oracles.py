@@ -8,9 +8,9 @@ whole suite leans on; the lab-frame equation is checked the same way
 against the package's lab Liouvillian.
 
 The pole-time oracle integrates the regular S1 direction flow
-q' = N(2J) q (reduced.make_rhs_s1) on the adaptive integrator and watches
-its events, a path independent of the closed-form solution of the same
-flow behind pole.t_min_numeric.
+q' = N(2J) q (reduced.make_rhs_s1) on the adaptive integrator and bisects
+the first crossing on its Hermite trajectory, a path independent of the
+closed-form solution of the same flow behind pole.t_min_numeric.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tlspurify.integrator import EventSpec, StepStats, integrate
+from tlspurify.integrator import StepStats, integrate
 from tlspurify.model import (InitialStateSpec, ModelParams, matrix_to_x,
                              min_eigenvalue, mu_max, xi_max)
 from tlspurify.pole import (STALL_CURVATURE_TOL, _stall_curvature,
@@ -161,37 +161,64 @@ class S1Run:
     stats: StepStats
 
 
+#: absolute time resolution of a bisected crossing
+CROSSING_TIME_TOL = 1e-10
+
+
+def _falling_root(g, lo: float, hi: float) -> float:
+    """Bisect a falling sign change of g on [lo, hi] to CROSSING_TIME_TOL."""
+    while hi - lo > CROSSING_TIME_TOL:
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def s1_pole_run(params: ModelParams, xi: float = 0.0, *,
                 horizon_mult: float = 20.0, rtol: float = 1e-10,
                 atol: float = 1e-10) -> S1Run:
     """Integrate the u == 0 direction q = e^{gamma t/2} (w, v, d) from the
-    thermal-product start until the pole (q_v falls through 0), a guarded
-    stall (r^2 dtheta/dt, up to a positive factor, falls through 0), or
-    horizon_mult * pi/(2J).  The stall guard is scale-free, so it reads
-    the direction as it is."""
+    thermal-product start to horizon_mult * pi/(2J), then find the first
+    accepted step on which the pole (q_v falls through 0) or a guarded
+    stall (r^2 dtheta/dt, up to a positive factor, falls through 0) comes,
+    and bisect it on the Hermite trajectory.  The stall guard is
+    scale-free, so it reads the direction as it is."""
     a, b, eta = 2.0 * params.J, 0.5 * params.gamma, params.eta
+    res = integrate(make_rhs_s1(params), (0.0, horizon_mult * params.t0),
+                    initial_direction(params, xi), rtol=rtol, atol=atol)
+    traj = res.trajectory
 
-    def stall_guard(t, q):
+    def pole(q):
+        return q[..., 1]
+
+    def rate(q):
+        return a * (q[..., 0] ** 2 + q[..., 1] ** 2) - b * q[..., 2] * q[..., 1]
+
+    def stalls(q):
         return (_stall_curvature(params.gamma, eta, math.hypot(q[0], q[1]),
                                  eta - q[2], math.atan2(q[0], q[1]))
                 <= STALL_CURVATURE_TOL)
 
-    events = (
-        EventSpec(lambda t, q: q[1], name="pole", direction=-1,
-                  terminal=True),
-        EventSpec(lambda t, q: a * (q[0] ** 2 + q[1] ** 2) - b * q[2] * q[1],
-                  name="stall", direction=-1, terminal=True,
-                  guard=stall_guard),
-    )
-    res = integrate(make_rhs_s1(params), (0.0, horizon_mult * params.t0),
-                    initial_direction(params, xi), rtol=rtol, atol=atol,
-                    events=events)
-    status = "horizon"
-    if res.status == "event":
-        status = "reached" if res.events[-1].name == "pole" else "trapped"
-    w, v, d = res.y_final
-    f = math.exp(-b * res.t_final)
-    return S1Run(status, res.t_final, f * math.hypot(w, v), eta - f * d,
+    status, t_stop = "horizon", res.t_final
+    steps = sorted({int(k) for g in (pole, rate)
+                    for k in np.flatnonzero((g(res.y[:-1]) > 0.0)
+                                            & (g(res.y[1:]) <= 0.0))})
+    for k in steps:
+        hits = []
+        for name, g in (("reached", pole), ("trapped", rate)):
+            if g(res.y[k]) > 0.0 >= g(res.y[k + 1]):
+                t = _falling_root(lambda t: g(traj(t)), res.t[k],
+                                  res.t[k + 1])
+                if name == "reached" or stalls(traj(t)):
+                    hits.append((t, name))
+        if hits:
+            t_stop, status = min(hits)
+            break
+    w, v, d = traj(t_stop)
+    f = math.exp(-b * t_stop)
+    return S1Run(status, t_stop, f * math.hypot(w, v), eta - f * d,
                  math.atan2(w, v), res.stats)
 
 

@@ -84,10 +84,9 @@ def test_criterion_04_full_vs_reduced_equivalence():
     spec = InitialStateSpec(mu_q=0.5 * mu_max(p, xi), xi_re=xi)
     state = build_initial_state(p, spec)
     t_end = 2.0 * p.t0
-    full = simulate(p, state, (0.0, t_end), rtol=1e-10, atol=1e-10,
-                    dense=True)
+    full = simulate(p, state, (0.0, t_end), rtol=1e-10, atol=1e-10)
     red = simulate_z(p, x_to_z(state.x), (0.0, t_end), rtol=1e-10,
-                     atol=1e-10, dense=True)
+                     atol=1e-10)
     ts = np.linspace(0.0, t_end, 400)
     za = np.array([x_to_z(x) for x in full.trajectory(ts)])
     zb = red.trajectory(ts)
@@ -112,8 +111,7 @@ def test_criterion_05_conservation_suite():
         assert min(min_eigenvalue(x) for x in res.y) >= -1e-8
         r0, c0, th0 = z_to_spherical(x_to_z(state.x))[:3]
         rct = integrate(make_rhs_rct(p), (0.0, t_end),
-                        np.array([r0, c0, th0]), rtol=1e-10, atol=1e-10,
-                        dense=True)
+                        np.array([r0, c0, th0]), rtol=1e-10, atol=1e-10)
         assert rct.trajectory.fs[:, 0].max() <= 1e-10
     z0 = x_to_z(build_initial_state(p, InitialStateSpec()).x)
     zres = simulate_z(p, z0, (0.0, t_end), rtol=1e-10, atol=1e-10)
@@ -233,7 +231,7 @@ def test_criterion_11_rotating_frame_validity():
     state = build_initial_state(p, InitialStateSpec())
     ts = np.linspace(0.0, t_end, 400)
     runs = {frame: simulate(p, state, (0.0, t_end), frame=frame,
-                            rtol=1e-8, atol=1e-8, dense=True)
+                            rtol=1e-8, atol=1e-8)
             for frame in ("rwa", "lab")}
     pa = np.array([qubit_purity(x) for x in runs["rwa"].trajectory(ts)])
     pb = np.array([qubit_purity(x) for x in runs["lab"].trajectory(ts)])

@@ -199,6 +199,40 @@ def test_uncoupled_model_runs(capsys, tmp_path, command):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("command,axis,start,stop,key", [
+    ("scan-beta", "beta", 0.0, 2.0, "start"),
+    ("scan-gamma", "gamma_over_j", -1.0, 2.0, "start"),
+    ("region-map", "j_frac", -0.5, 1.0, "start"),
+    ("coherence-map", "xi_frac", 0.0, 3.0, "stop"),
+    ("coherence-map", "mu_frac", -1.0, 1.0, "start"),
+])
+def test_out_of_range_axis_is_a_config_error(capsys, tmp_path, command, axis,
+                                             start, stop, key):
+    """An axis endpoint outside its name's domain is exit 2 naming the
+    endpoint; the in-range edges of the domains run."""
+    def run(name, lo, hi):
+        cfg = tmp_path / "axis.yaml"
+        cfg.write_text("run:\n  samples: 5\n  horizon: 2.0\n"
+                       "sweep:\n  axes:\n"
+                       f"    - {{name: {name}, start: {lo}, stop: {hi}, "
+                       "count: 2}\n")
+        return main([command, "--config", str(cfg)])
+
+    assert run(axis, start, stop) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert (err["code"], err["parameter"]) == ("bad-value",
+                                               f"sweep.axes[0].{key}")
+    edge = {"beta": (1e-6, 2.0), "j_frac": (0.0, 1.0),
+            "xi_frac": (0.0, 1.0)}.get(axis)
+    if edge is not None:
+        assert run(axis, *edge) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"# {command}\n")
+        assert captured.err == ""
+
+
 def test_flags_are_checked_by_the_table(capsys):
     """Every flag passes the range of the config key it sets, and the
     error names that key."""

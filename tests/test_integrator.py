@@ -1,4 +1,4 @@
-"""The embedded Runge-Kutta stepper (accuracy, events, bookkeeping) and
+"""The embedded Runge-Kutta stepper (accuracy, dense output, bookkeeping) and
 the exact propagator of constant-coefficient flows."""
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from tlspurify import integrator
-from tlspurify.integrator import (EVAL_CHUNK, MAX_NODES, EventSpec,
-                                  integrate, propagate)
+from tlspurify.integrator import EVAL_CHUNK, MAX_NODES, integrate, propagate
 from tlspurify.integrator import expm as exact_expm
 from tlspurify.model import ModelParams
 from tlspurify.reduced import z_generator
@@ -33,12 +32,12 @@ def test_linear_system_matches_expm():
                     rtol=1e-11, atol=1e-11)
     exact = expm(2.0 * a) @ y0
     assert np.abs(res.y_final - exact).max() < 1e-8 * np.abs(exact).max()
-    assert res.status == "completed"
+    assert res.t_final == 2.0
 
 
 def test_exponential_decay_dense_output():
     res = integrate(lambda t, y: -y, (0.0, 3.0), np.array([1.0]),
-                    rtol=1e-10, atol=1e-12, dense=True)
+                    rtol=1e-10, atol=1e-12)
     ts = np.linspace(0.0, 3.0, 200)
     vals = res.trajectory(ts)[:, 0]
     # the cubic interpolant between accepted nodes is coarser than the
@@ -70,59 +69,6 @@ def test_last_step_lands_on_span_end():
 
 
 # ====================================================================
-# Events
-# ====================================================================
-
-def _oscillator(t, y):
-    return np.array([y[1], -y[0]])
-
-
-def test_terminal_event_location():
-    # cos(t) falls through zero at pi/2
-    ev = EventSpec(lambda t, y: y[0], name="zero", direction=-1,
-                   terminal=True)
-    res = integrate(_oscillator, (0.0, 10.0), np.array([1.0, 0.0]),
-                    rtol=1e-10, atol=1e-12, events=(ev,))
-    assert res.status == "event"
-    hit = res.first_event("zero")
-    assert hit is not None
-    assert hit.t == pytest.approx(0.5 * math.pi, abs=1e-9)
-    # the run state was advanced to the located time
-    assert res.t_final == pytest.approx(hit.t, abs=1e-12)
-    assert abs(res.y_final[0]) < 1e-9
-
-
-def test_event_direction_filter():
-    # y = sin(t): falling crossing at pi is skipped, rising at 2*pi kept
-    ev = EventSpec(lambda t, y: y[0], name="rise", direction=1)
-    res = integrate(lambda t, y: np.array([math.cos(t)]), (0.1, 7.0),
-                    np.array([math.sin(0.1)]), rtol=1e-10, atol=1e-12,
-                    events=(ev,))
-    assert res.status == "completed"
-    assert len(res.events) == 1
-    assert res.events[0].t == pytest.approx(2.0 * math.pi, abs=1e-8)
-
-
-def test_event_guard_discards_hit():
-    ev = EventSpec(lambda t, y: y[0], name="vetoed", direction=-1,
-                   terminal=True, guard=lambda t, y: False)
-    res = integrate(_oscillator, (0.0, 2.0), np.array([1.0, 0.0]),
-                    rtol=1e-9, atol=1e-11, events=(ev,))
-    assert res.status == "completed"
-    assert res.events == []
-
-
-def test_terminal_event_state_value():
-    # e^{-t} falls through 1/2 at ln 2
-    ev = EventSpec(lambda t, y: y[0] - 0.5, name="half", direction=-1,
-                   terminal=True)
-    res = integrate(lambda t, y: -y, (0.0, 5.0), np.array([1.0]),
-                    rtol=1e-11, atol=1e-13, events=(ev,))
-    assert res.t_final == pytest.approx(math.log(2.0), abs=1e-9)
-    assert res.y_final[0] == pytest.approx(0.5, abs=1e-9)
-
-
-# ====================================================================
 # Bookkeeping and guard rails
 # ====================================================================
 
@@ -151,12 +97,6 @@ def test_invalid_span_raises():
             integrate(lambda t, y: -y, span, np.array([1.0]))
 
 
-def test_max_step_is_respected():
-    res = integrate(lambda t, y: -0.1 * y, (0.0, 5.0), np.array([1.0]),
-                    rtol=1e-8, atol=1e-10, max_step=0.25)
-    assert np.diff(res.t).max() <= 0.25 + 1e-12
-
-
 def test_step_budget(monkeypatch):
     """A run that has attempted MAX_STEPS steps and is not done ends with
     a RuntimeError; a run within the budget is untouched."""
@@ -174,8 +114,7 @@ def test_step_budget(monkeypatch):
 
 
 def test_trajectory_shapes():
-    res = integrate(lambda t, y: -y, (0.0, 1.0), np.array([1.0, 2.0]),
-                    dense=True)
+    res = integrate(lambda t, y: -y, (0.0, 1.0), np.array([1.0, 2.0]))
     out = res.trajectory(np.linspace(0.0, 1.0, 7))
     assert out.shape == (7, 2)
     assert res.trajectory(0.0).shape == (2,)
@@ -246,7 +185,7 @@ def test_propagate_matches_expm_between_nodes():
     aug = np.zeros((6, 6))
     aug[:5, :5] = a
     aug[:5, 5] = b
-    res = propagate(a, (0.5, 4.0), y0, b=b, dense=True)
+    res = propagate(a, (0.5, 4.0), y0, b=b)
     assert res.stats.rejected == 0
     assert res.stats.accepted == len(res.t) - 1 > 1
     ts = np.concatenate([res.t, 0.5 * (res.t[1:] + res.t[:-1]),
@@ -268,7 +207,7 @@ def test_exact_trajectory_memory_is_bounded():
     agree with evaluating their times on their own."""
     rng = np.random.default_rng(5)
     res = propagate(0.1 * rng.normal(size=(16, 16)), (0.0, 50.0),
-                    rng.normal(size=16), b=rng.normal(size=16), dense=True)
+                    rng.normal(size=16), b=rng.normal(size=16))
     ts = np.linspace(0.0, 50.0, 100_000)
     tracemalloc.start()
     try:

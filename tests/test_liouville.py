@@ -10,9 +10,9 @@ from scipy.integrate import solve_ivp
 
 from oracles import (lab_rhs, lindblad_rhs, partial_trace_defect,
                      partial_trace_qubit, random_density_x)
-from tlspurify import liouville
+from tlspurify import liouville, reduced
 from tlspurify.drive import ConstantDrive, TableDrive, resonant
-from tlspurify.integrator import EventSpec, integrate
+from tlspurify.integrator import integrate
 from tlspurify.liouville import (lab_hamiltonian, make_rhs_lab, make_rhs_rwa,
                                  qubit_purity, qubit_reduced, rwa_generator,
                                  simulate, tls_purity, tls_reduced)
@@ -108,7 +108,7 @@ def test_frames_agree_at_zero_coupling():
     span = (0.0, 8.0)
     ts = np.linspace(*span, 100)
     runs = {frame: simulate(p, state, span, frame=frame, rtol=1e-11,
-                            atol=1e-12, dense=True)
+                            atol=1e-12)
             for frame in ("rwa", "lab")}
     for purity in (qubit_purity, tls_purity):
         a = np.array([purity(x) for x in runs["rwa"].trajectory(ts)])
@@ -138,18 +138,6 @@ def test_reduced_states_match_partial_traces(rng):
             float(np.trace(rq @ rq).real), abs=1e-13)
         assert tls_purity(x) == pytest.approx(
             float(np.trace(rt @ rt).real), abs=1e-13)
-
-
-def test_simulate_event_passthrough(params_bath):
-    """A terminal observable event ends the run at its crossing."""
-    state = build_initial_state(params_bath, InitialStateSpec())
-    target = 0.75
-    ev = EventSpec(lambda t, x: qubit_purity(x) - target, name="purity",
-                   direction=1, terminal=True)
-    res = simulate(params_bath, state, (0.0, 4.0 * params_bath.t0),
-                   events=(ev,))
-    assert res.status == "event"
-    assert qubit_purity(res.y_final) == pytest.approx(target, abs=1e-8)
 
 
 # ====================================================================
@@ -183,8 +171,7 @@ def test_exact_simulate_matches_rk(params_bath, frame, detuning):
     make_rhs = make_rhs_rwa if frame == "rwa" else make_rhs_lab
     bound = {"rwa": 1e-11, "lab": 1e-10}[frame]
     for span in ((0.0, 2.0 * params_bath.t0), (1.3, 1.3 + params_bath.t0)):
-        exact = simulate(params_bath, state, span, drive, frame=frame,
-                         dense=True)
+        exact = simulate(params_bath, state, span, drive, frame=frame)
         assert exact.stats.rejected == 0
         rk = integrate(make_rhs(params_bath, drive), span, state.x,
                        rtol=1e-12, atol=1e-12)
@@ -193,22 +180,26 @@ def test_exact_simulate_matches_rk(params_bath, frame, detuning):
 
 
 def test_table_drive_and_events_stay_on_rk(params_bath, monkeypatch):
-    """Only a constant drive without events takes the exact path."""
+    """Every constant drive takes the exact path, in both frames and in the
+    reduced flow; only a tabulated drive is integrated."""
     calls = []
 
     def spy(*args, **kwargs):
-        calls.append(kwargs.get("events", ()))
+        calls.append(len(args[2]))
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(liouville, "integrate", spy)
+    monkeypatch.setattr(reduced, "integrate", spy)
     state = build_initial_state(params_bath, InitialStateSpec())
+    z0 = reduced.x_to_z(state.x)
     span = (0.0, params_bath.t0)
+    for drive in (resonant(), ConstantDrive(0.1)):
+        for frame in ("rwa", "lab"):
+            simulate(params_bath, state, span, drive, frame=frame)
+        reduced.simulate_z(params_bath, z0, span, drive)
+    assert calls == []
     table = TableDrive((0.0, 10.0), (0.0, 0.2))
-    ev = EventSpec(lambda t, x: qubit_purity(x) - 0.99, name="purity",
-                   direction=1, terminal=True)
     for frame in ("rwa", "lab"):
         simulate(params_bath, state, span, table, frame=frame)
-        simulate(params_bath, state, span, resonant(), frame=frame,
-                 events=(ev,))
-        simulate(params_bath, state, span, ConstantDrive(0.1), frame=frame)
-    assert [len(evs) for evs in calls] == [0, 1, 0, 1]
+    reduced.simulate_z(params_bath, z0, span, table)
+    assert calls == [16, 16, 8]

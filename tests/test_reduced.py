@@ -86,9 +86,9 @@ def _compare_full_vs_reduced(params, spec, drive, t_end, tol):
     state = build_initial_state(params, spec)
     ts = np.linspace(0.0, t_end, 60)
     full = simulate(params, state, (0.0, t_end), drive=drive,
-                    rtol=1e-11, atol=1e-12, dense=True)
+                    rtol=1e-11, atol=1e-12)
     red = simulate_z(params, x_to_z(state.x), (0.0, t_end), drive=drive,
-                     rtol=1e-11, atol=1e-12, dense=True)
+                     rtol=1e-11, atol=1e-12)
     za = np.array([x_to_z(x) for x in full.trajectory(ts)])
     zb = red.trajectory(ts)
     return float(np.abs(za - zb).max()) < tol
@@ -166,10 +166,9 @@ def test_rct_flow_matches_z_flow(params_bath):
     ts = np.linspace(0.0, t_end, 80)
 
     zres = simulate_z(params_bath, z0, (0.0, t_end),
-                      rtol=1e-11, atol=1e-12, dense=True)
+                      rtol=1e-11, atol=1e-12)
     rres = integrate(make_rhs_rct(params_bath), (0.0, t_end),
-                     np.array([r0, c0, th0]), rtol=1e-11, atol=1e-12,
-                     dense=True)
+                     np.array([r0, c0, th0]), rtol=1e-11, atol=1e-12)
 
     zs = zres.trajectory(ts)
     sph = np.array([z_to_spherical(z)[:3] for z in zs])
@@ -188,7 +187,7 @@ def test_s1_direction_flow_matches_z_flow(ratio):
     t_end = 1.2 * t_min_numeric(p, xi).time
     qres = integrate(make_rhs_s1(p), (0.0, t_end), initial_direction(p, xi),
                      rtol=1e-10, atol=1e-10)
-    zs = simulate_z(p, z0, (0.0, t_end), dense=True).trajectory(qres.t)
+    zs = simulate_z(p, z0, (0.0, t_end)).trajectory(qres.t)
     c = -0.5 * (zs[:, 3] + 1.0)
     s = np.column_stack([zs[:, 0] - c, zs[:, 1], p.eta - c])
     qs = qres.y * np.exp(-0.5 * p.gamma * qres.t)[:, None]
@@ -206,7 +205,7 @@ def test_exact_simulate_z_matches_rk(params_bath, detuning):
         params_bath, InitialStateSpec(mu_q=mu, xi_re=xi)).x)
     drive = ConstantDrive(detuning)
     span = (0.5, 2.0 * params_bath.t0)
-    exact = simulate_z(params_bath, z0, span, drive, dense=True)
+    exact = simulate_z(params_bath, z0, span, drive)
     rk = integrate(make_rhs_z(params_bath, drive), span, z0,
                    rtol=1e-12, atol=1e-12)
     assert exact.stats.rejected == 0
