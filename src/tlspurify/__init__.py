@@ -6,14 +6,14 @@ Layers, from the full model down to closed forms:
 - ``model``       parameters, thermal rates, initial-state family
 - ``liouville``   full 16-coordinate dynamics (rotating and lab frames)
 - ``reduced``     closed 8-coordinate dynamics and spherical coordinates
-- ``drive``       drive protocols (resonant, constant-detuning, tabulated)
-- ``integrator``  embedded Runge-Kutta stepper with dense output, for
-                  time-dependent flows, and exact propagation of
-                  constant-coefficient flows
+- ``drive``       the control: a constant detuning, resonant by default
+- ``integrator``  exact propagation of the constant-coefficient flows, and
+                  an embedded Runge-Kutta stepper with dense output, the
+                  independent side of the checks
 - ``pole``        closed-form engine of the u == 0 flow: pole times and
                   stall labels, on numpy and ``model`` alone
-- ``optimal``     coherence purity gain, stall analysis, u-control
-                  compilation; re-exports the ``pole`` names
+- ``optimal``     coherence purity gain and stall analysis; re-exports the
+                  ``pole`` names
 - ``verify``      self-check suite with measured residuals
 - ``scans``       the pole-engine sweeps: scan-gamma, scan-beta, region-map
 - ``sweeps``      the other table builders behind the CLI
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 #: home module of every name the package root resolves: those of __all__,
 #: and xi_max, which the root has always offered outside __all__
 _EXPORTS = {
-    "drive": ("ConstantDrive", "Drive", "TableDrive", "resonant"),
+    "drive": ("ConstantDrive", "resonant"),
     "integrator": ("IvpResult", "Trajectory", "integrate"),
     "liouville": ("qubit_purity", "qubit_reduced", "rwa_generator",
                   "simulate", "tls_purity", "tls_reduced"),
@@ -40,9 +40,8 @@ _EXPORTS = {
               "StepStats", "bath_rates", "build_initial_state",
               "matrix_to_x", "min_eigenvalue", "mu_max",
               "thermal_populations", "x_to_matrix", "xi_max"),
-    "optimal": ("compile_u_control", "delta_from_u", "delta_p",
-                "fixed_point_theta", "pole_gains", "pole_purity_ceiling",
-                "s2_first_zero", "s2_resonant_solution",
+    "optimal": ("delta_p", "fixed_point_theta", "pole_gains",
+                "pole_purity_ceiling", "s2_first_zero", "s2_resonant_solution",
                 "uncorrelated_pole_purity", "xi_fixed"),
     "pole": ("classify_region", "classify_regime", "first_events",
              "initial_spherical", "is_divergent", "j_min", "region_labels",

@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--frame", choices=choices("frame"),
                         help="propagation frame for simulate")
     common.add_argument("--tol", metavar="ABS:REL",
-                        help="integration tolerances, e.g. 1e-10:1e-10")
+                        help="Runge-Kutta tolerances of verify's independent "
+                             "side, e.g. 1e-10:1e-10")
     common.add_argument("--horizon", metavar="MULT", type=float,
                         help="give-up time in units of the lossless pole time")
     common.add_argument("--workers", metavar="N", type=int,

@@ -30,7 +30,7 @@ import numpy as np
 from .model import InitialStateSpec, ModelParams, ParamError
 
 if TYPE_CHECKING:
-    from .drive import Drive
+    from .drive import ConstantDrive
 
 __all__ = ["ConfigError", "SweepAxis", "RunConfig", "load_config",
            "choices", "AXIS_NAMES"]
@@ -240,7 +240,7 @@ class RunConfig:
     def state_spec(self) -> InitialStateSpec:
         return InitialStateSpec(**self._section("state"))
 
-    def drive(self) -> "Drive":
+    def drive(self) -> "ConstantDrive":
         # imported here: the pole-time sweeps never build a drive
         from .drive import ConstantDrive, resonant
 

@@ -1,135 +1,34 @@
-"""Control schedules and their rotating-frame coefficients.
+"""The control: a constant detuning of the qubit from the defect.
 
-The control is a shift epsilon(t) of the qubit splitting.  What the
-interaction-picture equations actually consume is the detuning
+The control is a shift epsilon of the qubit splitting.  What the
+interaction-picture equations consume is the detuning
 
-    delta(t) = omega_q + epsilon(t) - omega_tls,
+    delta = omega_q + epsilon - omega_tls,
 
-entering through  J1 = J cos(phase), J2 = J sin(phase)  and a frame term
-alpha.  Two phase conventions are supported:
-
-  - "literal":      phase(t) = delta(t) * t,   alpha(t) = (t/2) * delta'(t)
-  - "accumulated":  phase(t) = int_0^t delta,  alpha(t) = 0
-
-They coincide for a constant detuning (alpha = 0 either way); "literal" is
-the default everywhere.
+entering through  J1 = J cos(phase), J2 = J sin(phase)  with
+phase(t) = delta * t.  The resonant drive (delta = 0) is the time-optimal
+one: it keeps the qubit on the defect frequency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-PHASE_MODES = ("literal", "accumulated")
-
-
-class Drive:
-    """Interface: delta(t), phase(t), alpha(t); epsilon(t, params) derived."""
-
-    def delta(self, t: float) -> float:
-        raise NotImplementedError
-
-    def phase(self, t: float) -> float:
-        raise NotImplementedError
-
-    def alpha(self, t: float) -> float:
-        raise NotImplementedError
-
-    def epsilon(self, t: float, params) -> float:
-        """Qubit-frequency shift realizing this detuning schedule."""
-        return self.delta(t) - params.omega_q + params.omega_tls
-
 
 @dataclass(frozen=True)
-class ConstantDrive(Drive):
+class ConstantDrive:
     """Constant detuning; resonant control is ConstantDrive(0.0)."""
 
     detuning: float = 0.0
 
-    def delta(self, t: float) -> float:
-        return self.detuning
-
     def phase(self, t: float) -> float:
         return self.detuning * t
 
-    def alpha(self, t: float) -> float:
-        return 0.0
+    def epsilon(self, t: float, params) -> float:
+        """Qubit-frequency shift realizing this detuning."""
+        return self.detuning - params.omega_q + params.omega_tls
 
 
 def resonant() -> ConstantDrive:
     """The drive that parks the qubit exactly on the defect frequency."""
     return ConstantDrive(0.0)
-
-
-class TableDrive(Drive):
-    """Piecewise-linear detuning through given (t, delta) nodes.
-
-    Outside the table the end values are held constant.  In "literal" mode
-    the frame term alpha = (t/2) delta'(t) is piecewise constant in delta'
-    and jumps at the nodes; in "accumulated" mode the phase is the running
-    integral of delta and alpha vanishes.
-    """
-
-    def __init__(self, ts, deltas, mode: str = "literal"):
-        ts = np.asarray(ts, dtype=float)
-        deltas = np.asarray(deltas, dtype=float)
-        if ts.ndim != 1 or ts.shape != deltas.shape or len(ts) < 2:
-            raise ValueError("need matching 1-d t and delta tables, length >= 2")
-        if np.any(np.diff(ts) <= 0.0):
-            raise ValueError("table times must be strictly increasing")
-        if mode not in PHASE_MODES:
-            raise ValueError(f"mode must be one of {PHASE_MODES}, got {mode!r}")
-        self.ts = ts
-        self.deltas = deltas
-        self.mode = mode
-        # running integral of delta up to each node (trapezoid, exact for
-        # a piecewise-linear table)
-        self._cum = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (deltas[1:] + deltas[:-1]) * np.diff(ts)))
-        )
-
-    def _segment(self, t: float) -> int:
-        return int(np.clip(np.searchsorted(self.ts, t, side="right") - 1,
-                           0, len(self.ts) - 2))
-
-    def delta(self, t: float) -> float:
-        if t <= self.ts[0]:
-            return float(self.deltas[0])
-        if t >= self.ts[-1]:
-            return float(self.deltas[-1])
-        k = self._segment(t)
-        w = (t - self.ts[k]) / (self.ts[k + 1] - self.ts[k])
-        return float((1.0 - w) * self.deltas[k] + w * self.deltas[k + 1])
-
-    def _integral(self, t: float) -> float:
-        if t <= self.ts[0]:
-            return float(self.deltas[0] * (t - self.ts[0]))
-        if t >= self.ts[-1]:
-            return float(self._cum[-1] + self.deltas[-1] * (t - self.ts[-1]))
-        k = self._segment(t)
-        dt = t - self.ts[k]
-        return float(self._cum[k] + 0.5 * (self.deltas[k] + self.delta(t)) * dt)
-
-    def _slope(self, t: float) -> float:
-        if t < self.ts[0] or t > self.ts[-1]:
-            return 0.0
-        k = self._segment(t)
-        return float((self.deltas[k + 1] - self.deltas[k])
-                     / (self.ts[k + 1] - self.ts[k]))
-
-    def phase(self, t: float) -> float:
-        if self.mode == "literal":
-            return self.delta(t) * t
-        return self._integral(t)
-
-    def alpha(self, t: float) -> float:
-        if self.mode == "literal":
-            return 0.5 * t * self._slope(t)
-        return 0.0
-
-
-def drive_coefficients(drive: Drive, J: float, t: float) -> tuple[float, float, float]:
-    """(J1, J2, alpha) at time t for coupling strength J."""
-    ph = drive.phase(t)
-    return J * np.cos(ph), J * np.sin(ph), drive.alpha(t)

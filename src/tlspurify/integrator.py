@@ -6,9 +6,9 @@ The Runge-Kutta integrator is deliberately hand-rolled rather than wrapping
 scipy.integrate.solve_ivp: the analysis layer needs per-run
 acceptance/rejection statistics and an interpolant we control, all with
 byte-reproducible results independent of how work is distributed across
-processes.  It serves the runs whose coefficients change with time
-(tabulated drives, compiled u-controls) and the independent side of the
-verify checks.  The tableau is the classic DOPRI5 embedded pair; dense
+processes.  No command's own run needs it, since every drive is a constant
+detuning: it is the independent side of the verify checks and of the
+tests' oracles.  The tableau is the classic DOPRI5 embedded pair; dense
 evaluation uses the cubic Hermite interpolant of each accepted step, whose
 error is far below the working tolerances here.
 

@@ -2,29 +2,32 @@
 
 In the rotating frame the flow splits into four static fields,
 
-    dx/dt = gamma1*A x + gamma2*B x + J1(t)*C x + J2(t)*D x + alpha(t)*E x,
+    dx/dt = gamma1*A x + gamma2*B x + J1(t)*C x + J2(t)*D x,
 
-with J1 = J cos(phase), J2 = J sin(phase) and alpha supplied by the drive
-(see drive.py).  A and B are the emission/absorption halves of the defect
-dissipator, C and D the two quadratures of the exchange coupling, E the
-frame term (a qubit z-rotation).  The lab frame skips the rotating-frame
-reduction entirely and evolves the density matrix under the bare
-Hamiltonian with the same dissipator; it serves as an end-to-end check of
-the rotating-frame approximation.
+with J1 = J cos(delta t), J2 = J sin(delta t) for the drive's constant
+detuning delta (see drive.py).  A and B are the emission/absorption halves
+of the defect dissipator, C and D the two quadratures of the exchange
+coupling.  E, a qubit z-rotation, is the frame term of a time-varying
+detuning; it generates the frame that co-rotates with a constant one.
+The lab frame skips the rotating-frame reduction entirely and evolves the
+density matrix under the bare Hamiltonian with the same dissipator; it
+serves as an end-to-end check of the rotating-frame approximation.
 
-A constant drive gives constant coefficients in both frames, so simulate
+Every drive gives constant coefficients in both frames, so simulate
 propagates it exactly (integrator.propagate); a detuning delta becomes
 constant in the frame that co-rotates at delta about K = FIELD_FRAME/2,
 because e^{phi K} C e^{-phi K} = cos(phi) C + sin(phi) D and K commutes
-with A and B.  Tabulated drives are integrated.
+with A and B.  The right-hand sides make_rhs_rwa and make_rhs_lab are the
+same flows for the Runge-Kutta integrator, the independent side of the
+checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .drive import ConstantDrive, Drive, resonant
-from .integrator import IvpResult, integrate, propagate
+from .drive import ConstantDrive, resonant
+from .integrator import IvpResult, propagate
 from .model import DensityState, ModelParams, matrix_to_x, x_to_matrix
 
 # ====================================================================
@@ -94,13 +97,13 @@ def rwa_generator(params: ModelParams, j1: float, j2: float,
             + j1 * FIELD_J1 + j2 * FIELD_J2 + alpha * FIELD_FRAME)
 
 
-def make_rhs_rwa(params: ModelParams, drive: Drive):
+def make_rhs_rwa(params: ModelParams, drive: ConstantDrive):
     """Right-hand side of the rotating-frame flow for the given drive."""
     r = params.rates
     m_diss = r.gamma1 * FIELD_EMIT + r.gamma2 * FIELD_ABSORB
     J = params.J
 
-    if isinstance(drive, ConstantDrive) and drive.detuning == 0.0:
+    if drive.detuning == 0.0:
         m_const = m_diss + J * FIELD_J1
 
         def rhs_const(t: float, x: np.ndarray) -> np.ndarray:
@@ -111,8 +114,7 @@ def make_rhs_rwa(params: ModelParams, drive: Drive):
     def rhs(t: float, x: np.ndarray) -> np.ndarray:
         ph = drive.phase(t)
         m = (m_diss + (J * np.cos(ph)) * FIELD_J1
-             + (J * np.sin(ph)) * FIELD_J2
-             + drive.alpha(t) * FIELD_FRAME)
+             + (J * np.sin(ph)) * FIELD_J2)
         return m @ x
 
     return rhs
@@ -163,7 +165,7 @@ def lab_liouvillian(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
             np.array([matrix_to_x(m) for m in l_eps]).T)
 
 
-def make_rhs_lab(params: ModelParams, drive: Drive):
+def make_rhs_lab(params: ModelParams, drive: ConstantDrive):
     """Right-hand side of the lab-frame flow for the given drive."""
     l0, l_eps = lab_liouvillian(params)
 
@@ -215,32 +217,22 @@ def simulate(
     params: ModelParams,
     state: DensityState,
     t_span: tuple[float, float],
-    drive: Drive | None = None,
+    drive: ConstantDrive | None = None,
     *,
     frame: str = "rwa",
-    rtol: float = 1e-10,
-    atol: float = 1e-10,
 ) -> IvpResult:
-    """Evolve a density state over t_span in the chosen frame.
-
-    A constant drive is propagated exactly, and rtol and atol do not
-    apply; any other drive is integrated to them.
-    """
+    """Evolve a density state over t_span in the chosen frame, exactly:
+    the lab generator at the drive's shift, or the rotating-frame one in
+    the frame that co-rotates with its detuning."""
     if drive is None:
         drive = resonant()
-    if frame not in ("rwa", "lab"):
-        raise ValueError(f"frame must be 'rwa' or 'lab', got {frame!r}")
-    if isinstance(drive, ConstantDrive):
-        if frame == "lab":
-            l0, l_eps = lab_liouvillian(params)
-            return propagate(l0 + drive.epsilon(0.0, params) * l_eps,
-                             t_span, state.x)
+    if frame == "lab":
+        l0, l_eps = lab_liouvillian(params)
+        a, rotation = l0 + drive.epsilon(0.0, params) * l_eps, None
+    elif frame == "rwa":
         delta = drive.detuning
-        return propagate(
-            rwa_generator(params, params.J, 0.0) - delta * FRAME_ROTATION,
-            t_span, state.x, rotation=(FRAME_ROTATION, delta))
-    if frame == "rwa":
-        rhs = make_rhs_rwa(params, drive)
+        a = rwa_generator(params, params.J, 0.0) - delta * FRAME_ROTATION
+        rotation = (FRAME_ROTATION, delta)
     else:
-        rhs = make_rhs_lab(params, drive)
-    return integrate(rhs, t_span, state.x, rtol=rtol, atol=atol)
+        raise ValueError(f"frame must be 'rwa' or 'lab', got {frame!r}")
+    return propagate(a, t_span, state.x, rotation=rotation)

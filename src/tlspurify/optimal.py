@@ -17,7 +17,6 @@ Closed forms:
 Numerics:
   * pole_gains and delta_p quantify how much purity the coherence block
     adds at pole arrival when the initial state carries extra coherence.
-  * compile_u_control turns a u-schedule into a detuning drive.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drive import TableDrive
-from .integrator import integrate
 from .model import (InitialStateSpec, ModelParams, build_initial_state,
                     xi_max)
 # the engine's public names are re-exported from here
@@ -37,8 +34,8 @@ from .pole import (CRITICAL_TOL, STALL_CURVATURE_TOL, TminResult,  # noqa: F401
                    initial_direction, initial_spherical, is_divergent,
                    j_min, region_labels, stall_cosine, t_min_analytic,
                    t_min_from_rates, t_min_numeric)
-from .reduced import (POLE_GUARD, make_rhs_s1, simulate_z, x_to_z, z_purity,
-                      z_purity_many, z_states_at)
+from .reduced import (simulate_z, x_to_z, z_purity, z_purity_many,
+                      z_states_at)
 
 HALF_PI = 0.5 * math.pi
 
@@ -180,8 +177,7 @@ def pole_gains(params: ModelParams, xi: float, mus, t_pole: float
 
 
 def delta_p(params: ModelParams, xi: float, mu: float, *,
-            horizon_mult: float = 20.0, rtol: float = 1e-10,
-            atol: float = 1e-10, n_samples: int = 2001,
+            horizon_mult: float = 20.0, n_samples: int = 2001,
             t_pole: float | None = None) -> DeltaPResult:
     """Relative purity gained from the coherence block at pole arrival:
     P(t_pole) / P_S1(t_pole) - 1.
@@ -208,8 +204,7 @@ def delta_p(params: ModelParams, xi: float, mu: float, *,
         t_pole = lead.time
     gain, p_pole, p_s1 = pole_gains(params, xi, [mu], t_pole)[0].tolist()
     state = build_initial_state(params, InitialStateSpec(mu_q=mu, xi_re=xi))
-    res = simulate_z(params, x_to_z(state.x), (0.0, t_pole), rtol=rtol,
-                     atol=atol)
+    res = simulate_z(params, x_to_z(state.x), (0.0, t_pole))
     traj = res.trajectory
     ts = np.linspace(0.0, t_pole, n_samples)
     ps = z_purity_many(traj(ts))
@@ -227,56 +222,3 @@ def delta_p(params: ModelParams, xi: float, mu: float, *,
             if p_v > p_max:
                 t_max, p_max = float(t_v), p_v
     return DeltaPResult(gain, t_pole, p_pole, p_s1, p_max, t_max, "reached")
-
-
-# ====================================================================
-# Compiling a u-schedule into a detuning drive
-# ====================================================================
-
-def delta_from_u(params: ModelParams, u_value: float, u_rate: float,
-                 theta: float) -> float:
-    """Detuning that realizes a given azimuth-relative control locally:
-    delta = du/dt - J tan(theta) sin(u) (accumulated-phase convention)."""
-    cap = 0.5 * math.pi - POLE_GUARD
-    th = math.copysign(cap, theta) if abs(theta) >= cap else theta
-    return u_rate - params.J * math.tan(th) * math.sin(u_value)
-
-
-def compile_u_control(params: ModelParams, u_times, u_values,
-                      xi: float = 0.0, *, rtol: float = 1e-10,
-                      atol: float = 1e-10, n_samples: int = 2001):
-    """Turn a piecewise-linear u(t) table into a detuning drive.
-
-    Integrates the S1 direction q (reduced.make_rhs_s1) under the tabulated
-    u from the thermal-product start with cross coherence xi, then samples
-    delta(t) = du/dt - J tan(theta(t)) sin(u(t)), theta = atan2(q_w, q_v),
-    and wraps it in a TableDrive with the accumulated phase convention (the
-    one u-control derives in).  Returns (drive, q_result).
-    """
-    u_times = np.asarray(u_times, dtype=float)
-    u_values = np.asarray(u_values, dtype=float)
-    if u_times.ndim != 1 or u_times.shape != u_values.shape or len(u_times) < 2:
-        raise ValueError("need matching 1-d u tables, length >= 2")
-    if np.any(np.diff(u_times) <= 0.0):
-        raise ValueError("u table times must be strictly increasing")
-
-    def u_fn(t: float) -> float:
-        return float(np.interp(t, u_times, u_values))
-
-    def u_rate(t: float) -> float:
-        k = int(np.clip(np.searchsorted(u_times, t, side="right") - 1,
-                        0, len(u_times) - 2))
-        return float((u_values[k + 1] - u_values[k])
-                     / (u_times[k + 1] - u_times[k]))
-
-    res = integrate(make_rhs_s1(params, u_fn),
-                    (float(u_times[0]), float(u_times[-1])),
-                    initial_direction(params, xi), rtol=rtol, atol=atol)
-    ts = np.linspace(float(u_times[0]), float(u_times[-1]), n_samples)
-    q = res.trajectory(ts)
-    thetas = np.arctan2(q[:, 0], q[:, 1])
-    deltas = np.array([
-        delta_from_u(params, u_fn(t), u_rate(t), th)
-        for t, th in zip(ts, thetas)
-    ])
-    return TableDrive(ts, deltas, mode="accumulated"), res

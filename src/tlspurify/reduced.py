@@ -22,21 +22,23 @@ The spherical picture sits on S1: with  c = -(z[3]+1)/2  and
     z[0] - c = r sin(theta),   z[1] = r cos(theta) sin(phi),
     z[2] = r cos(theta) cos(phi),
 
-the controlled dynamics read (u = drive phase minus azimuth phi)
+the dynamics read (u = drive phase minus azimuth phi, the phase being
+the running integral of the detuning)
 
     dr/dt     = -(gamma/2) (r + (eta - c) sin(theta))
     dc/dt     =  (gamma/2) (r sin(theta) + (eta - c))
     dtheta/dt = -(gamma/2) ((eta - c)/r) cos(theta) + 2 J cos(u)
-    dphi/dt   =  2 alpha - J tan(theta) sin(u)
+    dphi/dt   = -J tan(theta) sin(u)
 
 with theta in [-pi/2, pi/2] (cos(theta) >= 0 by construction) and phi set
 to 0 within POLE_GUARD of the poles, where the azimuth degenerates.
 Purity grows with z[0]^2 alone in S1, so driving theta to +pi/2 (all of r
 into the polarization, "north pole") is the purification target.
 
-The (eta - c)/r term is singular at r = 0, so controlled runs integrate
+The (eta - c)/r term is singular at r = 0, so the locked control u == 0
+(the pole engine's flow, and the checks' Runge-Kutta side of it) runs on
 the direction q = e^{gamma t/2} (r sin(theta), r cos(theta), eta - c),
-whose flow is linear and regular (a = 2 J cos(u)):
+whose flow is linear and regular (a = 2 J cos(u) = 2 J):
 
     q' = N(a) q,  N(a) = [[0, a, -gamma/2], [-a, 0, 0], [-gamma/2, 0, 0]],
     theta = atan2(q_w, q_v),  r = e^{-gamma t/2} |(q_w, q_v)|,
@@ -46,12 +48,11 @@ whose flow is linear and regular (a = 2 J cos(u)):
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from .drive import ConstantDrive, Drive, resonant
-from .integrator import IvpResult, augment, expm, integrate, propagate
+from .drive import ConstantDrive, resonant
+from .integrator import IvpResult, augment, expm, propagate
 from .model import ModelParams
 
 #: angular distance from the poles below which phi is meaningless
@@ -143,7 +144,7 @@ def z_generator(params: ModelParams, j1: float, j2: float,
     return m, b
 
 
-def make_rhs_z(params: ModelParams, drive: Drive | None = None):
+def make_rhs_z(params: ModelParams, drive: ConstantDrive | None = None):
     """Right-hand side of the reduced flow for the given drive."""
     if drive is None:
         drive = resonant()
@@ -152,7 +153,7 @@ def make_rhs_z(params: ModelParams, drive: Drive | None = None):
     b_diss = r.gamma1 * _Z_DISS_B1 + r.gamma2 * _Z_DISS_B2
     J = params.J
 
-    if isinstance(drive, ConstantDrive) and drive.detuning == 0.0:
+    if drive.detuning == 0.0:
         m_const = m_diss + J * _Z_J1
         b_const = b_diss + J * _Z_J1_B
 
@@ -165,8 +166,7 @@ def make_rhs_z(params: ModelParams, drive: Drive | None = None):
         ph = drive.phase(t)
         j1 = J * math.cos(ph)
         j2 = J * math.sin(ph)
-        a = drive.alpha(t)
-        m = m_diss + j1 * _Z_J1 + j2 * _Z_J2 + a * _Z_FRAME
+        m = m_diss + j1 * _Z_J1 + j2 * _Z_J2
         b = b_diss + j1 * _Z_J1_B + j2 * _Z_J2_B
         return m @ z + b
 
@@ -177,24 +177,15 @@ def simulate_z(
     params: ModelParams,
     z0: np.ndarray,
     t_span: tuple[float, float],
-    drive: Drive | None = None,
-    *,
-    rtol: float = 1e-10,
-    atol: float = 1e-10,
+    drive: ConstantDrive | None = None,
 ) -> IvpResult:
-    """Evolve the reduced coordinates over t_span.  A constant drive is
-    propagated exactly (the affine flow on the augmented 9x9 generator, in
-    the co-rotating frame when detuned), and rtol and atol do not apply;
-    any other drive is integrated to them."""
-    if drive is None:
-        drive = resonant()
-    if isinstance(drive, ConstantDrive):
-        delta = drive.detuning
-        m, b = z_generator(params, params.J, 0.0)
-        return propagate(m - delta * _Z_ROTATION, t_span, z0, b=b,
-                         rotation=(_Z_ROTATION, delta))
-    rhs = make_rhs_z(params, drive)
-    return integrate(rhs, t_span, z0, rtol=rtol, atol=atol)
+    """Evolve the reduced coordinates over t_span exactly: the affine flow
+    on the augmented 9x9 generator, in the co-rotating frame when
+    detuned."""
+    delta = 0.0 if drive is None else drive.detuning
+    m, b = z_generator(params, params.J, 0.0)
+    return propagate(m - delta * _Z_ROTATION, t_span, z0, b=b,
+                     rotation=(_Z_ROTATION, delta))
 
 
 def z_states_at(params: ModelParams, z0s, t: float) -> np.ndarray:
@@ -237,7 +228,7 @@ def spherical_to_z_s1(r: float, c: float, theta: float,
 
 def make_rhs_rct(params: ModelParams):
     """(r, c, theta) dynamics under u == 0, singular at r = 0 through its
-    (eta - c)/r term.  No package path calls it: controlled runs use the
+    (eta - c)/r term.  No package path calls it: the checks integrate the
     regular make_rhs_s1.  It stays as a reference form of the spherical
     equations for the tests and for perfbench's RHS probe."""
     gam = params.rates.gamma
@@ -259,16 +250,13 @@ def make_rhs_rct(params: ModelParams):
     return rhs
 
 
-def make_rhs_s1(params: ModelParams,
-                u: Callable[[float], float] | None = None):
-    """Right-hand side q' = N(2J cos u(t)) q of the S1 direction
-    q = e^{gamma t/2} (r sin theta, r cos theta, eta - c) under an
-    azimuth-relative control u(t); u = None means u == 0."""
+def make_rhs_s1(params: ModelParams):
+    """Right-hand side q' = N(2J) q of the S1 direction
+    q = e^{gamma t/2} (r sin theta, r cos theta, eta - c) under u == 0."""
     b = 0.5 * params.rates.gamma
-    two_j = 2.0 * params.J
+    a = 2.0 * params.J
 
     def rhs(t: float, q: np.ndarray) -> np.ndarray:
-        a = two_j if u is None else two_j * math.cos(u(t))
         w, v, d = q
         return np.array([a * v - b * d, -a * w, -b * w])
 

@@ -21,7 +21,6 @@ import math
 import numpy as np
 
 from .config import MAX_ROWS, ConfigError, RunConfig, SweepAxis
-from .drive import ConstantDrive
 from .liouville import qubit_purity, simulate, tls_purity
 from .model import InitialStateSpec, build_initial_state, mu_max, xi_max
 from .optimal import pole_gains
@@ -35,11 +34,10 @@ __all__ = ["simulate_trace", "scan_gamma", "scan_beta", "region_map",
            "coherence_map", "purity_trace", "verify_table"]
 
 
-def _trace(params, xi, mu, t_end, n, rtol, atol):
+def _trace(params, xi, mu, t_end, n):
     """Purity samples of one reduced run."""
     state = build_initial_state(params, InitialStateSpec(mu_q=mu, xi_re=xi))
-    res = simulate_z(params, x_to_z(state.x), (0.0, t_end), rtol=rtol,
-                     atol=atol)
+    res = simulate_z(params, x_to_z(state.x), (0.0, t_end))
     ts = np.linspace(0.0, t_end, n)
     return z_purity_many(res.trajectory(ts))
 
@@ -59,16 +57,14 @@ def simulate_trace(cfg: RunConfig) -> Table:
         else 2.0 * math.pi / params.omega_q
     t_end = cfg.horizon * t_ref
     pole_status = "not-tracked"
-    on_resonance = isinstance(drive, ConstantDrive) and drive.detuning == 0.0
-    if on_resonance and params.J > 0.0 and cfg.xi_im == 0.0:
+    if drive.detuning == 0.0 and params.J > 0.0 and cfg.xi_im == 0.0:
         lead = t_min_numeric(params, math.hypot(cfg.xi_re, cfg.xi_im),
                              horizon_mult=cfg.horizon)
         pole_status = lead.status
         if lead.status == "reached":
             t_end = lead.time
 
-    res = simulate(params, state, (0.0, t_end), drive, frame=cfg.frame,
-                   rtol=cfg.rel_tol, atol=cfg.abs_tol)
+    res = simulate(params, state, (0.0, t_end), drive, frame=cfg.frame)
     ts = np.linspace(0.0, t_end, cfg.samples)
     xs = res.trajectory(ts)
 
@@ -156,13 +152,12 @@ def purity_trace(cfg: RunConfig) -> Table:
         t_end = 1.15 * lead.time
         table.metadata[f"t_pole_{tag}"] = lead.time
         # reference level: the top-coherence trace's purity at the pole
-        top = _trace(params, xi, cap, lead.time, 2, cfg.rel_tol, cfg.abs_tol)
+        top = _trace(params, xi, cap, lead.time, 2)
         table.metadata[f"p_max_{tag}"] = float(top[-1])
         ts = np.linspace(0.0, t_end, cfg.samples)
         for frac in np.linspace(0.0, 1.0, cfg.mu_count):
             mu = float(frac) * cap
-            ps = _trace(params, xi, mu, t_end, cfg.samples, cfg.rel_tol,
-                        cfg.abs_tol)
+            ps = _trace(params, xi, mu, t_end, cfg.samples)
             for t, p in zip(ts, ps):
                 table.add(float(xi), float(mu), float(t), float(p))
     return table

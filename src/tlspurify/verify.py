@@ -3,11 +3,12 @@
 Every check measures a residual and holds it to a stated tolerance; checks
 that propagate also report accepted/rejected step counts (node steps, with
 none rejected, for an exact run).  Each check compares two independent
-paths: the constant-coefficient runs that simulate propagates exactly are
-held against Runge-Kutta integration of the same flow or of its reduction.  ``run_suite``
-accepts an override for the reduced-system right-hand side so a deliberately
-broken generator can be shown to trip the equivalence check (negative
-control for the suite itself).
+paths: the runs that simulate propagates exactly are held against
+Runge-Kutta integration of the same flow or of its reduction, and rtol and
+atol set only that Runge-Kutta side.  ``run_suite`` accepts an override for
+the reduced-system right-hand side so a deliberately broken generator can
+be shown to trip the equivalence check (negative control for the suite
+itself).
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
     spec = InitialStateSpec(mu_q=mu, xi_re=0.5 * xi)
     state = build_initial_state(params, spec)
     t_span = (0.0, 2.0 * params.t0)
-    full = simulate(params, state, t_span, rtol=rtol, atol=atol)
+    full = simulate(params, state, t_span)
     z0 = x_to_z(state.x)
     z_rhs = z_rhs_override if z_rhs_override is not None else make_rhs_z(params)
     red = integrate(z_rhs, t_span, z0, rtol=rtol, atol=atol)
@@ -133,7 +134,7 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
 
     # -- eta-line conservation for the uncorrelated start -------------
     plain = build_initial_state(params, InitialStateSpec())
-    res0 = simulate(params, plain, t_span, rtol=rtol, atol=atol)
+    res0 = simulate(params, plain, t_span)
     zz = np.array([x_to_z(x) for x in res0.y])
     cc = -0.5 * (zz[:, 3] + 1.0)
     rr = np.hypot(zz[:, 0] - cc, zz[:, 1])
@@ -206,8 +207,7 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
     # -- no coherence gain without correlation ------------------------
     gain = math.nan
     if lead.status == "reached":
-        gain = delta_p(p, 0.0, mu_max(p, 0.0), rtol=rtol, atol=atol,
-                       t_pole=lead.time).delta_p
+        gain = delta_p(p, 0.0, mu_max(p, 0.0), t_pole=lead.time).delta_p
     checks.append(_check("coherence-gain-uncorrelated", abs(gain), 1e-6,
                          "|delta_p| at xi = 0, mu at its ceiling"))
 

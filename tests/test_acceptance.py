@@ -84,9 +84,8 @@ def test_criterion_04_full_vs_reduced_equivalence():
     spec = InitialStateSpec(mu_q=0.5 * mu_max(p, xi), xi_re=xi)
     state = build_initial_state(p, spec)
     t_end = 2.0 * p.t0
-    full = simulate(p, state, (0.0, t_end), rtol=1e-10, atol=1e-10)
-    red = simulate_z(p, x_to_z(state.x), (0.0, t_end), rtol=1e-10,
-                     atol=1e-10)
+    full = simulate(p, state, (0.0, t_end))
+    red = simulate_z(p, x_to_z(state.x), (0.0, t_end))
     ts = np.linspace(0.0, t_end, 400)
     za = np.array([x_to_z(x) for x in full.trajectory(ts)])
     zb = red.trajectory(ts)
@@ -105,7 +104,7 @@ def test_criterion_05_conservation_suite():
     for _ in range(10):
         spec = random_family_spec(p, rng)
         state = build_initial_state(p, spec)
-        res = simulate(p, state, (0.0, t_end), rtol=1e-10, atol=1e-10)
+        res = simulate(p, state, (0.0, t_end))
         traces = res.y[:, :4].sum(axis=1)
         assert np.abs(traces - 1.0).max() < 1e-9
         assert min(min_eigenvalue(x) for x in res.y) >= -1e-8
@@ -114,7 +113,7 @@ def test_criterion_05_conservation_suite():
                         np.array([r0, c0, th0]), rtol=1e-10, atol=1e-10)
         assert rct.trajectory.fs[:, 0].max() <= 1e-10
     z0 = x_to_z(build_initial_state(p, InitialStateSpec()).x)
-    zres = simulate_z(p, z0, (0.0, t_end), rtol=1e-10, atol=1e-10)
+    zres = simulate_z(p, z0, (0.0, t_end))
     zsum = np.array([sum(z_to_spherical(z)[:2]) for z in zres.y])
     assert np.abs(zsum - p.eta).max() < 1e-9
 
@@ -230,8 +229,7 @@ def test_criterion_11_rotating_frame_validity():
     t_end = t_min_analytic(p)
     state = build_initial_state(p, InitialStateSpec())
     ts = np.linspace(0.0, t_end, 400)
-    runs = {frame: simulate(p, state, (0.0, t_end), frame=frame,
-                            rtol=1e-8, atol=1e-8)
+    runs = {frame: simulate(p, state, (0.0, t_end), frame=frame)
             for frame in ("rwa", "lab")}
     pa = np.array([qubit_purity(x) for x in runs["rwa"].trajectory(ts)])
     pb = np.array([qubit_purity(x) for x in runs["lab"].trajectory(ts)])

@@ -143,6 +143,57 @@ def test_commands_load_only_what_they_run():
     assert seen["unresolved"] == []
 
 
+_EVERY_COMMAND = """
+import os, sys
+import tlspurify.cli as cli
+for argv in (["scan-gamma"], ["scan-beta"], ["region-map"], ["simulate"],
+             ["simulate", "--frame", "lab"], ["coherence-map"],
+             ["purity-trace"], ["verify"]):
+    assert cli.main([*argv, "--out", os.devnull]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_command_imports_scipy():
+    """scipy is a test dependency only: all seven commands, run in one
+    fresh interpreter at their defaults, leave it unimported."""
+    src = str(Path(tlspurify.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _EVERY_COMMAND],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "[]"
+
+
+@pytest.mark.parametrize("command,frame,epsilon", [
+    ("simulate", "rwa", None), ("simulate", "lab", None),
+    ("simulate", "rwa", 1.02), ("simulate", "lab", 1.02),
+    ("coherence-map", None, None), ("purity-trace", None, None)])
+def test_tol_changes_no_exact_output(tmp_path, command, frame, epsilon):
+    """Every run but verify's Runge-Kutta side is exact, so --tol changes
+    no byte of its output but the two header lines that echo it."""
+    cfg = tmp_path / "run.yaml"
+    text = ("run:\n  samples: 11\n  horizon: 2.0\n"
+            "sweep:\n  mu_count: 2\n  axes:\n"
+            "    - {name: xi_frac, start: 0.0, stop: 1.0, count: 3}\n"
+            "    - {name: mu_frac, start: 0.0, stop: 1.0, count: 3}\n")
+    if epsilon is not None:
+        text += f"drive:\n  epsilon: {epsilon}\n"
+    cfg.write_text(text)
+    frame_flag = ["--frame", frame] if frame else []
+    bodies = []
+    for tol in ("1e-10:1e-10", "1e-6:1e-6"):
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--tol", tol,
+                     *frame_flag, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        kept = [line for line in lines
+                if not line.startswith(("# run.abs_tol", "# run.rel_tol"))]
+        assert len(lines) - len(kept) == 2
+        bodies.append("".join(kept))
+    assert bodies[0] == bodies[1]
+
+
 def test_runtime_error_from_driver(capsys, monkeypatch):
     """A RuntimeError deep in a run (say, step-size underflow in the
     integrator) ends as an error object and exit 1, not a traceback; so

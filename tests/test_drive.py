@@ -1,27 +1,17 @@
-"""Drive schedules: detuning, phase conventions, and the frame term."""
+"""The drive: a constant detuning, its phase, and the qubit shift."""
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from tlspurify.drive import (ConstantDrive, TableDrive, drive_coefficients,
-                             resonant)
+from tlspurify.drive import ConstantDrive, resonant
 from tlspurify.model import ModelParams
 
 
-# ====================================================================
-# Constant drives
-# ====================================================================
-
 def test_constant_drive_basics():
     d = ConstantDrive(0.3)
-    assert d.delta(2.0) == 0.3
+    assert d.detuning == 0.3
     assert d.phase(2.0) == pytest.approx(0.6)
-    assert d.alpha(2.0) == 0.0
 
 
 def test_resonant_is_zero_detuning():
@@ -30,81 +20,7 @@ def test_resonant_is_zero_detuning():
 
 
 def test_epsilon_realizes_the_detuning():
-    # the qubit shift behind a detuning schedule: delta + omega_tls - omega_q
+    # the qubit shift behind a detuning: delta + omega_tls - omega_q
     p = ModelParams()
     assert resonant().epsilon(0.0, p) == pytest.approx(2.0)
     assert ConstantDrive(0.5).epsilon(3.0, p) == pytest.approx(2.5)
-
-
-# ====================================================================
-# Tabulated drives
-# ====================================================================
-
-@pytest.fixture()
-def ramp() -> tuple[np.ndarray, np.ndarray]:
-    return np.array([0.0, 1.0, 2.0]), np.array([0.1, 0.3, 0.3])
-
-
-def test_table_drive_interpolation(ramp):
-    d = TableDrive(*ramp)
-    assert d.delta(0.5) == pytest.approx(0.2)
-    assert d.delta(1.7) == pytest.approx(0.3)
-    # ends are held constant
-    assert d.delta(-4.0) == pytest.approx(0.1)
-    assert d.delta(9.0) == pytest.approx(0.3)
-
-
-def test_table_drive_literal_phase_and_alpha(ramp):
-    d = TableDrive(*ramp, mode="literal")
-    assert d.phase(0.5) == pytest.approx(0.5 * d.delta(0.5))
-    # alpha = (t/2) * slope; slope is 0.2 then 0
-    assert d.alpha(0.5) == pytest.approx(0.5 * 0.5 * 0.2)
-    assert d.alpha(1.5) == pytest.approx(0.0)
-    assert d.alpha(5.0) == pytest.approx(0.0)
-    # consistency: d(phase)/dt = delta + 2*alpha inside a smooth segment
-    h = 1e-6
-    num = (d.phase(0.7 + h) - d.phase(0.7 - h)) / (2.0 * h)
-    assert num == pytest.approx(d.delta(0.7) + 2.0 * d.alpha(0.7), abs=1e-6)
-
-
-def test_table_drive_accumulated_phase(ramp):
-    d = TableDrive(*ramp, mode="accumulated")
-    assert d.alpha(0.5) == 0.0
-    # trapezoid areas: 0.2 over the first segment, 0.3 over the second
-    assert d.phase(1.0) == pytest.approx(0.2)
-    assert d.phase(2.0) == pytest.approx(0.5)
-    assert d.phase(1.5) == pytest.approx(0.35)
-    # outside the table the held end value keeps accumulating
-    assert d.phase(3.0) == pytest.approx(0.8)
-    assert d.phase(-1.0) == pytest.approx(-0.1)
-    # d(phase)/dt = delta in this convention
-    h = 1e-6
-    num = (d.phase(0.7 + h) - d.phase(0.7 - h)) / (2.0 * h)
-    assert num == pytest.approx(d.delta(0.7), abs=1e-6)
-
-
-def test_accumulated_phase_matches_quadrature(ramp):
-    d = TableDrive(*ramp, mode="accumulated")
-    val, _ = quad(d.delta, 0.0, 1.7, epsabs=1e-12, epsrel=1e-12, limit=200)
-    assert d.phase(1.7) == pytest.approx(val, abs=1e-9)
-
-
-def test_table_drive_validation(ramp):
-    ts, deltas = ramp
-    with pytest.raises(ValueError):
-        TableDrive(ts[::-1], deltas)
-    with pytest.raises(ValueError):
-        TableDrive(ts, deltas[:2])
-    with pytest.raises(ValueError):
-        TableDrive([0.0], [0.1])
-    with pytest.raises(ValueError):
-        TableDrive(ts, deltas, mode="weird")
-
-
-def test_drive_coefficients(ramp):
-    d = TableDrive(*ramp, mode="literal")
-    j1, j2, al = drive_coefficients(d, 0.1, 0.8)
-    ph = d.phase(0.8)
-    assert j1 == pytest.approx(0.1 * math.cos(ph))
-    assert j2 == pytest.approx(0.1 * math.sin(ph))
-    assert al == pytest.approx(d.alpha(0.8))

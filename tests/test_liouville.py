@@ -10,8 +10,7 @@ from scipy.integrate import solve_ivp
 
 from oracles import (lab_rhs, lindblad_rhs, partial_trace_defect,
                      partial_trace_qubit, random_density_x)
-from tlspurify import liouville, reduced
-from tlspurify.drive import ConstantDrive, TableDrive, resonant
+from tlspurify.drive import ConstantDrive, resonant
 from tlspurify.integrator import integrate
 from tlspurify.liouville import (lab_hamiltonian, make_rhs_lab, make_rhs_rwa,
                                  qubit_purity, qubit_reduced, rwa_generator,
@@ -79,7 +78,7 @@ def test_simulate_matches_scipy_on_matrix_oracle(params_bath):
 
     ref = solve_ivp(oracle_rhs, (0.0, t_end), state.x, method="DOP853",
                     rtol=1e-11, atol=1e-12)
-    res = simulate(params_bath, state, (0.0, t_end), rtol=1e-11, atol=1e-12)
+    res = simulate(params_bath, state, (0.0, t_end))
     assert np.abs(res.y_final - ref.y[:, -1]).max() < 1e-8
 
 
@@ -107,8 +106,7 @@ def test_frames_agree_at_zero_coupling():
     state = build_initial_state(p, spec)
     span = (0.0, 8.0)
     ts = np.linspace(*span, 100)
-    runs = {frame: simulate(p, state, span, frame=frame, rtol=1e-11,
-                            atol=1e-12)
+    runs = {frame: simulate(p, state, span, frame=frame)
             for frame in ("rwa", "lab")}
     for purity in (qubit_purity, tls_purity):
         a = np.array([purity(x) for x in runs["rwa"].trajectory(ts)])
@@ -147,9 +145,9 @@ def test_reduced_states_match_partial_traces(rng):
 def test_lab_liouvillian_matches_matrix_oracle(params_bath, rng):
     """The lab right-hand side, built once from the 16 basis vectors, is
     the matrix-level lab master equation at every drive shift."""
-    drive = TableDrive((0.0, 5.0), (-0.4, 0.9))
-    rhs = make_rhs_lab(params_bath, drive)
-    for t in (0.0, 1.7, 5.0, 8.0):
+    for t, detuning in ((0.0, -0.4), (1.7, 0.0), (5.0, 0.9), (8.0, 0.25)):
+        drive = ConstantDrive(detuning)
+        rhs = make_rhs_lab(params_bath, drive)
         eps = drive.epsilon(t, params_bath)
         for _ in range(5):
             x = random_density_x(rng)
@@ -177,29 +175,3 @@ def test_exact_simulate_matches_rk(params_bath, frame, detuning):
                        rtol=1e-12, atol=1e-12)
         assert np.abs(exact.trajectory(rk.t) - rk.y).max() < bound
         assert np.abs(exact.y_final - rk.y_final).max() < bound
-
-
-def test_table_drive_and_events_stay_on_rk(params_bath, monkeypatch):
-    """Every constant drive takes the exact path, in both frames and in the
-    reduced flow; only a tabulated drive is integrated."""
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(len(args[2]))
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(liouville, "integrate", spy)
-    monkeypatch.setattr(reduced, "integrate", spy)
-    state = build_initial_state(params_bath, InitialStateSpec())
-    z0 = reduced.x_to_z(state.x)
-    span = (0.0, params_bath.t0)
-    for drive in (resonant(), ConstantDrive(0.1)):
-        for frame in ("rwa", "lab"):
-            simulate(params_bath, state, span, drive, frame=frame)
-        reduced.simulate_z(params_bath, z0, span, drive)
-    assert calls == []
-    table = TableDrive((0.0, 10.0), (0.0, 0.2))
-    for frame in ("rwa", "lab"):
-        simulate(params_bath, state, span, table, frame=frame)
-    reduced.simulate_z(params_bath, z0, span, table)
-    assert calls == [16, 16, 8]

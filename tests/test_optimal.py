@@ -14,8 +14,7 @@ from scipy.integrate import quad, solve_ivp
 from tlspurify.model import ModelParams, build_initial_state, InitialStateSpec, mu_max, xi_max
 from tlspurify import pole
 from tlspurify.optimal import (CRITICAL_TOL, DeltaPResult, Threshold,
-                               classify_region, classify_regime,
-                               compile_u_control, delta_from_u, delta_p,
+                               classify_region, classify_regime, delta_p,
                                first_events, fixed_point_theta,
                                initial_spherical, is_divergent, j_min,
                                pole_gains, pole_purity_ceiling,
@@ -603,81 +602,3 @@ def test_delta_p_unreached_pole():
     assert res.status != "reached"
     assert math.isnan(res.delta_p)
     assert res.t_pole == math.inf
-
-
-# ====================================================================
-# u-schedule compilation
-# ====================================================================
-
-def test_delta_from_u_values():
-    p = ModelParams(kappa=0.1)
-    assert delta_from_u(p, 0.0, 0.0, 0.3) == 0.0
-    got = delta_from_u(p, 0.5, 0.2, 0.7)
-    want = 0.2 - p.J * math.tan(0.7) * math.sin(0.5)
-    assert got == pytest.approx(want, rel=1e-13)
-    # pole clamp keeps it finite
-    assert math.isfinite(delta_from_u(p, 0.5, 0.0, math.pi / 2))
-
-
-def test_compile_u_control_zero_schedule():
-    """A u == 0 schedule must compile to the do-nothing drive and
-    reproduce the free pole time."""
-    p = ModelParams(kappa=0.1).with_gamma_over_j(2.0)
-    t_end = 1.2 * t_min_analytic(p)
-    drive, res = compile_u_control(p, (0.0, t_end), (0.0, 0.0))
-    assert np.abs(drive.deltas).max() < 1e-12
-    assert drive.mode == "accumulated"
-    run = t_min_numeric(p, 0.0)
-    # the compiled trajectory passes the pole at the free arrival time
-    ts = np.linspace(0.0, t_end, 400)
-    q = res.trajectory(ts)
-    th = np.arctan2(q[:, 0], q[:, 1])
-    k = int(np.argmin(np.abs(th - math.pi / 2)))
-    assert ts[k] == pytest.approx(run.time, abs=0.02 * run.time)
-
-
-def test_compile_u_control_zero_schedule_near_critical():
-    """At gamma/J = 3.948 (region-map's J = 1.0133 j_min cell, beta = 0.1,
-    xi = 0) the radius falls to 1e-13 before the pole.  The regular
-    direction flow still passes theta = pi/2 at the engine's arrival time,
-    11.76 t0, to 1e-7 relative."""
-    p = ModelParams(beta=0.1, kappa=0.1, J=J_FOUND)
-    run = t_min_numeric(p, 0.0)
-    assert run.status == "reached"
-    assert run.time / p.t0 == pytest.approx(11.7612, abs=1e-4)
-    _, res = compile_u_control(p, (0.0, 1.2 * run.time), (0.0, 0.0))
-    q = res.trajectory(np.array([1.0 - 1e-7, 1.0 + 1e-7]) * run.time)
-    before, after = np.arctan2(q[:, 0], q[:, 1])
-    assert before < math.pi / 2 < after
-
-
-def test_compile_u_control_validation():
-    p = ModelParams(kappa=0.1)
-    with pytest.raises(ValueError):
-        compile_u_control(p, (0.0,), (0.0,))
-    with pytest.raises(ValueError):
-        compile_u_control(p, (0.0, 1.0, 1.0), (0.0, 0.1, 0.2))
-    with pytest.raises(ValueError):
-        compile_u_control(p, (0.0, 1.0), (0.0, 0.1, 0.2))
-
-
-def test_compile_u_control_consistency():
-    """Along the compiled trajectory the tabulated detuning matches the
-    defining relation delta = du/dt - J tan(theta) sin(u)."""
-    p = ModelParams(kappa=0.1).with_gamma_over_j(1.5)
-    t_end = 0.8 * p.t0
-    u_times = np.linspace(0.0, t_end, 9)
-    u_values = 0.3 * np.sin(math.pi * u_times / t_end)
-    drive, res = compile_u_control(p, u_times, u_values, n_samples=301)
-    ts = np.asarray(drive.ts)
-    q = res.trajectory(ts)
-    thetas = np.arctan2(q[:, 0], q[:, 1])
-    for k in (40, 150, 260):
-        t = float(ts[k])
-        seg = min(int(np.searchsorted(u_times, t, side="right")) - 1,
-                  len(u_times) - 2)
-        rate = ((u_values[seg + 1] - u_values[seg])
-                / (u_times[seg + 1] - u_times[seg]))
-        u_here = float(np.interp(t, u_times, u_values))
-        want = delta_from_u(p, u_here, rate, float(thetas[k]))
-        assert drive.deltas[k] == pytest.approx(want, abs=1e-12)
