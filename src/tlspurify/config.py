@@ -69,11 +69,10 @@ MAX_COUNT = 500
 #: and 151 MB RSS, 2 x 62,500 samples 2.3 s and 156 MB
 MAX_ROWS = MAX_COUNT ** 2
 
-#: upper bound on run.horizon.  Below gamma = 4J the pole-time scan keeps
-#: its grid spacing, so its work grows linearly with the horizon: at 1000
-#: one gamma = 4J cell scans 25,600 intervals (26,001 closed-form
-#: evaluations, about 45 ms alone or 1.7 ms in a batch of 100 on a 2-core
-#: x86_64 host), against 512 at the default 20
+#: upper bound on run.horizon.  The pole engine solves each cell's events
+#: as polynomial roots, so its work does not grow with the horizon: a
+#: gamma = 4J cell that meets no event takes 9 closed-form evaluations at
+#: 1000 as at the default 20
 MAX_HORIZON = 1000.0
 
 

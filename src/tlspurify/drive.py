@@ -24,7 +24,7 @@ class ConstantDrive:
     def phase(self, t: float) -> float:
         return self.detuning * t
 
-    def epsilon(self, t: float, params) -> float:
+    def epsilon(self, params) -> float:
         """Qubit-frequency shift realizing this detuning."""
         return self.detuning - params.omega_q + params.omega_tls
 

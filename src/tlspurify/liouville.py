@@ -168,9 +168,10 @@ def lab_liouvillian(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
 def make_rhs_lab(params: ModelParams, drive: ConstantDrive):
     """Right-hand side of the lab-frame flow for the given drive."""
     l0, l_eps = lab_liouvillian(params)
+    a = l0 + drive.epsilon(params) * l_eps
 
     def rhs(t: float, x: np.ndarray) -> np.ndarray:
-        return (l0 + drive.epsilon(t, params) * l_eps) @ x
+        return a @ x
 
     return rhs
 
@@ -228,7 +229,7 @@ def simulate(
         drive = resonant()
     if frame == "lab":
         l0, l_eps = lab_liouvillian(params)
-        a, rotation = l0 + drive.epsilon(0.0, params) * l_eps, None
+        a, rotation = l0 + drive.epsilon(params) * l_eps, None
     elif frame == "rwa":
         delta = drive.detuning
         a = rwa_generator(params, params.J, 0.0) - delta * FRAME_ROTATION

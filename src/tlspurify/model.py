@@ -321,8 +321,8 @@ def mu_max(params: ModelParams, xi: complex | float = 0.0) -> float:
 @dataclass
 class StepStats:
     """Work counters of one run: accepted and rejected steps and
-    right-hand-side evaluations of the integrator, or grid intervals
-    scanned and closed-form evaluations of the pole engine."""
+    right-hand-side evaluations of the integrator, or roots refined and
+    closed-form evaluations of the pole engine."""
 
     accepted: int = 0
     rejected: int = 0

@@ -2,9 +2,11 @@
 
 The locked control u == 0 (drive phase glued to the coherence azimuth)
 advances theta at the full rate 2J on top of the drift.  In
-s = (r sin theta, r cos theta, eta - c) its flow is linear, so the pole
-and the guarded stall are roots of closed-form functions, bracketed on a
-grid and bisected; nothing here integrates.
+s = (r sin theta, r cos theta, eta - c) its flow is linear, and in one
+variable that runs with t the pole and the guarded stall are roots of a
+quadratic and a quartic: each cell's roots are solved in closed form or
+as companion-matrix eigenvalues, bracketed between their midpoints and
+bisected to the float; nothing here integrates and nothing scans a grid.
 
   * t_min_from_rates / t_min_analytic: pole-arrival time from the
     uncorrelated thermal start, finite exactly when gamma < 4J.
@@ -151,29 +153,6 @@ def _stall_curvature(gamma, eta, r, c, th):
 # Exact u == 0 flow of the S1 block
 # ====================================================================
 
-#: grid intervals per scan chunk, and the chunk length in units of the
-#: lossless pole time: the grid is never coarser than 20 t0 / 512, so the
-#: default horizon is one chunk and longer horizons take more chunks
-SCAN_INTERVALS = 512
-SCAN_CHUNK = 20.0
-
-#: grid intervals a scanning cell evaluates at once; a cell leaves the
-#: scan with the first block that brackets an event
-SCAN_BLOCK = 64
-
-#: most elements in any temporary array of the scan: a block takes at most
-#: MAX_WORK // (SCAN_BLOCK + 1) cells at once, and a bisection at most
-#: MAX_WORK brackets, so large batches and long horizons cost time, not
-#: memory; beyond that the engine keeps a few dozen floats per cell
-MAX_WORK = 2 ** 14
-
-#: for Omega^2 < 0 the direction settles onto the attracting stall angle;
-#: the scan stops once the terms still moving it fall below this share
-#: of the settled direction, times (2J/kappa)^2.  Sign changes of the
-#: theta rate past that point are roundoff: they appear near a share of
-#: 1e-16 (2J/kappa)^2, kappa = sqrt(-Omega^2)
-SETTLE_TOL = 1e-12
-
 #: run statuses by code, and the region label of each
 _STATUSES = ("reached", "trapped", "horizon")
 _LABELS = np.array(["C", "B", "U"])
@@ -192,6 +171,12 @@ class _DriftFlow:
     a positive factor chosen to keep every regime free of overflow and
     cancellation; spherical(t) undoes the factor.
 
+    Up to a positive factor the direction is a quadratic in one x that
+    runs monotonically with t: tan(Omega t / 2) for Omega^2 > 0 (the
+    direction is periodic), e^{-kappa t} with kappa^2 = -Omega^2, or t
+    for Omega^2 = 0.  So v is a quadratic in x and the theta-rate form
+    2J r^2 - (gamma/2) d v a quartic, and both events are their roots.
+
     Every attribute holds one entry per cell (a = 2J, b = gamma/2,
     Omega^2, eta, and the basis s0, N s0, N^2 s0), and every step is
     elementwise, so a cell's result does not depend on the batch it runs
@@ -202,8 +187,10 @@ class _DriftFlow:
         self.a = 2.0 * J
         self.b = 0.5 * gamma
         self.eta = eta
-        self.om2 = self.a * self.a - self.b * self.b
+        self.om2 = (self.a - self.b) * (self.a + self.b)    # no cancellation
         self.root = np.sqrt(np.abs(self.om2))   # Omega, or kappa
+        self.trig = self.om2 > 0.0
+        self.hyp = self.om2 < 0.0
         s0 = np.array([r0 * np.sin(th0), r0 * np.cos(th0), eta - c0])
         n1 = self._apply_n(s0)
         self.basis = np.array([s0, n1, self._apply_n(n1)])  # term, axis, cell
@@ -222,7 +209,7 @@ class _DriftFlow:
         w, v, d = rows.direction(t[:, None])
         rate = rows.rate(w, v, d)[:, 0]
         w, v, d = w[:, 0], v[:, 0], d[:, 0]
-        kappa = np.where(self.om2 < 0.0, self.root, 0.0)
+        kappa = np.where(self.hyp, self.root, 0.0)
         f = np.exp((kappa - self.b) * t)        # direction -> s
         r2 = w * w + v * v
         return (f * np.hypot(w, v), self.eta - f * d, np.arctan2(w, v),
@@ -262,140 +249,136 @@ class _DriftFlow:
                                 np.hypot(w, v), self.eta[cells] - d,
                                 np.arctan2(w, v)) <= STALL_CURVATURE_TOL
 
-    def _settled(self):
-        """For Omega^2 < 0, when the direction stops moving.  In
-        x = e^{-kappa t} it is A0 + A1 x + A2 x^2, so it has settled onto
-        A0 once x (|A1| + |A2|) <= SETTLE_TOL (2J/kappa)^2 |A0|.  Infinite
-        otherwise."""
-        out = np.full(self.om2.size, np.inf)
-        hyp = self.om2 < 0.0
-        k = self.root[hyp]
-        s0, n1, n2 = self.basis[:, :, hyp]
-        a0 = np.abs(0.5 * n1 / k + 0.5 * n2 / (k * k)).max(axis=0)
-        moving = (np.abs(s0 - n2 / (k * k)).max(axis=0)
-                  + np.abs(0.5 * n2 / (k * k) - 0.5 * n1 / k).max(axis=0))
-        share = SETTLE_TOL * (self.a[hyp] / k) ** 2
+    def _polynomials(self):
+        """Coefficients, lowest power first, of v (3) and of the theta-rate
+        form (5) of every cell as polynomials in its x, up to a positive
+        factor.  The rate vanishes on eigenvectors of N, and where the
+        direction is one it is set to exactly 0: at x = 0 and x = 1/0 for
+        Omega^2 < 0 (the rate is kept divided by x), at t = 1/0 for
+        Omega^2 = 0.  A roundoff remainder there would put spurious roots
+        where the direction settles onto the attracting stall angle."""
+        s0, n1, n2 = self.basis
+        om = self.root
         with np.errstate(divide="ignore", invalid="ignore"):
-            when = np.maximum(0.0, np.log(moving / (share * a0)) / k)
-        out[hyp] = np.where(a0 == 0.0, np.inf, when)
-        return out
+            trig = (s0, 2.0 * n1 / om, s0 + 2.0 * n2 / (om * om))
+            hyp = (0.5 * n1 / om + 0.5 * n2 / (om * om), s0 - n2 / (om * om),
+                   0.5 * n2 / (om * om) - 0.5 * n1 / om)
+        p = [np.where(self.trig, x, np.where(self.hyp, y, z))
+             for x, y, z in zip(trig, hyp, (s0, n1, 0.5 * n2))]
 
-    def events(self, t_end, t0):
-        """(status, t_stop, intervals scanned) of every cell: the pole (v
-        falls through 0, hence w > 0), a guarded stall (the theta rate falls
-        through 0), or neither by t_end.  The grid of each cell is
-        np.linspace(0, t_scan, 513) per chunk; it is scanned in blocks, and
-        every block's brackets are bisected together.  A start at the
-        centre of the sphere (r = 0 and c = eta, as from a cold bath at
-        xi = 0) is a rest point and never reaches the pole."""
+        def form(u, s):         # the rate as a symmetric bilinear form
+            return (self.a * (u[0] * s[0] + u[1] * s[1])
+                    - 0.5 * self.b * (u[2] * s[1] + s[2] * u[1]))
+
+        rate = np.array([form(p[0], p[0]), 2.0 * form(p[0], p[1]),
+                         2.0 * form(p[0], p[2]) + form(p[1], p[1]),
+                         2.0 * form(p[1], p[2]), form(p[2], p[2])])
+        rate[4, ~self.trig] = 0.0
+        rate[0, self.hyp] = 0.0
+        rate[:, self.hyp] = np.roll(rate[:, self.hyp], -1, axis=0)
+        return np.array([x[1] for x in p]), rate
+
+    def _roots(self, v, rate):
+        """Six x per cell: the roots of v, in closed form, and of the
+        rate, as eigenvalues of the companion matrix in x or in 1/x,
+        whichever puts the larger end coefficient in the lead.  A complex
+        root stands for its real part, which still samples the dip
+        between a near-double pair."""
+        disc = v[1] * v[1] - 4.0 * v[2] * v[0]
+        q = -0.5 * (v[1] + np.copysign(np.sqrt(np.abs(disc)), v[1]))
+        flip = np.abs(rate[4]) < np.abs(rate[0])
+        c = np.where(flip, rate[::-1], rate)
+        comp = np.zeros((c.shape[1], 4, 4))
+        comp[:, 1:, :3] = np.eye(3)
+        comp[:, :, 3] = -(c[:4] / np.where(c[4] == 0.0, 1.0, c[4])).T
+        z = np.linalg.eigvals(comp).real.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.array([np.where(disc < 0.0, -0.5 * v[1] / v[2], q / v[2]),
+                          np.where(disc < 0.0, -0.5 * v[1] / v[2], v[0] / q),
+                          *np.where(flip, 1.0 / z, z)])
+        return np.nan_to_num(x).T
+
+    def _to_u(self, x):
+        """x as the variable u, running with t, that midpoints are taken
+        in, within the window: Omega t / 2 in [0, pi), -x in [-1, 0]
+        (midpoints in x keep a bracket out of the settled tail), or
+        arctan t in [0, pi/2]."""
+        ang = np.arctan(x) % math.pi
+        return np.where(self.hyp[:, None], np.clip(-x, -1.0, 0.0),
+                        np.where(self.trig[:, None], ang,
+                                 np.minimum(ang, 0.5 * math.pi)))
+
+    def _times(self, u):
+        om = self.root[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(self.trig[:, None], 2.0 * u / om,
+                            np.where(self.hyp[:, None], -np.log(-u) / om,
+                                     np.tan(u)))
+
+    def _signs(self, v, rate, t):
+        """v and the rate at the times t, each up to a positive factor:
+        forms homogeneous of degree 2 and 4 in (p, q) with x = p / q."""
+        om = self.root[:, None]
+        with np.errstate(invalid="ignore"):
+            ang = np.where(self.trig[:, None], 0.5 * om * t, np.arctan(t))
+            x = np.exp(-om * t)
+        hyp = self.hyp[:, None]
+        p, q = np.where(hyp, x, np.sin(ang)), np.where(hyp, 1.0, np.cos(ang))
+        return tuple(sum(c[:, None] * p ** k * q ** (len(f) - 1 - k)
+                         for k, c in enumerate(f)) for f in (v, rate))
+
+    def events(self, t_end):
+        """(status, t_stop, roots refined) of every cell: the pole (v falls
+        through 0, hence w > 0), a guarded stall (the theta rate falls
+        through 0), or neither by t_end.
+
+        The sorted roots of v and of the rate split the window (one period
+        for Omega^2 > 0, all time otherwise) into pieces that each hold
+        one root.  The midpoints between neighbouring roots, 0, t_end and
+        the window's end are evaluated on the polynomials; a piece whose
+        ends fall from positive to non-positive brackets a crossing, and
+        every cell's first pole bracket and the stall brackets up to it
+        are bisected together.  For Omega^2 <= 0 a run with no event by
+        t_end is "trapped" unless a pole bracket lies past t_end.  A start
+        at the centre of the sphere (r = 0 and c = eta, as from a cold
+        bath at xi = 0) is a rest point and never reaches the pole."""
         n = t_end.size
-        status = np.full(n, _HORIZON)
-        t_stop = t_end.copy()
+        v, rate = self._polynomials()
+        u = np.sort(self._to_u(self._roots(v, rate)), axis=1)
+        with np.errstate(divide="ignore"):
+            t_far = np.where(self.trig, 2.0 * math.pi / self.root, np.inf)
+        t = np.sort(np.column_stack([
+            np.zeros(n), self._times(0.5 * (u[:, 1:] + u[:, :-1])),
+            t_far, np.minimum(t_end, t_far)]), axis=1)
+        self.n_eval += t.shape[1]
+        fv, fr = self._signs(v, rate, t)
+        pole = (fv[:, :-1] > 0.0) & (fv[:, 1:] <= 0.0)
+        stall = (fr[:, :-1] > 0.0) & (fr[:, 1:] <= 0.0)
+        window = t[:, 1:] <= t_end[:, None]
+        late = (pole & ~window).any(axis=1)
+        pole &= window
+        piece = np.arange(pole.shape[1])
+        first = np.where(pole.any(axis=1), pole.argmax(axis=1), piece.size)
+        pole &= piece == first[:, None]
+        stall &= window & (piece <= first[:, None])
+        (pc, pk), (sc, sk) = np.nonzero(pole), np.nonzero(stall)
+        cells, k = np.concatenate([pc, sc]), np.concatenate([pk, sk])
+        is_stall = np.arange(cells.size) >= pc.size
+        roots = self._bisect(cells, t[cells, k], t[cells, k + 1], is_stall)
+        t_pole = np.full(n, np.inf)
+        t_pole[pc] = roots[~is_stall]
+        t_s = roots[is_stall]
+        held = t_s < t_pole[sc]
+        held[held] = self._stalls(sc[held], t_s[held])
+        t_stall = np.full(n, np.inf)
+        np.minimum.at(t_stall, sc[held], t_s[held])
+
+        status = np.where(np.isfinite(t_stall), _TRAPPED,
+                          np.where(np.isfinite(t_pole), _REACHED, _HORIZON))
+        t_stop = np.minimum(t_end, np.minimum(t_pole, t_stall))
         rest = ~self.basis[0].any(axis=0)
-        status[rest] = _TRAPPED
-        t_scan = np.minimum(t_end, self._settled())
-        chunks = np.maximum(1.0, np.ceil(t_scan / (SCAN_CHUNK * t0)))
-        self._grid = (t_scan, chunks, t_scan / chunks)
-        total = chunks.astype(np.int64) * SCAN_INTERVALS
-        accepted = np.zeros(n, dtype=np.int64)
-        pos = np.zeros(n, dtype=np.int64)         # next interval to scan
-        scanning = ~rest
-        exhausted = np.zeros(n, dtype=bool)
-        pending = []
-        while True:
-            cells = np.flatnonzero(scanning)[:MAX_WORK // (SCAN_BLOCK + 1)]
-            if cells.size:
-                found = self._scan_block(cells, pos, total)
-                pending.append(found)
-                scanning[found[0]] = False
-                pos[cells] += SCAN_BLOCK
-                done = cells[scanning[cells] & (pos[cells] >= total[cells])]
-                scanning[done] = False
-                exhausted[done] = True
-                continue
-            if not pending:
-                break
-            # every cell has a bracket or has run out of grid: bisect them
-            found = [np.concatenate(x) for x in zip(*pending)]
-            pending = []
-            for start in range(0, found[0].size, MAX_WORK // 2):
-                cells, interval, lo, hi, pole, stall = (
-                    x[start:start + MAX_WORK // 2] for x in found)
-                accepted[cells] = interval + 1
-                event = self._decide(cells, lo, hi, pole, stall, status,
-                                     t_stop)
-                pos[cells[~event]] = interval[~event] + 1
-                scanning[cells[~event]] = True
-        accepted[exhausted] = total[exhausted]
-        for i in np.flatnonzero(exhausted & (self.om2 <= 0.0)):
-            if not self._pole_after(i, float(t_scan[i])):
-                status[i] = _TRAPPED
-        return status, t_stop, accepted
-
-    def _grid_times(self, cells, q):
-        """Times of the grid points q of each cell: point k of chunk j is
-        k * step_j + edge_j, as np.linspace computes it, and a chunk's
-        last point is the next chunk's edge."""
-        t_scan, chunks, width = (x[cells, None] for x in self._grid)
-        j, k = np.divmod(q, SCAN_INTERVALS)
-        e0 = np.where(j >= chunks, t_scan, j * width)
-        e1 = np.where(j + 1 >= chunks, t_scan, (j + 1) * width)
-        return k * ((e1 - e0) / SCAN_INTERVALS) + e0
-
-    def _scan_block(self, cells, pos, total):
-        """One block of grid intervals for each cell: (cells that bracket
-        an event, the first such interval, its ends, and whether it
-        brackets the pole and a stall)."""
-        q = np.minimum(pos[cells, None] + np.arange(SCAN_BLOCK + 1),
-                       total[cells, None])
-        t = self._grid_times(cells, q)
-        self.n_eval[cells] += SCAN_BLOCK + 1
-        rows = _Rows(self, cells)
-        w, v, d = rows.direction(t)
-        rate = rows.rate(w, v, d)
-        pole = (v[:, :-1] > 0.0) & (v[:, 1:] <= 0.0)
-        stall = (rate[:, :-1] > 0.0) & (rate[:, 1:] <= 0.0)
-        hit = pole | stall
-        k = hit.argmax(axis=1)
-        rows = np.flatnonzero(hit[np.arange(cells.size), k])
-        k = k[rows]
-        return (cells[rows], pos[cells[rows]] + k, t[rows, k], t[rows, k + 1],
-                pole[rows, k], stall[rows, k])
-
-    def _decide(self, cells, lo, hi, pole, stall, status, t_stop):
-        """Bisect the brackets of every cell together and record the
-        events; returns which cells got one.  A stall counts when it comes
-        before the pole in its interval and passes the guard."""
-        which = np.concatenate([np.flatnonzero(pole), np.flatnonzero(stall)])
-        is_stall = np.arange(which.size) >= np.count_nonzero(pole)
-        roots = self._bisect(cells[which], lo[which], hi[which], is_stall)
-        t_pole = np.full(cells.size, np.inf)
-        t_pole[pole] = roots[~is_stall]
-        t_stall = np.full(cells.size, np.inf)
-        t_stall[stall] = roots[is_stall]
-        trapped = stall & (t_stall < t_pole)
-        trapped[trapped] = self._stalls(cells[trapped], t_stall[trapped])
-        reached = pole & ~trapped
-        status[cells[trapped]] = _TRAPPED
-        t_stop[cells[trapped]] = t_stall[trapped]
-        status[cells[reached]] = _REACHED
-        t_stop[cells[reached]] = t_pole[reached]
-        return trapped | reached
-
-    def _pole_after(self, i: int, t_end: float) -> bool:
-        """For Omega^2 <= 0: does v of cell i fall through zero after
-        t_end?  v, times a positive factor, is a quadratic in x = t
-        (Omega^2 = 0) or in x = e^{kappa t} (Omega^2 < 0), so its crossings
-        are its roots."""
-        v0, p, q = (float(x) for x in self.basis[:, 1, i])
-        if self.om2[i] == 0.0:
-            k, c2, c1, c0 = 0.0, 0.5 * q, p, v0
-        else:
-            k = float(self.root[i])
-            c2, c1, c0 = 0.5 * (p + q / k) / k, v0 - q / (k * k), 0.5 * (q / k - p) / k
-        return any(x > 0.0 and 2.0 * c2 * x + c1 < 0.0
-                   and (math.log(x) / k if k else x) > t_end
-                   for x in _real_roots(c2, c1, c0))
+        status[(status == _HORIZON) & (rest | ~self.trig & ~late)] = _TRAPPED
+        return status, t_stop, np.bincount(cells, minlength=n)
 
 
 class _Rows:
@@ -436,17 +419,6 @@ class _Rows:
     def rate(self, w, v, d):
         """r^2 dtheta/dt up to a positive factor: 2J r^2 - (gamma/2) d v."""
         return self.a * (w * w + v * v) - self.b * d * v
-
-
-def _real_roots(c2: float, c1: float, c0: float) -> list[float]:
-    """Real roots of c2 x^2 + c1 x + c0."""
-    if c2 == 0.0:
-        return [-c0 / c1] if c1 != 0.0 else []
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0.0:
-        return []
-    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
-    return [q / c2, c0 / q] if q != 0.0 else [0.0]
 
 
 # ====================================================================
@@ -509,12 +481,12 @@ class _Cells(NamedTuple):
 
 def _run_flows(cells: _Cells, horizon_mult: float):
     """The u == 0 flow of every cell: (status, t_stop, r, c, theta,
-    theta rate, intervals scanned, evaluations), one entry per cell."""
+    theta rate, roots refined, evaluations), one entry per cell."""
     if (cells.J <= 0.0).any():
         raise ValueError("t_min_numeric needs J > 0")
     flow = _DriftFlow(cells.J, cells.gamma, cells.eta, cells.r0, cells.c0,
                       cells.th0)
-    status, t_stop, accepted = flow.events(horizon_mult * cells.t0, cells.t0)
+    status, t_stop, accepted = flow.events(horizon_mult * cells.t0)
     return (status, t_stop, *flow.spherical(t_stop), accepted, flow.n_eval)
 
 
@@ -548,11 +520,13 @@ def t_min_numeric(params: ModelParams, xi: float = 0.0, *,
     reached, and "horizon" when it is reached only later.  The result is
     exact to roundoff, so rtol and atol have nothing to set; nothing in
     the package passes them, and they stay only for outside callers that
-    do.  stats counts closed-form evaluations (n_eval) and grid intervals
-    scanned (accepted); rejected stays 0.  Work grows with the horizon
-    (one 512-interval chunk per 20 t0), except for gamma > 4J, where the
-    scan stops once the direction has settled.  This is first_events on
-    a batch of one.
+    do.  stats counts closed-form evaluations (n_eval: eight sample
+    points, each bisection step, the stall guard and the stop point) and
+    the roots refined by bisection (accepted); rejected stays 0.  Neither
+    scales with the horizon: the roots cover one period of the direction
+    (gamma < 4J) or all time, a bisection takes at most about 60 steps
+    to the float, and a horizon only shortens a bracket it cuts.  This
+    is first_events on a batch of one.
     """
     return first_events([params], [xi], horizon_mult)[0]
 

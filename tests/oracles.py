@@ -10,7 +10,10 @@ against the package's lab Liouvillian.
 The pole-time oracle integrates the regular S1 direction flow
 q' = N(2J) q (reduced.make_rhs_s1) on the adaptive integrator and bisects
 the first crossing on its Hermite trajectory, a path independent of the
-closed-form solution of the same flow behind pole.t_min_numeric.
+closed-form solution of the same flow behind pole.t_min_numeric.  The
+precision oracle solves the same closed form at 50 digits in mpmath: the
+event times to far below double roundoff, with no bracketing or
+bisection.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from mpmath import mp
 
 from tlspurify.integrator import StepStats, integrate
 from tlspurify.model import (InitialStateSpec, ModelParams, matrix_to_x,
                              min_eigenvalue, mu_max, xi_max)
 from tlspurify.pole import (STALL_CURVATURE_TOL, _stall_curvature,
-                            initial_direction)
+                            initial_direction, initial_spherical)
 from tlspurify.reduced import make_rhs_s1
 
 # ====================================================================
@@ -220,6 +224,123 @@ def s1_pole_run(params: ModelParams, xi: float = 0.0, *,
     f = math.exp(-b * t_stop)
     return S1Run(status, t_stop, f * math.hypot(w, v), eta - f * d,
                  math.atan2(w, v), res.stats)
+
+
+# ====================================================================
+# Event times at 50 digits
+# ====================================================================
+
+def mp_first_event(params: ModelParams, xi: float = 0.0, *,
+                   horizon_mult: float = 20.0) -> tuple[str, object]:
+    """(status, event time as an mpf) of the u == 0 flow, at 50 digits,
+    from the float start (r0, c0, theta0) the engine reads; the time is
+    None when the run meets neither event by the horizon.
+
+    The direction D(t) = s0 + S(t) N s0 + C(t) N^2 s0 is a quadratic in
+    x = tan(Omega t/2) (times 1 + x^2), in x = e^{-kappa t} (times
+    e^{-kappa t}) or in x = t, so v and the theta-rate form
+    2J(w^2 + v^2) - (gamma/2) d v are polynomials in x.  mpmath's
+    polyroots gives every root; a real root where the function falls is
+    a crossing, and a rate crossing counts as a stall when the curvature
+    guard holds there.  The rate vanishes on eigenvectors of N, which is
+    what the direction is at x = 0 and x = 1/0 for Omega^2 < 0 and at
+    t = 1/0 for Omega^2 = 0; those coefficients are exactly 0.
+    """
+    with mp.workdps(50):
+        J, gamma, eta = (mp.mpf(x) for x in (params.J, params.gamma,
+                                              params.eta))
+        r0, c0, th0 = (mp.mpf(x) for x in initial_spherical(params, xi))
+        a, b = 2 * J, gamma / 2
+        om2 = a * a - b * b
+        om = mp.sqrt(abs(om2))
+        t_end = mp.mpf(horizon_mult) * mp.mpf(params.t0)
+
+        def apply_n(s):
+            return [a * s[1] - b * s[2], -a * s[0], -b * s[0]]
+
+        s0 = [r0 * mp.sin(th0), r0 * mp.cos(th0), eta - c0]
+        n1 = apply_n(s0)
+        n2 = apply_n(n1)
+        if not any(s0):
+            return "trapped", None
+        if om2 > 0:
+            coef = [s0, [2 * x / om for x in n1],
+                    [x + 2 * y / om ** 2 for x, y in zip(s0, n2)]]
+        elif om2 < 0:
+            coef = [[x / (2 * om) + y / (2 * om ** 2) for x, y in zip(n1, n2)],
+                    [x - y / om ** 2 for x, y in zip(s0, n2)],
+                    [y / (2 * om ** 2) - x / (2 * om) for x, y in zip(n1, n2)]]
+        else:
+            coef = [s0, n1, [y / 2 for y in n2]]
+
+        def form(p, q):
+            return (a * (p[0] * q[0] + p[1] * q[1])
+                    - b * (p[2] * q[1] + q[2] * p[1]) / 2)
+
+        v_poly = [c[1] for c in coef]
+        rate_poly = [sum(form(coef[i], coef[k - i])
+                         for i in range(max(0, k - 2), min(k, 2) + 1))
+                     for k in range(5)]
+        if om2 <= 0:
+            rate_poly[4] = mp.zero
+        if om2 < 0:
+            rate_poly = rate_poly[1:]       # the rate over x
+
+        def direction(t):
+            if om2 > 0:
+                s, c = mp.sin(om * t) / om, (1 - mp.cos(om * t)) / om2
+            elif om2 < 0:
+                s, c = mp.sinh(om * t) / om, (mp.cosh(om * t) - 1) / -om2
+            else:
+                s, c = t, t * t / 2
+            return [x + s * y + c * z for x, y, z in zip(s0, n1, n2)]
+
+        def to_time(x):
+            if om2 > 0:
+                return 2 * (mp.atan(x) % mp.pi) / om
+            if om2 < 0:
+                return -mp.log(x) / om if 0 < x <= 1 else None
+            return x
+
+        def falling_times(poly):
+            """Times of the real roots where the polynomial falls in t."""
+            while poly and poly[-1] == 0:
+                poly = poly[:-1]
+            if len(poly) < 2:
+                return []
+            out = []
+            for z in mp.polyroots(poly[::-1], maxsteps=200, extraprec=200):
+                z = mp.mpc(z)
+                if abs(z.imag) > mp.mpf(10) ** -35 * (1 + abs(z.real)):
+                    continue
+                x = z.real
+                slope = sum(k * c * x ** (k - 1)
+                            for k, c in enumerate(poly) if k)
+                t = to_time(x)
+                falls = slope > 0 if om2 < 0 else slope < 0
+                if t is not None and t > 0 and falls:
+                    out.append(t)
+            return sorted(out)
+
+        def guarded(t):
+            w, v, d = direction(t)
+            th = mp.atan2(w, v)
+            curv = (gamma ** 2 / 4 * mp.cos(th) * mp.sin(th)
+                    * (w * w + v * v - d * d) / (w * w + v * v))
+            return curv <= STALL_CURVATURE_TOL
+
+        poles = falling_times(v_poly)
+        t_pole = next((t for t in poles if t <= t_end), None)
+        for t in falling_times(rate_poly):
+            if t > t_end or (t_pole is not None and t >= t_pole):
+                break
+            if guarded(t):
+                return "trapped", t
+        if t_pole is not None:
+            return "reached", t_pole
+        if om2 > 0 or any(t > t_end for t in poles):
+            return "horizon", None
+        return "trapped", None
 
 
 # ====================================================================

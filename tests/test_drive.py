@@ -22,5 +22,5 @@ def test_resonant_is_zero_detuning():
 def test_epsilon_realizes_the_detuning():
     # the qubit shift behind a detuning: delta + omega_tls - omega_q
     p = ModelParams()
-    assert resonant().epsilon(0.0, p) == pytest.approx(2.0)
-    assert ConstantDrive(0.5).epsilon(3.0, p) == pytest.approx(2.5)
+    assert resonant().epsilon(p) == pytest.approx(2.0)
+    assert ConstantDrive(0.5).epsilon(p) == pytest.approx(2.5)

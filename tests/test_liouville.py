@@ -148,7 +148,7 @@ def test_lab_liouvillian_matches_matrix_oracle(params_bath, rng):
     for t, detuning in ((0.0, -0.4), (1.7, 0.0), (5.0, 0.9), (8.0, 0.25)):
         drive = ConstantDrive(detuning)
         rhs = make_rhs_lab(params_bath, drive)
-        eps = drive.epsilon(t, params_bath)
+        eps = drive.epsilon(params_bath)
         for _ in range(5):
             x = random_density_x(rng)
             expected = matrix_to_x(lab_rhs(params_bath, x_to_matrix(x), eps))

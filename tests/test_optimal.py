@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from tlspurify.model import ModelParams, build_initial_state, InitialStateSpec, mu_max, xi_max
-from tlspurify import pole
 from tlspurify.optimal import (CRITICAL_TOL, DeltaPResult, Threshold,
                                classify_region, classify_regime, delta_p,
                                first_events, fixed_point_theta,
@@ -25,7 +24,7 @@ from tlspurify.optimal import (CRITICAL_TOL, DeltaPResult, Threshold,
                                xi_fixed)
 from tlspurify.reduced import x_to_z, z_to_spherical
 
-from oracles import s1_pole_run
+from oracles import mp_first_event, s1_pole_run
 
 # Frozen oracle values (quadrature / bisection cross-checks, 17 digits)
 T_MIN_RATIO2 = 24.183991523122902       # J = 0.1, gamma = 0.2
@@ -360,29 +359,66 @@ def test_t_min_numeric_past_horizon(j_frac):
 
 @pytest.mark.parametrize("ratio", [0.0, 2.0, 3.9])
 def test_t_min_numeric_long_horizon(ratio):
-    """The scan grid keeps its spacing on long horizons, so the periodic
-    direction of gamma < 4J cannot alias past the first pole crossing."""
+    """For gamma < 4J the direction is periodic and one period decides
+    every event, so a long horizon finds the same first pole crossing
+    with the same work: the counters do not grow with the horizon."""
     p = ModelParams(kappa=0.1).with_gamma_over_j(ratio)
     run = t_min_numeric(p, 0.0, horizon_mult=1200)
     assert run.status == "reached"
     assert run.time == pytest.approx(t_min_analytic(p), rel=1e-12)
-    assert (t_min_numeric(p, xi_max(p), horizon_mult=1200).time
-            == t_min_numeric(p, xi_max(p)).time)
+    for xi in (0.0, xi_max(p)):
+        long = t_min_numeric(p, xi, horizon_mult=1200)
+        short = t_min_numeric(p, xi)
+        assert long.time == short.time
+        assert long.stats.n_eval == short.stats.n_eval
+        assert long.stats.accepted == short.stats.accepted
 
 
 @pytest.mark.parametrize("j_frac", [0.9, 0.999])
 @pytest.mark.parametrize("xi_frac", [0.0, 1.0])
 def test_t_min_numeric_settled_direction(j_frac, xi_frac):
     """For gamma > 4J the direction settles onto the attracting stall
-    angle, where the theta rate is zero up to roundoff: the scan stops
-    there, so a long horizon ends at the horizon, not at a roundoff sign
-    change of the rate, in bounded work."""
+    angle, where the theta rate is zero up to roundoff: its polynomial
+    has no roundoff root there, so a long horizon ends at the horizon,
+    not at a roundoff sign change of the rate, in bounded work."""
     hot = ModelParams(beta=0.1, kappa=0.1)
     p = replace(hot, J=j_frac * j_min(hot.gamma))
     run = t_min_numeric(p, xi_frac * XI_FIXED_BETA01, horizon_mult=2000)
     assert run.status == "trapped"
     assert run.t_stop == 2000 * p.t0
     assert run.stats.n_eval < 10_000
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.1])
+def test_overdamped_tail_has_no_roundoff_stall(beta):
+    """At gamma/J = 1e6 the direction settles onto the stall angle within
+    1e-4 t0, and from there the float theta rate is roundoff of either
+    sign.  The rate polynomial has no root there, so the run meets no
+    stall and ends at the horizon, as the 50-digit reference has it (a
+    grid scan took a roundoff zero of the rate near 5e-5 t0 for a
+    stall)."""
+    p = ModelParams(beta=beta, kappa=0.1).with_gamma_over_j(1e6)
+    assert mp_first_event(p, 0.0) == ("trapped", None)
+    run = t_min_numeric(p, 0.0)
+    assert run.status == "trapped"
+    assert run.t_stop == 20.0 * p.t0
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.3])
+def test_pole_just_above_critical(beta):
+    """One part in 1e13 above gamma = 4J the correlated start reaches the
+    pole within 1.4 t0 (the 50-digit reference), and the run says so: a
+    scan that stopped once the direction had settled gave up at t = 0
+    there, and the cell read "horizon" (region U)."""
+    p = ModelParams(beta=beta, kappa=0.1).with_gamma_over_j(
+        4.0 * (1.0 + 1e-13))
+    xi = xi_max(p)
+    status, t_ref = mp_first_event(p, xi)
+    run = t_min_numeric(p, xi)
+    assert status == run.status == "reached"
+    assert run.time < 1.4 * p.t0
+    assert abs(run.time - float(t_ref)) <= 1e-12 * float(t_ref)
+    assert classify_region(p, xi) == "C"
 
 
 def test_t_min_numeric_late_pole_below_critical():
@@ -496,30 +532,10 @@ def test_first_events_match_batches_of_one(cells, horizon, order):
         for p, xi in zip(params, xis)]
 
 
-def test_scan_grid_matches_linspace():
-    """The block scan sees each chunk's grid exactly as
-    np.linspace(edge_j, edge_j+1, 513) of np.linspace(0, t_scan, chunks + 1)
-    would give it, the chunk ends included."""
-    flow = pole._DriftFlow(*(np.ones(3) for _ in range(6)))
-    t_scan = np.array([0.0, 37.7, 1000.1])
-    chunks = np.array([1.0, 1.0, 7.0])
-    assert (t_scan[2] / 7.0) * 7.0 != t_scan[2]     # the last edge is t_scan
-    flow._grid = (t_scan, chunks, t_scan / chunks)
-    n = pole.SCAN_INTERVALS
-    for i in range(3):
-        edges = np.linspace(0.0, t_scan[i], int(chunks[i]) + 1)
-        want = np.concatenate([np.linspace(edges[j], edges[j + 1], n + 1)[:-1]
-                               for j in range(int(chunks[i]))]
-                              + [edges[-1:]])
-        q = np.arange(want.size)[None, :]
-        got = flow._grid_times(np.array([i]), q)[0]
-        assert got.tobytes() == want.tobytes()
-
-
 def test_engine_working_set_is_bounded():
-    """A 2,500-cell region-map batch keeps the engine's temporaries
-    capped: the traced peak stays under 4 MB (about 2.3 MB measured), far
-    below the 2,500 x 513-point grid one array would need."""
+    """A 2,500-cell region-map batch keeps a fixed number of floats per
+    cell (eight sample times, a 4 x 4 companion matrix, the brackets):
+    the traced peak stays under 4 MB (about 2.4 MB measured)."""
     import tracemalloc
     jm = j_min(_HOT.gamma)
     params, xis = [], []
@@ -535,6 +551,42 @@ def test_engine_working_set_is_bounded():
         tracemalloc.stop()
     assert len(labels) == 2500
     assert peak < 4e6
+
+
+def _gate_cells():
+    """Random cells at beta in {0.1, 1, 3}, gamma/J uniform on [0, 4.2],
+    on [3.9, 4.1] and within 0.1 % of 4, xi uniform up to xi_max, every
+    regime of _REGIMES at three coherences, and a pole near 800 t0 just
+    below gamma = 4J, where Omega^2 = 4J^2 - gamma^2/4 must be formed
+    without cancellation to keep the time within 1e-12."""
+    rng = np.random.default_rng(20261018)
+    cells = []
+    for beta in (0.1, 1.0, 3.0):
+        for lo, hi in ((0.0, 4.2), (3.9, 4.1), (3.996, 4.004)):
+            for _ in range(8):
+                p = ModelParams(beta=beta, kappa=0.1).with_gamma_over_j(
+                    float(rng.uniform(lo, hi)))
+                cells.append((p, float(rng.uniform(0.0, 1.0)) * xi_max(p)))
+    late = ModelParams(kappa=0.1).with_gamma_over_j(3.9999876766609836)
+    return cells + [(p, f * xi_max(p)) for p in _REGIMES
+                    for f in (0.0, 0.5, 1.0)] + [(late, 0.003483296225332298)]
+
+
+@pytest.mark.parametrize("horizon", [20.0, 300.0, 1000.0])
+def test_first_events_match_mpmath(horizon):
+    """Every status matches a 50-digit reference, and every pole or stall
+    time agrees with it to 1e-12 relative; a run that meets neither ends
+    exactly at the horizon."""
+    cells = _gate_cells()
+    runs = first_events([p for p, _ in cells], [xi for _, xi in cells],
+                        horizon)
+    for (p, xi), run in zip(cells, runs):
+        status, t_ref = mp_first_event(p, xi, horizon_mult=horizon)
+        assert run.status == status, (p, xi)
+        if t_ref is None:
+            assert run.t_stop == horizon * p.t0
+        else:
+            assert abs(run.t_stop - float(t_ref)) <= 1e-12 * float(t_ref)
 
 
 def test_first_events_empty_and_validation():
