@@ -8,11 +8,16 @@ Commands: simulate, scan-gamma, scan-beta, region-map, coherence-map,
 purity-trace, verify.  Flags override the corresponding config keys; every
 command writes one table to --out (stdout if omitted).  Errors go to
 stderr as a JSON object {code, message, parameter} with a nonzero exit.
+
+The process entry of ``python -m tlspurify.cli`` and of the ``tlspurify``
+script is entry(), which freezes the garbage collector after main();
+main(argv) itself never does, so one process can call it many times.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 import numpy as np
@@ -20,7 +25,7 @@ import numpy as np
 from .config import ConfigError, choices, load_config
 from .output import emit_error, write_table
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "entry", "build_parser"]
 
 
 def _driver(module: str, name: str):
@@ -134,5 +139,18 @@ def _run(args: argparse.Namespace) -> int:
         return 1
 
 
+def entry() -> int:
+    """main() as the whole life of a process.  gc.freeze() moves every
+    tracked object to the permanent generation, which the collections at
+    shutdown do not scan; the process still exits normally, so atexit
+    handlers run, sys.stdout and sys.stderr are flushed, and a failed
+    flush still exits 120.  The finally also covers argparse's SystemExit
+    for --help and for usage errors."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -6,8 +6,10 @@ notation, which round-trips exactly and pins the output bytes.  Cells may
 also be labels ("divergent", "unphysical", region letters); NaN or infinity
 reaching a writer is a bug and raises instead of leaking into a file.
 
-A CSV body is formatted column by column: a column of plain floats goes
-through one row format string, and only the other columns (labels, a
+A CSV body is formatted column by column.  A column of plain floats is
+held as an array, and in each chunk every distinct value, told apart by
+its bit pattern so that -0.0 and 0.0 stay apart, is formatted once and
+its text repeated wherever it occurs; only the other columns (labels, a
 float column with labels in it, bools, ints) are rendered cell by cell.
 A JSON document is written as its sorted-key head up to "rows":[, then
 the rows, then ]}: "rows" sorts after every other key, so the bytes are
@@ -23,7 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import islice, starmap
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -62,11 +64,13 @@ def _cell(v) -> str:
     return fmt_float(float(v))
 
 
-def _check_finite(floats) -> None:
-    """Raise on the first non-finite value of a sequence of floats."""
-    finite = np.isfinite(np.array(floats, dtype=float))
+def _check_finite(floats) -> np.ndarray:
+    """floats as an array; raise on the first non-finite value."""
+    array = np.array(floats, dtype=float)
+    finite = np.isfinite(array)
     if not finite.all():
         fmt_float(float(floats[int(finite.argmin())]))      # raises
+    return array
 
 
 def _check_json(values) -> None:
@@ -95,14 +99,25 @@ class Table:
         self.rows.append(cells)
 
 
-def _column(values: tuple) -> tuple[str, list | tuple]:
-    """The format field of one CSV column and the values it formats.  A
-    column of plain floats keeps its values, once every one is checked to
-    be finite; any other column is rendered cell by cell."""
+def _column(values: tuple) -> np.ndarray | list[str]:
+    """One CSV column, ready to be cut into chunks: a column of plain
+    floats as an array, once every one is checked to be finite; any other
+    column as the text of each cell."""
     if set(map(type, values)) <= _FLOAT_TYPES:
-        _check_finite(values)
-        return "{:.16e}", values
-    return "{}", [_cell(v) for v in values]
+        return _check_finite(values)
+    return [_cell(v) for v in values]
+
+
+def _texts(column: np.ndarray | list[str], rows: slice) -> list[str]:
+    """The cell texts of some rows of a column from _column.  Each
+    distinct float among them, told apart by its bit pattern, is
+    formatted once."""
+    if isinstance(column, list):
+        return column[rows]
+    distinct, where = np.unique(column[rows].view(np.int64),
+                                return_inverse=True)
+    text = list(map("{:.16e}".format, distinct.view(float).tolist()))
+    return list(map(text.__getitem__, where.tolist()))
 
 
 def _csv_chunks(table: Table, cfg: RunConfig):
@@ -115,13 +130,13 @@ def _csv_chunks(table: Table, cfg: RunConfig):
              for key in sorted(table.metadata)]
     head.append(",".join(table.columns))
     planned = [_column(values) for values in zip(*table.rows)]
-    row = ",".join(fmt for fmt, _ in planned) + "\n"
-    rows = zip(*(values for _, values in planned))
 
     def chunks():
         yield "\n".join(head) + "\n"
-        while body := "".join(starmap(row.format, islice(rows, CHUNK_ROWS))):
-            yield body
+        for start in range(0, len(table.rows), CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            cells = zip(*(_texts(column, rows) for column in planned))
+            yield "\n".join(map(",".join, cells)) + "\n"
 
     return chunks()
 

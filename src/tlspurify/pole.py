@@ -457,15 +457,23 @@ class _Cells(NamedTuple):
 
     @classmethod
     def of(cls, params_seq, xis) -> "_Cells":
-        """The rates of each distinct parameter set are computed once: a
-        sweep row shares one."""
-        known: dict[ModelParams, tuple] = {}
+        """The rates of each parameter object are computed once: a sweep
+        row shares one.  Objects are told apart by identity, not hashed;
+        an equal object that is not the same one is computed again, to the
+        same values.  Each object is kept until the end, so no id is
+        reused."""
+        known: dict[int, int] = {}
+        distinct, index = [], []
         for p in params_seq:
-            if p not in known:
-                known[p] = (p.J, p.gamma, p.eta, p.t0,
-                            p.qubit_populations[0], p.tls_populations[0])
-        cols = np.array([known[p] for p in params_seq],
-                        dtype=float).reshape(-1, 6).T
+            k = known.get(id(p))
+            if k is None:
+                k = known[id(p)] = len(distinct)
+                distinct.append((p, (p.J, p.gamma, p.eta, p.t0,
+                                     p.qubit_populations[0],
+                                     p.tls_populations[0])))
+            index.append(k)
+        cols = np.array([rates for _, rates in distinct],
+                        dtype=float).reshape(-1, 6)[index].T
         J, gamma, eta, t0, a_q, a_t = cols
         return cls(J, gamma, eta, t0,
                    *_initial_points(a_q, a_t, eta, np.asarray(xis, float)))
@@ -480,14 +488,13 @@ class _Cells(NamedTuple):
 
 
 def _run_flows(cells: _Cells, horizon_mult: float):
-    """The u == 0 flow of every cell: (status, t_stop, r, c, theta,
-    theta rate, roots refined, evaluations), one entry per cell."""
+    """The u == 0 flow of every cell and its events: (flow, status,
+    t_stop, roots refined), one entry per cell."""
     if (cells.J <= 0.0).any():
         raise ValueError("t_min_numeric needs J > 0")
     flow = _DriftFlow(cells.J, cells.gamma, cells.eta, cells.r0, cells.c0,
                       cells.th0)
-    status, t_stop, accepted = flow.events(horizon_mult * cells.t0)
-    return (status, t_stop, *flow.spherical(t_stop), accepted, flow.n_eval)
+    return (flow, *flow.events(horizon_mult * cells.t0))
 
 
 def first_events(params_seq, xis, horizon_mult: float = 20.0
@@ -496,15 +503,15 @@ def first_events(params_seq, xis, horizon_mult: float = 20.0
     cross coherence xis[k]: one array-valued engine for the whole batch,
     with the same result for each cell as a batch of one."""
     cells = _Cells.of(params_seq, xis)
-    status, t_stop, r, c, th, rate, accepted, n_eval = _run_flows(
-        cells, horizon_mult)
+    flow, status, t_stop, accepted = _run_flows(cells, horizon_mult)
+    r, c, th, rate = flow.spherical(t_stop)
     blocked = cells.blocked()
     return [TminResult(t if s == _REACHED else math.inf, _STATUSES[s], t,
                        *row, StepStats(accepted=a, n_eval=e))
             for s, t, *row, a, e in zip(
                 status.tolist(), t_stop.tolist(), r.tolist(), c.tolist(),
                 th.tolist(), rate.tolist(), blocked.tolist(),
-                accepted.tolist(), n_eval.tolist())]
+                accepted.tolist(), flow.n_eval.tolist())]
 
 
 def t_min_numeric(params: ModelParams, xi: float = 0.0, *,
@@ -533,12 +540,12 @@ def t_min_numeric(params: ModelParams, xi: float = 0.0, *,
 
 def region_labels(params_seq, xis, horizon_mult: float = 20.0) -> list[str]:
     """classify_region over a batch of cells; the cells that need the flow
-    run it as one batch."""
+    run it as one batch, and only its statuses are read."""
     cells = _Cells.of(params_seq, xis)
     labels = np.where(cells.gamma == 0.0,
                       np.where(cells.J > 0.0, "C", "U"), "A")
     run = np.flatnonzero((cells.gamma != 0.0) & ~cells.blocked())
-    status = _run_flows(cells.take(run), horizon_mult)[0]
+    status = _run_flows(cells.take(run), horizon_mult)[1]
     labels[run] = _LABELS[status.astype(int)]
     return labels.tolist()
 

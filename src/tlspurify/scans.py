@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
+
 from .config import ConfigError, RunConfig, SweepAxis
 from .model import ModelParams, xi_max
 from .output import Table
@@ -121,19 +123,21 @@ def region_map(cfg: RunConfig) -> Table:
     jm = j_min(gamma)
     xi_cap = xi_max(base)
 
-    cells = []
-    params = []
-    for jf in j_axis.values():
-        p = replace(base, J=float(jf) * jm)
-        for xf in x_axis.values():
-            cells.append((float(jf), p.J, float(xf), float(xf) * xi_cap))
-            params.append(p)
-    labels = region_labels(params, [xi for *_, xi in cells], cfg.horizon)
+    # the grid row by row (one J per row), built a column at a time
+    j_fracs, xi_fracs = j_axis.values(), x_axis.values()
+    n_j, n_xi = j_fracs.size, xi_fracs.size
+    js = j_fracs * jm
+    xi_col = np.tile(xi_fracs * xi_cap, n_j)
+    per_row = [replace(base, J=j) for j in js.tolist()]
+    labels = region_labels([p for p in per_row for _ in range(n_xi)], xi_col,
+                           cfg.horizon)
 
     table = Table("region-map",
                   ["j_frac", "J", "xi_frac", "xi", "region"],
                   metadata={"beta": beta, "kappa": base.kappa,
                             "gamma": gamma, "j_min": jm, "xi_max": xi_cap})
-    for (jf, jv, xf, xv), label in zip(cells, labels):
-        table.add(jf, jv, xf, xv, label)
+    table.rows.extend(zip(np.repeat(j_fracs, n_xi).tolist(),
+                          np.repeat(js, n_xi).tolist(),
+                          np.tile(xi_fracs, n_j).tolist(), xi_col.tolist(),
+                          labels))
     return table

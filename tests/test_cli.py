@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -163,6 +164,87 @@ def test_no_command_imports_scipy():
                           capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().strip() == "[]"
+
+
+# --------------------------------------------------------------------
+# the process entry: python -m tlspurify.cli in a fresh interpreter
+# --------------------------------------------------------------------
+
+def _fresh(*argv: str) -> subprocess.CompletedProcess:
+    """python -m tlspurify.cli argv in a fresh interpreter, which runs
+    cli.entry: main, then the collector frozen before a normal exit."""
+    src = str(Path(tlspurify.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "tlspurify.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fresh_stdout_matches_out_file(tmp_path, fmt):
+    """The process still flushes stdout at exit: the table it prints is
+    byte for byte the file --out writes."""
+    path = tmp_path / f"scan.{fmt}"
+    to_file = _fresh("scan-gamma", "--format", fmt, "--out", str(path))
+    to_stdout = _fresh("scan-gamma", "--format", fmt)
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+    assert (to_stdout.returncode, to_stdout.stderr) == (0, b"")
+    assert to_stdout.stdout == path.read_bytes()
+
+
+def test_fresh_bad_config_exits_2_with_one_error_object(tmp_path):
+    cfg = tmp_path / "samples.yaml"
+    cfg.write_text("run:\n  samples: 1\n")
+    proc = _fresh("simulate", "--config", str(cfg), "--out", os.devnull)
+    assert proc.returncode == 2
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["parameter"] == "run.samples"
+
+
+def test_fresh_runtime_error_exits_1(tmp_path):
+    """A cold bath leaves purity-trace no pole to reach: exit 1 and a
+    runtime-error object, not a traceback."""
+    cfg = tmp_path / "cold.yaml"
+    cfg.write_text("model: {beta: 100}\n")
+    proc = _fresh("purity-trace", "--config", str(cfg), "--out", os.devnull)
+    assert proc.returncode == 1
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["code"] == "runtime-error"
+
+
+def test_fresh_help_exits_0():
+    proc = _fresh("--help")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert b"region-map" in proc.stdout
+
+
+def test_main_never_freezes_the_collector():
+    """main is called many times in one process (the tests, in-process
+    benchmarks); only the process entry may freeze."""
+    assert main(["scan-gamma", "--out", os.devnull]) == 0
+    assert main(["verify", "--out", os.devnull]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_entry_freezes_after_main_and_after_argparse_exits(monkeypatch,
+                                                          capsys):
+    """entry returns main's code, and it also freezes when argparse ends
+    the run with SystemExit (--help, a usage error)."""
+    try:
+        monkeypatch.setattr(sys, "argv", ["tlspurify", "scan-gamma",
+                                          "--out", os.devnull])
+        assert cli.entry() == 0
+        assert gc.get_freeze_count() > 0
+        gc.unfreeze()
+        monkeypatch.setattr(sys, "argv", ["tlspurify", "no-such-command"])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 2
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command,frame,epsilon", [

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
+from tlspurify import pole
 from tlspurify.model import ModelParams, build_initial_state, InitialStateSpec, mu_max, xi_max
 from tlspurify.optimal import (CRITICAL_TOL, DeltaPResult, Threshold,
                                classify_region, classify_regime, delta_p,
@@ -587,6 +588,39 @@ def test_first_events_match_mpmath(horizon):
             assert run.t_stop == horizon * p.t0
         else:
             assert abs(run.t_stop - float(t_ref)) <= 1e-12 * float(t_ref)
+
+
+def test_stall_guard_drops_a_bracket_with_no_rate_zero(monkeypatch):
+    """On the theta rate's zero set the guard's curvature is exactly
+    d(rate)/dt / r^2, so a true falling zero always passes it; the guard
+    acts only where a sampled sign is wrong.  Roundoff does that in the
+    settled tail of a gamma > 4J run, but only within a few ulps of xi,
+    too fine to pin.  So the sign is misread on purpose here: the last
+    sample before the pole reads the rate as zero, bisection on the true
+    (positive) rate ends at that sample, and the guard, finding the rate
+    rising there, keeps the run going to the reference's pole.  Counting
+    every bracket as a stall would stop it short, "trapped"."""
+    p = ModelParams(beta=0.1, kappa=0.1).with_gamma_over_j(2.0)
+    xi = xi_max(p)
+    status, t_ref = mp_first_event(p, xi)
+    assert status == "reached"
+    signs = pole._DriftFlow._signs
+    misread = []
+
+    def misread_before_pole(self, v, rate, t):
+        fv, fr = signs(self, v, rate, t)
+        k = np.flatnonzero(t[0] < float(t_ref))[-1]
+        if fr[0, k - 1] > 0.0 and fr[0, k] > 0.0:
+            misread.append(t[0, k])
+            fr = fr.copy()
+            fr[0, k] = 0.0
+        return fv, fr
+
+    monkeypatch.setattr(pole._DriftFlow, "_signs", misread_before_pole)
+    run = t_min_numeric(p, xi)
+    assert misread and 0.0 < misread[0] < float(t_ref)
+    assert run.status == status
+    assert abs(run.time - float(t_ref)) <= 1e-12 * float(t_ref)
 
 
 def test_first_events_empty_and_validation():

@@ -130,9 +130,10 @@ _FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 _FLOAT_CELLS = st.one_of(_FLOATS, _FLOATS.map(np.float64))
 _LABELS = st.sampled_from(["divergent", "unphysical", "A", "B", "C", "U"])
 _INTS = st.integers(-10 ** 20, 10 ** 20)
-#: what one column holds: the kinds the drivers emit, and anything at all
+#: what one column holds: the kinds the drivers emit, and anything at all;
+#: a "pool" column repeats a few floats, as a sweep's grid columns do
 _COLUMNS = st.sampled_from(["float", "float+label", "label", "bool", "int",
-                            "mixed"])
+                            "mixed", "pool"])
 _CELLS = {
     "float": _FLOAT_CELLS,
     "float+label": st.one_of(_FLOAT_CELLS, _LABELS),
@@ -151,10 +152,13 @@ def _tables(draw) -> Table:
     metadata = draw(st.dictionaries(
         st.text("abcdefgh_", min_size=1, max_size=6),
         st.one_of(_FLOAT_CELLS, _LABELS, st.booleans(), _INTS), max_size=4))
+    cells = [st.sampled_from(draw(st.lists(_FLOAT_CELLS, min_size=1,
+                                           max_size=3)))
+             if kind == "pool" else _CELLS[kind] for kind in kinds]
     table = Table("demo", [f"c{k}" for k in range(len(kinds))],
                   metadata=metadata)
     for _ in range(draw(st.integers(0, 12))):
-        table.add(*(draw(_CELLS[kind]) for kind in kinds))
+        table.add(*(draw(column) for column in cells))
     return table
 
 
@@ -208,6 +212,25 @@ def test_non_finite_cell_raises_before_any_byte(table, bad, as_numpy, where,
     with pytest.raises(ValueError):
         reference_csv(table, RunConfig.from_dict({}))
     assert _written(table, 2, fmt) == (None, True)
+
+
+def test_repeated_zeros_and_subnormals_keep_their_sign():
+    """The writer formats each distinct float of a column once, telling
+    values apart by bit pattern: 0.0 and -0.0, and 5e-324 and -5e-324,
+    compare equal in pairs or not at all, yet each repeat keeps its own
+    text."""
+    values = [0.0, -0.0, 5e-324, -5e-324]
+    table = Table("demo", ["x", "y"])
+    for k in range(16):
+        table.add(values[k % 4], np.float64(values[k // 4]))
+    cfg = RunConfig.from_dict({})
+    text = "".join(output._csv_chunks(table, cfg))
+    assert text == reference_csv(table, cfg)
+    body = text.splitlines()[-16:]
+    assert body[:4] == ["0.0000000000000000e+00,0.0000000000000000e+00",
+                        "-0.0000000000000000e+00,0.0000000000000000e+00",
+                        "4.9406564584124654e-324,0.0000000000000000e+00",
+                        "-4.9406564584124654e-324,0.0000000000000000e+00"]
 
 
 def test_csv_writes_in_chunks(tmp_path):
