@@ -358,21 +358,129 @@ def _loader(yaml):
     return Loader
 
 
+#: a line of the flat layout: blank or a comment, a section, a key with a
+#: scalar or with list items to follow, or a list item (a one-line mapping)
+_FLAT_LINE = re.compile(r"(?: *#.*)?|(?P<section>\w+):"
+                        r"|  (?P<key>\w+):(?: +(?P<value>[^ ]+))?"
+                        r"|    - \{(?P<item>[^{}]*)\}")
+
+#: a scalar of the flat layout: a decimal number with no leading zero (an
+#: int of at most 18 digits, or a float of the YAML 1.2 syntax of _loader)
+#: or a word
+_FLAT_SCALAR = re.compile(r"[-+]?(?:0|[1-9][0-9]{0,17})(?P<float>(?:\.[0-9]*)?"
+                          r"(?:[eE][-+]?[0-9]+)?)|(?P<word>[A-Za-z_]\w*)")
+
+#: words YAML 1.1 reads as a bool or null in some spelling
+_YAML11_WORDS = {"yes", "no", "true", "false", "on", "off", "null"}
+
+
+class _NotFlat(Exception):
+    """The text is not in the flat layout; PyYAML has to read it."""
+
+
+def _flat_scalar(text: str):
+    """text as PyYAML reads a scalar of the flat layout."""
+    m = _FLAT_SCALAR.fullmatch(text)
+    if m is None or text.lower() in _YAML11_WORDS and text != "null":
+        raise _NotFlat
+    if m["word"] is not None:
+        return None if text == "null" else text
+    return float(text) if m["float"] else int(text)
+
+
+def _flat_key(text: str, mapping: dict) -> str:
+    """text as a new key of mapping: a word PyYAML reads as a string."""
+    if not isinstance(_flat_scalar(text), str) or text in mapping:
+        raise _NotFlat
+    return text
+
+
+def _flat_item(text: str) -> dict:
+    """The one-line mapping {key: scalar, ...} of a list item."""
+    item: dict = {}
+    for pair in text.split(", "):
+        key, colon, value = pair.partition(": ")
+        if not colon:
+            raise _NotFlat
+        item[_flat_key(key, item)] = _flat_scalar(value)
+    return item
+
+
+def _read_flat(text: str):
+    """What yaml.load(text, Loader=_loader(yaml)) returns, for a text in
+    the flat layout that the README example uses: blank and comment
+    lines, sections at column 0, ``key: scalar`` at two spaces, and list
+    items ``- {key: scalar, ...}`` at four spaces under a bare ``key:``.
+    Raises _NotFlat on anything else, from quotes and tabs to duplicate
+    keys and a bare key with no items (which PyYAML reads as null)."""
+    if not text.isascii() or not text.replace("\n", "").isprintable():
+        raise _NotFlat
+    doc: dict = {}
+    section = items = None
+    for line in text.split("\n"):
+        m = _FLAT_LINE.fullmatch(line)
+        if m is None:
+            raise _NotFlat
+        if m["item"] is not None:
+            if items is None:
+                raise _NotFlat
+            items.append(_flat_item(m["item"]))
+        elif m["section"] is not None or m["key"] is not None:
+            if items == []:
+                raise _NotFlat
+            items = None
+            if m["section"] is not None:
+                section = _flat_key(m["section"], doc)
+                doc[section] = None
+                continue
+            if section is None:
+                raise _NotFlat
+            keys = doc[section] = doc[section] or {}
+            key = _flat_key(m["key"], keys)
+            if m["value"] is None:
+                keys[key] = items = []
+            else:
+                keys[key] = _flat_scalar(m["value"])
+    if items == []:
+        raise _NotFlat
+    return doc or None
+
+
+def _parse_error(path: Path, exc: Exception) -> ConfigError:
+    return ConfigError("parse-error", f"config is not valid YAML: {exc}",
+                       str(path))
+
+
+def _read_yaml(path: Path, text: str):
+    """The YAML document in text, read by PyYAML."""
+    import yaml     # only a file outside the flat layout needs the parser
+
+    try:
+        return yaml.load(text, Loader=_loader(yaml))
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        # ValueError: an integer past Python's digit limit;
+        # RecursionError: nesting deeper than the composer can follow
+        raise _parse_error(path, exc) from None
+
+
 def load_config(path: str | Path | None) -> RunConfig:
-    """Parse the YAML file (or return pure defaults for ``None``)."""
+    """Parse the YAML file (or return pure defaults for ``None``).
+
+    A file in the flat layout of _read_flat is read without PyYAML, to
+    the same result; PyYAML, imported only then, reads every other file.
+    """
     if path is None:
         return RunConfig.from_dict({})
     p = Path(path)
     if not p.exists():
         raise ConfigError("missing-file", f"config file not found: {p}",
                           str(p))
-    import yaml     # only a run with a config file needs the parser
-
     try:
-        raw = yaml.load(p.read_text(), Loader=_loader(yaml))
-    except (yaml.YAMLError, ValueError, RecursionError) as exc:
-        # ValueError: an integer past Python's digit limit;
-        # RecursionError: nesting deeper than the composer can follow
-        raise ConfigError("parse-error", f"config is not valid YAML: {exc}",
-                          str(p)) from None
+        text = p.read_text()
+    except ValueError as exc:           # not text in the locale's encoding
+        raise _parse_error(p, exc) from None
+    try:
+        raw = _read_flat(text)
+    except _NotFlat:
+        raw = _read_yaml(p, text)
     return RunConfig.from_dict(raw)

@@ -5,8 +5,11 @@ advances theta at the full rate 2J on top of the drift.  In
 s = (r sin theta, r cos theta, eta - c) its flow is linear, and in one
 variable that runs with t the pole and the guarded stall are roots of a
 quadratic and a quartic: each cell's roots are solved in closed form or
-as companion-matrix eigenvalues, bracketed between their midpoints and
-bisected to the float; nothing here integrates and nothing scans a grid.
+as companion-matrix eigenvalues and bracketed between their midpoints;
+nothing here integrates and nothing scans a grid.  Only first_events
+bisects every bracket to the float; region_labels, which reads statuses
+alone, bisects the stall brackets and only those pole brackets that a
+stall bracket shares.
 
   * t_min_from_rates / t_min_analytic: pole-arrival time from the
     uncorrelated thermal start, finite exactly when gamma < 4J.
@@ -327,21 +330,18 @@ class _DriftFlow:
         return tuple(sum(c[:, None] * p ** k * q ** (len(f) - 1 - k)
                          for k, c in enumerate(f)) for f in (v, rate))
 
-    def events(self, t_end):
-        """(status, t_stop, roots refined) of every cell: the pole (v falls
-        through 0, hence w > 0), a guarded stall (the theta rate falls
-        through 0), or neither by t_end.
+    def _brackets(self, t_end):
+        """Every cell's event brackets: (t, pole, stall, late).
 
         The sorted roots of v and of the rate split the window (one period
         for Omega^2 > 0, all time otherwise) into pieces that each hold
         one root.  The midpoints between neighbouring roots, 0, t_end and
-        the window's end are evaluated on the polynomials; a piece whose
-        ends fall from positive to non-positive brackets a crossing, and
-        every cell's first pole bracket and the stall brackets up to it
-        are bisected together.  For Omega^2 <= 0 a run with no event by
-        t_end is "trapped" unless a pole bracket lies past t_end.  A start
-        at the centre of the sphere (r = 0 and c = eta, as from a cold
-        bath at xi = 0) is a rest point and never reaches the pole."""
+        the window's end are evaluated on the polynomials, sorted into the
+        rows of t; a piece k, from t[:, k] to t[:, k + 1], whose ends fall
+        from positive to non-positive brackets a crossing.  pole and stall
+        are (cells, pieces) index pairs: each cell's first pole bracket by
+        t_end and its stall brackets up to that piece.  late flags the
+        cells with a pole bracket past t_end."""
         n = t_end.size
         v, rate = self._polynomials()
         u = np.sort(self._to_u(self._roots(v, rate)), axis=1)
@@ -361,24 +361,64 @@ class _DriftFlow:
         first = np.where(pole.any(axis=1), pole.argmax(axis=1), piece.size)
         pole &= piece == first[:, None]
         stall &= window & (piece <= first[:, None])
-        (pc, pk), (sc, sk) = np.nonzero(pole), np.nonzero(stall)
+        return t, np.nonzero(pole), np.nonzero(stall), late
+
+    def _refine(self, t, pole, stall):
+        """Bisect the given pole brackets and the stall brackets together:
+        (t_pole, t_stall, cells bisected), t_pole inf where no pole bracket
+        is given and t_stall the first guarded stall before the pole, inf
+        if none."""
+        (pc, pk), (sc, sk) = pole, stall
         cells, k = np.concatenate([pc, sc]), np.concatenate([pk, sk])
         is_stall = np.arange(cells.size) >= pc.size
         roots = self._bisect(cells, t[cells, k], t[cells, k + 1], is_stall)
-        t_pole = np.full(n, np.inf)
+        t_pole = np.full(t.shape[0], np.inf)
         t_pole[pc] = roots[~is_stall]
         t_s = roots[is_stall]
         held = t_s < t_pole[sc]
         held[held] = self._stalls(sc[held], t_s[held])
-        t_stall = np.full(n, np.inf)
+        t_stall = np.full(t.shape[0], np.inf)
         np.minimum.at(t_stall, sc[held], t_s[held])
+        return t_pole, t_stall, cells
 
-        status = np.where(np.isfinite(t_stall), _TRAPPED,
-                          np.where(np.isfinite(t_pole), _REACHED, _HORIZON))
-        t_stop = np.minimum(t_end, np.minimum(t_pole, t_stall))
+    def _status(self, pole, t_stall, late):
+        """Run statuses from the cells with a pole bracket and the first
+        guarded stalls.  For Omega^2 <= 0 a run with no event by t_end is
+        "trapped" unless a pole bracket lies past t_end.  A start at the
+        centre of the sphere (r = 0 and c = eta, as from a cold bath at
+        xi = 0) is a rest point and never reaches the pole."""
+        status = np.full(t_stall.size, _HORIZON)
+        status[pole[0]] = _REACHED
+        status[np.isfinite(t_stall)] = _TRAPPED
         rest = ~self.basis[0].any(axis=0)
         status[(status == _HORIZON) & (rest | ~self.trig & ~late)] = _TRAPPED
-        return status, t_stop, np.bincount(cells, minlength=n)
+        return status
+
+    def events(self, t_end):
+        """(status, t_stop, roots refined) of every cell: the pole (v falls
+        through 0, hence w > 0), a guarded stall (the theta rate falls
+        through 0), or neither by t_end.  Every cell's first pole bracket
+        and its stall brackets up to it are bisected."""
+        t, pole, stall, late = self._brackets(t_end)
+        t_pole, t_stall, cells = self._refine(t, pole, stall)
+        t_stop = np.minimum(t_end, np.minimum(t_pole, t_stall))
+        return (self._status(pole, t_stall, late), t_stop,
+                np.bincount(cells, minlength=t_end.size))
+
+    def statuses(self, t_end):
+        """The status of every cell, as events gives it, from fewer
+        bisections: only the stall brackets, and the pole bracket of a
+        cell with a stall bracket in the same piece.  A stall bracket in
+        an earlier piece ends at or before the pole piece's start, and the
+        pole lies strictly after that start (v is positive there and
+        non-positive at the piece's end), so that stall comes first."""
+        t, pole, stall, late = self._brackets(t_end)
+        (pc, pk), (sc, sk) = pole, stall
+        first = np.full(t_end.size, -1)
+        first[pc] = pk
+        shared = np.isin(pc, sc[sk == first[sc]])
+        t_stall = self._refine(t, (pc[shared], pk[shared]), stall)[1]
+        return self._status(pole, t_stall, late)
 
 
 class _Rows:
@@ -487,14 +527,12 @@ class _Cells(NamedTuple):
                               self.c0) <= 1.0
 
 
-def _run_flows(cells: _Cells, horizon_mult: float):
-    """The u == 0 flow of every cell and its events: (flow, status,
-    t_stop, roots refined), one entry per cell."""
+def _flow(cells: _Cells) -> _DriftFlow:
+    """The u == 0 flow of every cell."""
     if (cells.J <= 0.0).any():
         raise ValueError("t_min_numeric needs J > 0")
-    flow = _DriftFlow(cells.J, cells.gamma, cells.eta, cells.r0, cells.c0,
+    return _DriftFlow(cells.J, cells.gamma, cells.eta, cells.r0, cells.c0,
                       cells.th0)
-    return (flow, *flow.events(horizon_mult * cells.t0))
 
 
 def first_events(params_seq, xis, horizon_mult: float = 20.0
@@ -503,7 +541,8 @@ def first_events(params_seq, xis, horizon_mult: float = 20.0
     cross coherence xis[k]: one array-valued engine for the whole batch,
     with the same result for each cell as a batch of one."""
     cells = _Cells.of(params_seq, xis)
-    flow, status, t_stop, accepted = _run_flows(cells, horizon_mult)
+    flow = _flow(cells)
+    status, t_stop, accepted = flow.events(horizon_mult * cells.t0)
     r, c, th, rate = flow.spherical(t_stop)
     blocked = cells.blocked()
     return [TminResult(t if s == _REACHED else math.inf, _STATUSES[s], t,
@@ -540,13 +579,14 @@ def t_min_numeric(params: ModelParams, xi: float = 0.0, *,
 
 def region_labels(params_seq, xis, horizon_mult: float = 20.0) -> list[str]:
     """classify_region over a batch of cells; the cells that need the flow
-    run it as one batch, and only its statuses are read."""
+    run it as one batch, which finds statuses only (_DriftFlow.statuses)."""
     cells = _Cells.of(params_seq, xis)
     labels = np.where(cells.gamma == 0.0,
                       np.where(cells.J > 0.0, "C", "U"), "A")
     run = np.flatnonzero((cells.gamma != 0.0) & ~cells.blocked())
-    status = _run_flows(cells.take(run), horizon_mult)[1]
-    labels[run] = _LABELS[status.astype(int)]
+    run_cells = cells.take(run)
+    status = _flow(run_cells).statuses(horizon_mult * run_cells.t0)
+    labels[run] = _LABELS[status]
     return labels.tolist()
 
 

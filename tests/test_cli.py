@@ -144,6 +144,40 @@ def test_commands_load_only_what_they_run():
     assert seen["unresolved"] == []
 
 
+_FLAT_THEN_QUOTED = """
+import json, sys
+import tlspurify.cli as cli
+flat, quoted, out_flat, out_quoted = sys.argv[1:]
+seen = {}
+assert cli.main(["region-map", "--config", flat, "--out", out_flat]) == 0
+seen["flat"] = "yaml" in sys.modules
+assert cli.main(["region-map", "--config", quoted, "--out", out_quoted]) == 0
+seen["quoted"] = "yaml" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_flat_config_needs_no_yaml_parser(tmp_path):
+    """In a fresh interpreter, region-map with a config in the flat layout
+    leaves PyYAML unloaded; the same config with one value quoted loads
+    it and writes the same bytes."""
+    text = ("# run.yaml\nmodel:\n  J: 0.1\n  kappa: 0.05\nsweep:\n  axes:\n"
+            "    - {name: gamma_over_j, start: 0.0, stop: 4.4, count: 45}\n"
+            "run:\n  samples: 301\n")
+    flat, quoted = tmp_path / "flat.yaml", tmp_path / "quoted.yaml"
+    flat.write_text(text)
+    quoted.write_text(text.replace("gamma_over_j", "'gamma_over_j'"))
+    outs = tmp_path / "flat.csv", tmp_path / "quoted.csv"
+    src = str(Path(tlspurify.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FLAT_THEN_QUOTED, str(flat),
+                           str(quoted), *map(str, outs)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == {"flat": False, "quoted": True}
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 _EVERY_COMMAND = """
 import os, sys
 import tlspurify.cli as cli

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tlspurify import config
 from tlspurify.config import (AXIS_NAMES, MAX_COUNT, MAX_HORIZON,
                               MAX_SAMPLES, ConfigError, RunConfig, SweepAxis, load_config)
 from tlspurify.drive import ConstantDrive, resonant
@@ -273,3 +278,189 @@ def test_readme_config_block_is_the_table():
     assert cfg.explicit == {f"{f.metadata['section']}.{f.name}"
                             for f in fields(RunConfig) if f.metadata}
     assert replace(cfg, explicit=frozenset()) == RunConfig()
+
+
+# --------------------------------------------------------------------
+# the flat-layout reader in front of PyYAML
+# --------------------------------------------------------------------
+
+#: the example config of the README's usage section
+README_EXAMPLE = """\
+# run.yaml
+model:
+  J: 0.1
+  kappa: 0.05
+sweep:
+  axes:
+    - {name: gamma_over_j, start: 0.0, stop: 4.4, count: 45}
+run:
+  samples: 301
+"""
+
+
+def _pyyaml(text: str):
+    return yaml.load(text, Loader=config._loader(yaml))
+
+
+def _same(a, b) -> bool:
+    """a and b equal, with equal types all the way down: bool, int, float,
+    str and None kept apart, dict keys in the same order, and the sign of
+    a zero kept."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return ([(type(k), k) for k in a] == [(type(k), k) for k in b]
+                and all(_same(a[k], b[k]) for k in a))
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float):
+        return (a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+                or a != a and b != b)
+    return a == b
+
+
+def _floats(x: float) -> list[str]:
+    return [repr(x), f"{x:e}", f"{x:.3f}", f"{x:.0f}.", f"{x:E}".replace("+", "")]
+
+
+#: scalar texts in the layout, then near misses that PyYAML reads some
+#: other way (or rejects): quotes, YAML 1.1 bools and nulls, octal and
+#: underscored ints, leading dots, special floats, sexagesimals, dates,
+#: flow collections, anchors, trailing comments and spaces, tabs, \r
+_SCALARS = st.one_of(
+    st.integers(-10**18 + 1, 10**18 - 1).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda x: st.sampled_from(_floats(x))),
+    st.sampled_from(["-0.0", "-0", "+0", "0.", "1.", "1.e5", "1e400", "-1e400",
+                     "1E+2", "+1e5", "null", "rwa", "lab", "log", "csv",
+                     "gamma_over_j", "y", "n", "_x", "abc1"]))
+_NEAR_SCALARS = st.sampled_from([
+    "'0.1'", '"rwa"', "yes", "No", "On", "OFF", "True", "false", "NULL",
+    "Null", "~", "010", "00.5", "1_000", ".5", "-.5", ".inf", "-.inf", ".nan",
+    "0x1F", "0b101", "1:30", "190:20:30", "2001-12-14", "[]", "[1, 2]", "{}",
+    "{a: 1}", "&a 1", "*a", "!!str 1", "1 # c", "1 ", "a b", "<<", "=", "-",
+    "1" * 19, "1" * 19 + ".5", "1\t", "1\r", "é", "|", ">"])
+_KEYS = st.sampled_from(["J", "kappa", "beta", "samples", "name", "start",
+                         "x_1", "_k", "axes", "count"])
+_NEAR_KEYS = st.sampled_from(["yes", "null", "On", "5", "a-b", "'J'", "J ",
+                              "a b", "?", "-"])
+_NEAR_LINES = st.sampled_from([
+    "---", "...", "%YAML 1.2", "\tJ: 1", "   J: 1", " J: 1", "J: 1",
+    "  J: [1, 2]", "  J: {a: 1}", "    - {}", "    - {a: 1,b: 2}",
+    "    - { a: 1 }", "  - {a: 1}", "      - {a: 1}", "    - [1]",
+    "    J: 1", "  J:", "model: ", "model: 1", "  # indented comment",
+    "# comment", "", "  ", "model:\r", "  ? J", "  J: &a 1", "  K: *a"])
+
+
+@st.composite
+def _flat_documents(draw):
+    """Text of a document in the flat layout, or of a near miss: a
+    scalar, a key or a whole line swapped for one PyYAML reads another
+    way, a list key left with no items, or a repeated line."""
+    def scalar():
+        return draw(_NEAR_SCALARS if draw(st.integers(0, 39)) == 0
+                    else _SCALARS)
+
+    def keys(most):
+        return [draw(_NEAR_KEYS) if draw(st.integers(0, 39)) == 0 else k
+                for k in draw(st.lists(_KEYS, max_size=most, unique=True))]
+
+    lines = []
+    for section in draw(st.lists(st.sampled_from(["model", "run", "sweep",
+                                                  "x"]),
+                                 max_size=3, unique=True)):
+        if draw(st.booleans()):
+            lines.append("# " + draw(st.sampled_from(["c", "a: b", "'"])))
+        lines.append(f"{section}:")
+        for k in keys(3):
+            if draw(st.integers(0, 3)):
+                lines.append(f"  {k}:{' ' * draw(st.integers(1, 2))}{scalar()}")
+                continue
+            lines.append(f"  {k}:")
+            for _ in range(draw(st.sampled_from([1, 2, 0]))):
+                pairs = [f"{j}: {scalar()}" for j in keys(4) or ["name"]]
+                lines.append("    - {" + ", ".join(pairs) + "}")
+    if lines and draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_NEAR_LINES))
+    if lines and draw(st.integers(0, 9)) == 0:
+        lines.append(draw(st.sampled_from(lines)))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_flat_documents())
+def test_flat_reader_declines_or_matches_pyyaml(text):
+    """The flat reader either declines a text or returns exactly what
+    PyYAML returns for it, types and the sign of zero included; a text
+    PyYAML rejects it always declines."""
+    try:
+        expected = _pyyaml(text)
+    except (yaml.YAMLError, ValueError):
+        expected = config._NotFlat
+    try:
+        got = config._read_flat(text)
+    except config._NotFlat:
+        return
+    assert _same(got, expected), (text, got, expected)
+
+
+@pytest.mark.parametrize("text", [
+    "", "# only a comment\n", "model:\n", "run:\n  frame: lab\n",
+    "model:\n  J: -0.0\n  beta: 2\nstate:\ndrive:\n  epsilon: null\n",
+    README_EXAMPLE])
+def test_flat_reader_reads_the_layout(text):
+    assert _same(config._read_flat(text), _pyyaml(text))
+
+
+@pytest.mark.parametrize("text", [
+    "sweep:\n  axes:\n",                       # PyYAML: None, not []
+    "sweep:\n  axes:\n# no item\nrun:\n  samples: 3\n",
+    "run:\n  samples: 3\n  samples: 4\n", "run:\nrun:\n",
+    "run:\n  frame: 'lab'\n", "run:\n  horizon: .5\n",
+    "run:\n  samples: 010\n", "run:\n  samples: 1_000\n",
+    "run:\n  frame: On\n", "run:\n\tsamples: 3\n", "run:\r\n",
+    "---\nrun:\n", "model: {J: 0.1}\n", "sweep:\n  axes: []\n"])
+def test_flat_reader_declines_near_misses(text):
+    with pytest.raises(config._NotFlat):
+        config._read_flat(text)
+
+
+def _without_pyyaml(monkeypatch):
+    def refuse(path, text):
+        raise AssertionError(f"PyYAML asked to read {text!r}")
+    monkeypatch.setattr(config, "_read_yaml", refuse)
+
+
+def test_readme_example_takes_the_fast_path(tmp_path, monkeypatch):
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    assert README_EXAMPLE in text
+    path = tmp_path / "run.yaml"
+    path.write_text(README_EXAMPLE)
+    slow = RunConfig.from_dict(_pyyaml(README_EXAMPLE))
+    _without_pyyaml(monkeypatch)
+    assert load_config(path) == slow
+
+
+def test_readme_reference_block_reads_the_same_on_both_paths(tmp_path,
+                                                             monkeypatch):
+    """The reference block, with its trailing comments and `axes: []`,
+    goes to PyYAML; stripped of those, it takes the fast path; both give
+    the RunConfig that PyYAML's reading of the block gives."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text[text.index("## Configuration"):]
+    block = section[section.index("```yaml\n") + 8:]
+    block = block[:block.index("```")]
+    expected = RunConfig.from_dict(_pyyaml(block))
+    path = tmp_path / "reference.yaml"
+    path.write_text(block)
+    with pytest.raises(config._NotFlat):
+        config._read_flat(block)
+    assert load_config(path) == expected
+    flat = "".join(re.sub(r" *#.*", "", line) for line in
+                   block.splitlines(keepends=True)
+                   if line.strip() and not line.lstrip().startswith("#")
+                   and "axes: []" not in line)
+    path.write_text(flat)
+    _without_pyyaml(monkeypatch)
+    assert (replace(load_config(path), explicit=expected.explicit)
+            == expected)

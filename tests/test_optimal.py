@@ -536,7 +536,9 @@ def test_first_events_match_batches_of_one(cells, horizon, order):
 def test_engine_working_set_is_bounded():
     """A 2,500-cell region-map batch keeps a fixed number of floats per
     cell (eight sample times, a 4 x 4 companion matrix, the brackets):
-    the traced peak stays under 4 MB (about 2.4 MB measured)."""
+    the traced peak stays under 4 MB (2.40 MB measured, reached while the
+    bracket search evaluates the polynomials at the sample times; the
+    label path's bisections add under 0.1 MB)."""
     import tracemalloc
     jm = j_min(_HOT.gamma)
     params, xis = [], []
@@ -590,6 +592,20 @@ def test_first_events_match_mpmath(horizon):
             assert abs(run.t_stop - float(t_ref)) <= 1e-12 * float(t_ref)
 
 
+@pytest.mark.parametrize("horizon", [20.0, 300.0, 1000.0])
+def test_region_labels_read_the_statuses_of_first_events(horizon):
+    """The label path bisects only the brackets that decide a status, yet
+    every cell that is not A gets the label of first_events' status."""
+    cells = _gate_cells()
+    params, xis = [p for p, _ in cells], [xi for _, xi in cells]
+    labels = region_labels(params, xis, horizon)
+    runs = first_events(params, xis, horizon)
+    ran = [k for k, label in enumerate(labels) if label != "A"]
+    assert len(ran) > len(cells) // 2
+    assert [labels[k] for k in ran] == [
+        pole._LABELS[pole._STATUSES.index(runs[k].status)] for k in ran]
+
+
 def test_stall_guard_drops_a_bracket_with_no_rate_zero(monkeypatch):
     """On the theta rate's zero set the guard's curvature is exactly
     d(rate)/dt / r^2, so a true falling zero always passes it; the guard
@@ -621,6 +637,39 @@ def test_stall_guard_drops_a_bracket_with_no_rate_zero(monkeypatch):
     assert misread and 0.0 < misread[0] < float(t_ref)
     assert run.status == status
     assert abs(run.time - float(t_ref)) <= 1e-12 * float(t_ref)
+    # the label path, which refines no pole here, keeps the guard too
+    assert classify_region(p, xi) == "C"
+    assert len(misread) == 2
+
+
+def test_label_path_refines_the_pole_of_a_shared_piece(monkeypatch):
+    """A stall bracket in the pole's own piece may end after the pole, so
+    the label path refines that pole too.  Misread the rate as zero at
+    the end of the pole piece: bisection on the true (positive) rate ends
+    there, after the pole, and the run still reaches it.  Taking the
+    stall without the pole time would label the cell B."""
+    p = ModelParams(beta=0.1, kappa=0.1).with_gamma_over_j(2.0)
+    xi = 0.5 * xi_max(p)
+    status, t_ref = mp_first_event(p, xi)
+    assert status == "reached"
+    signs = pole._DriftFlow._signs
+    misread = []
+
+    def misread_at_pole_piece_end(self, v, rate, t):
+        fv, fr = signs(self, v, rate, t)
+        k = np.flatnonzero(t[0] >= float(t_ref))[0]
+        if fr[0, k - 1] > 0.0 and fr[0, k] > 0.0:
+            misread.append(t[0, k])
+            fr = fr.copy()
+            fr[0, k] = 0.0
+        return fv, fr
+
+    monkeypatch.setattr(pole._DriftFlow, "_signs", misread_at_pole_piece_end)
+    run = t_min_numeric(p, xi)
+    assert run.status == status
+    assert abs(run.time - float(t_ref)) <= 1e-12 * float(t_ref)
+    assert classify_region(p, xi) == "C"
+    assert len(misread) == 2 and misread[0] > float(t_ref)
 
 
 def test_first_events_empty_and_validation():
