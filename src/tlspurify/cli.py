@@ -9,15 +9,28 @@ purity-trace, verify.  Flags override the corresponding config keys; every
 command writes one table to --out (stdout if omitted).  Errors go to
 stderr as a JSON object {code, message, parameter} with a nonzero exit.
 
+A usage error is an error object too: code "usage" and exit 2, or
+"bad-value" naming a flag whose value is not a number.  --help prints
+text and exits 0.
+
 The process entry of ``python -m tlspurify.cli`` and of the ``tlspurify``
-script is entry(), which freezes the garbage collector after main();
-main(argv) itself never does, so one process can call it many times.
+script is entry().  The process runs without the cyclic collector: under
+``-m`` it is off from the first statements of this module, before numpy
+is imported, and entry() turns it off for the console script.  One run
+leaves the same cyclic garbage, the parser's, whatever its size.  entry()
+freezes the collector after main(), so that exit does not sweep the heap;
+main(argv) never touches the collector, so one process can call it many
+times.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
+
+if __name__ == "__main__":
+    gc.disable()
+
+import argparse
 import sys
 
 import numpy as np
@@ -60,8 +73,31 @@ _HELP = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse under the error contract: a usage error is one error
+    object on stderr and exit 2, not the usage text."""
+
+    def error(self, message: str):
+        emit_error("usage", message, "")
+        self.exit(2)
+
+
+def _number(kind: type, flag: str):
+    """kind(text) as the type of a flag; a text that is not a number is a
+    bad-value config error naming the flag, as --tol's is."""
+    noun = {float: "a number", int: "an integer"}[kind]
+
+    def convert(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ConfigError("bad-value", f"{flag} must be {noun}, "
+                              f"got {text!r}", flag) from None
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="YAML run configuration")
     common.add_argument("--out", metavar="PATH",
@@ -73,12 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", metavar="ABS:REL",
                         help="Runge-Kutta tolerances of verify's independent "
                              "side, e.g. 1e-10:1e-10")
-    common.add_argument("--horizon", metavar="MULT", type=float,
+    common.add_argument("--horizon", metavar="MULT",
+                        type=_number(float, "--horizon"),
                         help="give-up time in units of the lossless pole time")
-    common.add_argument("--workers", metavar="N", type=int,
+    common.add_argument("--workers", metavar="N",
+                        type=_number(int, "--workers"),
                         help="accepted for compatibility; changes nothing")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tlspurify",
         description="purification dynamics of a qubit coupled to a lossy "
                     "two-level defect")
@@ -100,7 +138,11 @@ def _parse_tol(text: str) -> tuple[float, float]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ConfigError as exc:
+        emit_error(exc.code, exc.message, exc.parameter)
+        return 2
     # a float that overflows or turns NaN ends the run as an error object
     # instead of a warning on stderr and a table built on it
     with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -140,12 +182,14 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def entry() -> int:
-    """main() as the whole life of a process.  gc.freeze() moves every
-    tracked object to the permanent generation, which the collections at
-    shutdown do not scan; the process still exits normally, so atexit
+    """main() as the whole life of a process, with the collector off.
+    gc.freeze() moves every tracked object to the permanent generation,
+    which the collections at shutdown do not scan (they run even with the
+    collector disabled); the process still exits normally, so atexit
     handlers run, sys.stdout and sys.stderr are flushed, and a failed
     flush still exits 120.  The finally also covers argparse's SystemExit
     for --help and for usage errors."""
+    gc.disable()
     try:
         return main()
     finally:

@@ -17,7 +17,6 @@ pole-reaching coupling, respectively).
 """
 
 import functools
-import json
 import math
 import operator
 import re
@@ -86,6 +85,7 @@ class ConfigError(Exception):
         self.parameter = parameter
 
     def to_json(self) -> str:
+        import json
         return json.dumps({"code": self.code, "message": self.message,
                            "parameter": self.parameter})
 

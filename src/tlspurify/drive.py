@@ -12,11 +12,10 @@ one: it keeps the qubit on the defect frequency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ConstantDrive:
+class ConstantDrive(NamedTuple):
     """Constant detuning; resonant control is ConstantDrive(0.0)."""
 
     detuning: float = 0.0

@@ -22,8 +22,7 @@ alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,6 +49,19 @@ _B = _A[6]
 #: error weights b5 - b4
 _E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
       -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+
+
+def _nonzero(row: tuple) -> tuple[list[int], np.ndarray]:
+    """The stages a row of weights does not zero, and their weights as a
+    column, to weight the rows of the stage array."""
+    stages = [j for j, w in enumerate(row) if w != 0.0]
+    return stages, np.array([row[j] for j in stages])[:, None]
+
+
+#: each row of _A as a column, every weight kept
+_A_COLUMNS = [np.array(row)[:, None] for row in _A]
+_B_NONZERO = _nonzero(_B)
+_E_NONZERO = _nonzero(_E)
 
 MIN_FACTOR = 0.2
 MAX_FACTOR = 5.0
@@ -88,8 +100,7 @@ class Trajectory:
         return out
 
 
-@dataclass
-class IvpResult:
+class IvpResult(NamedTuple):
     t: np.ndarray                       # accepted step times, t[0] = t0
     y: np.ndarray                       # states at those times, shape (len(t), dim)
     stats: StepStats
@@ -110,32 +121,45 @@ class IvpResult:
 
 def _rk_step(f, t, y, fy, h):
     """One Dormand-Prince step.  Returns (y1, f1, err_vec), 6 fresh evals
-    with the FSAL evaluation f1 reusable as the next step's fy."""
-    k = [fy]
+    with the FSAL evaluation f1 reusable as the next step's fy.
+
+    The stages are the rows of one array.  Its weighted sums reduce over
+    axis 0 row by row, so each is added up in stage order, the order of
+    a sum() over the stages, to the same bits; a matrix product would
+    change the last bits."""
+    k = np.empty((7, y.size))
+    k[0] = fy
     for i in range(1, 7):
-        ai = _A[i]
-        yi = y + h * sum(aij * kj for aij, kj in zip(ai, k))
-        k.append(f(t + _C[i] * h, yi))
-    y1 = y + h * sum(bj * kj for bj, kj in zip(_B, k) if bj != 0.0)
-    err = h * sum(ej * kj for ej, kj in zip(_E, k) if ej != 0.0)
+        yi = y + h * (_A_COLUMNS[i] * k[:i]).sum(axis=0)
+        k[i] = f(t + _C[i] * h, yi)
+    stages, weights = _B_NONZERO
+    y1 = y + h * (weights * k[stages]).sum(axis=0)
+    stages, weights = _E_NONZERO
+    err = h * (weights * k[stages]).sum(axis=0)
     return y1, k[6], err
+
+
+def _rms(q: np.ndarray) -> float:
+    """Root mean square of q; np.add.reduce(q) / q.size is np.mean(q) to
+    the bit, without its wrapper."""
+    return math.sqrt(float(np.add.reduce(q * q) / q.size))
 
 
 def _error_norm(err, y0, y1, atol, rtol):
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return math.sqrt(float(np.mean((err / scale) ** 2)))
+    return _rms(err / scale)
 
 
 def _initial_step(f, t0, y0, f0, tf, atol, rtol):
     """Hairer-style starting step size guess (two cheap probes)."""
     scale = atol + rtol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, abs(tf - t0))
     y1 = y0 + h0 * f0
     f1 = f(t0 + h0, y1)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d2 = _rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

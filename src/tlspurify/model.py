@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +63,7 @@ def bose_occupation(omega: float, beta: float) -> float:
     return math.exp(-x) / -math.expm1(-x)
 
 
-@dataclass(frozen=True)
-class BathRates:
+class BathRates(NamedTuple):
     """Decay channels of the defect: emission gamma1, absorption gamma2."""
 
     n_occ: float      # thermal occupation of the bath mode at omega_tls
@@ -170,8 +170,7 @@ class ModelParams:
         return self.with_gamma(ratio * self.J)
 
 
-@dataclass(frozen=True)
-class InitialStateSpec:
+class InitialStateSpec(NamedTuple):
     """Knobs of the preparable initial-state family.
 
     mu_q + i nu_q is the qubit coherence on top of its thermal populations;
@@ -189,14 +188,11 @@ class InitialStateSpec:
         return complex(self.xi_re, self.xi_im)
 
 
-@dataclass
 class DensityState:
     """A 4x4 density matrix stored as its 16 real coordinates."""
 
-    x: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
+    def __init__(self, x: np.ndarray):
+        self.x = np.asarray(x, dtype=float)
         if self.x.shape != (16,):
             raise ValueError(f"expected 16 coordinates, got shape {self.x.shape}")
 
@@ -318,12 +314,26 @@ def mu_max(params: ModelParams, xi: complex | float = 0.0) -> float:
     return lo
 
 
-@dataclass
 class StepStats:
     """Work counters of one run: accepted and rejected steps and
     right-hand-side evaluations of the integrator, or roots refined and
     closed-form evaluations of the pole engine."""
 
-    accepted: int = 0
-    rejected: int = 0
-    n_eval: int = 0
+    __slots__ = ("accepted", "rejected", "n_eval")
+
+    def __init__(self, accepted: int = 0, rejected: int = 0, n_eval: int = 0):
+        self.accepted = accepted
+        self.rejected = rejected
+        self.n_eval = n_eval
+
+    def _counts(self) -> tuple[int, int, int]:
+        return self.accepted, self.rejected, self.n_eval
+
+    def __eq__(self, other):
+        if type(other) is not StepStats:
+            return NotImplemented
+        return self._counts() == other._counts()
+
+    def __repr__(self) -> str:
+        return ("StepStats(accepted={!r}, rejected={!r}, n_eval={!r})"
+                .format(*self._counts()))

@@ -22,7 +22,7 @@ Numerics:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,8 +111,7 @@ def fixed_point_theta(params: ModelParams, r: float, c: float) -> float | None:
     return math.acos(arg)
 
 
-@dataclass(frozen=True)
-class Threshold:
+class Threshold(NamedTuple):
     """A located boundary value; saturated means none exists below the
     physical ceiling and the ceiling itself is returned."""
 
@@ -152,8 +151,7 @@ def xi_fixed(params: ModelParams) -> Threshold:
 # Purity overshoot at pole arrival
 # ====================================================================
 
-@dataclass
-class DeltaPResult:
+class DeltaPResult(NamedTuple):
     delta_p: float              # P(t_pole)/P_S1(t_pole) - 1; NaN if pole missed
     t_pole: float
     p_pole: float               # full purity at the pole event

@@ -16,15 +16,14 @@ the rows, then ]}: "rows" sorts after every other key, so the bytes are
 those of json.dumps on the whole document.  In both formats every cell is
 checked before the first byte is written, and the body then goes out in
 chunks of CHUNK_ROWS rows, so the text of a whole table is never held at
-once.
+once.  json is imported only for a JSON document or an error object.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 
@@ -43,9 +42,14 @@ _FLOAT_TYPES = {float, np.float64}
 #: cell types a JSON document takes as they are (a bool is an int)
 _JSON_TYPES = (str, int, float, type(None))
 
-#: the JSON encoder of every document: sorted keys, no NaN, no spaces
-_encode = json.JSONEncoder(sort_keys=True, allow_nan=False,
-                           separators=(",", ":")).encode
+
+@functools.cache
+def _encoder():
+    """The JSON encoder of every document, built on first use: sorted
+    keys, no NaN, no spaces."""
+    import json
+    return json.JSONEncoder(sort_keys=True, allow_nan=False,
+                            separators=(",", ":")).encode
 
 
 def fmt_float(x: float) -> str:
@@ -85,12 +89,14 @@ def _check_json(values) -> None:
                   else [v for v in values if isinstance(v, float)])
 
 
-@dataclass
 class Table:
-    command: str
-    columns: list[str]
-    rows: list[tuple] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    def __init__(self, command: str, columns: list[str],
+                 rows: list[tuple] | None = None,
+                 metadata: dict | None = None):
+        self.command = command
+        self.columns = columns
+        self.rows = [] if rows is None else rows
+        self.metadata = {} if metadata is None else metadata
 
     def add(self, *cells) -> None:
         if len(cells) != len(self.columns):
@@ -149,7 +155,8 @@ def _json_chunks(table: Table, cfg: RunConfig):
     _check_json(list(table.metadata.values()))
     for values in zip(*table.rows):
         _check_json(values)
-    head = _encode({"command": table.command, "config": cfg.to_dict(),
+    encode = _encoder()
+    head = encode({"command": table.command, "config": cfg.to_dict(),
                     "metadata": table.metadata, "columns": table.columns})
     rows = iter(table.rows)
 
@@ -157,7 +164,7 @@ def _json_chunks(table: Table, cfg: RunConfig):
         yield head[:-1] + ',"rows":['
         sep = ""
         while body := list(islice(rows, CHUNK_ROWS)):
-            yield sep + _encode(body)[1:-1]
+            yield sep + encode(body)[1:-1]
             sep = ","
         yield "]}\n"
 
@@ -181,5 +188,6 @@ def write_table(table: Table, cfg: RunConfig, *, fmt: str | None = None,
 
 def emit_error(code: str, message: str, parameter: str = "") -> None:
     """Machine-readable error object on stderr."""
+    import json
     sys.stderr.write(json.dumps({"code": code, "message": message,
                                  "parameter": parameter}) + "\n")

@@ -29,7 +29,6 @@ without the integrator stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -465,8 +464,7 @@ class _Rows:
 # Pole-arrival time and classification
 # ====================================================================
 
-@dataclass
-class TminResult:
+class TminResult(NamedTuple):
     time: float                 # pole-arrival time; inf if never reached
     status: str                 # "reached" | "trapped" | "horizon"
     t_stop: float               # where the run ended

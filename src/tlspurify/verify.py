@@ -14,7 +14,7 @@ itself).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .reduced import make_rhs_s1, make_rhs_z, x_to_z
 __all__ = ["CheckResult", "run_suite", "suite_passed"]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     residual: float
@@ -42,24 +41,15 @@ class CheckResult:
     n_rejected: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "residual": self.residual,
-            "tol": self.tol,
-            "detail": self.detail,
-            "n_steps": self.n_steps,
-            "n_rejected": self.n_rejected,
-        }
+        return self._asdict()
 
 
 def _check(name: str, residual: float, tol: float, detail: str,
            stats: StepStats | None = None) -> CheckResult:
-    res = CheckResult(name, bool(residual < tol), float(residual), tol, detail)
-    if stats is not None:
-        res.n_steps = stats.accepted
-        res.n_rejected = stats.rejected
-    return res
+    if stats is None:
+        stats = StepStats()
+    return CheckResult(name, bool(residual < tol), float(residual), tol,
+                       detail, stats.accepted, stats.rejected)
 
 
 def suite_passed(checks: list[CheckResult]) -> bool:

@@ -255,20 +255,26 @@ def test_fresh_help_exits_0():
 
 def test_main_never_freezes_the_collector():
     """main is called many times in one process (the tests, in-process
-    benchmarks); only the process entry may freeze."""
+    benchmarks); only the process entry may freeze or disable the
+    collector."""
+    assert gc.isenabled()
     assert main(["scan-gamma", "--out", os.devnull]) == 0
     assert main(["verify", "--out", os.devnull]) == 0
     assert gc.get_freeze_count() == 0
+    assert gc.isenabled()
 
 
 def test_entry_freezes_after_main_and_after_argparse_exits(monkeypatch,
                                                           capsys):
-    """entry returns main's code, and it also freezes when argparse ends
-    the run with SystemExit (--help, a usage error)."""
+    """entry returns main's code with the collector disabled, and it also
+    freezes when argparse ends the run with SystemExit (--help, a usage
+    error)."""
+    enabled = gc.isenabled()
     try:
         monkeypatch.setattr(sys, "argv", ["tlspurify", "scan-gamma",
                                           "--out", os.devnull])
         assert cli.entry() == 0
+        assert not gc.isenabled()
         assert gc.get_freeze_count() > 0
         gc.unfreeze()
         monkeypatch.setattr(sys, "argv", ["tlspurify", "no-such-command"])
@@ -278,7 +284,113 @@ def test_entry_freezes_after_main_and_after_argparse_exits(monkeypatch,
         assert gc.get_freeze_count() > 0
     finally:
         gc.unfreeze()
+        if enabled:
+            gc.enable()
     capsys.readouterr()
+
+
+def _garbage_of_one_run(argv: list[str]) -> int:
+    """Objects the collector finds unreachable after one main(argv) run
+    made with the collector disabled, as a CLI process makes it."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert main([*argv, "--out", os.devnull]) == 0
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_garbage_of_a_run_does_not_grow_with_its_work(tmp_path):
+    """A CLI process never collects, so what one run leaves for the
+    collector must not grow with the grid or the samples: a cycle made
+    per cell, row or sample would pile up in the process instead."""
+    small_map = tmp_path / "map.yaml"
+    small_map.write_text(
+        "sweep:\n  axes:\n"
+        "    - {name: j_frac, start: 0.5, stop: 2.0, count: 5}\n"
+        "    - {name: xi_frac, start: 0.0, stop: 1.0, count: 5}\n")
+    few = tmp_path / "few.yaml"
+    few.write_text("run:\n  samples: 11\n")
+    _garbage_of_one_run(["region-map", "--config", str(small_map)])
+    for command, small in (("region-map", small_map), ("simulate", few),
+                           ("purity-trace", few)):
+        at_small = _garbage_of_one_run([command, "--config", str(small)])
+        at_default = _garbage_of_one_run([command])
+        assert at_small == at_default, command
+
+
+_FRESH_MAIN = """
+import gc, os, runpy, sys
+late = []
+gc.callbacks.append(lambda phase, info: phase == "start"
+                    and "numpy" in sys.modules and late.append(info))
+sys.argv = ["tlspurify", "scan-gamma", "--out", os.devnull]
+try:
+    runpy.run_module("tlspurify.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(code, len(late), gc.isenabled(), "json" in sys.modules)
+"""
+
+
+def test_fresh_csv_run_has_no_collector_and_no_json():
+    """python -m tlspurify.cli turns the collector off before numpy is
+    imported: no collection runs from then on, and the collector is still
+    off at the end.  A CSV run never imports json."""
+    src = str(Path(tlspurify.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == ["0", "0", "False", "False"]
+
+
+def _code_and_error(argv: list[str], capsys) -> tuple[int, dict]:
+    """Exit code of main(argv), returned or raised, and the one error
+    object it left on stderr; nothing went to stdout."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    return code, json.loads(lines[0])
+
+
+@pytest.mark.parametrize("flag,value", [("--horizon", "abc"),
+                                        ("--workers", "x"),
+                                        ("--workers", "1.5")])
+def test_flag_that_is_not_a_number_is_a_bad_value(capsys, flag, value):
+    code, err = _code_and_error(["scan-gamma", flag, value], capsys)
+    assert code == 2
+    assert (err["code"], err["parameter"]) == ("bad-value", flag)
+    assert repr(value) in err["message"]
+
+
+@pytest.mark.parametrize("argv", [["scan-gamma", "--bogus", "1"], [],
+                                  ["no-such-command"],
+                                  ["scan-gamma", "--format", "xml"],
+                                  ["scan-gamma", "--out"]])
+def test_usage_error_is_one_error_object(capsys, argv):
+    code, err = _code_and_error(argv, capsys)
+    assert code == 2
+    assert set(err) == {"code", "message", "parameter"}
+    assert err["code"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [["scan-gamma", "--horizon", "abc"],
+                                  ["scan-gamma", "--bogus", "1"], []])
+def test_fresh_usage_error_exits_2_with_one_error_object(argv):
+    proc = _fresh(*argv)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["code"] in {"bad-value", "usage"}
 
 
 @pytest.mark.parametrize("command,frame,epsilon", [

@@ -121,6 +121,41 @@ def test_trajectory_shapes():
     assert np.abs(res.trajectory(0.0) - np.array([1.0, 2.0])).max() < 1e-14
 
 
+def _reference_step(f, t, y, fy, h):
+    """The Dormand-Prince step as sums over a list of stages, in stage
+    order: the arithmetic integrator._rk_step keeps to the bit."""
+    k = [fy]
+    for i in range(1, 7):
+        yi = y + h * sum(a * kj for a, kj in zip(integrator._A[i], k))
+        k.append(f(t + integrator._C[i] * h, yi))
+    y1 = y + h * sum(b * kj for b, kj in zip(integrator._B, k) if b != 0.0)
+    err = h * sum(e * kj for e, kj in zip(integrator._E, k) if e != 0.0)
+    return y1, k[6], err
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([1, 3, 8, 16, 17, 200]),
+       seed=st.integers(0, 2**32 - 1), h=st.floats(1e-6, 1.0))
+def test_step_matches_the_stage_sums_to_the_bit(dim, seed, h):
+    """The stage array's reductions give the bits of the stage-list sums,
+    and the root mean square those of np.mean."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim))
+    b = rng.normal(size=dim)
+
+    def f(t, y):
+        return a @ y + b * np.cos(t)
+
+    y = rng.normal(size=dim)
+    fy = f(0.3, y)
+    got = integrator._rk_step(f, 0.3, y, fy, h)
+    want = _reference_step(f, 0.3, y, fy, h)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    q = got[2] / (1e-10 + 1e-10 * np.abs(y))
+    assert integrator._rms(q) == math.sqrt(float(np.mean(q ** 2)))
+
+
 # ====================================================================
 # Exact propagation of constant-coefficient flows
 # ====================================================================
