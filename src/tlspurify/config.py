@@ -84,11 +84,6 @@ class ConfigError(Exception):
         self.message = message
         self.parameter = parameter
 
-    def to_json(self) -> str:
-        import json
-        return json.dumps({"code": self.code, "message": self.message,
-                           "parameter": self.parameter})
-
 
 #: the range keys a field's metadata may give, with their tests
 _BOUNDS = (("minimum", ">=", operator.ge), ("above", ">", operator.gt),

@@ -106,14 +106,6 @@ class IvpResult(NamedTuple):
     stats: StepStats
     trajectory: Trajectory | ExactTrajectory
 
-    @property
-    def t_final(self) -> float:
-        return float(self.t[-1])
-
-    @property
-    def y_final(self) -> np.ndarray:
-        return self.y[-1]
-
 
 # ====================================================================
 # Core stepper
@@ -270,8 +262,7 @@ MAX_NODES = 100_000
 #: requested times an ExactTrajectory evaluates at once.  Each time in a
 #: chunk holds its TAYLOR_TERMS + 1 series terms, so the working memory is
 #: that of one chunk, about 3.6 MB for a 17-slot state, however many times
-#: are asked for.  The default 601 samples and delta_p's 2,001 are each
-#: one chunk
+#: are asked for.  The default 601 samples are one chunk
 EVAL_CHUNK = 2048
 
 

@@ -180,22 +180,6 @@ def make_rhs_lab(params: ModelParams, drive: ConstantDrive):
 # Observables on the 16 coordinates
 # ====================================================================
 
-def qubit_reduced(x: np.ndarray) -> np.ndarray:
-    """2x2 state of the qubit after tracing out the defect."""
-    p0 = x[0] + x[1]
-    p1 = x[2] + x[3]
-    c = complex(x[6] + x[12], x[7] + x[13])
-    return np.array([[p0, c], [np.conj(c), p1]])
-
-
-def tls_reduced(x: np.ndarray) -> np.ndarray:
-    """2x2 state of the defect after tracing out the qubit."""
-    p0 = x[0] + x[2]
-    p1 = x[1] + x[3]
-    c = complex(x[4] + x[14], x[5] + x[15])
-    return np.array([[p0, c], [np.conj(c), p1]])
-
-
 def qubit_purity(x: np.ndarray) -> float:
     p0 = x[0] + x[1]
     p1 = x[2] + x[3]

@@ -196,20 +196,6 @@ class DensityState:
         if self.x.shape != (16,):
             raise ValueError(f"expected 16 coordinates, got shape {self.x.shape}")
 
-    def to_matrix(self) -> np.ndarray:
-        return x_to_matrix(self.x)
-
-    @classmethod
-    def from_matrix(cls, rho: np.ndarray) -> "DensityState":
-        return cls(matrix_to_x(rho))
-
-    @property
-    def trace(self) -> float:
-        return float(self.x[:4].sum())
-
-    def min_eigenvalue(self) -> float:
-        return min_eigenvalue(self.x)
-
 
 def x_to_matrix(x: np.ndarray) -> np.ndarray:
     """Rebuild the complex 4x4 density matrix from its 16 real coordinates."""

@@ -15,7 +15,7 @@ stall bracket shares.
     uncorrelated thermal start, finite exactly when gamma < 4J.
   * first_events / t_min_numeric: the pole time of any thermal-product
     start with cross coherence xi, for a batch of cells or for one.
-  * region_labels / classify_region label a start
+  * region_labels labels a batch of starts
       "A": the stall condition already holds at t = 0 (no flow run),
       "B": theta rate falls through zero en route (stalled short of the
            pole), or the pole is provably never reached,
@@ -54,19 +54,6 @@ def j_min(gamma: float) -> float:
 def is_divergent(J: float, gamma: float) -> bool:
     """True when the uncorrelated pole time is infinite (gamma >= 4J)."""
     return gamma >= 4.0 * J - CRITICAL_TOL
-
-
-def classify_regime(J: float, gamma: float) -> str:
-    """Label the drive/damping balance of the uncorrelated problem.
-
-    "Markovian" when damping dominates (gamma > 4J, pole unreachable),
-    "nonMarkovian" when the coupling dominates (gamma < 4J), "critical"
-    on the boundary within CRITICAL_TOL.
-    """
-    edge = 4.0 * J - gamma
-    if abs(edge) <= CRITICAL_TOL:
-        return "critical"
-    return "nonMarkovian" if edge > 0.0 else "Markovian"
 
 
 def t_min_from_rates(J: float, gamma: float) -> float:
@@ -204,8 +191,8 @@ class _DriftFlow:
 
     def spherical(self, t):
         """(r, c, theta, theta rate) of every cell at its time t.  At zero
-        radius theta has no meaning; it reads 0, as in
-        reduced.z_to_spherical, and so does its rate."""
+        radius theta has no meaning; it reads 0, and so does its
+        rate."""
         rows = _Rows(self, np.arange(t.size))
         self.n_eval += 1
         w, v, d = rows.direction(t[:, None])
@@ -576,8 +563,12 @@ def t_min_numeric(params: ModelParams, xi: float = 0.0, *,
 
 
 def region_labels(params_seq, xis, horizon_mult: float = 20.0) -> list[str]:
-    """classify_region over a batch of cells; the cells that need the flow
-    run it as one batch, which finds statuses only (_DriftFlow.statuses)."""
+    """Label the start of each cell, cell k at params_seq[k] and cross
+    coherence xis[k]: A (instant stall condition), B (stalls en route, or
+    provably never arrives), C (reaches the pole), U (arrives only after
+    the horizon).  The A test is analytic; the cells that need the flow
+    run it as one batch, which finds statuses only (_DriftFlow.statuses),
+    and each cell gets the label of its own batch of one."""
     cells = _Cells.of(params_seq, xis)
     labels = np.where(cells.gamma == 0.0,
                       np.where(cells.J > 0.0, "C", "U"), "A")
@@ -587,14 +578,3 @@ def region_labels(params_seq, xis, horizon_mult: float = 20.0) -> list[str]:
     labels[run] = _LABELS[status]
     return labels.tolist()
 
-
-def classify_region(params: ModelParams, xi: float, *,
-                    horizon_mult: float = 20.0) -> str:
-    """Label the initial cross coherence: A (instant stall condition),
-    B (stalls en route, or provably never arrives), C (reaches the pole),
-    U (arrives only after the horizon).
-
-    The A test is analytic; only non-A cells run the flow.  This is
-    region_labels on a batch of one.
-    """
-    return region_labels([params], [xi], horizon_mult)[0]

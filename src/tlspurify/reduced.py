@@ -30,8 +30,8 @@ the running integral of the detuning)
     dtheta/dt = -(gamma/2) ((eta - c)/r) cos(theta) + 2 J cos(u)
     dphi/dt   = -J tan(theta) sin(u)
 
-with theta in [-pi/2, pi/2] (cos(theta) >= 0 by construction) and phi set
-to 0 within POLE_GUARD of the poles, where the azimuth degenerates.
+with theta in [-pi/2, pi/2] (cos(theta) >= 0 by construction); at the
+poles the azimuth degenerates.
 Purity grows with z[0]^2 alone in S1, so driving theta to +pi/2 (all of r
 into the polarization, "north pole") is the purification target.
 
@@ -55,9 +55,6 @@ from .drive import ConstantDrive, resonant
 from .integrator import IvpResult, augment, expm, propagate
 from .model import ModelParams
 
-#: angular distance from the poles below which phi is meaningless
-POLE_GUARD = 1e-6
-
 
 # ====================================================================
 # x -> z projection and purity
@@ -75,10 +72,6 @@ def x_to_z(x: np.ndarray) -> np.ndarray:
         x[7] + x[13],
         x[4] - x[14],
     ])
-
-
-def z_purity(z: np.ndarray) -> float:
-    return float(0.5 + 2.0 * (z[0] ** 2 + z[4] ** 2 + z[6] ** 2))
 
 
 def z_purity_many(z: np.ndarray) -> np.ndarray:
@@ -199,32 +192,6 @@ def z_states_at(params: ModelParams, z0s, t: float) -> np.ndarray:
 # ====================================================================
 # Spherical picture on S1
 # ====================================================================
-
-def z_to_spherical(z: np.ndarray) -> tuple[float, float, float, float]:
-    """(r, c, theta, phi) of the S1 block; phi = 0 at (or too near) a pole."""
-    c = -0.5 * (z[3] + 1.0)
-    w = z[0] - c
-    r = math.sqrt(w * w + z[1] ** 2 + z[2] ** 2)
-    if r == 0.0:
-        return 0.0, float(c), 0.0, 0.0
-    theta = math.asin(max(-1.0, min(1.0, w / r)))
-    if abs(theta) >= 0.5 * math.pi - POLE_GUARD:
-        phi = 0.0
-    else:
-        phi = math.atan2(z[1], z[2])
-    return float(r), float(c), float(theta), float(phi)
-
-
-def spherical_to_z_s1(r: float, c: float, theta: float,
-                      phi: float = 0.0) -> np.ndarray:
-    """S1 block (z[0..3]) from the spherical coordinates."""
-    return np.array([
-        c + r * math.sin(theta),
-        r * math.cos(theta) * math.sin(phi),
-        r * math.cos(theta) * math.cos(phi),
-        -2.0 * c - 1.0,
-    ])
-
 
 def make_rhs_rct(params: ModelParams):
     """(r, c, theta) dynamics under u == 0, singular at r = 0 through its

@@ -1,7 +1,7 @@
 """Sweep drivers behind the CLI that run the dynamics: single-trajectory
 emission, the coherence-gain map, the purity traces and the self-check
 report.  The pole-engine sweeps (scan-gamma, scan-beta, region-map) live
-in ``scans`` and are re-exported here.
+in ``scans``.
 
 Every driver returns an output.Table; cells never hold NaN — a cell whose
 pole time is infinite carries the label "divergent", and a state outside
@@ -27,11 +27,11 @@ from .optimal import pole_gains
 from .output import Table
 from .pole import first_events, t_min_numeric
 from .reduced import simulate_z, x_to_z, z_purity_many
-from .scans import _coupled, region_map, scan_beta, scan_gamma
+# perfbench's fan-out probe imports scan_gamma from here
+from .scans import _coupled, scan_gamma  # noqa: F401
 from .verify import run_suite, suite_passed
 
-__all__ = ["simulate_trace", "scan_gamma", "scan_beta", "region_map",
-           "coherence_map", "purity_trace", "verify_table"]
+__all__ = ["simulate_trace", "coherence_map", "purity_trace", "verify_table"]
 
 
 def _trace(params, xi, mu, t_end, n):

@@ -19,13 +19,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .drive import resonant
-from .integrator import StepStats, integrate
+from .integrator import integrate
 from .liouville import make_rhs_rwa, rwa_generator, simulate
-from .model import (InitialStateSpec, ModelParams, build_initial_state,
-                    min_eigenvalue, mu_max, xi_max)
-from .optimal import (delta_p, first_events, initial_direction,
-                      s2_resonant_solution, t_min_analytic,
+from .model import (InitialStateSpec, ModelParams, StepStats,
+                    build_initial_state, min_eigenvalue, mu_max, xi_max)
+from .optimal import (pole_gains, s2_resonant_solution,
                       uncorrelated_pole_purity)
+from .pole import first_events, initial_direction, t_min_analytic
 from .reduced import make_rhs_s1, make_rhs_z, x_to_z
 
 __all__ = ["CheckResult", "run_suite", "suite_passed"]
@@ -39,9 +39,6 @@ class CheckResult(NamedTuple):
     detail: str = ""
     n_steps: int = 0
     n_rejected: int = 0
-
-    def to_dict(self) -> dict:
-        return self._asdict()
 
 
 def _check(name: str, residual: float, tol: float, detail: str,
@@ -197,7 +194,7 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
     # -- no coherence gain without correlation ------------------------
     gain = math.nan
     if lead.status == "reached":
-        gain = delta_p(p, 0.0, mu_max(p, 0.0), t_pole=lead.time).delta_p
+        gain = pole_gains(p, 0.0, [mu_max(p, 0.0)], lead.time)[0, 0]
     checks.append(_check("coherence-gain-uncorrelated", abs(gain), 1e-6,
                          "|delta_p| at xi = 0, mu at its ceiling"))
 

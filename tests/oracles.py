@@ -14,22 +14,30 @@ closed-form solution of the same flow behind pole.t_min_numeric.  The
 precision oracle solves the same closed form at 50 digits in mpmath: the
 event times to far below double roundoff, with no bracketing or
 bisection.
+
+The gain oracle steps the reduced flow node by node (reduced.simulate_z)
+to the pole time, where optimal.pole_gains applies one exponential over
+the whole span.  The spherical chart, the coherence oscillator's first
+zero and the region-A threshold are physics that only the tests read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp
 
-from tlspurify.integrator import StepStats, integrate
-from tlspurify.model import (InitialStateSpec, ModelParams, matrix_to_x,
+from tlspurify.integrator import integrate
+from tlspurify.model import (InitialStateSpec, ModelParams, StepStats,
+                             build_initial_state, matrix_to_x,
                              min_eigenvalue, mu_max, xi_max)
 from tlspurify.pole import (STALL_CURVATURE_TOL, _stall_curvature,
-                            initial_direction, initial_spherical)
-from tlspurify.reduced import make_rhs_s1
+                            initial_direction, initial_spherical,
+                            stall_cosine)
+from tlspurify.reduced import make_rhs_s1, simulate_z, x_to_z, z_purity_many
 
 # ====================================================================
 # Pauli algebra and model operators
@@ -205,7 +213,7 @@ def s1_pole_run(params: ModelParams, xi: float = 0.0, *,
                                  eta - q[2], math.atan2(q[0], q[1]))
                 <= STALL_CURVATURE_TOL)
 
-    status, t_stop = "horizon", res.t_final
+    status, t_stop = "horizon", float(res.t[-1])
     steps = sorted({int(k) for g in (pole, rate)
                     for k in np.flatnonzero((g(res.y[:-1]) > 0.0)
                                             & (g(res.y[1:]) <= 0.0))})
@@ -224,6 +232,91 @@ def s1_pole_run(params: ModelParams, xi: float = 0.0, *,
     f = math.exp(-b * t_stop)
     return S1Run(status, t_stop, f * math.hypot(w, v), eta - f * d,
                  math.atan2(w, v), res.stats)
+
+
+# ====================================================================
+# Spherical coordinates, closed-form thresholds, coherence gain
+# ====================================================================
+
+#: angular distance from the poles below which phi is meaningless
+POLE_GUARD = 1e-6
+
+
+def z_to_spherical(z: np.ndarray) -> tuple[float, float, float, float]:
+    """(r, c, theta, phi) of the S1 block of reduced coordinates, on the
+    asin chart theta in [-pi/2, pi/2]; phi = 0 at (or within POLE_GUARD
+    of) a pole, and theta = phi = 0 at zero radius."""
+    c = -0.5 * (z[3] + 1.0)
+    w = z[0] - c
+    r = math.sqrt(w * w + z[1] ** 2 + z[2] ** 2)
+    if r == 0.0:
+        return 0.0, float(c), 0.0, 0.0
+    theta = math.asin(max(-1.0, min(1.0, w / r)))
+    if abs(theta) >= 0.5 * math.pi - POLE_GUARD:
+        phi = 0.0
+    else:
+        phi = math.atan2(z[1], z[2])
+    return float(r), float(c), float(theta), float(phi)
+
+
+def s2_first_zero(params: ModelParams) -> float:
+    """First zero of the resonant coherence block z'' + (gamma/2) z' +
+    J^2 z = 0 started at rest; infinite in the overdamped and critical
+    regimes.  Coincides with pole.t_min_analytic."""
+    q = 0.25 * params.gamma
+    J = params.J
+    disc = J * J - q * q
+    if J <= 0.0 or disc <= 1e-12 * J * J:
+        return math.inf
+    w = math.sqrt(disc)
+    return (0.5 * math.pi + math.atan(q / w)) / w
+
+
+class Threshold(NamedTuple):
+    """A located boundary value; saturated means none exists below the
+    physical ceiling and the ceiling itself is returned."""
+
+    value: float
+    saturated: bool
+
+
+def xi_fixed(params: ModelParams) -> Threshold:
+    """Cross-coherence boundary of the instant-stall (region A) condition,
+    located by bisection on stall_cosine(t=0) = 1 over xi in [0, xi_max].
+
+    Below the returned value the stall condition holds from the start.
+    Returns 0 (not saturated) when region A is empty (gamma < 4J) and the
+    ceiling with saturated=True when A covers the whole range.
+    """
+    ceiling = xi_max(params)
+
+    def blocked(xi: float) -> bool:
+        r0, c0, _ = initial_spherical(params, xi)
+        return stall_cosine(params, r0, c0) <= 1.0
+
+    if not blocked(0.0):
+        return Threshold(0.0, False)
+    if blocked(ceiling):
+        return Threshold(ceiling, True)
+    lo, hi = 0.0, ceiling
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if blocked(mid):
+            lo = mid
+        else:
+            hi = mid
+    return Threshold(0.5 * (lo + hi), False)
+
+
+def simulated_gain(params: ModelParams, xi: float, mu: float,
+                   t_pole: float) -> float:
+    """Relative purity gain P / P_S1 - 1 at t_pole from the start (mu, xi),
+    read off the last node of a simulate_z run over [0, t_pole]: the
+    reduced flow stepped node by node, not one exponential over the span
+    as optimal.pole_gains applies it."""
+    state = build_initial_state(params, InitialStateSpec(mu_q=mu, xi_re=xi))
+    z = simulate_z(params, x_to_z(state.x), (0.0, t_pole)).y[-1:]
+    return float(z_purity_many(z)[0] / (0.5 + 2.0 * z[0, 0] ** 2) - 1.0)
 
 
 # ====================================================================

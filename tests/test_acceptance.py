@@ -15,21 +15,20 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from oracles import random_family_spec
+from oracles import (random_family_spec, simulated_gain, xi_fixed,
+                     z_to_spherical)
 from tlspurify.cli import main as cli_main
 from tlspurify.config import RunConfig
+from tlspurify.integrator import integrate
 from tlspurify.liouville import qubit_purity, simulate
 from tlspurify.model import (InitialStateSpec, ModelParams,
-                             build_initial_state, mu_max, xi_max)
-from tlspurify.optimal import (classify_region, delta_p, initial_spherical,
-                               is_divergent, j_min, s2_resonant_solution,
-                               t_min_analytic, t_min_from_rates,
-                               t_min_numeric, xi_fixed)
-from tlspurify.reduced import (make_rhs_rct, simulate_z, x_to_z,
-                               z_to_spherical)
-from tlspurify.integrator import integrate
-from tlspurify.model import min_eigenvalue
-from tlspurify.sweeps import region_map
+                             build_initial_state, min_eigenvalue, mu_max,
+                             xi_max)
+from tlspurify.optimal import pole_gains, s2_resonant_solution
+from tlspurify.pole import (is_divergent, j_min, region_labels,
+                            t_min_analytic, t_min_from_rates, t_min_numeric)
+from tlspurify.reduced import make_rhs_rct, simulate_z, x_to_z
+from tlspurify.scans import region_map
 
 T_MIN_RATIO2 = 24.183991523122902       # frozen quadrature value, J=0.1 gamma=0.2
 POLE_PURITY_BETA1 = 0.909646680538176   # frozen 1/2 + 2 eta^2 at beta = 1
@@ -168,15 +167,20 @@ def test_criterion_09_coherence_gain():
     """No gain without correlations; positive gain with them, growing
     with the initial qubit coherence."""
     p = ModelParams(kappa=0.1)
-    res0 = delta_p(p, 0.0, mu_max(p, 0.0))
-    assert res0.status == "reached"
-    assert abs(res0.delta_p) < 1e-6
+    lead0 = t_min_numeric(p, 0.0)
+    assert lead0.status == "reached"
+    mu0 = mu_max(p, 0.0)
+    assert abs(pole_gains(p, 0.0, [mu0], lead0.time)[0, 0]) < 1e-6
+    assert abs(simulated_gain(p, 0.0, mu0, lead0.time)) < 1e-6
     xi = 0.5 * xi_max(p)
     cap = mu_max(p, xi)
-    gains = [delta_p(p, xi, f * cap).delta_p
-             for f in (0.2, 0.4, 0.6, 0.8, 1.0)]
+    t_pole = t_min_numeric(p, xi).time
+    mus = [f * cap for f in (0.2, 0.4, 0.6, 0.8, 1.0)]
+    gains = pole_gains(p, xi, mus, t_pole)[:, 0].tolist()
     assert gains[0] > 0.0
     assert all(a < b for a, b in zip(gains, gains[1:]))
+    for mu, gain in zip(mus, gains):
+        assert abs(gain - simulated_gain(p, xi, mu, t_pole)) < 1e-13
 
 
 def test_criterion_10_region_map():
@@ -218,8 +222,7 @@ def test_criterion_10_region_map():
 
     p09 = replace(base, J=0.9 * jm)
     th09 = xi_fixed(p09).value
-    assert classify_region(p09, 2.0 * th09) == "B"
-    assert classify_region(p09, 5.0 * th09) == "C"
+    assert region_labels([p09] * 2, [2.0 * th09, 5.0 * th09]) == ["B", "C"]
 
 
 def test_criterion_11_rotating_frame_validity():

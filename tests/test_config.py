@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import fields, replace
@@ -228,14 +227,6 @@ def test_to_dict_excludes_plumbing():
     # round trip through from_dict preserves the physics fields
     again = RunConfig.from_dict(doc)
     assert again.params() == RunConfig().params()
-
-
-def test_config_error_to_json():
-    e = ConfigError("bad-value", "run.samples must be >= 2", "run.samples")
-    doc = json.loads(e.to_json())
-    assert doc == {"code": "bad-value",
-                   "message": "run.samples must be >= 2",
-                   "parameter": "run.samples"}
 
 
 def test_axis_lookup():

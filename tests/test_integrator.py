@@ -31,8 +31,8 @@ def test_linear_system_matches_expm():
     res = integrate(lambda t, y: a @ y, (0.0, 2.0), y0,
                     rtol=1e-11, atol=1e-11)
     exact = expm(2.0 * a) @ y0
-    assert np.abs(res.y_final - exact).max() < 1e-8 * np.abs(exact).max()
-    assert res.t_final == 2.0
+    assert np.abs(res.y[-1] - exact).max() < 1e-8 * np.abs(exact).max()
+    assert res.t[-1] == 2.0
 
 
 def test_exponential_decay_dense_output():
@@ -54,7 +54,7 @@ def test_exponential_decay_dense_output():
 def test_scalar_linear_flow_property(rate, t_end):
     res = integrate(lambda t, y: rate * y, (0.0, t_end), np.array([1.0]),
                     rtol=1e-10, atol=1e-12)
-    assert res.y_final[0] == pytest.approx(math.exp(rate * t_end), rel=1e-7,
+    assert res.y[-1][0] == pytest.approx(math.exp(rate * t_end), rel=1e-7,
                                            abs=1e-9)
 
 
@@ -64,8 +64,8 @@ def test_last_step_lands_on_span_end():
     t_end = 0.42985418664295233
     res = integrate(lambda t, y: 0.0 * y, (0.0, t_end), np.array([1.0]),
                     rtol=1e-10, atol=1e-12)
-    assert res.t_final == t_end
-    assert res.y_final[0] == 1.0
+    assert res.t[-1] == t_end
+    assert res.y[-1][0] == 1.0
 
 
 # ====================================================================
@@ -86,7 +86,7 @@ def test_zero_rhs_stays_constant():
     y0 = np.array([0.3, -1.2])
     res = integrate(lambda t, y: np.zeros(2), (0.0, 50.0), y0,
                     rtol=1e-10, atol=1e-12)
-    assert np.array_equal(res.y_final, y0)
+    assert np.array_equal(res.y[-1], y0)
     # the zero-error branch opens the step size up quickly
     assert res.stats.accepted < 30
 
@@ -231,7 +231,7 @@ def test_propagate_matches_expm_between_nodes():
     assert _rel_gap(got, exact) < 1e-13
     assert _rel_gap(res.y, exact[:len(res.t)]) < 1e-13
     assert res.trajectory(2.5).shape == (5,)
-    assert res.y_final == pytest.approx(exact[len(res.t) - 1], rel=1e-13)
+    assert res.y[-1] == pytest.approx(exact[len(res.t) - 1], rel=1e-13)
     with pytest.raises(ValueError):
         propagate(a, (1.0, 1.0), y0)
 

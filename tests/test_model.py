@@ -173,10 +173,10 @@ def test_min_eigenvalue_matches_eigvalsh(rng):
 
 def test_density_state_container(rng):
     rho = random_density_matrix(rng)
-    st_ = DensityState.from_matrix(rho)
-    assert st_.trace == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(st_.to_matrix() - rho).max() < 1e-12
-    assert st_.min_eigenvalue() > 0.0        # full rank by construction
+    st_ = DensityState(matrix_to_x(rho))
+    assert st_.x[:4].sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(x_to_matrix(st_.x) - rho).max() < 1e-12
+    assert min_eigenvalue(st_.x) > 0.0       # full rank by construction
     with pytest.raises(ValueError):
         DensityState(np.zeros(15))
 
@@ -190,12 +190,12 @@ def test_initial_state_product_structure(params_bath):
     a_q, b_q = params_bath.qubit_populations
     a_t, b_t = params_bath.tls_populations
     expected = np.kron(np.diag([a_q, b_q]), np.diag([a_t, b_t]))
-    assert np.abs(st_.to_matrix() - expected).max() < 1e-15
+    assert np.abs(x_to_matrix(st_.x) - expected).max() < 1e-15
 
 
 def test_initial_state_coherence_slots(params_bath):
     spec = InitialStateSpec(mu_q=0.05, nu_q=-0.02, xi_re=0.03, xi_im=0.01)
-    rho = build_initial_state(params_bath, spec).to_matrix()
+    rho = x_to_matrix(build_initial_state(params_bath, spec).x)
     a_t, b_t = params_bath.tls_populations
     coh = 0.05 - 0.02j
     assert rho[0, 2] == pytest.approx(coh * a_t, abs=1e-15)
@@ -217,7 +217,7 @@ def test_xi_max_closed_form(params_bath):
     assert val == pytest.approx(XI_MAX_BETA1, abs=1e-14)
     # the ceiling really is the positivity boundary
     at_edge = build_initial_state(params_bath, InitialStateSpec(xi_re=val))
-    assert at_edge.min_eigenvalue() > -1e-10
+    assert min_eigenvalue(at_edge.x) > -1e-10
 
 
 def test_mu_max_uncorrelated(params_bath):
@@ -247,7 +247,7 @@ def test_family_states_are_physical(xi_frac, mu_frac, phase):
     mu = mu_frac * mu_max(params, xi)
     st_ = build_initial_state(
         params, InitialStateSpec(mu_q=mu, xi_re=xi.real, xi_im=xi.imag))
-    assert st_.trace == pytest.approx(1.0, abs=1e-12)
-    assert st_.min_eigenvalue() >= -1e-10
-    rho = st_.to_matrix()
+    assert st_.x[:4].sum() == pytest.approx(1.0, abs=1e-12)
+    assert min_eigenvalue(st_.x) >= -1e-10
+    rho = x_to_matrix(st_.x)
     assert np.abs(rho - rho.conj().T).max() < 1e-14

@@ -12,20 +12,18 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from tlspurify import pole
+from tlspurify.config import RunConfig
 from tlspurify.model import ModelParams, build_initial_state, InitialStateSpec, mu_max, xi_max
-from tlspurify.optimal import (CRITICAL_TOL, DeltaPResult, Threshold,
-                               classify_region, classify_regime, delta_p,
-                               first_events, fixed_point_theta,
-                               initial_spherical, is_divergent, j_min,
-                               pole_gains, pole_purity_ceiling,
-                               region_labels, s2_first_zero,
-                               s2_resonant_solution, stall_cosine,
-                               t_min_analytic, t_min_from_rates,
-                               t_min_numeric, uncorrelated_pole_purity,
-                               xi_fixed)
-from tlspurify.reduced import x_to_z, z_to_spherical
+from tlspurify.optimal import (pole_gains, s2_resonant_solution,
+                               uncorrelated_pole_purity)
+from tlspurify.pole import (first_events, initial_spherical, is_divergent,
+                            j_min, region_labels, stall_cosine,
+                            t_min_analytic, t_min_from_rates, t_min_numeric)
+from tlspurify.reduced import x_to_z
+from tlspurify.sweeps import coherence_map
 
-from oracles import mp_first_event, s1_pole_run
+from oracles import (Threshold, mp_first_event, s1_pole_run, s2_first_zero,
+                     simulated_gain, xi_fixed, z_to_spherical)
 
 # Frozen oracle values (quadrature / bisection cross-checks, 17 digits)
 T_MIN_RATIO2 = 24.183991523122902       # J = 0.1, gamma = 0.2
@@ -93,12 +91,6 @@ def test_is_divergent_tolerance_edges():
     assert not is_divergent(J, 0.0)
 
 
-def test_classify_regime():
-    assert classify_regime(0.1, 0.5) == "Markovian"
-    assert classify_regime(0.1, 0.2) == "nonMarkovian"
-    assert classify_regime(0.1, 0.4) == "critical"
-
-
 def test_j_min():
     assert j_min(0.4) == pytest.approx(0.1, rel=1e-15)
     p = ModelParams(beta=0.1, kappa=0.1)
@@ -114,15 +106,6 @@ def test_uncorrelated_pole_purity_frozen():
     assert p.eta == pytest.approx(ETA_BETA1, rel=1e-14)
     assert uncorrelated_pole_purity(p) == pytest.approx(POLE_PURITY_BETA1,
                                                         rel=1e-14)
-
-
-def test_pole_purity_ceiling():
-    p = ModelParams(kappa=0.1)
-    assert pole_purity_ceiling(p, 0.0) == pytest.approx(
-        uncorrelated_pole_purity(p), rel=1e-14)
-    xis = np.linspace(0.0, xi_max(p), 7)
-    vals = [pole_purity_ceiling(p, x) for x in xis]
-    assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
 # ====================================================================
@@ -218,19 +201,20 @@ def test_stall_cosine_branches():
 
 
 def test_fixed_point_theta_example():
+    """The stall angle, the principal arccos of the stall cosine."""
     p = ModelParams(J=0.025, kappa=0.1).with_gamma(0.2)
     r0, c0, _ = initial_spherical(p)
     # 4J/gamma = 0.5 on the uncorrelated ray: stall angle pi/3
     assert stall_cosine(p, r0, c0) == pytest.approx(0.5, rel=1e-13)
-    assert fixed_point_theta(p, r0, c0) == pytest.approx(math.pi / 3,
-                                                         rel=1e-13)
+    assert math.acos(stall_cosine(p, r0, c0)) == pytest.approx(math.pi / 3,
+                                                               rel=1e-13)
 
 
 def test_fixed_point_theta_absent():
+    """No stall point: the stall cosine lies above 1."""
     p = ModelParams(kappa=0.1)               # gamma ~ 0.11 < 4J = 0.4
     r0, c0, _ = initial_spherical(p)
     assert stall_cosine(p, r0, c0) > 1.0
-    assert fixed_point_theta(p, r0, c0) is None
 
 
 def test_fixed_point_theta_boundary():
@@ -239,11 +223,11 @@ def test_fixed_point_theta_boundary():
     p = ModelParams(J=0.025, kappa=0.1)
     c = 0.1
     r_unit = p.gamma * (p.eta - c) / (4.0 * p.J)   # cosine == 1 at this r
-    inside = fixed_point_theta(p, (1.0 - 1e-9) * r_unit, c)
-    assert inside is not None
-    assert 0.0 < inside < 1e-4
-    assert fixed_point_theta(p, (1.0 + 1e-9) * r_unit, c) is None
-    assert fixed_point_theta(p, 2.0 * r_unit, c) is None
+    inside = stall_cosine(p, (1.0 - 1e-9) * r_unit, c)
+    assert 0.0 < inside <= 1.0
+    assert 0.0 < math.acos(inside) < 1e-4
+    assert stall_cosine(p, (1.0 + 1e-9) * r_unit, c) > 1.0
+    assert stall_cosine(p, 2.0 * r_unit, c) > 1.0
 
 
 def test_xi_fixed_frozen_value():
@@ -419,7 +403,7 @@ def test_pole_just_above_critical(beta):
     assert status == run.status == "reached"
     assert run.time < 1.4 * p.t0
     assert abs(run.time - float(t_ref)) <= 1e-12 * float(t_ref)
-    assert classify_region(p, xi) == "C"
+    assert region_labels([p], [xi])[0] == "C"
 
 
 def test_t_min_numeric_late_pole_below_critical():
@@ -453,7 +437,7 @@ def test_t_min_numeric_zero_radius():
         assert run.t_stop == 20.0 * p.t0
         assert (run.r, run.c, run.theta, run.theta_rate) == (0.0, p.eta,
                                                              0.0, 0.0)
-        assert classify_region(p, 0.0) == "B"
+        assert region_labels([p], [0.0])[0] == "B"
 
 
 def test_t_min_numeric_trapped_run():
@@ -478,11 +462,11 @@ def test_t_min_numeric_instant_stall():
 
 def test_classify_region_labels():
     p = ModelParams(beta=0.1, kappa=0.1, J=0.9 * J_MIN_BETA01)
-    assert classify_region(p, 0.5 * XI_FIXED_BETA01) == "A"
-    assert classify_region(p, 2.0 * XI_FIXED_BETA01) == "B"
-    assert classify_region(p, 5.0 * XI_FIXED_BETA01) == "C"
-    assert classify_region(ModelParams(J=0.1), 0.0) == "C"   # gamma = 0
-    assert classify_region(ModelParams(J=0.0), 0.0) == "U"
+    assert region_labels([p], [0.5 * XI_FIXED_BETA01])[0] == "A"
+    assert region_labels([p], [2.0 * XI_FIXED_BETA01])[0] == "B"
+    assert region_labels([p], [5.0 * XI_FIXED_BETA01])[0] == "C"
+    assert region_labels([ModelParams(J=0.1)], [0.0])[0] == "C"   # gamma = 0
+    assert region_labels([ModelParams(J=0.0)], [0.0])[0] == "U"
 
 
 # ====================================================================
@@ -529,7 +513,7 @@ def test_first_events_match_batches_of_one(cells, horizon, order):
     for p, xi, run in zip(params, xis, batch):
         assert run == t_min_numeric(p, xi, horizon_mult=horizon)
     assert region_labels(params, xis, horizon) == [
-        classify_region(p, xi, horizon_mult=horizon)
+        region_labels([p], [xi], horizon)[0]
         for p, xi in zip(params, xis)]
 
 
@@ -638,7 +622,7 @@ def test_stall_guard_drops_a_bracket_with_no_rate_zero(monkeypatch):
     assert run.status == status
     assert abs(run.time - float(t_ref)) <= 1e-12 * float(t_ref)
     # the label path, which refines no pole here, keeps the guard too
-    assert classify_region(p, xi) == "C"
+    assert region_labels([p], [xi])[0] == "C"
     assert len(misread) == 2
 
 
@@ -668,7 +652,7 @@ def test_label_path_refines_the_pole_of_a_shared_piece(monkeypatch):
     run = t_min_numeric(p, xi)
     assert run.status == status
     assert abs(run.time - float(t_ref)) <= 1e-12 * float(t_ref)
-    assert classify_region(p, xi) == "C"
+    assert region_labels([p], [xi])[0] == "C"
     assert len(misread) == 2 and misread[0] > float(t_ref)
 
 
@@ -685,38 +669,36 @@ def test_first_events_empty_and_validation():
 
 def test_delta_p_zero_cases():
     p = ModelParams(kappa=0.1).with_gamma_over_j(2.0)
-    res = delta_p(p, 0.3 * xi_max(p), 0.0)
-    assert res.status == "reached"
-    assert res.delta_p == 0.0
+    xi = 0.3 * xi_max(p)
+    t_pole = t_min_numeric(p, xi).time
+    gain, p_pole, p_s1 = pole_gains(p, xi, [0.0], t_pole)[0]
+    assert gain == 0.0
+    assert p_pole == p_s1
     # xi = 0: the oscillator's first zero lands exactly on the pole time
-    res0 = delta_p(p, 0.0, 0.5 * mu_max(p, 0.0))
-    assert abs(res0.delta_p) < 1e-6
+    t_pole = t_min_numeric(p, 0.0).time
+    mu = 0.5 * mu_max(p, 0.0)
+    gain0 = pole_gains(p, 0.0, [mu], t_pole)[0, 0]
+    assert abs(gain0) < 1e-6
+    assert abs(simulated_gain(p, 0.0, mu, t_pole)) < 1e-6
 
 
 def test_delta_p_grows_with_mu():
     p = ModelParams(kappa=0.1).with_gamma_over_j(2.0)
     xi = 0.5 * xi_max(p)
     cap = mu_max(p, xi)
-    vals = [delta_p(p, xi, f * cap).delta_p for f in (0.25, 0.5, 0.9)]
+    t_pole = t_min_numeric(p, xi).time
+    mus = [f * cap for f in (0.25, 0.5, 0.9)]
+    vals = pole_gains(p, xi, mus, t_pole)[:, 0]
     assert all(v > 0.0 for v in vals)
     assert vals[0] < vals[1] < vals[2]
-
-
-def test_delta_p_reuses_given_pole_time():
-    p = ModelParams(kappa=0.1).with_gamma_over_j(2.0)
-    xi = 0.5 * xi_max(p)
-    lead = t_min_numeric(p, xi)
-    a = delta_p(p, xi, 0.1)
-    b = delta_p(p, xi, 0.1, t_pole=lead.time)
-    assert a.t_pole == pytest.approx(b.t_pole, rel=1e-12)
-    assert a.delta_p == pytest.approx(b.delta_p, rel=1e-10)
-    assert b.p_max >= b.p_pole - 1e-12
-    assert 0.0 <= b.t_max <= b.t_pole
+    for mu, v in zip(mus, vals):
+        assert abs(v - simulated_gain(p, xi, mu, t_pole)) < 1e-13
 
 
 def test_pole_gains_row():
-    """One exponential per coherence-map row: its cells are delta_p's
-    values, and a row of one mu gives the same."""
+    """One exponential per coherence-map row: its cells are the gains of
+    node-stepped reduced runs to the pole time, and each gain is the
+    ratio of the row's two purities."""
     p = ModelParams(kappa=0.1).with_gamma_over_j(2.0)
     xi = 0.5 * xi_max(p)
     t_pole = t_min_numeric(p, xi).time
@@ -724,16 +706,22 @@ def test_pole_gains_row():
     row = pole_gains(p, xi, mus, t_pole)
     assert row.shape == (3, 3)
     for mu, (gain, p_pole, p_s1) in zip(mus, row):
-        res = delta_p(p, xi, mu, t_pole=t_pole)
-        assert abs(res.delta_p - gain) < 1e-13
-        assert (res.p_pole, res.p_s1_pole) == pytest.approx(
-            (p_pole, p_s1), abs=1e-13)
+        assert abs(simulated_gain(p, xi, mu, t_pole) - gain) < 1e-13
+        assert gain == p_pole / p_s1 - 1.0
     assert pole_gains(p, xi, [], t_pole).shape == (0, 3)
 
 
 def test_delta_p_unreached_pole():
-    p = ModelParams(kappa=0.1).with_gamma_over_j(4.5)
-    res = delta_p(p, 0.0, 0.1, horizon_mult=2)
-    assert res.status != "reached"
-    assert math.isnan(res.delta_p)
-    assert res.t_pole == math.inf
+    """A coherence-map row whose pole is not reached by the horizon
+    carries "divergent" in every physical cell, not a gain."""
+    cfg = RunConfig.from_dict({
+        "model": {"J": ModelParams(kappa=0.1).gamma / 4.5, "kappa": 0.1},
+        "run": {"horizon": 2.0},
+        "sweep": {"axes": [
+            {"name": "xi_frac", "start": 0.0, "stop": 0.1, "count": 2},
+            {"name": "mu_frac", "start": 0.0, "stop": 0.5, "count": 3}]}})
+    table = coherence_map(cfg)
+    for xi in {row[1] for row in table.rows}:
+        run = t_min_numeric(cfg.params(), xi, horizon_mult=2.0)
+        assert run.status != "reached"
+    assert [row[4] for row in table.rows] == ["divergent"] * 6

@@ -9,17 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_density_x
+from oracles import random_density_x, z_to_spherical
 from tlspurify.drive import ConstantDrive, resonant
 from tlspurify.integrator import integrate
 from tlspurify.liouville import qubit_purity, rwa_generator, simulate
 from tlspurify.model import (InitialStateSpec, ModelParams,
                              build_initial_state, mu_max, xi_max)
-from tlspurify.optimal import initial_direction, t_min_numeric
+from tlspurify.pole import initial_direction, t_min_numeric
 from tlspurify.reduced import (make_rhs_rct, make_rhs_s1, make_rhs_z,
-                               simulate_z, spherical_to_z_s1, x_to_z,
-                               z_generator, z_purity, z_purity_many,
-                               z_to_spherical)
+                               simulate_z, x_to_z, z_generator,
+                               z_purity_many)
 
 # Frozen by hand from the coordinate layout: each z entry reads specific
 # x slots, so a handcrafted x with distinct slot values pins the wiring.
@@ -74,7 +73,6 @@ def test_z_purity_equals_qubit_purity(rng):
     expected = np.array([qubit_purity(x) for x in xs])
     got = z_purity_many(zs)
     assert np.abs(got - expected).max() < 1e-13
-    assert z_purity(zs[0]) == pytest.approx(expected[0], abs=1e-13)
 
 
 # ====================================================================
@@ -136,8 +134,20 @@ def test_reduced_tracks_full_table_drive(params_bath):
 
 
 # ====================================================================
-# Spherical coordinates
+# Spherical coordinates (the chart of the oracles)
 # ====================================================================
+
+def spherical_to_z_s1(r: float, c: float, theta: float,
+                      phi: float = 0.0) -> np.ndarray:
+    """S1 block (z[0..3]) from the spherical coordinates, the inverse of
+    the oracles' z_to_spherical."""
+    return np.array([
+        c + r * math.sin(theta),
+        r * math.cos(theta) * math.sin(phi),
+        r * math.cos(theta) * math.cos(phi),
+        -2.0 * c - 1.0,
+    ])
+
 
 def test_spherical_round_trip_handcrafted():
     r, c, theta, phi = 0.21, 0.33, 0.4, -1.1

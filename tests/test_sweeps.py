@@ -18,10 +18,12 @@ import tlspurify
 from tlspurify.cli import main as cli_main
 from tlspurify.config import MAX_ROWS, ConfigError, RunConfig
 from tlspurify.model import mu_max
-from tlspurify.optimal import delta_p, t_min_analytic
 from tlspurify.output import write_table
-from tlspurify.sweeps import (coherence_map, purity_trace, region_map,
-                              scan_beta, scan_gamma, simulate_trace)
+from tlspurify.pole import t_min_analytic, t_min_numeric
+from tlspurify.scans import region_map, scan_beta, scan_gamma
+from tlspurify.sweeps import coherence_map, purity_trace, simulate_trace
+
+from oracles import simulated_gain
 
 T0 = 15.707963267948966                 # pi / (2 J) at J = 0.1
 RATIO_AT_2 = 1.5396007178390019         # t_min / t0 at gamma / J = 2
@@ -225,7 +227,8 @@ def test_coherence_map_cells():
 
 
 def test_coherence_map_cells_match_delta_p():
-    """Each computed cell of the map is delta_p's value at that start."""
+    """Each computed cell of the map is the gain of a node-stepped reduced
+    run from that start to its pole time."""
     cfg = _cfg(run={"workers": 2}, sweep={"axes": [
         {"name": "xi_frac", "start": 0.0, "stop": 1.0, "count": 4},
         {"name": "mu_frac", "start": 0.0, "stop": 1.0, "count": 4}]})
@@ -237,7 +240,8 @@ def test_coherence_map_cells_match_delta_p():
         if isinstance(cell, str):
             assert cell == "unphysical" and mu > cap
             continue
-        assert abs(cell - delta_p(params, xi, mu).delta_p) < 1e-13
+        t_pole = t_min_numeric(params, xi).time
+        assert abs(cell - simulated_gain(params, xi, mu, t_pole)) < 1e-13
         computed += 1
     assert computed >= 8
 

@@ -8,7 +8,7 @@ import pytest
 from tlspurify.config import RunConfig
 from tlspurify.reduced import make_rhs_z
 from tlspurify.sweeps import verify_table
-from tlspurify.verify import CheckResult, run_suite, suite_passed
+from tlspurify.verify import run_suite, suite_passed
 
 EXPECTED_ORDER = [
     "generator-trace-free",
@@ -52,15 +52,6 @@ def test_suite_catches_corrupted_reduction():
     assert not suite_passed(checks)
     others = [c for c in checks if c.name != "full-vs-reduced"]
     assert all(c.passed for c in others)
-
-
-def test_check_result_to_dict():
-    c = CheckResult("demo", True, 1e-12, 1e-9, "note", n_steps=10,
-                    n_rejected=2)
-    assert c.to_dict() == {
-        "name": "demo", "passed": True, "residual": 1e-12, "tol": 1e-9,
-        "detail": "note", "n_steps": 10, "n_rejected": 2,
-    }
 
 
 def test_verify_table_shape():
