@@ -1,6 +1,6 @@
 """Command-line harness.
 
-    tlspurify <command> [--config FILE] [--out PATH] [--format csv|json]
+    tlspurify <command> [--config PATH] [--out PATH] [--format csv|json]
                         [--frame rwa|lab] [--tol ABS:REL] [--horizon MULT]
                         [--workers N]
 
@@ -9,15 +9,21 @@ purity-trace, verify.  Flags override the corresponding config keys; every
 command writes one table to --out (stdout if omitted).  Errors go to
 stderr as a JSON object {code, message, parameter} with a nonzero exit.
 
-A usage error is an error object too: code "usage" and exit 2, or
-"bad-value" naming a flag whose value is not a number.  --help prints
-text and exits 0.
+The parser is one table of the seven commands (_HELP) and one of the
+seven options (_OPTIONS); both drive parsing, usage errors and the
+--help text.  It reads arguments as argparse did: an option is
+``--name VALUE`` or ``--name=VALUE``, a unique prefix of a name will do
+(--conf), the last of a repeated option wins, and a token starting with
+"-" is a value only if it is "-", a negative number or holds a space.
+A usage error is an error object too: code "usage" and exit 2 (main
+raises SystemExit(2)), or "bad-value" naming a flag whose value is not a
+number (main returns 2).  -h or --help, at the top or after a command,
+prints text to stdout and exits 0.
 
 The process entry of ``python -m tlspurify.cli`` and of the ``tlspurify``
 script is entry().  The process runs without the cyclic collector: under
 ``-m`` it is off from the first statements of this module, before numpy
-is imported, and entry() turns it off for the console script.  One run
-leaves the same cyclic garbage, the parser's, whatever its size.  entry()
+is imported, and entry() turns it off for the console script.  entry()
 freezes the collector after main(), so that exit does not sweep the heap;
 main(argv) never touches the collector, so one process can call it many
 times.
@@ -30,7 +36,7 @@ import gc
 if __name__ == "__main__":
     gc.disable()
 
-import argparse
+import re
 import sys
 
 import numpy as np
@@ -38,7 +44,7 @@ import numpy as np
 from .config import ConfigError, choices, load_config
 from .output import emit_error, write_table
 
-__all__ = ["main", "entry", "build_parser"]
+__all__ = ["main", "entry"]
 
 
 def _driver(module: str, name: str):
@@ -62,6 +68,7 @@ _COMMANDS = {
 }
 _VERIFY = _driver("sweeps", "verify_table")
 
+#: the seven commands, in --help order, with their help lines
 _HELP = {
     "simulate": "integrate one full-model trajectory and emit it",
     "scan-gamma": "pole time against gamma/J, bare and correlated",
@@ -72,58 +79,166 @@ _HELP = {
     "verify": "run the self-check suite and report residuals",
 }
 
+#: the options of every command, in --help order: name -> (metavar, type,
+#: help line).  A type is str, float, int, or choices: one of the choices
+#: of the config key the option sets, which stand in for its metavar
+_OPTIONS = {
+    "config": ("PATH", str, "YAML run configuration"),
+    "out": ("PATH", str, "output file (default: stdout)"),
+    "format": (None, choices, "output format (default: csv)"),
+    "frame": (None, choices, "propagation frame for simulate"),
+    "tol": ("ABS:REL", str, "Runge-Kutta tolerances of verify, "
+                            "e.g. 1e-10:1e-10"),
+    "horizon": ("MULT", float,
+                "give-up time in units of the lossless pole time"),
+    "workers": ("N", int, "accepted for compatibility; changes nothing"),
+}
 
-class _Parser(argparse.ArgumentParser):
-    """argparse under the error contract: a usage error is one error
-    object on stderr and exit 2, not the usage text."""
-
-    def error(self, message: str):
-        emit_error("usage", message, "")
-        self.exit(2)
-
-
-def _number(kind: type, flag: str):
-    """kind(text) as the type of a flag; a text that is not a number is a
-    bad-value config error naming the flag, as --tol's is."""
-    noun = {float: "a number", int: "an integer"}[kind]
-
-    def convert(text: str):
-        try:
-            return kind(text)
-        except ValueError:
-            raise ConfigError("bad-value", f"{flag} must be {noun}, "
-                              f"got {text!r}", flag) from None
-    return convert
+#: a negative number: a value, not a flag, though it starts with "-"
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="YAML run configuration")
-    common.add_argument("--out", metavar="PATH",
-                        help="output file (default: stdout)")
-    common.add_argument("--format", choices=choices("format"),
-                        help="output format (default: csv)")
-    common.add_argument("--frame", choices=choices("frame"),
-                        help="propagation frame for simulate")
-    common.add_argument("--tol", metavar="ABS:REL",
-                        help="Runge-Kutta tolerances of verify's independent "
-                             "side, e.g. 1e-10:1e-10")
-    common.add_argument("--horizon", metavar="MULT",
-                        type=_number(float, "--horizon"),
-                        help="give-up time in units of the lossless pole time")
-    common.add_argument("--workers", metavar="N",
-                        type=_number(int, "--workers"),
-                        help="accepted for compatibility; changes nothing")
+def _usage(message: str):
+    """A usage error: one error object on stderr, and exit 2."""
+    emit_error("usage", message, "")
+    raise SystemExit(2)
 
-    parser = _Parser(
-        prog="tlspurify",
-        description="purification dynamics of a qubit coupled to a lossy "
-                    "two-level defect")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*_COMMANDS, "verify"):
-        sub.add_parser(name, parents=[common], help=_HELP[name])
-    return parser
+
+def _help(command: str | None) -> str:
+    """The --help text of the command, or of the program for None."""
+    if command is None:
+        return "".join([
+            "usage: tlspurify <command> [options]\n\n"
+            "purification dynamics of a qubit coupled to a lossy two-level "
+            "defect\n\ncommands:\n",
+            *(f"  {name:<15}{line}\n" for name, line in _HELP.items()),
+            "\n'tlspurify <command> --help' lists the options of a "
+            "command.\n"])
+    flags = {"-h, --help": "show this help and exit"}
+    for name, (metavar, kind, line) in _OPTIONS.items():
+        shown = metavar or "{" + ",".join(choices(name)) + "}"
+        flags[f"--{name} {shown}"] = line
+    return "".join([
+        f"usage: tlspurify {command} [options]\n\n{_HELP[command]}\n\n"
+        "options:\n",
+        *(f"  {flag:<21}{line}\n" for flag, line in flags.items()),
+        "\nAn option is --name VALUE or --name=VALUE, a unique prefix of "
+        "its name will do\n(--conf for --config), and the last of a "
+        "repeated option wins.\n"])
+
+
+def _is_flag(token: str) -> bool:
+    """token is a flag, not a value: it starts with "-" and is not "-", a
+    negative number or a text with a space in it."""
+    return (token.startswith("-") and token != "-" and " " not in token
+            and _NEGATIVE.fullmatch(token) is None)
+
+
+def _resolve(token: str, names) -> tuple[str | None, str | None]:
+    """(name, text given with it) of the flag token: -h[VALUE] for help,
+    or --name[=VALUE] where name is one of names or a unique prefix of
+    one.  The name is None for an unknown flag; a prefix of more than one
+    name is a usage error."""
+    if token.startswith("-h"):
+        rest = token[2:]
+        return "help", (rest[rest.startswith("="):] if rest else None)
+    if not token.startswith("--") or token == "--":
+        return None, None
+    given, eq, value = token[2:].partition("=")
+    hits = ([given] if given in names
+            else [name for name in names if name.startswith(given)])
+    if len(hits) > 1:
+        _usage(f"ambiguous option: {token} could match "
+               + ", ".join(f"--{name}" for name in hits))
+    return (hits[0] if hits else None), (value if eq else None)
+
+
+def _show_help(command: str | None, value: str | None):
+    """Print the --help text and exit 0; --help=VALUE is a usage error."""
+    if value is not None:
+        _usage(f"argument --help: ignored explicit argument {value!r}")
+    sys.stdout.write(_help(command))
+    raise SystemExit(0)
+
+
+def _convert(name: str, text: str):
+    """text as the value of --name.  A text outside the choices is a usage
+    error; one that is not a number is a bad-value config error naming the
+    flag, as a malformed --tol is."""
+    kind = _OPTIONS[name][1]
+    if kind is choices:
+        if text not in choices(name):
+            _usage(f"argument --{name}: invalid choice: {text!r} (choose "
+                   f"from {', '.join(map(repr, choices(name)))})")
+        return text
+    if kind is str:
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        noun = {float: "a number", int: "an integer"}[kind]
+        raise ConfigError("bad-value", f"--{name} must be {noun}, "
+                          f"got {text!r}", f"--{name}") from None
+
+
+def _options(command: str, tokens: list[str]) -> dict:
+    """The option values that tokens, the arguments after the command,
+    give.  Every flag is resolved before any value is read, so an
+    ambiguous prefix is reported first; then the tokens are read left to
+    right, and --help exits where it stands.  The first "--" and every
+    token after it are stray values.  An unknown flag or a stray value is
+    reported after the last token."""
+    names = (*_OPTIONS, "help")
+    # None for a value, (name, value) for a flag; "--" is an unknown flag
+    cut = tokens.index("--") + 1 if "--" in tokens else len(tokens)
+    flags = [_resolve(token, names) if _is_flag(token) else None
+             for token in tokens[:cut]]
+    flags += [None] * (len(tokens) - cut)
+    given, extras = {}, []
+    k, n = 0, len(tokens)
+    while k < n:
+        token, flag = tokens[k], flags[k]
+        k += 1
+        if flag is None or flag[0] is None:
+            extras.append(token)
+            continue
+        name, value = flag
+        if name == "help":
+            _show_help(command, value)
+        if value is None:
+            if k == n or flags[k] is not None:
+                _usage(f"argument --{name}: expected one argument")
+            value = tokens[k]
+            k += 1
+        given[name] = _convert(name, value)
+    if extras:
+        _usage(f"unrecognized arguments: {' '.join(extras)}")
+    return given
+
+
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """(command, option values) of the command line argv.  Before the
+    command only -h/--help means anything; an unknown flag there is
+    reported once the command's own arguments have been read."""
+    extras = []
+    for k, token in enumerate(argv):
+        if token == "--" or not _is_flag(token):
+            break
+        name, value = _resolve(token, ("help",))
+        if name is None:
+            extras.append(token)
+        else:
+            _show_help(None, value)
+    else:
+        _usage(f"a command is required: one of {', '.join(_HELP)}")
+    command = argv[k]
+    if command not in _HELP:
+        _usage(f"invalid command {command!r}: choose from "
+               f"{', '.join(_HELP)}")
+    given = _options(command, argv[k + 1:])
+    if extras:
+        _usage(f"unrecognized arguments: {' '.join(extras)}")
+    return command, given
 
 
 def _parse_tol(text: str) -> tuple[float, float]:
@@ -139,27 +254,27 @@ def _parse_tol(text: str) -> tuple[float, float]:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        command, flags = _parse(sys.argv[1:] if argv is None else argv)
     except ConfigError as exc:
         emit_error(exc.code, exc.message, exc.parameter)
         return 2
     # a float that overflows or turns NaN ends the run as an error object
     # instead of a warning on stderr and a table built on it
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        return _run(args)
+        return _run(command, flags)
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(command: str, flags: dict) -> int:
     try:
-        cfg = load_config(args.config)
-        overrides = {"out": args.out, "format": args.format,
-                     "frame": args.frame, "horizon": args.horizon,
-                     "workers": args.workers}
-        if args.tol is not None:
-            overrides["abs_tol"], overrides["rel_tol"] = _parse_tol(args.tol)
+        cfg = load_config(flags.get("config"))
+        overrides = {key: flags.get(key) for key in
+                     ("out", "format", "frame", "horizon", "workers")}
+        if "tol" in flags:
+            overrides["abs_tol"], overrides["rel_tol"] = _parse_tol(
+                flags["tol"])
         cfg = cfg.override(**overrides)
 
-        if args.command == "verify":
+        if command == "verify":
             table, ok = _VERIFY(cfg)
             write_table(table, cfg)
             if not ok:
@@ -169,7 +284,7 @@ def _run(args: argparse.Namespace) -> int:
                 return 1
             return 0
 
-        table = _COMMANDS[args.command](cfg)
+        table = _COMMANDS[command](cfg)
         write_table(table, cfg)
         return 0
     except ConfigError as exc:
@@ -187,8 +302,8 @@ def entry() -> int:
     which the collections at shutdown do not scan (they run even with the
     collector disabled); the process still exits normally, so atexit
     handlers run, sys.stdout and sys.stderr are flushed, and a failed
-    flush still exits 120.  The finally also covers argparse's SystemExit
-    for --help and for usage errors."""
+    flush still exits 120.  The finally also covers the SystemExit of
+    --help and of a usage error."""
     gc.disable()
     try:
         return main()

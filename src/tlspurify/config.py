@@ -1,14 +1,15 @@
 """Run configuration: the field table, YAML loading, and CLI overrides.
 
-Every setting is a RunConfig field whose metadata names its YAML section
-and its range (minimum, above, maximum or choices); its annotation is its
-type and its default is the dataclass default.  That one table drives
-validation, the tracking of explicitly set keys, the config echo of CSV
-files, the JSON header and the CLI overrides.  Fields marked plumbing
-(worker count, output path) cannot change the computed content and stay
-out of the echo and the header.  The model fields carry no range here:
-ModelParams holds them, and the config builds one to check them.  The
-README's configuration block documents the table, defaults included.
+Every setting is a row of the field table _FIELDS, the one schema of a
+run configuration: its name, YAML section, type, default, range (minimum,
+above, maximum or choices) and whether it is plumbing.  RunConfig has one
+slot per row.  That one table drives validation, the tracking of
+explicitly set keys, the config echo of CSV files, the JSON header and the
+CLI overrides.  Fields marked plumbing (worker count, output path) cannot
+change the computed content and stay out of the echo and the header.  The
+model fields carry no range here: ModelParams holds them, and the config
+builds one to check them.  The README's configuration block documents the
+table, defaults included.  A sweep axis has its own schema, _AXIS_FIELDS.
 
 Axis names are the sweep-domain coordinates: gamma_over_j and beta are
 absolute; xi_frac, mu_frac, and j_frac are fractions of the physical
@@ -20,7 +21,6 @@ import functools
 import math
 import operator
 import re
-from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, get_args
 
@@ -85,7 +85,7 @@ class ConfigError(Exception):
         self.parameter = parameter
 
 
-#: the range keys a field's metadata may give, with their tests
+#: the range keys a field's spec may give, with their tests
 _BOUNDS = (("minimum", ">=", operator.ge), ("above", ">", operator.gt),
            ("maximum", "<=", operator.le))
 
@@ -95,10 +95,41 @@ def _unknown(mapping: dict, known) -> list[str]:
     return sorted(str(k) for k in mapping if k not in known)
 
 
-def _value(f: Field, value, key: str):
-    """value checked against the type in f's annotation and the range in
-    its metadata; raises ConfigError naming key."""
-    kind, spec = f.type, f.metadata
+class _Field:
+    """One row of a schema: a key's YAML section and name, its type (a
+    type ``X | None`` allows null), its default, its range (the keys of
+    _BOUNDS, or choices) and whether it is plumbing."""
+
+    __slots__ = ("section", "name", "kind", "default", "spec", "plumbing")
+
+    def __init__(self, section: str | None, name: str, kind, default, *,
+                 plumbing: bool = False, **spec):
+        self.section, self.name, self.kind = section, name, kind
+        self.default, self.spec, self.plumbing = default, spec, plumbing
+
+
+class _Record:
+    """A plain record, equal and shown by the values of its slots."""
+
+    __slots__ = ()
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __repr__(self) -> str:
+        return "{}({})".format(type(self).__name__, ", ".join(
+            f"{name}={value!r}" for name, value in self._asdict().items()))
+
+
+def _value(f: _Field, value, key: str):
+    """value checked against f's type and range; raises ConfigError
+    naming key."""
+    kind, spec = f.kind, f.spec
     if type(None) in get_args(kind):
         if value is None:
             return None
@@ -155,15 +186,27 @@ def _number(value, kind: type, key: str):
     return number
 
 
-@dataclass(frozen=True)
-class SweepAxis:
-    name: str = field(metadata={"choices": AXIS_NAMES})
-    start: float
-    stop: float
-    count: int = field(default=2, metadata={"minimum": 2,
-                                            "maximum": MAX_COUNT})
-    scale: str = field(default="linear",
-                       metadata={"choices": ("linear", "log")})
+#: the schema of an axis mapping; a default of None marks a key the
+#: mapping must give
+_AXIS_FIELDS = (
+    _Field(None, "name", str, None, choices=AXIS_NAMES),
+    _Field(None, "start", float, None),
+    _Field(None, "stop", float, None),
+    _Field(None, "count", int, 2, minimum=2, maximum=MAX_COUNT),
+    _Field(None, "scale", str, "linear", choices=("linear", "log")),
+)
+
+
+class SweepAxis(_Record):
+    """One sweep axis: a slot per row of _AXIS_FIELDS, with the same
+    defaults."""
+
+    __slots__ = tuple(f.name for f in _AXIS_FIELDS)
+
+    def __init__(self, name: str, start: float, stop: float, count: int = 2,
+                 scale: str = "linear"):
+        self.name, self.start, self.stop = name, start, stop
+        self.count, self.scale = count, scale
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
@@ -174,14 +217,13 @@ class SweepAxis:
     def from_dict(raw: dict, where: str) -> "SweepAxis":
         if not isinstance(raw, dict):
             raise ConfigError("bad-value", f"{where} must be a mapping", where)
-        extra = _unknown(raw, {f.name for f in fields(SweepAxis)})
+        extra = _unknown(raw, SweepAxis.__slots__)
         if extra:
             raise ConfigError("unknown-key", f"unknown axis key(s) {extra}",
                               where)
         axis = SweepAxis(**{
-            f.name: _value(f, raw.get(f.name, None if f.default is MISSING
-                                      else f.default), f"{where}.{f.name}")
-            for f in fields(SweepAxis)})
+            f.name: _value(f, raw.get(f.name, f.default), f"{where}.{f.name}")
+            for f in _AXIS_FIELDS})
         for end in ("start", "stop"):
             _in_range(getattr(axis, end), AXIS_DOMAINS[axis.name],
                       f"{where}.{end}")
@@ -192,41 +234,51 @@ class SweepAxis:
         return axis
 
 
-def _field(section: str, default, *, plumbing: bool = False, **bounds):
-    """A RunConfig field: its YAML section, default and range."""
-    return field(default=default,
-                 metadata={"section": section, "plumbing": plumbing, **bounds})
+#: the field table, the one schema of a run configuration, in the order
+#: of the README's configuration block
+_FIELDS = (
+    _Field("model", "omega_q", float, 1.0),
+    _Field("model", "omega_tls", float, 3.0),
+    _Field("model", "beta", float, 1.0),
+    _Field("model", "J", float, 0.1),
+    _Field("model", "kappa", float, 0.1),
+    _Field("state", "mu_q", float, 0.0),
+    _Field("state", "nu_q", float, 0.0),
+    _Field("state", "xi_re", float, 0.0),
+    _Field("state", "xi_im", float, 0.0),
+    _Field("drive", "epsilon", float | None, None),
+    _Field("run", "frame", str, "rwa", choices=("rwa", "lab")),
+    _Field("run", "abs_tol", float, 1e-10, above=0.0),
+    _Field("run", "rel_tol", float, 1e-10, above=0.0),
+    _Field("run", "horizon", float, 20.0, minimum=1.0, maximum=MAX_HORIZON),
+    _Field("run", "samples", int, 601, minimum=2, maximum=MAX_SAMPLES),
+    _Field("run", "workers", int, 1, minimum=1, plumbing=True),
+    _Field("run", "out", str | None, None, plumbing=True),
+    _Field("run", "format", str, "csv", choices=("csv", "json")),
+    _Field("sweep", "mu_count", int, 5, minimum=2, maximum=MAX_COUNT),
+    _Field("sweep", "axes", tuple, ()),
+)
 
 
-@dataclass
-class RunConfig:
-    omega_q: float = _field("model", 1.0)
-    omega_tls: float = _field("model", 3.0)
-    beta: float = _field("model", 1.0)
-    J: float = _field("model", 0.1)
-    kappa: float = _field("model", 0.1)
-    mu_q: float = _field("state", 0.0)
-    nu_q: float = _field("state", 0.0)
-    xi_re: float = _field("state", 0.0)
-    xi_im: float = _field("state", 0.0)
-    epsilon: float | None = _field("drive", None)
-    frame: str = _field("run", "rwa", choices=("rwa", "lab"))
-    abs_tol: float = _field("run", 1e-10, above=0.0)
-    rel_tol: float = _field("run", 1e-10, above=0.0)
-    horizon: float = _field("run", 20.0, minimum=1.0, maximum=MAX_HORIZON)
-    samples: int = _field("run", 601, minimum=2, maximum=MAX_SAMPLES)
-    workers: int = _field("run", 1, minimum=1, plumbing=True)
-    out: str | None = _field("run", None, plumbing=True)
-    format: str = _field("run", "csv", choices=("csv", "json"))
-    mu_count: int = _field("sweep", 5, minimum=2, maximum=MAX_COUNT)
-    axes: tuple[SweepAxis, ...] = _field("sweep", ())
-    # keys the user set explicitly (dotted), for per-command defaulting
-    explicit: frozenset = field(default_factory=frozenset)
+class RunConfig(_Record):
+    """A run configuration: a slot per row of _FIELDS, and explicit, the
+    dotted keys the user set (for per-command defaulting).  RunConfig(**kw)
+    sets the fields named and leaves the rest at their defaults, unchecked;
+    from_dict and override check every key they set."""
+
+    __slots__ = (*(f.name for f in _FIELDS), "explicit")
+
+    def __init__(self, **values):
+        for f in _FIELDS:
+            setattr(self, f.name, values.pop(f.name, f.default))
+        self.explicit = values.pop("explicit", frozenset())
+        if values:
+            raise TypeError(f"RunConfig has no field {min(values)!r}")
 
     # ----------------------------------------------------------------
     def _section(self, section: str) -> dict:
-        return {f.name: getattr(self, f.name) for f in _TABLE.values()
-                if f.metadata["section"] == section}
+        return {f.name: getattr(self, f.name) for f in _FIELDS
+                if f.section == section}
 
     def params(self) -> ModelParams:
         return ModelParams(**self._section("model"))
@@ -255,7 +307,7 @@ class RunConfig:
     def _content(self):
         """(dotted key, value) of each field that can change the output."""
         return [(key, getattr(self, f.name)) for key, f in _TABLE.items()
-                if not f.metadata["plumbing"]]
+                if not f.plumbing]
 
     def echo_lines(self) -> list[str]:
         """Sorted ``key = value`` lines describing the full configuration.
@@ -276,7 +328,7 @@ class RunConfig:
         for key, value in self._content():
             section, name = key.split(".")
             if name == "axes":
-                value = [asdict(ax) for ax in value]
+                value = [ax._asdict() for ax in value]
             doc.setdefault(section, {})[name] = value
         return doc
 
@@ -284,9 +336,11 @@ class RunConfig:
     def _with(self, given: dict) -> "RunConfig":
         """This config with the dotted keys of given set, each checked
         against the table, and the model checked by ModelParams."""
-        cfg = replace(self, explicit=self.explicit | frozenset(given),
-                      **{_TABLE[key].name: _value(_TABLE[key], value, key)
-                         for key, value in given.items()})
+        values = self._asdict()
+        values.update({_TABLE[key].name: _value(_TABLE[key], value, key)
+                       for key, value in given.items()},
+                      explicit=self.explicit | frozenset(given))
+        cfg = RunConfig(**values)
         try:
             cfg.params()
         except ParamError as exc:
@@ -300,7 +354,7 @@ class RunConfig:
             raw = {}
         if not isinstance(raw, dict):
             raise ConfigError("bad-value", "config root must be a mapping", "")
-        sections = {f.metadata["section"] for f in _TABLE.values()}
+        sections = {f.section for f in _FIELDS}
         extra = _unknown(raw, sections)
         if extra:
             raise ConfigError("unknown-key", f"unknown section(s) {extra}",
@@ -327,15 +381,14 @@ class RunConfig:
         return self._with(given) if given else self
 
 
-#: the field table: dotted key -> field, in declaration order
-_TABLE = {f"{f.metadata['section']}.{f.name}": f for f in fields(RunConfig)
-          if f.metadata}
+#: the field table by dotted key, in its order
+_TABLE = {f"{f.section}.{f.name}": f for f in _FIELDS}
 _DOTTED = {f.name: key for key, f in _TABLE.items()}
 
 
 def choices(name: str) -> tuple[str, ...]:
     """The allowed values of a choice field of the table."""
-    return _TABLE[_DOTTED[name]].metadata["choices"]
+    return _TABLE[_DOTTED[name]].spec["choices"]
 
 
 @functools.cache
@@ -474,6 +527,10 @@ def load_config(path: str | Path | None) -> RunConfig:
         text = p.read_text()
     except ValueError as exc:           # not text in the locale's encoding
         raise _parse_error(p, exc) from None
+    except OSError as exc:              # a directory, a file we may not read
+        raise ConfigError("unreadable-file",
+                          f"config file cannot be read: {exc}",
+                          str(p)) from None
     try:
         raw = _read_flat(text)
     except _NotFlat:

@@ -19,7 +19,6 @@ local ground state of each -h/2 sigma_z term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -104,32 +103,67 @@ class ParamError(ValueError):
         self.name = name
 
 
-@dataclass(frozen=True)
 class ModelParams:
-    """Static model parameters.
+    """Static model parameters, immutable and equal by value.
 
     The rotating-frame treatment assumes J << omega_q and omega_q < omega_tls;
-    the latter is enforced, the former is the caller's responsibility.
+    the latter is enforced, the former is the caller's responsibility.  The
+    bath rates are computed once, when first read: a model whose rates have
+    no float value (beta * omega_tls below the smallest float) fails where
+    it is used, as any run-time error, not where it is built.
     """
 
-    omega_q: float = 1.0
-    omega_tls: float = 3.0
-    beta: float = 1.0
-    J: float = 0.1
-    kappa: float = 0.0
+    __slots__ = ("omega_q", "omega_tls", "beta", "J", "kappa", "_rates")
 
-    def __post_init__(self):
-        if not self.omega_q > 0.0:
-            raise ParamError("omega_q", f"must be > 0, got {self.omega_q}")
-        if not self.omega_tls > self.omega_q:
-            raise ParamError("omega_tls", f"must be > omega_q = {self.omega_q}, "
-                             f"got {self.omega_tls}")
-        if not self.beta > 0.0:
-            raise ParamError("beta", f"must be > 0, got {self.beta}")
-        if not self.J >= 0.0:
-            raise ParamError("J", f"must be >= 0, got {self.J}")
-        if not self.kappa >= 0.0:
-            raise ParamError("kappa", f"must be >= 0, got {self.kappa}")
+    def __init__(self, omega_q: float = 1.0, omega_tls: float = 3.0,
+                 beta: float = 1.0, J: float = 0.1, kappa: float = 0.0):
+        if not omega_q > 0.0:
+            raise ParamError("omega_q", f"must be > 0, got {omega_q}")
+        if not omega_tls > omega_q:
+            raise ParamError("omega_tls", f"must be > omega_q = {omega_q}, "
+                             f"got {omega_tls}")
+        if not beta > 0.0:
+            raise ParamError("beta", f"must be > 0, got {beta}")
+        if not J >= 0.0:
+            raise ParamError("J", f"must be >= 0, got {J}")
+        if not kappa >= 0.0:
+            raise ParamError("kappa", f"must be >= 0, got {kappa}")
+        init = object.__setattr__
+        init(self, "omega_q", omega_q)
+        init(self, "omega_tls", omega_tls)
+        init(self, "beta", beta)
+        init(self, "J", J)
+        init(self, "kappa", kappa)
+
+    def _values(self) -> tuple[float, float, float, float, float]:
+        return self.omega_q, self.omega_tls, self.beta, self.J, self.kappa
+
+    def replace(self, **changes) -> "ModelParams":
+        """These parameters with the given ones changed, checked again."""
+        return ModelParams(**dict(zip(_PARAM_NAMES, self._values()),
+                                  **changes))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ModelParams is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ModelParams is immutable: cannot delete {name}")
+
+    def __eq__(self, other):
+        if type(other) is not ModelParams:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which __setattr__ allows
+        return ModelParams, self._values()
+
+    def __repr__(self) -> str:
+        return ("ModelParams(omega_q={!r}, omega_tls={!r}, beta={!r}, "
+                "J={!r}, kappa={!r})".format(*self._values()))
 
     # -- derived thermal quantities ------------------------------------
 
@@ -143,7 +177,12 @@ class ModelParams:
 
     @property
     def rates(self) -> BathRates:
-        return bath_rates(self.kappa, self.omega_tls, self.beta)
+        try:
+            return self._rates
+        except AttributeError:
+            rates = bath_rates(self.kappa, self.omega_tls, self.beta)
+            object.__setattr__(self, "_rates", rates)
+            return rates
 
     @property
     def gamma(self) -> float:
@@ -164,10 +203,14 @@ class ModelParams:
         """Same model with kappa chosen so the total rate equals ``gamma``."""
         if gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {gamma}")
-        return replace(self, kappa=gamma / (2.0 * self.rates.n_occ + 1.0))
+        return self.replace(kappa=gamma / (2.0 * self.rates.n_occ + 1.0))
 
     def with_gamma_over_j(self, ratio: float) -> "ModelParams":
         return self.with_gamma(ratio * self.J)
+
+
+#: the parameters of ModelParams, in the order of its arguments
+_PARAM_NAMES = ModelParams.__slots__[:5]
 
 
 class InitialStateSpec(NamedTuple):

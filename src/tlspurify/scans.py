@@ -16,7 +16,6 @@ only the engine, the model, the config and the writer.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -86,7 +85,7 @@ def scan_beta(cfg: RunConfig) -> Table:
     t0 = base.t0
     betas = axis.values()
 
-    params = [replace(base, beta=float(b)) for b in betas]
+    params = [base.replace(beta=float(b)) for b in betas]
     xis = [xi_max(p) for p in params]
     correlated = first_events(params, xis, cfg.horizon)
 
@@ -116,7 +115,7 @@ def region_map(cfg: RunConfig) -> Table:
     route or never reaches the pole; C - the pole is reached; U - the pole
     is reached only after the horizon."""
     beta = cfg.beta if cfg.was_set("model.beta") else 0.1
-    base = replace(cfg.params(), beta=beta)
+    base = cfg.params().replace(beta=beta)
     j_axis = cfg.axis("j_frac") or SweepAxis("j_frac", 0.6, 1.05, 50)
     x_axis = cfg.axis("xi_frac") or SweepAxis("xi_frac", 0.0, 1.0, 50)
     gamma = base.gamma
@@ -128,7 +127,7 @@ def region_map(cfg: RunConfig) -> Table:
     n_j, n_xi = j_fracs.size, xi_fracs.size
     js = j_fracs * jm
     xi_col = np.tile(xi_fracs * xi_cap, n_j)
-    per_row = [replace(base, J=j) for j in js.tolist()]
+    per_row = [base.replace(J=j) for j in js.tolist()]
     labels = region_labels([p for p in per_row for _ in range(n_xi)], xi_col,
                            cfg.horizon)
 

@@ -187,8 +187,6 @@ def test_criterion_10_region_map():
     """The default coupling-correlation map carries all three fate labels,
     its A boundary sits within one cell of the bisected threshold, and the
     two reference starts classify as stalling-en-route and escaping."""
-    from dataclasses import replace
-
     tic = time.perf_counter()
     cfg = RunConfig.from_dict({})
     table = region_map(cfg)
@@ -199,7 +197,7 @@ def test_criterion_10_region_map():
     labels = {r[4] for r in table.rows}
     assert {"A", "B", "C"} <= labels
 
-    base = replace(cfg.params(), beta=0.1)
+    base = cfg.params().replace(beta=0.1)
     jm = j_min(base.gamma)
     xi_cap = xi_max(base)
     step = xi_cap / 49.0
@@ -213,14 +211,14 @@ def test_criterion_10_region_map():
         non_a = [r[3] for r in row if r[4] != "A"]
         if not a_cells or not non_a:
             continue
-        th = xi_fixed(replace(base, J=jf * jm))
+        th = xi_fixed(base.replace(J=jf * jm))
         assert max(a_cells) <= th.value + 1e-12
         assert th.value <= min(non_a) + 1e-12
         assert min(non_a) - max(a_cells) <= step * 1.0001
         checked += 1
     assert checked > 10
 
-    p09 = replace(base, J=0.9 * jm)
+    p09 = base.replace(J=0.9 * jm)
     th09 = xi_fixed(p09).value
     assert region_labels([p09] * 2, [2.0 * th09, 5.0 * th09]) == ["B", "C"]
 

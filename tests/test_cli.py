@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import tlspurify
 from tlspurify import cli
-from tlspurify.cli import build_parser, main
+from tlspurify.cli import main
 from tlspurify.config import AXIS_NAMES
 
 # filled by the session fixture at the bottom of this module
@@ -87,6 +87,15 @@ def test_missing_config(capsys, tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "gone.yaml")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["code"] == "missing-file"
+
+
+def test_config_that_is_a_directory_exits_2(capsys, tmp_path):
+    assert main(["scan-gamma", "--config", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert (err["code"], err["parameter"]) == ("unreadable-file",
+                                               str(tmp_path))
 
 
 def test_unknown_config_key(capsys, tmp_path):
@@ -260,10 +269,10 @@ def test_main_never_freezes_the_collector():
     assert gc.isenabled()
 
 
-def test_entry_freezes_after_main_and_after_argparse_exits(monkeypatch,
-                                                          capsys):
+def test_entry_freezes_after_main_and_after_usage_exits(monkeypatch,
+                                                        capsys):
     """entry returns main's code with the collector disabled, and it also
-    freezes when argparse ends the run with SystemExit (--help, a usage
+    freezes when the parser ends the run with SystemExit (--help, a usage
     error)."""
     enabled = gc.isenabled()
     try:
@@ -323,25 +332,35 @@ import gc, os, runpy, sys
 late = []
 gc.callbacks.append(lambda phase, info: phase == "start"
                     and "numpy" in sys.modules and late.append(info))
-sys.argv = ["tlspurify", "scan-gamma", "--out", os.devnull]
+command, *unwanted = sys.argv[1:]
+sys.argv = ["tlspurify", command, "--out", os.devnull]
 try:
     runpy.run_module("tlspurify.cli", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
-print(code, len(late), gc.isenabled(), "json" in sys.modules)
+print(code, len(late), gc.isenabled(),
+      *sorted(set(unwanted) & set(sys.modules)))
 """
+
+#: stdlib modules a CSV run does without: json writes only a JSON document
+#: or an error object; argparse (with gettext and locale) and dataclasses
+#: (with copy) cost a process their import and run nothing of a command
+_NOT_LOADED = ("json", "argparse", "gettext", "locale", "dataclasses", "copy")
 
 
 def test_fresh_csv_run_has_no_collector_and_no_json():
     """python -m tlspurify.cli turns the collector off before numpy is
     imported: no collection runs from then on, and the collector is still
-    off at the end.  A CSV run never imports json."""
+    off at the end.  A CSV run of any command imports none of
+    _NOT_LOADED."""
     src = str(Path(tlspurify.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN],
-                          env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().split() == ["0", "0", "False", "False"]
+    for command in cli._HELP:
+        proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, command,
+                               *_NOT_LOADED],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().split() == ["0", "0", "False"], command
 
 
 def _code_and_error(argv: list[str], capsys) -> tuple[int, dict]:
@@ -600,12 +619,106 @@ def test_command_required():
     assert exc.value.code == 2
 
 
-def test_parser_lists_all_commands():
-    parser = build_parser()
-    text = parser.format_help()
+def test_parser_lists_all_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
     for name in ("simulate", "scan-gamma", "scan-beta", "region-map",
                  "coherence-map", "purity-trace", "verify"):
         assert name in text
+
+
+# --------------------------------------------------------------------
+# the parser: argparse's reading of a command line, without argparse
+# --------------------------------------------------------------------
+
+def _parsed(argv: list[str], monkeypatch) -> tuple[str, dict]:
+    """(command, option values) that main hands to the run, which is
+    stubbed out."""
+    seen = []
+    monkeypatch.setattr(cli, "_run",
+                        lambda command, flags: seen.append((command, flags))
+                        or 0)
+    assert main(argv) == 0
+    (found,) = seen
+    return found
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["scan-gamma", "--format=json", "--horizon=2"],
+     {"format": "json", "horizon": 2.0}),
+    (["scan-gamma", "--out="], {"out": ""}),
+    (["scan-gamma", "--out=a=b"], {"out": "a=b"}),
+    (["scan-gamma", "--conf", "run.yaml"], {"config": "run.yaml"}),
+    (["scan-gamma", "--fo=csv", "--fr", "lab", "--ho", "3", "--w", "2"],
+     {"format": "csv", "frame": "lab", "horizon": 3.0, "workers": 2}),
+    (["scan-gamma", "--workers", "2", "--workers", "3"], {"workers": 3}),
+    (["scan-gamma", "--out", "a", "--o", "b"], {"out": "b"}),
+    # a negative number, "-" and a text with a space are values
+    (["scan-gamma", "--horizon", "-1"], {"horizon": -1.0}),
+    (["scan-gamma", "--horizon", "-.5"], {"horizon": -0.5}),
+    (["scan-gamma", "--out", "-"], {"out": "-"}),
+    (["scan-gamma", "--out", "-a b"], {"out": "-a b"}),
+    (["verify"], {}),
+])
+def test_parser_reads_options(monkeypatch, argv, expected):
+    assert _parsed(argv, monkeypatch) == (argv[0], expected)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--out", "x", "scan-gamma"], ["Scan-gamma"], ["--bogus"],
+    ["--bogus", "scan-gamma"], ["--help=x"], ["--", "scan-gamma"],
+    # an ambiguous prefix, reported before a bad number
+    ["scan-gamma", "--f", "csv"], ["scan-gamma", "--h"],
+    ["scan-gamma", "--horizon", "abc", "--f", "csv"],
+    # a missing value, and a value that starts with "--" or is "-1e3"
+    ["scan-gamma", "--workers"], ["scan-gamma", "--out", "--format", "csv"],
+    ["scan-gamma", "--config", "--x"], ["scan-gamma", "--horizon", "-1e3"],
+    ["scan-gamma", "--tol", "-1:2"],
+    # stray values, unknown flags, and everything from "--" on
+    ["scan-gamma", "x"], ["scan-gamma", "-x"], ["scan-gamma", "---out", "x"],
+    ["scan-gamma", "--horizon", "2", "--"], ["scan-gamma", "--", "--out=x"],
+    ["scan-gamma", "--format", "xml", "--help"], ["scan-gamma", "-hx"],
+    ["scan-gamma", "--help=1"],
+])
+def test_parser_usage_errors(capsys, argv):
+    code, err = _code_and_error(argv, capsys)
+    assert (code, err["code"], err["parameter"]) == (2, "usage", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], ["--he"], ["--bogus", "--help"],
+    ["scan-gamma", "--help"], ["verify", "-h"], ["scan-gamma", "--he"],
+    ["scan-gamma", "--bogus", "--help"], ["scan-gamma", "-h", "x"],
+    ["scan-gamma", "--help", "--format", "xml"],
+])
+def test_help_exits_0_with_text_on_stdout(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.err) == (0, "")
+    assert captured.out.startswith("usage: tlspurify ")
+    command = argv[0]
+    if command in cli._HELP:
+        assert captured.out.startswith(f"usage: tlspurify {command} ")
+        assert cli._HELP[command] in captured.out
+        for flag in ("--config PATH", "--format {csv,json}",
+                     "--frame {rwa,lab}", "--workers N"):
+            assert flag in captured.out
+    else:
+        assert all(name in captured.out for name in cli._HELP)
+
+
+def test_bad_number_is_reported_before_a_later_usage_error(capsys):
+    """Values are read left to right, so a number that is not one comes
+    out first, as a bad-value naming its flag, and a stray argument only
+    after the last token."""
+    for argv in (["scan-gamma", "--horizon", "abc", "--bogus"],
+                 ["--bogus", "scan-gamma", "--workers=1.5"]):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "bad-value"
 
 
 # --------------------------------------------------------------------

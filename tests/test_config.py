@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +74,40 @@ def test_missing_and_invalid_files(tmp_path):
         with pytest.raises(ConfigError) as exc:
             load_config(bad)
         assert exc.value.code == "parse-error"
+
+
+def test_unreadable_file_is_a_config_error(tmp_path):
+    """A config path that names a directory cannot be read: a config
+    error naming the path, not a run-time error."""
+    with pytest.raises(ConfigError) as exc:
+        load_config(tmp_path)
+    assert (exc.value.code, exc.value.parameter) == ("unreadable-file",
+                                                     str(tmp_path))
+    assert "Is a directory" in exc.value.message
+
+
+def test_records_are_plain_values():
+    """SweepAxis and RunConfig are equal by value and shown with every
+    slot; RunConfig(**kw) sets the named fields and no unknown one."""
+    axis = SweepAxis("beta", 0.5, 1.0, 3)
+    assert axis == SweepAxis("beta", 0.5, 1.0, count=3, scale="linear")
+    assert axis != SweepAxis("beta", 0.5, 1.0, 4)
+    assert repr(axis) == ("SweepAxis(name='beta', start=0.5, stop=1.0, "
+                          "count=3, scale='linear')")
+    cfg = RunConfig(samples=11, axes=(axis,))
+    assert (cfg.samples, cfg.axes, cfg.horizon) == (11, (axis,), 20.0)
+    read = RunConfig.from_dict({"run": {"samples": 11}, "sweep": {
+        "axes": [{"name": "beta", "start": 0.5, "stop": 1.0, "count": 3}]}})
+    assert read.explicit == {"run.samples", "sweep.axes"}
+    assert read != cfg
+    read.explicit = frozenset()
+    assert read == cfg
+    assert cfg != RunConfig()
+    assert "samples=11" in repr(cfg)
+    with pytest.raises(TypeError):
+        RunConfig(sample=11)
+    with pytest.raises(TypeError):
+        hash(cfg)
 
 
 def test_unknown_keys():
@@ -266,9 +299,9 @@ def test_readme_config_block_is_the_table():
     section = text[text.index("## Configuration"):]
     block = section[section.index("```yaml\n") + 8:]
     cfg = RunConfig.from_dict(yaml.safe_load(block[:block.index("```")]))
-    assert cfg.explicit == {f"{f.metadata['section']}.{f.name}"
-                            for f in fields(RunConfig) if f.metadata}
-    assert replace(cfg, explicit=frozenset()) == RunConfig()
+    assert cfg.explicit == set(config._TABLE)
+    cfg.explicit = frozenset()
+    assert cfg == RunConfig()
 
 
 # --------------------------------------------------------------------
@@ -453,5 +486,6 @@ def test_readme_reference_block_reads_the_same_on_both_paths(tmp_path,
                    and "axes: []" not in line)
     path.write_text(flat)
     _without_pyyaml(monkeypatch)
-    assert (replace(load_config(path), explicit=expected.explicit)
-            == expected)
+    fast = load_config(path)
+    fast.explicit = expected.explicit
+    assert fast == expected

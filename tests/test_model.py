@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 
 from oracles import random_density_matrix, random_density_x
 from tlspurify.model import (OFFDIAG_SLOTS, DensityState, InitialStateSpec,
-                             ModelParams, bath_rates, bose_occupation,
+                             ModelParams, ParamError, bath_rates,
+                             bose_occupation,
                              build_initial_state, matrix_to_x,
                              min_eigenvalue, mu_max, thermal_populations,
                              x_to_matrix, xi_max)
@@ -117,6 +120,57 @@ def test_model_params_derived():
     assert p.gamma == p.rates.gamma
     assert p.eta == pytest.approx(A_TLS_BETA1 - 0.5, abs=1e-14)
     assert ModelParams(J=0.0).t0 == math.inf
+
+
+def test_model_params_is_an_immutable_value():
+    """Equal and hashed by value, shown with every parameter, and closed
+    to assignment; keyword and positional construction agree."""
+    p = ModelParams(J=0.2, kappa=0.1)
+    q = ModelParams(1.0, 3.0, 1.0, 0.2, 0.1)
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p != ModelParams(J=0.2, kappa=0.2)
+    assert p != (1.0, 3.0, 1.0, 0.2, 0.1)
+    assert repr(p) == ("ModelParams(omega_q=1.0, omega_tls=3.0, beta=1.0, "
+                       "J=0.2, kappa=0.1)")
+    assert ModelParams() == ModelParams(1.0, 3.0, 1.0, 0.1, 0.0)
+    assert pickle.loads(pickle.dumps(p)) == p == copy.deepcopy(p)
+    with pytest.raises(AttributeError):
+        p.J = 0.3
+    with pytest.raises(AttributeError):
+        p.rates = None
+    with pytest.raises(AttributeError):
+        del p.kappa
+    with pytest.raises(TypeError):
+        ModelParams(gamma=0.1)
+
+
+def test_model_params_replace_checks_again():
+    """replace changes the named parameters, keeps the rest, recomputes
+    the rates, and runs the range checks of a new object."""
+    p = ModelParams(kappa=0.1)
+    q = p.replace(beta=0.5, J=0.3)
+    assert q == ModelParams(beta=0.5, J=0.3, kappa=0.1)
+    assert q.rates == bath_rates(0.1, 3.0, 0.5)
+    assert p.replace() == p and p.replace() is not p
+    assert p.rates == bath_rates(0.1, 3.0, 1.0)
+    for bad in ({"beta": 0.0}, {"omega_tls": 0.5}, {"J": -1.0},
+                {"kappa": math.nan}):
+        with pytest.raises(ParamError) as exc:
+            p.replace(**bad)
+        assert exc.value.name == next(iter(bad))
+    with pytest.raises(TypeError):
+        p.replace(gamma=0.1)
+
+
+def test_model_params_rates_are_computed_once():
+    """The rates are computed on first read and kept; a model whose rates
+    have no float value still builds, and fails where they are read."""
+    p = ModelParams(kappa=0.1)
+    assert p.rates is p.rates
+    assert (p.gamma, p.eta) == (p.rates.gamma, p.rates.eta)
+    cold = ModelParams(beta=5e-324, omega_q=0.05, omega_tls=0.1)
+    with pytest.raises(ZeroDivisionError):
+        cold.gamma
 
 
 def test_with_gamma_round_trip():

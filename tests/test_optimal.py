@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -333,7 +332,7 @@ def test_t_min_numeric_past_horizon(j_frac):
     """For gamma >= 4J and no event by the horizon the closed form tells a
     pole that never comes (trapped) from one that comes late (horizon)."""
     hot = ModelParams(beta=0.1, kappa=0.1)
-    p = replace(hot, J=j_frac * j_min(hot.gamma))
+    p = hot.replace(J=j_frac * j_min(hot.gamma))
     assert t_min_numeric(p, 0.0, horizon_mult=5).status == "trapped"
     xi = 5.0 * XI_FIXED_BETA01
     t_pole = t_min_numeric(p, xi).time
@@ -367,7 +366,7 @@ def test_t_min_numeric_settled_direction(j_frac, xi_frac):
     has no roundoff root there, so a long horizon ends at the horizon,
     not at a roundoff sign change of the rate, in bounded work."""
     hot = ModelParams(beta=0.1, kappa=0.1)
-    p = replace(hot, J=j_frac * j_min(hot.gamma))
+    p = hot.replace(J=j_frac * j_min(hot.gamma))
     run = t_min_numeric(p, xi_frac * XI_FIXED_BETA01, horizon_mult=2000)
     assert run.status == "trapped"
     assert run.t_stop == 2000 * p.t0
@@ -481,15 +480,15 @@ _HOT = ModelParams(beta=0.1, kappa=0.1)
 _REGIMES = [
     ModelParams(kappa=0.1).with_gamma_over_j(2.0),
     ModelParams(kappa=0.1).with_gamma_over_j(3.9),
-    replace(_HOT, J=_HOT.gamma / 4.0),
-    replace(_HOT, J=0.9 * J_MIN_BETA01),
-    replace(_HOT, J=0.999 * J_MIN_BETA01),
+    _HOT.replace(J=_HOT.gamma / 4.0),
+    _HOT.replace(J=0.9 * J_MIN_BETA01),
+    _HOT.replace(J=0.999 * J_MIN_BETA01),
     ModelParams(beta=40.0, kappa=0.1),
 ]
 
 
 def test_regimes_cover_every_branch():
-    assert replace(_HOT, J=_HOT.gamma / 4.0).J * 4.0 == _HOT.gamma
+    assert _HOT.replace(J=_HOT.gamma / 4.0).J * 4.0 == _HOT.gamma
     assert initial_spherical(_REGIMES[-1], 0.0)[0] == 0.0
     run = t_min_numeric(_REGIMES[3], 0.0, horizon_mult=2000)
     assert run.status == "trapped" and run.t_stop == 2000 * _REGIMES[3].t0
@@ -527,7 +526,7 @@ def test_engine_working_set_is_bounded():
     jm = j_min(_HOT.gamma)
     params, xis = [], []
     for jf in np.linspace(0.6, 1.05, 50):
-        p = replace(_HOT, J=float(jf) * jm)
+        p = _HOT.replace(J=float(jf) * jm)
         params += [p] * 50
         xis += [float(xf) * XI_MAX_BETA01 for xf in np.linspace(0, 1, 50)]
     tracemalloc.start()
