@@ -14,20 +14,34 @@ of the 4x4 density matrix:
 (lower triangle by Hermiticity; code uses 0-based slots x[0]..x[15]).
 The basis ordering is |qubit, defect> = |00>, |01>, |10>, |11> with |0> the
 local ground state of each -h/2 sigma_z term.
+
+The preparable starts (thermal product, qubit coherence m = mu_q + i nu_q,
+cross coherence xi) are positive iff |xi| <= xi_max = sqrt(QT) and
+|m|^2 <= Q (1 - |xi|/xi_max), with Q = a_q b_q, T = a_t b_t.  In the order
+(|00>, |10>, |01>, |11>) a start is tridiagonal, diagonal a_t (a_q, b_q),
+b_t (a_q, b_q), off-diagonal moduli |m| a_t, |xi|, |m| b_t: a chain, so the
+phases gauge away.  With s = Q - |m|^2 the leading minors are a_q a_t,
+a_t^2 s, a_q a_t (T s - |xi|^2), T (T s^2 - Q |xi|^2); for Q, T > 0 all
+are positive iff s > |xi| sqrt(Q/T) (the second asks s > 0, the fourth
+then the bound, which gives the third, as s <= Q makes T s^2/Q <= T s).
+The positive semidefinite starts, affine in (m, xi), form a convex set
+that holds the positive definite m = xi = 0, so each is a limit of
+positive definite starts on its segment to it: they are the closure of
+the positive definite ones.  Where Q or T rounds to 0, zero diagonal entries
+force xi = 0 (and m = 0 if Q = 0), as the bound says with xi_max = 0.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
-#: largest tolerated negative eigenvalue for a "physical" density matrix
-POSITIVITY_TOL = 1e-10
-
-#: bisection resolution for positivity boundaries (mu_max and friends)
-BISECTION_TOL = 1e-10
+#: slack of the positivity test in |m|^2, relative to a_q b_q: a start on
+#: the boundary analytically stays physical through roundoff
+BOUNDARY_RTOL = 1e-12
 
 # upper-triangle entry -> (real slot, imag slot), 0-based
 OFFDIAG_SLOTS = {
@@ -108,9 +122,10 @@ class ModelParams:
 
     The rotating-frame treatment assumes J << omega_q and omega_q < omega_tls;
     the latter is enforced, the former is the caller's responsibility.  The
-    bath rates are computed once, when first read: a model whose rates have
-    no float value (beta * omega_tls below the smallest float) fails where
-    it is used, as any run-time error, not where it is built.
+    bath rates are computed once, when first read.  A beta so small that
+    beta * omega_tls is below the smallest normal float is refused here:
+    the bath occupation 1/(e^{beta omega_tls} - 1) and the rates built on
+    it have no float value there.
     """
 
     __slots__ = ("omega_q", "omega_tls", "beta", "J", "kappa", "_rates")
@@ -124,6 +139,9 @@ class ModelParams:
                              f"got {omega_tls}")
         if not beta > 0.0:
             raise ParamError("beta", f"must be > 0, got {beta}")
+        if not beta * omega_tls >= sys.float_info.min:
+            raise ParamError("beta", f"is too small: beta * omega_tls = "
+                             f"{beta * omega_tls!r} is not a normal float")
         if not J >= 0.0:
             raise ParamError("J", f"must be >= 0, got {J}")
         if not kappa >= 0.0:
@@ -277,39 +295,45 @@ def min_eigenvalue(x: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(x_to_matrix(x))[0])
 
 
-def _assemble_x(params: ModelParams, mu_q: float, nu_q: float, xi: complex) -> np.ndarray:
-    """Raw coordinate assembly of the initial-state family (no physicality check).
-
-    Product part: (thermal qubit + coherence mu+i nu) (x) (thermal defect);
-    correlation part: i*xi on the (|01>, |10>) entry.
-    """
+def _ceiling_sq(params: ModelParams, xi: complex | float
+                ) -> tuple[float, float]:
+    """(Q, c): Q = a_q b_q and c = Q (1 - |xi|/xi_max), the largest |m|^2
+    of a positive start at cross coherence xi; where xi_max = 0, c is Q
+    at xi = 0 and -inf at any other xi."""
     a_q, b_q = params.qubit_populations
-    a_t, b_t = params.tls_populations
-    x = np.zeros(16)
-    x[0] = a_q * a_t
-    x[1] = a_q * b_t
-    x[2] = b_q * a_t
-    x[3] = b_q * b_t
-    # qubit coherence dressed by the defect populations: entries (0,2), (1,3)
-    x[6] = mu_q * a_t
-    x[7] = nu_q * a_t
-    x[12] = mu_q * b_t
-    x[13] = nu_q * b_t
-    # cross coherence i*xi on entry (1,2)
-    x[10] = -xi.imag
-    x[11] = xi.real
-    return x
+    q, r = a_q * b_q, abs(xi)
+    if r == 0.0:
+        return q, q
+    cap = xi_max(params)
+    return q, q * (1.0 - r / cap) if cap > 0.0 else -math.inf
+
+
+def is_physical(params: ModelParams, m: complex | float,
+                xi: complex | float) -> bool:
+    """Whether the start of qubit coherence m = mu_q + i nu_q and cross
+    coherence xi is positive (the closed form of the module docstring),
+    up to BOUNDARY_RTOL."""
+    q, ceiling = _ceiling_sq(params, xi)
+    return abs(m) ** 2 <= ceiling + BOUNDARY_RTOL * q
 
 
 def build_initial_state(params: ModelParams, spec: InitialStateSpec) -> DensityState:
-    """Assemble the initial density matrix and verify it is physical."""
-    x = _assemble_x(params, spec.mu_q, spec.nu_q, spec.xi)
-    lam = min_eigenvalue(x)
-    if lam < -POSITIVITY_TOL:
+    """The initial density matrix, checked to be physical: the thermal
+    product, plus the qubit coherence m = mu_q + i nu_q dressed by the
+    defect populations on entries (0,2), (1,3), plus i*xi on entry (1,2)."""
+    m = complex(spec.mu_q, spec.nu_q)
+    if not is_physical(params, m, spec.xi):
         raise ValueError(
-            f"initial state is not positive (min eigenvalue {lam:.3e}); "
-            f"reduce mu_q/nu_q/xi"
-        )
+            f"initial state is not positive (|mu_q + i nu_q| = {abs(m):.6g} "
+            f"at |xi| = {abs(spec.xi):.6g}, xi_max = {xi_max(params):.6g}); "
+            f"reduce mu_q/nu_q/xi")
+    a_q, b_q = params.qubit_populations
+    a_t, b_t = params.tls_populations
+    x = np.zeros(16)
+    x[:4] = a_q * a_t, a_q * b_t, b_q * a_t, b_q * b_t
+    x[6], x[7] = m.real * a_t, m.imag * a_t
+    x[12], x[13] = m.real * b_t, m.imag * b_t
+    x[10], x[11] = -spec.xi.imag, spec.xi.real
     return DensityState(x)
 
 
@@ -323,24 +347,10 @@ def xi_max(params: ModelParams) -> float:
 
 def mu_max(params: ModelParams, xi: complex | float = 0.0) -> float:
     """Largest real qubit coherence mu_q keeping the state positive at the
-    given cross coherence, located by bisection to BISECTION_TOL."""
-    xi = complex(xi)
-
-    def feasible(mu: float) -> bool:
-        return min_eigenvalue(_assemble_x(params, mu, 0.0, xi)) >= -POSITIVITY_TOL
-
-    if not feasible(0.0):
+    given cross coherence: sqrt(a_q b_q (1 - |xi|/xi_max)) (is_physical)."""
+    if not is_physical(params, 0.0, xi):
         raise ValueError(f"no positive state exists at xi = {xi}")
-    lo, hi = 0.0, 0.5
-    if feasible(hi):
-        return hi
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return math.sqrt(max(0.0, _ceiling_sq(params, xi)[1]))
 
 
 class StepStats:
@@ -357,6 +367,10 @@ class StepStats:
 
     def _counts(self) -> tuple[int, int, int]:
         return self.accepted, self.rejected, self.n_eval
+
+    def __add__(self, other: "StepStats") -> "StepStats":
+        return StepStats(*(a + b for a, b in zip(self._counts(),
+                                                  other._counts())))
 
     def __eq__(self, other):
         if type(other) is not StepStats:

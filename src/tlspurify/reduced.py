@@ -15,7 +15,10 @@ coordinates, and the flow closes on them (0-based slots, with x also
 
 Qubit purity = 1/2 + 2 (z[0]^2 + z[4]^2 + z[6]^2).  The first four
 coordinates (block S1) and last four (block S2) evolve independently of
-each other.
+each other.  The package runs the reduced flow only resonant
+(simulate_z exactly, make_rhs_z for the checks' Runge-Kutta side);
+z_generator keeps the general coefficients (J1, J2, alpha) of the full
+generator, the reduction that the tests hold it to.
 
 The spherical picture sits on S1: with  c = -(z[3]+1)/2  and
 
@@ -51,7 +54,6 @@ import math
 
 import numpy as np
 
-from .drive import ConstantDrive, resonant
 from .integrator import IvpResult, augment, expm, propagate
 from .model import ModelParams
 
@@ -120,12 +122,6 @@ _Z_FRAME = _mat8({
     (4, 6): 2.0, (6, 4): -2.0,
 })
 
-#: generator of the frame that co-rotates with a constant detuning: as in
-#: the full flow, e^{phi K} turns (_Z_J1, _Z_J1_B) into cos(phi) times
-#: them plus sin(phi) times (_Z_J2, _Z_J2_B), and K commutes with _Z_DISS
-#: and annihilates both dissipator offsets
-_Z_ROTATION = 0.5 * _Z_FRAME
-
 
 def z_generator(params: ModelParams, j1: float, j2: float,
                 alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -137,48 +133,22 @@ def z_generator(params: ModelParams, j1: float, j2: float,
     return m, b
 
 
-def make_rhs_z(params: ModelParams, drive: ConstantDrive | None = None):
-    """Right-hand side of the reduced flow for the given drive."""
-    if drive is None:
-        drive = resonant()
-    r = params.rates
-    m_diss = r.gamma * _Z_DISS
-    b_diss = r.gamma1 * _Z_DISS_B1 + r.gamma2 * _Z_DISS_B2
-    J = params.J
-
-    if drive.detuning == 0.0:
-        m_const = m_diss + J * _Z_J1
-        b_const = b_diss + J * _Z_J1_B
-
-        def rhs_const(t: float, z: np.ndarray) -> np.ndarray:
-            return m_const @ z + b_const
-
-        return rhs_const
+def make_rhs_z(params: ModelParams):
+    """Right-hand side of the resonant reduced flow."""
+    m, b = z_generator(params, params.J, 0.0)
 
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        ph = drive.phase(t)
-        j1 = J * math.cos(ph)
-        j2 = J * math.sin(ph)
-        m = m_diss + j1 * _Z_J1 + j2 * _Z_J2
-        b = b_diss + j1 * _Z_J1_B + j2 * _Z_J2_B
         return m @ z + b
 
     return rhs
 
 
-def simulate_z(
-    params: ModelParams,
-    z0: np.ndarray,
-    t_span: tuple[float, float],
-    drive: ConstantDrive | None = None,
-) -> IvpResult:
-    """Evolve the reduced coordinates over t_span exactly: the affine flow
-    on the augmented 9x9 generator, in the co-rotating frame when
-    detuned."""
-    delta = 0.0 if drive is None else drive.detuning
+def simulate_z(params: ModelParams, z0: np.ndarray,
+               t_span: tuple[float, float]) -> IvpResult:
+    """Evolve the reduced coordinates of the resonant run over t_span
+    exactly: the affine flow on the augmented 9x9 generator."""
     m, b = z_generator(params, params.J, 0.0)
-    return propagate(m - delta * _Z_ROTATION, t_span, z0, b=b,
-                     rotation=(_Z_ROTATION, delta))
+    return propagate(m, t_span, z0, b=b)
 
 
 def z_states_at(params: ModelParams, z0s, t: float) -> np.ndarray:

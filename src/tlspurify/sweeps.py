@@ -22,7 +22,8 @@ import numpy as np
 
 from .config import MAX_ROWS, ConfigError, RunConfig, SweepAxis
 from .liouville import qubit_purity, simulate, tls_purity
-from .model import InitialStateSpec, build_initial_state, mu_max, xi_max
+from .model import (InitialStateSpec, build_initial_state, is_physical,
+                    mu_max, xi_max)
 from .optimal import pole_gains
 from .output import Table
 from .pole import first_events, t_min_numeric
@@ -106,10 +107,11 @@ def coherence_map(cfg: RunConfig) -> Table:
     for xf, xi, lead in zip(xfs, xis, leads):
         # one exponential per row for all its physical mu cells
         cap = mu_max(params, xi)
-        cells: list[object] = ["unphysical" if mu > cap else "divergent"
-                               for mu in mus]
+        inside = [is_physical(params, mu, xi) for mu in mus]
+        cells: list[object] = ["divergent" if ok else "unphysical"
+                               for ok in inside]
         if lead.status == "reached":
-            phys = [k for k, mu in enumerate(mus) if mu <= cap]
+            phys = [k for k, ok in enumerate(inside) if ok]
             gains = pole_gains(params, xi, [mus[k] for k in phys], lead.time)
             for k, gain in zip(phys, gains[:, 0].tolist()):
                 cells[k] = gain

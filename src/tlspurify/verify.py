@@ -86,23 +86,18 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
     red = integrate(z_rhs, t_span, z0, rtol=rtol, atol=atol)
     z_from_full = np.array([x_to_z(x) for x in full.trajectory(red.t)])
     resid = float(np.abs(z_from_full - red.y).max())
-    stats = StepStats(full.stats.accepted + red.stats.accepted,
-                      full.stats.rejected + red.stats.rejected,
-                      full.stats.n_eval + red.stats.n_eval)
     checks.append(_check("full-vs-reduced", resid, 1e-8,
                          "max-abs z gap at the reduced run's steps on "
-                         "[0, 2 T0], correlated start", stats))
+                         "[0, 2 T0], correlated start",
+                         full.stats + red.stats))
 
     # -- exact propagation matches Runge-Kutta on the same run ----------
     rk = integrate(make_rhs_rwa(params, resonant()), t_span, state.x,
                    rtol=rtol, atol=atol)
     resid = float(np.abs(full.trajectory(rk.t) - rk.y).max())
-    stats = StepStats(full.stats.accepted + rk.stats.accepted,
-                      full.stats.rejected + rk.stats.rejected,
-                      full.stats.n_eval + rk.stats.n_eval)
     checks.append(_check("exact-vs-rk", resid, 1e-8,
                          "max-abs x gap at the integrated run's steps on "
-                         "[0, 2 T0], same start", stats))
+                         "[0, 2 T0], same start", full.stats + rk.stats))
 
     ts = np.linspace(t_span[0], t_span[1], 400)
 
@@ -148,7 +143,7 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
     # default splittings), and sits at 3/4 of the ceiling past that
     mu_s2 = min(0.3, 0.75 * mu_max(params, 0.0))
     worst = 0.0
-    tot = StepStats(0, 0, 0)
+    tot = StepStats()
     for ratio in (0.0, 2.0, 5.0):
         p = params.with_gamma_over_j(ratio)
         st = build_initial_state(p, InitialStateSpec(mu_q=mu_s2))
@@ -157,9 +152,7 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
         tt = np.linspace(0.0, 3.0 * p.t0, 300)
         exact = s2_resonant_solution(p, mu_s2, tt)
         worst = max(worst, float(np.abs(zr.trajectory(tt)[:, 4] - exact).max()))
-        tot = StepStats(tot.accepted + zr.stats.accepted,
-                        tot.rejected + zr.stats.rejected,
-                        tot.n_eval + zr.stats.n_eval)
+        tot += zr.stats
     checks.append(_check("s2-closed-form", worst, 1e-8,
                          "max gap to the damped-oscillator solution", tot))
 
@@ -169,13 +162,11 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
     fixed = [params.with_gamma_over_j(ratio) for ratio in (1.0, 2.0, 3.5)]
     *runs, bare = first_events([*fixed, params], [0.0] * 4)
     worst = 0.0
-    tot = StepStats(0, 0, 0)
+    tot = StepStats()
     for p, run in zip(fixed, runs):
         exact = t_min_analytic(p)
         worst = max(worst, abs(run.time - exact) / exact)
-        tot = StepStats(tot.accepted + run.stats.accepted,
-                        tot.rejected + run.stats.rejected,
-                        tot.n_eval + run.stats.n_eval)
+        tot += run.stats
     checks.append(_check("pole-time-closed-form", worst, 1e-12,
                          "worst relative gap at gamma/J = 1, 2, 3.5", tot))
 

@@ -15,6 +15,10 @@ precision oracle solves the same closed form at 50 digits in mpmath: the
 event times to far below double roundoff, with no bracketing or
 bisection.
 
+The positivity oracle takes the smallest eigenvalue of a start's float
+entries at 50 digits with mpmath's Hermitian eigensolver, the exact
+verdict that model.is_physical answers in closed form.
+
 The gain oracle steps the reduced flow node by node (reduced.simulate_z)
 to the pole time, where optimal.pole_gains applies one exponential over
 the whole span.  The spherical chart, the coherence oscillator's first
@@ -33,7 +37,7 @@ from mpmath import mp
 from tlspurify.integrator import integrate
 from tlspurify.model import (InitialStateSpec, ModelParams, StepStats,
                              build_initial_state, matrix_to_x,
-                             min_eigenvalue, mu_max, xi_max)
+                             min_eigenvalue, mu_max, x_to_matrix, xi_max)
 from tlspurify.pole import (STALL_CURVATURE_TOL, _stall_curvature,
                             initial_direction, initial_spherical,
                             stall_cosine)
@@ -157,6 +161,43 @@ def _family_x(params: ModelParams, spec: InitialStateSpec) -> np.ndarray:
     rho[1, 2] = 1.0j * spec.xi
     rho = rho + rho.conj().T - np.diag(rho.diagonal().real)
     return matrix_to_x(rho)
+
+
+def family_x(params: ModelParams, mu: complex, xi: complex) -> np.ndarray:
+    """The start of qubit coherence mu and cross coherence xi, assembled
+    by _family_x with no physicality check."""
+    return _family_x(params, InitialStateSpec(mu_q=mu.real, nu_q=mu.imag,
+                                              xi_re=xi.real, xi_im=xi.imag))
+
+
+def mp_min_eigenvalue(x: np.ndarray):
+    """Smallest eigenvalue (an mpf) of the density matrix of coordinates
+    x at 50 digits: the exact value for its float entries, to far below
+    their roundoff."""
+    rho = x_to_matrix(x)
+    with mp.workdps(50):
+        a = mp.matrix([[mp.mpc(v.real, v.imag) for v in row] for row in rho])
+        return min(mp.eighe(a, eigvals_only=True))
+
+
+def mp_boundary_margin(params: ModelParams, mu: complex, xi: complex):
+    """(Q (1 - |xi|/xi_max) - |mu|^2) / Q at 50 digits, with Q = a_q b_q
+    and xi_max = sqrt(a_q b_q a_t b_t) of the float populations: positive
+    inside the positivity boundary, negative past it (-inf for xi != 0
+    when xi_max = 0)."""
+    a_q, b_q = params.qubit_populations
+    a_t, b_t = params.tls_populations
+    with mp.workdps(50):
+        q = mp.mpf(a_q) * mp.mpf(b_q)
+        cap = mp.sqrt(q * mp.mpf(a_t) * mp.mpf(b_t))
+        r = mp.hypot(xi.real, xi.imag)
+        if r == 0:
+            s = mp.mpf(0)
+        elif cap == 0:
+            return -mp.inf
+        else:
+            s = r / cap
+        return 1 - s - (mp.mpf(mu.real) ** 2 + mp.mpf(mu.imag) ** 2) / q
 
 
 # ====================================================================

@@ -613,6 +613,24 @@ def test_cold_bath_never_tracebacks(capsys, tmp_path, beta, command):
         assert "pole-time-closed-form" in err["message"]
 
 
+@pytest.mark.parametrize("beta", ["5.0e-324", "1.0e-310"])
+@pytest.mark.parametrize("command", ["simulate", "scan-gamma"])
+def test_hot_bath_without_a_float_occupation_is_a_config_error(
+        capsys, tmp_path, beta, command):
+    """A beta so small that beta * omega_tls is below the smallest normal
+    float leaves the bath occupation without a float value: the model
+    refuses it, so the run is exit 2 naming model.beta, not a division by
+    zero or a NaN deep in the run."""
+    cfg = tmp_path / "hot.yaml"
+    cfg.write_text(f"model:\n  beta: {beta}\n  omega_q: 0.05\n"
+                   "  omega_tls: 0.1\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert (err["code"], err["parameter"]) == ("bad-value", "model.beta")
+
+
 def test_command_required():
     with pytest.raises(SystemExit) as exc:
         main([])

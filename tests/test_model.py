@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+import cmath
 import copy
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import random_density_matrix, random_density_x
-from tlspurify.model import (OFFDIAG_SLOTS, DensityState, InitialStateSpec,
-                             ModelParams, ParamError, bath_rates,
-                             bose_occupation,
-                             build_initial_state, matrix_to_x,
+from oracles import (family_x, mp_boundary_margin, mp_min_eigenvalue,
+                     random_density_matrix, random_density_x)
+from tlspurify import model
+from tlspurify.model import (BOUNDARY_RTOL, OFFDIAG_SLOTS, DensityState,
+                             InitialStateSpec, ModelParams, ParamError,
+                             bath_rates, bose_occupation,
+                             build_initial_state, is_physical, matrix_to_x,
                              min_eigenvalue, mu_max, thermal_populations,
                              x_to_matrix, xi_max)
 
@@ -162,15 +166,31 @@ def test_model_params_replace_checks_again():
         p.replace(gamma=0.1)
 
 
-def test_model_params_rates_are_computed_once():
-    """The rates are computed on first read and kept; a model whose rates
-    have no float value still builds, and fails where they are read."""
+def test_model_params_rates_are_computed_once(monkeypatch):
+    """The rates are computed on first read and kept.  A beta whose bath
+    occupation has no float value is refused where the model is built,
+    from beta * omega_tls alone: the rates are still not computed."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bath_rates(*args)
+
+    monkeypatch.setattr(model, "bath_rates", counted)
     p = ModelParams(kappa=0.1)
+    assert calls == []
     assert p.rates is p.rates
     assert (p.gamma, p.eta) == (p.rates.gamma, p.rates.eta)
-    cold = ModelParams(beta=5e-324, omega_q=0.05, omega_tls=0.1)
-    with pytest.raises(ZeroDivisionError):
-        cold.gamma
+    assert len(calls) == 1
+    for beta in (5e-324, 1e-310):
+        with pytest.raises(ParamError) as exc:
+            ModelParams(beta=beta, omega_q=0.05, omega_tls=0.1)
+        assert exc.value.name == "beta"
+    assert len(calls) == 1
+    # the smallest normal product still has finite rates
+    edge = ModelParams(beta=sys.float_info.min / 0.1, omega_q=0.05,
+                       omega_tls=0.1, kappa=0.1)
+    assert math.isfinite(edge.gamma)
 
 
 def test_with_gamma_round_trip():
@@ -275,8 +295,9 @@ def test_xi_max_closed_form(params_bath):
 
 
 def test_mu_max_uncorrelated(params_bath):
-    # bisection against the closed form sqrt(a_q b_q)
-    assert mu_max(params_bath, 0.0) == pytest.approx(MU_MAX_UNCORR, abs=1e-8)
+    # the closed form sqrt(a_q b_q), to a few ulps
+    assert mu_max(params_bath, 0.0) == pytest.approx(MU_MAX_UNCORR,
+                                                     rel=4e-16, abs=0.0)
 
 
 def test_mu_max_shrinks_with_correlation(params_bath):
@@ -305,3 +326,88 @@ def test_family_states_are_physical(xi_frac, mu_frac, phase):
     assert min_eigenvalue(st_.x) >= -1e-10
     rho = x_to_matrix(st_.x)
     assert np.abs(rho - rho.conj().T).max() < 1e-14
+
+
+def test_mu_max_closed_form_and_cold_limit():
+    """mu_max is sqrt(a_q b_q (1 - |xi|/xi_max)): 0 at xi = xi_max, and
+    in the cold limit (a population that rounds to 0, so xi_max = 0) it
+    is sqrt(a_q b_q) at xi = 0 and refused at any other xi."""
+    p = ModelParams(kappa=0.1)
+    cap = xi_max(p)
+    assert mu_max(p, cap) == 0.0
+    assert mu_max(p, 0.75 * cap) == pytest.approx(0.5 * MU_MAX_UNCORR,
+                                                  rel=4e-16, abs=0.0)
+    assert mu_max(p, 0.5j * cap) == mu_max(p, 0.5 * cap)
+    cold_qubit = ModelParams(beta=40.0, kappa=0.1)      # b_q rounds to 0
+    assert xi_max(cold_qubit) == 0.0
+    assert mu_max(cold_qubit, 0.0) == 0.0
+    cold_defect = ModelParams(beta=13.0, kappa=0.1)     # b_t rounds to 0
+    a_q, b_q = cold_defect.qubit_populations
+    assert xi_max(cold_defect) == 0.0
+    assert mu_max(cold_defect, 0.0) == math.sqrt(a_q * b_q)
+    for p in (cold_qubit, cold_defect):
+        with pytest.raises(ValueError):
+            mu_max(p, 1e-300)
+
+
+def test_on_boundary_starts_are_physical(params_bath):
+    """A start on the boundary analytically stays physical through the
+    roundoff of its coordinates; one BOUNDARY_RTOL past it in |mu|^2
+    (times ten) is refused."""
+    p = params_bath
+    for frac in (0.0, 0.25, 0.75, 1.0):
+        xi = frac * xi_max(p)
+        cap = mu_max(p, xi)
+        assert is_physical(p, cap, xi)
+        build_initial_state(p, InitialStateSpec(mu_q=cap, xi_re=xi))
+        over = math.sqrt(cap ** 2 + 10.0 * BOUNDARY_RTOL * MU_MAX_UNCORR ** 2)
+        assert not is_physical(p, over, xi)
+        with pytest.raises(ValueError, match="not positive"):
+            build_initial_state(p, InitialStateSpec(mu_q=over, xi_re=xi))
+
+
+#: half-width of the band around the positivity boundary, in the margin
+#: (a_q b_q (1 - |xi|/xi_max) - |m|^2) / (a_q b_q), inside which the
+#: verdict is not held to the exact eigenvalue: ten times BOUNDARY_RTOL
+BOUNDARY_BAND = 10.0 * BOUNDARY_RTOL
+
+#: an exact eigenvalue above this counts as >= 0: the 50-digit solve of
+#: entries of order 1 is good to about 1e-50, and the negative eigenvalues
+#: outside the band are far larger in size (the smallest of 4,000 random
+#: draws was -1.9e-20)
+MP_ZERO = 1e-45
+
+
+@settings(max_examples=200, deadline=None)
+# starts that an eigenvalue test against an absolute 1e-10, with mu_max
+# bisected on it, let through: 1.27 and 1.8 times the exact ceiling of a
+# cold bath, and 1 + 1.3e-10 times it at the default beta (drawn as
+# fractions of that mu_max; here they lie inside the boundary)
+@example(beta=10.0, xi_frac=0.5, xi_arg=0.0, m_frac=0.9, m_arg=0.0)
+@example(beta=7.0, xi_frac=0.99, xi_arg=1.0, m_frac=0.5, m_arg=2.0)
+@example(beta=1.0, xi_frac=0.0, xi_arg=0.0, m_frac=1.0 - 1e-10, m_arg=0.0)
+@given(beta=st.floats(0.05, 20.0), xi_frac=st.floats(0.0, 1.1),
+       xi_arg=st.floats(0.0, 2.0 * math.pi), m_frac=st.floats(0.0, 1.5),
+       m_arg=st.floats(0.0, 2.0 * math.pi))
+def test_positivity_verdict_matches_mpmath(beta, xi_frac, xi_arg, m_frac,
+                                           m_arg):
+    """build_initial_state accepts a start iff its exact smallest
+    eigenvalue (mpmath, 50 digits, of the float entries) is >= 0, outside
+    BOUNDARY_BAND around the boundary.  |m| is drawn as a fraction of
+    mu_max(xi), or of mu_max(0) past xi_max; phases of both are free."""
+    p = ModelParams(beta=beta, kappa=0.1)
+    xi = xi_frac * xi_max(p) * cmath.exp(1j * xi_arg)
+    ceiling = mu_max(p, xi if xi_frac <= 1.0 else 0.0)
+    m = m_frac * ceiling * cmath.exp(1j * m_arg)
+    margin = mp_boundary_margin(p, m, xi)
+    assume(abs(margin) > BOUNDARY_BAND)
+    positive = mp_min_eigenvalue(family_x(p, m, xi)) > -MP_ZERO
+    assert positive == (margin > 0)
+    try:
+        build_initial_state(p, InitialStateSpec(
+            mu_q=m.real, nu_q=m.imag, xi_re=xi.real, xi_im=xi.imag))
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == positive
+    assert is_physical(p, m, xi) == positive

@@ -17,13 +17,14 @@ import pytest
 import tlspurify
 from tlspurify.cli import main as cli_main
 from tlspurify.config import MAX_ROWS, ConfigError, RunConfig
-from tlspurify.model import mu_max
+from tlspurify.model import BOUNDARY_RTOL, mu_max
 from tlspurify.output import write_table
 from tlspurify.pole import t_min_analytic, t_min_numeric
 from tlspurify.scans import region_map, scan_beta, scan_gamma
 from tlspurify.sweeps import coherence_map, purity_trace, simulate_trace
 
-from oracles import simulated_gain
+from oracles import (family_x, mp_boundary_margin, mp_min_eigenvalue,
+                     simulated_gain)
 
 T0 = 15.707963267948966                 # pi / (2 J) at J = 0.1
 RATIO_AT_2 = 1.5396007178390019         # t_min / t0 at gamma / J = 2
@@ -204,7 +205,7 @@ def test_coherence_map_cells():
     assert tab.metadata["xi_max"] == pytest.approx(0.09424579782190404,
                                                    rel=1e-12)
     assert tab.metadata["mu_max_uncorrelated"] == pytest.approx(
-        0.4434094420867041, rel=1e-8)
+        0.44340944198503696, rel=4e-16, abs=0.0)
 
     grid = {(round(r[0], 6), round(r[2], 6)): r for r in tab.rows}
     mus = sorted({k[1] for k in grid})
@@ -246,6 +247,52 @@ def test_coherence_map_cells_match_delta_p():
     assert computed >= 8
 
 
+def test_coherence_map_cold_bath_labels_follow_the_exact_boundary():
+    """At beta = 10 every cell whose start lies past the exact boundary
+    (50 digits from the float populations) is labelled "unphysical", and
+    every cell inside it is computed.  An eigenvalue test against an
+    absolute 1e-10 computed a gain for 137 cells past it."""
+    cfg = _cfg(model={"beta": 10.0})
+    params = cfg.params()
+    past = 0
+    for xf, xi, mu, cap, cell in coherence_map(cfg).rows:
+        margin = mp_boundary_margin(params, complex(mu), complex(xi))
+        if margin < -10.0 * BOUNDARY_RTOL:
+            assert cell == "unphysical", (xf, mu)
+            past += 1
+        elif margin > 10.0 * BOUNDARY_RTOL:
+            assert isinstance(cell, float), (xf, mu)
+    assert past > 137
+
+
+def test_coherence_map_keeps_the_gain_of_boundary_cells():
+    """The cells of the default 21 x 21 grid that lie on the boundary
+    analytically, mu_frac^2 = 1 - xi_frac, are computed: (0, 1),
+    (0.75, 0.5) and (1, 0).  The ceiling reads exactly 0 at xi_frac = 1."""
+    tab = coherence_map(_cfg())
+    on_boundary = [(i, j) for i in range(21) for j in range(21)
+                   if j * j == 400 - 20 * i]
+    assert on_boundary == [(0, 20), (15, 10), (20, 0)]
+    for i, j in on_boundary:
+        xf, _, _, _, cell = tab.rows[21 * i + j]
+        assert xf == i / 20
+        assert isinstance(cell, float)
+    assert all(r[3] == 0.0 for r in tab.rows if r[0] == 1.0)
+
+
+def test_coherence_map_runs_in_the_cold_limit():
+    """At beta = 40 the qubit's excited population rounds to 0, so
+    xi_max = mu_max = 0: every start is the thermal one, a rest point of
+    the flow that never reaches the pole, so every cell is "divergent"
+    and none "unphysical"."""
+    cfg = _cfg(model={"beta": 40.0})
+    assert mu_max(cfg.params(), 0.0) == 0.0
+    tab = coherence_map(cfg)
+    assert len(tab.rows) == 21 * 21
+    assert tab.metadata["xi_max"] == tab.metadata["mu_max_uncorrelated"] == 0.0
+    assert {r[4] for r in tab.rows} == {"divergent"}
+
+
 # ====================================================================
 # Purity traces
 # ====================================================================
@@ -272,6 +319,23 @@ def test_purity_trace_levels():
         if r[2] == 0.0:
             want = 0.5 + 2.0 * ((a_q - 0.5) ** 2 + r[1] ** 2)
             assert r[3] == pytest.approx(want, abs=1e-12)
+
+
+def test_purity_trace_cold_bath_top_starts_are_positive():
+    """At beta = 10 the top trace of each family starts on the boundary:
+    its exact smallest eigenvalue (50 digits) is >= 0 up to BOUNDARY_RTOL
+    of a_q b_q.  Bisected against an absolute 1e-10, it was -1.0e-10,
+    while the smallest diagonal entry is 4.2e-18."""
+    cfg = _cfg(model={"beta": 10.0}, run={"samples": 3},
+               sweep={"mu_count": 2})
+    params = cfg.params()
+    a_q, b_q = params.qubit_populations
+    tab = purity_trace(cfg)
+    for xi in sorted({r[0] for r in tab.rows}):
+        top = max(r[1] for r in tab.rows if r[0] == xi)
+        assert top == mu_max(params, xi)
+        lam = mp_min_eigenvalue(family_x(params, complex(top), complex(xi)))
+        assert lam >= -BOUNDARY_RTOL * a_q * b_q
 
 
 def test_purity_trace_needs_reachable_pole():

@@ -41,7 +41,7 @@ def test_suite_catches_corrupted_reduction():
     that one check must go red."""
     from tlspurify.model import ModelParams
     params = ModelParams().with_gamma_over_j(2.0)
-    true_rhs = make_rhs_z(params, None)
+    true_rhs = make_rhs_z(params)
 
     def skewed(t, z):
         return 1.01 * true_rhs(t, z)
@@ -76,7 +76,7 @@ def test_verify_on_colder_bath():
 def test_verify_table_reports_failure():
     from tlspurify.model import ModelParams
     params = ModelParams().with_gamma_over_j(2.0)
-    true_rhs = make_rhs_z(params, None)
+    true_rhs = make_rhs_z(params)
     table, ok = verify_table(RunConfig.from_dict({}),
                              z_rhs_override=lambda t, z: 1.01 * true_rhs(t, z))
     assert not ok
