@@ -335,17 +335,26 @@ class RunConfig(_Record):
     # ----------------------------------------------------------------
     def _with(self, given: dict) -> "RunConfig":
         """This config with the dotted keys of given set, each checked
-        against the table, and the model checked by ModelParams."""
+        against the table, and the model checked by ModelParams, at the
+        model's beta and at each endpoint of a beta axis."""
         values = self._asdict()
         values.update({_TABLE[key].name: _value(_TABLE[key], value, key)
                        for key, value in given.items()},
                       explicit=self.explicit | frozenset(given))
         cfg = RunConfig(**values)
         try:
-            cfg.params()
+            params = cfg.params()
         except ParamError as exc:
             raise ConfigError("bad-value", f"model.{exc}",
                               f"model.{exc.name}") from None
+        for k, ax in enumerate(cfg.axes):
+            for end in ("start", "stop") if ax.name == "beta" else ():
+                key = f"sweep.axes[{k}].{end}"
+                try:
+                    params.replace(beta=getattr(ax, end))
+                except ParamError as exc:
+                    raise ConfigError("bad-value", f"{key}: {exc}",
+                                      key) from None
         return cfg
 
     @staticmethod

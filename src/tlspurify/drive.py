@@ -5,9 +5,9 @@ interaction-picture equations consume is the detuning
 
     delta = omega_q + epsilon - omega_tls,
 
-entering through  J1 = J cos(phase), J2 = J sin(phase)  with
-phase(t) = delta * t.  The resonant drive (delta = 0) is the time-optimal
-one: it keeps the qubit on the defect frequency.
+entering through  J1 = J cos(delta t), J2 = J sin(delta t).  The resonant
+drive (delta = 0) is the time-optimal one: it keeps the qubit on the
+defect frequency.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ class ConstantDrive(NamedTuple):
     """Constant detuning; resonant control is ConstantDrive(0.0)."""
 
     detuning: float = 0.0
-
-    def phase(self, t: float) -> float:
-        return self.detuning * t
 
     def epsilon(self, params) -> float:
         """Qubit-frequency shift realizing this detuning."""

@@ -9,9 +9,14 @@ detuning delta (see drive.py).  A and B are the emission/absorption halves
 of the defect dissipator, C and D the two quadratures of the exchange
 coupling.  E, a qubit z-rotation, is the frame term of a time-varying
 detuning; it generates the frame that co-rotates with a constant one.
+Each field is derived from its operator, as the matrix-level equation
+applied to the 16 coordinate unit vectors: A and B are the dissipators of
+the defect's sigma- and sigma+, C, D and E the commutators -i[H, .] of
+H = -(XX + YY)/2, (XY - YX)/2 and the qubit's Z.
 The lab frame skips the rotating-frame reduction entirely and evolves the
-density matrix under the bare Hamiltonian with the same dissipator; it
-serves as an end-to-end check of the rotating-frame approximation.
+density matrix under the bare Hamiltonian with the same dissipators, built
+by the same helpers; it serves as an end-to-end check of the
+rotating-frame approximation.
 
 Every drive gives constant coefficients in both frames, so simulate
 propagates it exactly (integrator.propagate); a detuning delta becomes
@@ -31,59 +36,57 @@ from .integrator import IvpResult, propagate
 from .model import DensityState, ModelParams, matrix_to_x, x_to_matrix
 
 # ====================================================================
-# Static fields of the rotating-frame flow (0-based coordinate slots)
+# Superoperators on the 16 coordinates
 # ====================================================================
 
-def _mat(entries: dict[tuple[int, int], float]) -> np.ndarray:
-    m = np.zeros((16, 16))
-    for (i, j), v in entries.items():
-        m[i, j] = v
-    return m
+_SZ = np.diag([1.0, -1.0])
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SY = np.array([[0.0, -1j], [1j, 0.0]])
+_SMINUS = np.array([[0.0, 1.0], [0.0, 0.0]])   # lowers |1> to |0> (emission)
+
+_SZ_Q = np.kron(_SZ, np.eye(2))
+_SZ_T = np.kron(np.eye(2), _SZ)
+_SXSX = np.kron(_SX, _SX)
+_SM_T = np.kron(np.eye(2), _SMINUS)
+_SP_T = _SM_T.T
+
+#: the 16 coordinate unit vectors as 4x4 matrices
+_BASIS = x_to_matrix(np.eye(16))
 
 
-#: emission half of the dissipator (rate gamma1)
-FIELD_EMIT = _mat({
-    (0, 1): 1.0, (1, 1): -1.0, (2, 3): 1.0, (3, 3): -1.0,
-    (4, 4): -0.5, (5, 5): -0.5,
-    (6, 12): 1.0, (7, 13): 1.0,
-    (8, 8): -0.5, (9, 9): -0.5, (10, 10): -0.5, (11, 11): -0.5,
-    (12, 12): -1.0, (13, 13): -1.0,
-    (14, 14): -0.5, (15, 15): -0.5,
-})
+def _commutator(h: np.ndarray) -> np.ndarray:
+    """-i[h, .] applied to each basis matrix, for h or a stack of them."""
+    h = h[..., None, :, :]
+    return -1j * (h @ _BASIS - _BASIS @ h)
 
-#: absorption half of the dissipator (rate gamma2)
-FIELD_ABSORB = _mat({
-    (0, 0): -1.0, (1, 0): 1.0, (2, 2): -1.0, (3, 2): 1.0,
-    (4, 4): -0.5, (5, 5): -0.5,
-    (6, 6): -1.0, (7, 7): -1.0,
-    (8, 8): -0.5, (9, 9): -0.5, (10, 10): -0.5, (11, 11): -0.5,
-    (12, 6): 1.0, (13, 7): 1.0,
-    (14, 14): -0.5, (15, 15): -0.5,
-})
 
-#: in-phase coupling quadrature (coefficient J1)
-FIELD_J1 = _mat({
-    (1, 11): 2.0, (2, 11): -2.0,
-    (4, 7): 1.0, (5, 6): -1.0, (6, 5): 1.0, (7, 4): -1.0,
-    (11, 2): 1.0, (11, 1): -1.0,
-    (12, 15): -1.0, (13, 14): 1.0, (14, 13): -1.0, (15, 12): 1.0,
-})
+def _dissipator(op: np.ndarray) -> np.ndarray:
+    """The Lindblad dissipator of the real jump operator op applied to
+    each basis matrix."""
+    n = op.T @ op
+    return op @ _BASIS @ op.T - 0.5 * (n @ _BASIS + _BASIS @ n)
 
-#: out-of-phase coupling quadrature (coefficient J2)
-FIELD_J2 = _mat({
-    (1, 10): 2.0, (2, 10): -2.0,
-    (4, 6): 1.0, (5, 7): 1.0, (6, 4): -1.0, (7, 5): -1.0,
-    (10, 2): 1.0, (10, 1): -1.0,
-    (12, 14): 1.0, (13, 15): 1.0, (14, 12): -1.0, (15, 13): -1.0,
-})
 
-#: frame term (qubit z-rotation, coefficient alpha)
-FIELD_FRAME = _mat({
-    (6, 7): 2.0, (7, 6): -2.0,
-    (8, 9): 2.0, (9, 8): -2.0,
-    (10, 11): 2.0, (11, 10): -2.0,
-    (12, 13): 2.0, (13, 12): -2.0,
-})
+# ====================================================================
+# Static fields of the rotating-frame flow
+# ====================================================================
+
+_DISS_EMIT = _dissipator(_SM_T)
+_DISS_ABSORB = _dissipator(_SP_T)
+#: the commutators of -(XX + YY)/2, (XY - YX)/2 and the qubit's Z
+_COMMUTATORS = _commutator(np.array([
+    -0.5 * (_SXSX + np.kron(_SY, _SY)),
+    0.5 * (np.kron(_SX, _SY) - np.kron(_SY, _SX)),
+    _SZ_Q]))
+
+#: column k of each field is the image of basis matrix k, under: the
+#: emission (rate gamma1) and absorption (rate gamma2) halves of the
+#: dissipator; the in-phase (coefficient J1) and out-of-phase (J2)
+#: coupling quadratures; the frame term, a qubit z-rotation (alpha).
+#: Stored C-contiguous: a matrix-vector product sums in storage order
+FIELD_EMIT, FIELD_ABSORB, FIELD_J1, FIELD_J2, FIELD_FRAME = (
+    np.ascontiguousarray(matrix_to_x(np.array(
+        [_DISS_EMIT, _DISS_ABSORB, *_COMMUTATORS])).swapaxes(-1, -2)))
 
 #: generator of the frame that co-rotates with a constant detuning
 FRAME_ROTATION = 0.5 * FIELD_FRAME
@@ -99,12 +102,10 @@ def rwa_generator(params: ModelParams, j1: float, j2: float,
 
 def make_rhs_rwa(params: ModelParams, drive: ConstantDrive):
     """Right-hand side of the rotating-frame flow for the given drive."""
-    r = params.rates
-    m_diss = r.gamma1 * FIELD_EMIT + r.gamma2 * FIELD_ABSORB
-    J = params.J
+    J, delta = params.J, drive.detuning
 
-    if drive.detuning == 0.0:
-        m_const = m_diss + J * FIELD_J1
+    if delta == 0.0:
+        m_const = rwa_generator(params, J, 0.0)
 
         def rhs_const(t: float, x: np.ndarray) -> np.ndarray:
             return m_const @ x
@@ -112,10 +113,8 @@ def make_rhs_rwa(params: ModelParams, drive: ConstantDrive):
         return rhs_const
 
     def rhs(t: float, x: np.ndarray) -> np.ndarray:
-        ph = drive.phase(t)
-        m = (m_diss + (J * np.cos(ph)) * FIELD_J1
-             + (J * np.sin(ph)) * FIELD_J2)
-        return m @ x
+        ph = delta * t
+        return rwa_generator(params, J * np.cos(ph), J * np.sin(ph)) @ x
 
     return rhs
 
@@ -123,17 +122,6 @@ def make_rhs_rwa(params: ModelParams, drive: ConstantDrive):
 # ====================================================================
 # Lab frame (no rotating-frame reduction)
 # ====================================================================
-
-_SZ = np.diag([1.0, -1.0])
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SMINUS = np.array([[0.0, 1.0], [0.0, 0.0]])   # lowers |1> to |0> (emission)
-
-_SZ_Q = np.kron(_SZ, np.eye(2))
-_SZ_T = np.kron(np.eye(2), _SZ)
-_SXSX = np.kron(_SX, _SX)
-_SM_T = np.kron(np.eye(2), _SMINUS)
-_SP_T = _SM_T.T
-
 
 def lab_hamiltonian(params: ModelParams, epsilon: float) -> np.ndarray:
     """Bare two-body Hamiltonian with the control shift applied."""
@@ -149,20 +137,10 @@ def lab_liouvillian(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     defect dissipator) applied to basis vector k.  No secular or
     rotating-frame approximation; jump operators act on the defect only."""
     r = params.rates
-    basis = np.array([x_to_matrix(e) for e in np.eye(16)])
-
-    def commutator(h):
-        return -1j * (h @ basis - basis @ h)
-
-    def dissipator(op):
-        n = op.T @ op
-        return op @ basis @ op.T - 0.5 * (n @ basis + basis @ n)
-
-    l0 = (commutator(lab_hamiltonian(params, 0.0))
-          + r.gamma1 * dissipator(_SM_T) + r.gamma2 * dissipator(_SP_T))
-    l_eps = commutator(-0.5 * _SZ_Q)
-    return (np.array([matrix_to_x(m) for m in l0]).T,
-            np.array([matrix_to_x(m) for m in l_eps]).T)
+    l0 = (_commutator(lab_hamiltonian(params, 0.0))
+          + r.gamma1 * _DISS_EMIT + r.gamma2 * _DISS_ABSORB)
+    l_eps = _commutator(-0.5 * _SZ_Q)
+    return tuple(matrix_to_x(np.array([l0, l_eps])).swapaxes(-1, -2))
 
 
 def make_rhs_lab(params: ModelParams, drive: ConstantDrive):

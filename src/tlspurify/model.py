@@ -13,7 +13,9 @@ of the 4x4 density matrix:
 
 (lower triangle by Hermiticity; code uses 0-based slots x[0]..x[15]).
 The basis ordering is |qubit, defect> = |00>, |01>, |10>, |11> with |0> the
-local ground state of each -h/2 sigma_z term.
+local ground state of each -h/2 sigma_z term.  x_to_matrix and matrix_to_x
+convert between the two forms, for one state or a stack of them, through
+index arrays built from OFFDIAG_SLOTS.
 
 The preparable starts (thermal product, qubit coherence m = mu_q + i nu_q,
 cross coherence xi) are positive iff |xi| <= xi_max = sqrt(QT) and
@@ -52,6 +54,10 @@ OFFDIAG_SLOTS = {
     (1, 3): (12, 13),
     (2, 3): (14, 15),
 }
+# the same layout as index arrays: diagonal, upper entries, their slots
+_DIAG = np.arange(4)
+_ROWS, _COLS = np.array(list(OFFDIAG_SLOTS)).T
+_RE, _IM = np.array(list(OFFDIAG_SLOTS.values())).T
 
 
 def thermal_populations(omega: float, beta: float) -> tuple[float, float]:
@@ -259,40 +265,40 @@ class DensityState:
 
 
 def x_to_matrix(x: np.ndarray) -> np.ndarray:
-    """Rebuild the complex 4x4 density matrix from its 16 real coordinates."""
+    """Rebuild the complex 4x4 density matrix from its 16 real coordinates
+    (a stack of them from a stack of coordinate vectors)."""
     x = np.asarray(x, dtype=float)
-    rho = np.zeros((4, 4), dtype=complex)
-    for k in range(4):
-        rho[k, k] = x[k]
-    for (i, j), (re, im) in OFFDIAG_SLOTS.items():
-        rho[i, j] = complex(x[re], x[im])
-        rho[j, i] = complex(x[re], -x[im])
+    rho = np.zeros(x.shape[:-1] + (4, 4), dtype=complex)
+    re, im = rho.real, rho.imag
+    re[..., _DIAG, _DIAG] = x[..., :4]
+    re[..., _ROWS, _COLS] = re[..., _COLS, _ROWS] = x[..., _RE]
+    im[..., _ROWS, _COLS] = x[..., _IM]
+    im[..., _COLS, _ROWS] = -x[..., _IM]
     return rho
 
 
 def matrix_to_x(rho: np.ndarray) -> np.ndarray:
-    """Project a (numerically) Hermitian 4x4 matrix onto the 16 coordinates."""
+    """Project a (numerically) Hermitian 4x4 matrix, or a stack of them,
+    onto the 16 coordinates."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    herm_defect = np.abs(rho - rho.conj().T).max()
+    herm_defect = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
     if herm_defect > 1e-9:
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-    x = np.zeros(16)
-    for k in range(4):
-        x[k] = rho[k, k].real
-    for (i, j), (re, im) in OFFDIAG_SLOTS.items():
-        # average the two Hermitian partners to kill roundoff asymmetry
-        val = 0.5 * (rho[i, j] + rho[j, i].conjugate())
-        x[re] = val.real
-        x[im] = val.imag
+    x = np.empty(rho.shape[:-2] + (16,))
+    x[..., :4] = rho[..., _DIAG, _DIAG].real
+    # average the two Hermitian partners to kill roundoff asymmetry
+    upper = 0.5 * (rho[..., _ROWS, _COLS] + rho[..., _COLS, _ROWS].conj())
+    x[..., _RE] = upper.real
+    x[..., _IM] = upper.imag
     return x
 
 
 def min_eigenvalue(x: np.ndarray) -> float:
-    """Smallest eigenvalue of the state; slightly negative values flag
-    positivity loss beyond roundoff."""
-    return float(np.linalg.eigvalsh(x_to_matrix(x))[0])
+    """Smallest eigenvalue of the state, or of all states of a stack;
+    slightly negative values flag positivity loss beyond roundoff."""
+    return float(np.linalg.eigvalsh(x_to_matrix(x))[..., 0].min())
 
 
 def _ceiling_sq(params: ModelParams, xi: complex | float

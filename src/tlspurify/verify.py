@@ -108,9 +108,7 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
                          "max |trace - 1| along the same run", full.stats))
 
     # -- state stays positive along the full run ----------------------
-    dip = 0.0
-    for k in range(0, ts.size, 8):
-        dip = min(dip, min_eigenvalue(xs[k]))
+    dip = min(0.0, min_eigenvalue(xs[::8]))
     checks.append(_check("positivity", -dip, 1e-8,
                          "most negative density eigenvalue seen"))
 

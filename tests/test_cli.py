@@ -495,6 +495,9 @@ def test_uncoupled_model_runs(capsys, tmp_path, command):
 
 @pytest.mark.parametrize("command,axis,start,stop,key", [
     ("scan-beta", "beta", 0.0, 2.0, "start"),
+    # beta * omega_tls below the smallest normal float has no model
+    ("scan-beta", "beta", "1.0e-320", 2.0, "start"),
+    ("scan-beta", "beta", 2.0, "1.0e-320", "stop"),
     ("scan-gamma", "gamma_over_j", -1.0, 2.0, "start"),
     ("region-map", "j_frac", -0.5, 1.0, "start"),
     ("coherence-map", "xi_frac", 0.0, 3.0, "stop"),

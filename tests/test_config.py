@@ -189,6 +189,25 @@ def test_bad_values():
     assert at_bound.mu_count == at_bound.axes[0].count == MAX_COUNT
 
 
+def test_beta_axis_endpoint_is_checked_by_the_model():
+    """A beta axis endpoint must make a model at the config's omega_tls,
+    by ModelParams' own rule: beta * omega_tls a normal float."""
+    def beta_axis(start, stop, **model):
+        return {"model": model, "sweep": {"axes": [
+            {"name": "gamma_over_j", "start": 0.0, "stop": 4.0},
+            {"name": "beta", "start": start, "stop": stop, "count": 3}]}}
+
+    for start, stop, end in ((1.0e-320, 2.0, "start"),
+                             (2.0, 1.0e-320, "stop")):
+        e = _err(beta_axis(start, stop))
+        assert (e.code, e.parameter) == ("bad-value", f"sweep.axes[1].{end}")
+        assert "beta is too small" in e.message
+    # 1e-308 * omega_tls is a normal float at omega_tls = 3, not at 0.1
+    assert RunConfig.from_dict(beta_axis(1e-308, 2.0)).axes[1].start == 1e-308
+    e = _err(beta_axis(1e-308, 2.0, omega_q=0.05, omega_tls=0.1))
+    assert (e.code, e.parameter) == ("bad-value", "sweep.axes[1].start")
+
+
 def test_axis_values():
     lin = SweepAxis("beta", 0.0, 1.0, 5)
     assert np.allclose(lin.values(), [0.0, 0.25, 0.5, 0.75, 1.0])

@@ -1,4 +1,4 @@
-"""The drive: a constant detuning, its phase, and the qubit shift."""
+"""The drive: a constant detuning and the qubit shift."""
 
 from __future__ import annotations
 
@@ -11,12 +11,10 @@ from tlspurify.model import ModelParams
 def test_constant_drive_basics():
     d = ConstantDrive(0.3)
     assert d.detuning == 0.3
-    assert d.phase(2.0) == pytest.approx(0.6)
 
 
 def test_resonant_is_zero_detuning():
     assert resonant() == ConstantDrive(0.0)
-    assert resonant().phase(17.0) == 0.0
 
 
 def test_epsilon_realizes_the_detuning():

@@ -12,6 +12,7 @@ from oracles import (lab_rhs, lindblad_rhs, partial_trace_defect,
                      partial_trace_qubit, random_density_x)
 from tlspurify.drive import ConstantDrive, resonant
 from tlspurify.integrator import integrate
+from tlspurify import liouville
 from tlspurify.liouville import (lab_hamiltonian, make_rhs_lab, make_rhs_rwa,
                                  qubit_purity, rwa_generator, simulate,
                                  tls_purity)
@@ -42,6 +43,15 @@ def test_generator_matches_matrix_oracle(params_bath, rng):
     assert worst < 1e-13
 
 
+def test_fields_are_stored_c_contiguous():
+    """A matrix-vector product sums in storage order: on a transposed view
+    of a field, verify's residuals would move in their last digits."""
+    for name in ("FIELD_EMIT", "FIELD_ABSORB", "FIELD_J1", "FIELD_J2",
+                 "FIELD_FRAME", "FRAME_ROTATION"):
+        field = getattr(liouville, name)
+        assert field.shape == (16, 16) and field.flags.c_contiguous, name
+
+
 def test_generator_trace_free(params_bath):
     for j1, j2, al in COEFF_TRIPLES:
         m = rwa_generator(params_bath, j1, j2, al)
@@ -58,7 +68,7 @@ def test_make_rhs_rwa_paths(params_bath, rng):
     # generic path with a constant detuning
     d = ConstantDrive(0.3)
     rhs1 = make_rhs_rwa(params_bath, d)
-    ph = d.phase(2.0)
+    ph = d.detuning * 2.0
     expect1 = rwa_generator(params_bath, params_bath.J * math.cos(ph),
                             params_bath.J * math.sin(ph), 0.0) @ x
     assert np.abs(rhs1(2.0, x) - expect1).max() < 1e-15

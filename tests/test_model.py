@@ -237,6 +237,62 @@ def test_matrix_to_x_rejects_bad_input(rng):
         matrix_to_x(np.eye(3))
 
 
+def _x_to_matrix_loop(x):
+    """x_to_matrix entry by entry, the reference of the index arrays."""
+    rho = np.zeros((4, 4), dtype=complex)
+    for k in range(4):
+        rho[k, k] = x[k]
+    for (i, j), (re, im) in OFFDIAG_SLOTS.items():
+        rho[i, j] = complex(x[re], x[im])
+        rho[j, i] = complex(x[re], -x[im])
+    return rho
+
+
+def _matrix_to_x_loop(rho):
+    """matrix_to_x entry by entry, the reference of the index arrays."""
+    x = np.zeros(16)
+    for k in range(4):
+        x[k] = rho[k, k].real
+    for (i, j), (re, im) in OFFDIAG_SLOTS.items():
+        val = 0.5 * (rho[i, j] + rho[j, i].conjugate())
+        x[re], x[im] = val.real, val.imag
+    return x
+
+
+def test_stacks_convert_as_their_rows(rng):
+    """On a stack, x_to_matrix, matrix_to_x and min_eigenvalue return bit
+    for bit what they return row by row, and what the entry-by-entry
+    loops return (signed zeros included: the stack holds the 16 unit
+    vectors); one non-Hermitian member fails the stack."""
+    xs = np.concatenate([np.eye(16), -np.eye(16),
+                         [random_density_x(rng) for _ in range(4)]])
+    rhos = x_to_matrix(xs.reshape(3, 12, 16))
+    assert rhos.shape == (3, 12, 4, 4)
+    rows = np.array([x_to_matrix(x) for x in xs])
+    assert rhos.reshape(rows.shape).tobytes() == rows.tobytes()
+    assert rows.tobytes() == np.array(
+        [_x_to_matrix_loop(x) for x in xs]).tobytes()
+    # matrices from A A^dag are Hermitian only to roundoff, so the
+    # averaging of the Hermitian partners shows in the last bits
+    ms = np.array([random_density_matrix(rng) for _ in range(4)])
+    ms = np.concatenate([rows[:32], ms]).reshape(3, 12, 4, 4)
+    back = matrix_to_x(ms)
+    assert back.shape == (3, 12, 16)
+    flat = ms.reshape(-1, 4, 4)
+    assert back.tobytes() == np.array(
+        [matrix_to_x(m) for m in flat]).tobytes()
+    assert back.tobytes() == np.array(
+        [_matrix_to_x_loop(m) for m in flat]).tobytes()
+    assert min_eigenvalue(back) == min(min_eigenvalue(x)
+                                       for x in back.reshape(-1, 16))
+    bad = ms.copy()
+    bad[2, 5, 0, 1] += 1e-6    # one member beyond the tolerance
+    with pytest.raises(ValueError, match="not Hermitian"):
+        matrix_to_x(bad)
+    with pytest.raises(ValueError, match="4x4"):
+        matrix_to_x(np.zeros((3, 3)))
+
+
 def test_min_eigenvalue_matches_eigvalsh(rng):
     for _ in range(5):
         rho = random_density_matrix(rng)

@@ -30,9 +30,6 @@ OFF_THE_COMMAND_PATH = {
                  "interpreters; the audit calls main",
     "output.emit_error": "writes the error object of the error and usage "
                          "paths",
-    "drive.ConstantDrive.phase": "the drive phase of the Runge-Kutta "
-                                 "right-hand sides under a detuning, which "
-                                 "perfbench's RHS probe prices",
 }
 
 #: (argv, config text or None) of every audited invocation; each runs in
