@@ -8,9 +8,11 @@ acceptance/rejection statistics and an interpolant we control, all with
 byte-reproducible results independent of how work is distributed across
 processes.  No command's own run needs it, since every drive is a constant
 detuning: it is the independent side of the verify checks and of the
-tests' oracles.  The tableau is the classic DOPRI5 embedded pair; dense
-evaluation uses the cubic Hermite interpolant of each accepted step, whose
-error is far below the working tolerances here.
+tests' oracles.  The tableau is the classic DOPRI5 embedded pair, held
+once as arrays, and a step forms each weighted sum of its stages as one
+matrix product; dense evaluation uses the cubic Hermite interpolant of
+each accepted step, whose error is far below the working tolerances
+here.
 
 A flow y' = A y + b with constant A and b needs no stepping: propagate()
 lays exact nodes y_{k+1} = e^{A h} y_k over the span and evaluates any time
@@ -32,36 +34,25 @@ from .model import StepStats
 # Butcher tableau (Dormand-Prince 5(4))
 # ====================================================================
 
-_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
-     -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-     11.0 / 84.0),
-)
+_C = np.array([0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0])
+#: stage weights, lower-triangular: row i weights stages 0..i-1
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1.0 / 5.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0, 0.0],
+    [19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0,
+     -212.0 / 729.0, 0.0, 0.0, 0.0],
+    [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+     -5103.0 / 18656.0, 0.0, 0.0],
+    [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
+     11.0 / 84.0, 0.0],
+])
 #: 5th-order weights (row 7 of A: the method is FSAL)
 _B = _A[6]
 #: error weights b5 - b4
-_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
-      -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
-
-
-def _nonzero(row: tuple) -> tuple[list[int], np.ndarray]:
-    """The stages a row of weights does not zero, and their weights as a
-    column, to weight the rows of the stage array."""
-    stages = [j for j, w in enumerate(row) if w != 0.0]
-    return stages, np.array([row[j] for j in stages])[:, None]
-
-
-#: each row of _A as a column, every weight kept
-_A_COLUMNS = [np.array(row)[:, None] for row in _A]
-_B_NONZERO = _nonzero(_B)
-_E_NONZERO = _nonzero(_E)
+_E = np.array([71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
+               -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0])
 
 MIN_FACTOR = 0.2
 MAX_FACTOR = 5.0
@@ -113,22 +104,14 @@ class IvpResult(NamedTuple):
 
 def _rk_step(f, t, y, fy, h):
     """One Dormand-Prince step.  Returns (y1, f1, err_vec), 6 fresh evals
-    with the FSAL evaluation f1 reusable as the next step's fy.
-
-    The stages are the rows of one array.  Its weighted sums reduce over
-    axis 0 row by row, so each is added up in stage order, the order of
-    a sum() over the stages, to the same bits; a matrix product would
-    change the last bits."""
+    with the FSAL evaluation f1 reusable as the next step's fy.  The
+    stages are the rows of one array, and each weighted sum of them is a
+    product with a row of the tableau."""
     k = np.empty((7, y.size))
     k[0] = fy
     for i in range(1, 7):
-        yi = y + h * (_A_COLUMNS[i] * k[:i]).sum(axis=0)
-        k[i] = f(t + _C[i] * h, yi)
-    stages, weights = _B_NONZERO
-    y1 = y + h * (weights * k[stages]).sum(axis=0)
-    stages, weights = _E_NONZERO
-    err = h * (weights * k[stages]).sum(axis=0)
-    return y1, k[6], err
+        k[i] = f(t + _C[i] * h, y + h * (_A[i, :i] @ k[:i]))
+    return y + h * (_B @ k), k[6], h * (_E @ k)
 
 
 def _rms(q: np.ndarray) -> float:

@@ -24,7 +24,8 @@ constant in the frame that co-rotates at delta about K = FIELD_FRAME/2,
 because e^{phi K} C e^{-phi K} = cos(phi) C + sin(phi) D and K commutes
 with A and B.  The right-hand sides make_rhs_rwa and make_rhs_lab are the
 same flows for the Runge-Kutta integrator, the independent side of the
-checks.
+checks.  The observables qubit_purity and tls_purity take one state or a
+stack of them, on the last axis, as model.x_to_matrix does.
 """
 
 from __future__ import annotations
@@ -158,18 +159,23 @@ def make_rhs_lab(params: ModelParams, drive: ConstantDrive):
 # Observables on the 16 coordinates
 # ====================================================================
 
-def qubit_purity(x: np.ndarray) -> float:
-    p0 = x[0] + x[1]
-    p1 = x[2] + x[3]
-    return float(p0 * p0 + p1 * p1
-                 + 2.0 * ((x[6] + x[12]) ** 2 + (x[7] + x[13]) ** 2))
+def qubit_purity(x: np.ndarray) -> np.ndarray:
+    """Purity of the qubit's reduced state, for one state or for each
+    state of a stack (the 16 coordinates on the last axis)."""
+    p0 = x[..., 0] + x[..., 1]
+    p1 = x[..., 2] + x[..., 3]
+    return (p0 * p0 + p1 * p1
+            + 2.0 * ((x[..., 6] + x[..., 12]) ** 2
+                     + (x[..., 7] + x[..., 13]) ** 2))
 
 
-def tls_purity(x: np.ndarray) -> float:
-    p0 = x[0] + x[2]
-    p1 = x[1] + x[3]
-    return float(p0 * p0 + p1 * p1
-                 + 2.0 * ((x[4] + x[14]) ** 2 + (x[5] + x[15]) ** 2))
+def tls_purity(x: np.ndarray) -> np.ndarray:
+    """Purity of the defect's reduced state, as qubit_purity."""
+    p0 = x[..., 0] + x[..., 2]
+    p1 = x[..., 1] + x[..., 3]
+    return (p0 * p0 + p1 * p1
+            + 2.0 * ((x[..., 4] + x[..., 14]) ** 2
+                     + (x[..., 5] + x[..., 15]) ** 2))
 
 
 # ====================================================================

@@ -23,7 +23,7 @@ from .model import InitialStateSpec, ModelParams, build_initial_state
 # perfbench imports these engine names from here
 from .pole import (initial_spherical, is_divergent,  # noqa: F401
                    stall_cosine, t_min_from_rates, t_min_numeric)
-from .reduced import x_to_z, z_purity_many, z_states_at
+from .reduced import x_to_z, z_purity, z_states_at
 
 
 def uncorrelated_pole_purity(params: ModelParams) -> float:
@@ -81,6 +81,6 @@ def pole_gains(params: ModelParams, xi: float, mus, t_pole: float
     z0s = [x_to_z(build_initial_state(
         params, InitialStateSpec(mu_q=mu, xi_re=xi)).x) for mu in mus]
     zf = z_states_at(params, z0s, t_pole)
-    p_pole = z_purity_many(zf)
+    p_pole = z_purity(zf)
     p_s1 = 0.5 + 2.0 * zf[:, 0] ** 2
     return np.column_stack([p_pole / p_s1 - 1.0, p_pole, p_s1])

@@ -13,12 +13,13 @@ coordinates, and the flow closes on them (0-based slots, with x also
     z[6] = x[7] + x[13]               Im qubit coherence
     z[7] = x[4] - x[14]
 
-Qubit purity = 1/2 + 2 (z[0]^2 + z[4]^2 + z[6]^2).  The first four
-coordinates (block S1) and last four (block S2) evolve independently of
-each other.  The package runs the reduced flow only resonant
-(simulate_z exactly, make_rhs_z for the checks' Runge-Kutta side);
-z_generator keeps the general coefficients (J1, J2, alpha) of the full
-generator, the reduction that the tests hold it to.
+Qubit purity = 1/2 + 2 (z[0]^2 + z[4]^2 + z[6]^2).  x_to_z and z_purity
+take one state or a stack of them, on the last axis, as model.x_to_matrix
+does.  The first four coordinates (block S1) and last four (block S2)
+evolve independently of each other.  The package runs the reduced flow
+only resonant (simulate_z exactly, make_rhs_z for the checks'
+Runge-Kutta side); z_generator keeps the general coefficients (J1, J2,
+alpha) of the full generator, the reduction that the tests hold it to.
 
 The spherical picture sits on S1: with  c = -(z[3]+1)/2  and
 
@@ -63,22 +64,24 @@ from .model import ModelParams
 # ====================================================================
 
 def x_to_z(x: np.ndarray) -> np.ndarray:
+    """The eight reduced coordinates of a state, or of each state of a
+    stack (the 16 coordinates on the last axis)."""
     x = np.asarray(x, dtype=float)
-    return np.array([
-        x[0] + x[1] - 0.5,
-        x[11],
-        x[10],
-        -2.0 * x[0] - x[1] - x[2],
-        x[6] + x[12],
-        x[5] - x[15],
-        x[7] + x[13],
-        x[4] - x[14],
-    ])
+    return np.stack([
+        x[..., 0] + x[..., 1] - 0.5,
+        x[..., 11],
+        x[..., 10],
+        -2.0 * x[..., 0] - x[..., 1] - x[..., 2],
+        x[..., 6] + x[..., 12],
+        x[..., 5] - x[..., 15],
+        x[..., 7] + x[..., 13],
+        x[..., 4] - x[..., 14],
+    ], axis=-1)
 
 
-def z_purity_many(z: np.ndarray) -> np.ndarray:
-    """Purity along a trajectory, z shaped (n, 8)."""
-    return 0.5 + 2.0 * (z[:, 0] ** 2 + z[:, 4] ** 2 + z[:, 6] ** 2)
+def z_purity(z: np.ndarray) -> np.ndarray:
+    """Qubit purity of one reduced state, or of each state of a stack."""
+    return 0.5 + 2.0 * (z[..., 0] ** 2 + z[..., 4] ** 2 + z[..., 6] ** 2)
 
 
 # ====================================================================

@@ -27,7 +27,7 @@ from .model import (InitialStateSpec, build_initial_state, is_physical,
 from .optimal import pole_gains
 from .output import Table
 from .pole import first_events, t_min_numeric
-from .reduced import simulate_z, x_to_z, z_purity_many
+from .reduced import simulate_z, x_to_z, z_purity
 # perfbench's fan-out probe imports scan_gamma from here
 from .scans import _coupled, scan_gamma  # noqa: F401
 from .verify import run_suite, suite_passed
@@ -40,7 +40,7 @@ def _trace(params, xi, mu, t_end, n):
     state = build_initial_state(params, InitialStateSpec(mu_q=mu, xi_re=xi))
     res = simulate_z(params, x_to_z(state.x), (0.0, t_end))
     ts = np.linspace(0.0, t_end, n)
-    return z_purity_many(res.trajectory(ts))
+    return z_purity(res.trajectory(ts))
 
 
 # ====================================================================
@@ -75,9 +75,8 @@ def simulate_trace(cfg: RunConfig) -> Table:
         "frame": cfg.frame, "n_steps": res.stats.accepted,
         "n_rejected": res.stats.rejected,
     })
-    for t, x in zip(ts, xs):
-        table.add(float(t), qubit_purity(x), tls_purity(x),
-                  *(float(v) for v in x))
+    table.rows.extend(zip(ts.tolist(), qubit_purity(xs).tolist(),
+                          tls_purity(xs).tolist(), *xs.T.tolist()))
     return table
 
 

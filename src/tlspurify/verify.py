@@ -84,8 +84,7 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
     z0 = x_to_z(state.x)
     z_rhs = z_rhs_override if z_rhs_override is not None else make_rhs_z(params)
     red = integrate(z_rhs, t_span, z0, rtol=rtol, atol=atol)
-    z_from_full = np.array([x_to_z(x) for x in full.trajectory(red.t)])
-    resid = float(np.abs(z_from_full - red.y).max())
+    resid = float(np.abs(x_to_z(full.trajectory(red.t)) - red.y).max())
     checks.append(_check("full-vs-reduced", resid, 1e-8,
                          "max-abs z gap at the reduced run's steps on "
                          "[0, 2 T0], correlated start",
@@ -108,14 +107,14 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
                          "max |trace - 1| along the same run", full.stats))
 
     # -- state stays positive along the full run ----------------------
-    dip = min(0.0, min_eigenvalue(xs[::8]))
-    checks.append(_check("positivity", -dip, 1e-8,
+    checks.append(_check("positivity",
+                         max(0.0, -min_eigenvalue(xs[::8])), 1e-8,
                          "most negative density eigenvalue seen"))
 
     # -- eta-line conservation for the uncorrelated start -------------
     plain = build_initial_state(params, InitialStateSpec())
     res0 = simulate(params, plain, t_span)
-    zz = np.array([x_to_z(x) for x in res0.y])
+    zz = x_to_z(res0.y)
     cc = -0.5 * (zz[:, 3] + 1.0)
     rr = np.hypot(zz[:, 0] - cc, zz[:, 1])
     resid = float(np.abs(rr + cc - params.eta).max())

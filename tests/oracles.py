@@ -41,7 +41,7 @@ from tlspurify.model import (InitialStateSpec, ModelParams, StepStats,
 from tlspurify.pole import (STALL_CURVATURE_TOL, _stall_curvature,
                             initial_direction, initial_spherical,
                             stall_cosine)
-from tlspurify.reduced import make_rhs_s1, simulate_z, x_to_z, z_purity_many
+from tlspurify.reduced import make_rhs_s1, simulate_z, x_to_z, z_purity
 
 # ====================================================================
 # Pauli algebra and model operators
@@ -356,8 +356,8 @@ def simulated_gain(params: ModelParams, xi: float, mu: float,
     reduced flow stepped node by node, not one exponential over the span
     as optimal.pole_gains applies it."""
     state = build_initial_state(params, InitialStateSpec(mu_q=mu, xi_re=xi))
-    z = simulate_z(params, x_to_z(state.x), (0.0, t_pole)).y[-1:]
-    return float(z_purity_many(z)[0] / (0.5 + 2.0 * z[0, 0] ** 2) - 1.0)
+    z = simulate_z(params, x_to_z(state.x), (0.0, t_pole)).y[-1]
+    return float(z_purity(z) / (0.5 + 2.0 * z[0] ** 2) - 1.0)
 
 
 # ====================================================================

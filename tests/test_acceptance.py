@@ -86,9 +86,8 @@ def test_criterion_04_full_vs_reduced_equivalence():
     full = simulate(p, state, (0.0, t_end))
     red = simulate_z(p, x_to_z(state.x), (0.0, t_end))
     ts = np.linspace(0.0, t_end, 400)
-    za = np.array([x_to_z(x) for x in full.trajectory(ts)])
-    zb = red.trajectory(ts)
-    gap = float(np.abs(za - zb).max())
+    gap = float(np.abs(x_to_z(full.trajectory(ts))
+                       - red.trajectory(ts)).max())
     elapsed = time.perf_counter() - tic
     assert gap < 1e-8
     assert elapsed < 5.0
@@ -232,8 +231,8 @@ def test_criterion_11_rotating_frame_validity():
     ts = np.linspace(0.0, t_end, 400)
     runs = {frame: simulate(p, state, (0.0, t_end), frame=frame)
             for frame in ("rwa", "lab")}
-    pa = np.array([qubit_purity(x) for x in runs["rwa"].trajectory(ts)])
-    pb = np.array([qubit_purity(x) for x in runs["lab"].trajectory(ts)])
+    pa = qubit_purity(runs["rwa"].trajectory(ts))
+    pb = qubit_purity(runs["lab"].trajectory(ts))
     assert np.abs(pa - pb).max() < 0.01
 
 

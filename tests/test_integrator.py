@@ -121,38 +121,47 @@ def test_trajectory_shapes():
     assert np.abs(res.trajectory(0.0) - np.array([1.0, 2.0])).max() < 1e-14
 
 
-def _reference_step(f, t, y, fy, h):
-    """The Dormand-Prince step as sums over a list of stages, in stage
-    order: the arithmetic integrator._rk_step keeps to the bit."""
-    k = [fy]
-    for i in range(1, 7):
-        yi = y + h * sum(a * kj for a, kj in zip(integrator._A[i], k))
-        k.append(f(t + integrator._C[i] * h, yi))
-    y1 = y + h * sum(b * kj for b, kj in zip(integrator._B, k) if b != 0.0)
-    err = h * sum(e * kj for e, kj in zip(integrator._E, k) if e != 0.0)
-    return y1, k[6], err
+def _within_roundoff(got, weights, k, y, h):
+    """Whether got is y + h sum_j w_j k_j, summed in stage order as sum()
+    does, to within 2 (n + 2) eps (|y| + h sum_j |w_j k_j|) for n
+    nonzero weights: twice the first-order bound on how far two orders
+    of the n-term sum can fall apart, plus the roundings of the product
+    with h and of the sum with y.  y = 0 stands for no sum with y."""
+    terms = [(w, kj) for w, kj in zip(weights, k) if w != 0.0]
+    want = y + h * sum(w * kj for w, kj in terms)
+    size = np.abs(y) + h * sum(abs(w) * np.abs(kj) for w, kj in terms)
+    bound = 2.0 * (len(terms) + 2) * np.finfo(float).eps * size
+    return bool(np.all(np.abs(got - want) <= bound))
 
 
 @settings(max_examples=60, deadline=None)
 @given(dim=st.sampled_from([1, 3, 8, 16, 17, 200]),
        seed=st.integers(0, 2**32 - 1), h=st.floats(1e-6, 1.0))
-def test_step_matches_the_stage_sums_to_the_bit(dim, seed, h):
-    """The stage array's reductions give the bits of the stage-list sums,
-    and the root mean square those of np.mean."""
+def test_step_matches_the_stage_sums_within_roundoff(dim, seed, h):
+    """Each stage argument, y1 and the error vector are the tableau's
+    weighted sums of the stages the step evaluated, up to the order of
+    summation; and the root mean square has the bits of np.mean."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim))
     b = rng.normal(size=dim)
+    calls = []
 
     def f(t, y):
-        return a @ y + b * np.cos(t)
+        out = a @ y + b * np.cos(t)
+        calls.append((t, y.copy(), out))
+        return out
 
     y = rng.normal(size=dim)
     fy = f(0.3, y)
-    got = integrator._rk_step(f, 0.3, y, fy, h)
-    want = _reference_step(f, 0.3, y, fy, h)
-    for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
-    q = got[2] / (1e-10 + 1e-10 * np.abs(y))
+    y1, f1, err = integrator._rk_step(f, 0.3, y, fy, h)
+    ts, args, k = zip(*calls)
+    assert len(k) == 7 and np.array_equal(f1, k[6])
+    for i in range(1, 7):
+        assert ts[i] == 0.3 + integrator._C[i] * h
+        assert _within_roundoff(args[i], integrator._A[i, :i], k, y, h)
+    assert _within_roundoff(y1, integrator._B, k, y, h)
+    assert _within_roundoff(err, integrator._E, k, 0.0, h)
+    q = err / (1e-10 + 1e-10 * np.abs(y))
     assert integrator._rms(q) == math.sqrt(float(np.mean(q ** 2)))
 
 

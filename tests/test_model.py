@@ -422,6 +422,20 @@ def test_on_boundary_starts_are_physical(params_bath):
             build_initial_state(p, InitialStateSpec(mu_q=over, xi_re=xi))
 
 
+@pytest.mark.parametrize("xi_frac", [0.0, 0.5])
+def test_a_start_just_past_a_cold_ceiling_is_unphysical(xi_frac):
+    """At beta = 10, a start 1e-10 Q past the ceiling in |mu|^2
+    (Q = a_q b_q) is refused, at xi = 0 and at xi_max/2: the verdict's
+    allowance is far below that."""
+    p = ModelParams(beta=10.0, kappa=0.1)
+    a_q, b_q = p.qubit_populations
+    xi = xi_frac * xi_max(p)
+    over = math.sqrt(mu_max(p, xi) ** 2 + 1e-10 * a_q * b_q)
+    assert not is_physical(p, over, xi)
+    with pytest.raises(ValueError, match="not positive"):
+        build_initial_state(p, InitialStateSpec(mu_q=over, xi_re=xi))
+
+
 #: half-width of the band around the positivity boundary, in the margin
 #: (a_q b_q (1 - |xi|/xi_max) - |m|^2) / (a_q b_q), inside which the
 #: verdict is not held to the exact eigenvalue: ten times BOUNDARY_RTOL

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from oracles import random_density_x, z_to_spherical
 from tlspurify.integrator import integrate
-from tlspurify.liouville import qubit_purity, rwa_generator, simulate
+from tlspurify.liouville import (qubit_purity, rwa_generator, simulate,
+                                 tls_purity)
 from tlspurify.model import (InitialStateSpec, ModelParams,
                              build_initial_state, mu_max, xi_max)
 from tlspurify.pole import initial_direction, t_min_numeric
 from tlspurify.reduced import (make_rhs_rct, make_rhs_s1, make_rhs_z,
-                               simulate_z, x_to_z, z_generator,
-                               z_purity_many)
+                               simulate_z, x_to_z, z_generator, z_purity)
 
 # Frozen by hand from the coordinate layout: each z entry reads specific
 # x slots, so a handcrafted x with distinct slot values pins the wiring.
@@ -68,10 +68,19 @@ def test_z_map_intertwines_generators(params_bath, rng):
 
 def test_z_purity_equals_qubit_purity(rng):
     xs = np.array([random_density_x(rng) for _ in range(12)])
-    zs = np.array([x_to_z(x) for x in xs])
-    expected = np.array([qubit_purity(x) for x in xs])
-    got = z_purity_many(zs)
-    assert np.abs(got - expected).max() < 1e-13
+    assert np.abs(z_purity(x_to_z(xs)) - qubit_purity(xs)).max() < 1e-13
+
+
+def test_state_helpers_take_a_stack_as_its_rows(rng):
+    """The state helpers give each state of a stack the bits they give
+    it alone."""
+    xs = np.array([random_density_x(rng) for _ in range(12)])
+    xs = xs.reshape(3, 4, 16)
+    zs = x_to_z(xs)
+    for helper, stack in ((x_to_z, xs), (qubit_purity, xs),
+                          (tls_purity, xs), (z_purity, zs)):
+        rows = np.array([[helper(s) for s in row] for row in stack])
+        assert helper(stack).tobytes() == rows.tobytes()
 
 
 # ====================================================================
@@ -83,9 +92,8 @@ def _compare_full_vs_reduced(params, spec, t_end, tol):
     ts = np.linspace(0.0, t_end, 60)
     full = simulate(params, state, (0.0, t_end))
     red = simulate_z(params, x_to_z(state.x), (0.0, t_end))
-    za = np.array([x_to_z(x) for x in full.trajectory(ts)])
-    zb = red.trajectory(ts)
-    return float(np.abs(za - zb).max()) < tol
+    gap = x_to_z(full.trajectory(ts)) - red.trajectory(ts)
+    return float(np.abs(gap).max()) < tol
 
 
 def test_reduced_tracks_full_with_populated_coherences(params_bath):
@@ -122,7 +130,7 @@ def test_reduced_tracks_full_table_drive(params_bath):
     red = integrate(z_rhs, (0.0, t0), x_to_z(state.x), rtol=1e-11,
                     atol=1e-12)
     ts = np.linspace(0.0, t0, 60)
-    za = np.array([x_to_z(x) for x in full.trajectory(ts)])
+    za = x_to_z(full.trajectory(ts))
     assert np.abs(za - red.trajectory(ts)).max() < 1e-6
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,18 @@ EXPECTED_ORDER = [
     "pole-purity",
     "coherence-gain-uncorrelated",
 ]
+
+#: the n_steps column of the default report, in EXPECTED_ORDER.  The
+#: Runge-Kutta controller's constants (SAFETY, MAX_FACTOR) set the
+#: counts of the integrated checks, so a changed controller shows here
+DEFAULT_STEPS = [0, 105, 104, 29, 0, 29, 98, 306, 3, 1, 0]
+
+
+@pytest.fixture(scope="module")
+def default_report():
+    table, ok = verify_table(RunConfig.from_dict({}))
+    assert ok
+    return table
 
 
 def test_suite_all_green():
@@ -54,9 +68,20 @@ def test_suite_catches_corrupted_reduction():
     assert all(c.passed for c in others)
 
 
-def test_verify_table_shape():
-    table, ok = verify_table(RunConfig.from_dict({}))
-    assert ok
+def test_default_work_counters(default_report):
+    steps, rejected = zip(*(row[4:] for row in default_report.rows))
+    assert list(steps) == DEFAULT_STEPS
+    assert set(rejected) == {0}
+
+
+def test_residuals_carry_no_sign(default_report):
+    """A residual is a magnitude: none reads -0.0."""
+    for name, _, residual, *_ in default_report.rows:
+        assert math.copysign(1.0, residual) == 1.0, name
+
+
+def test_verify_table_shape(default_report):
+    table = default_report
     assert table.command == "verify"
     assert table.columns == ["check", "passed", "residual", "tol",
                              "n_steps", "n_rejected"]
