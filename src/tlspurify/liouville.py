@@ -93,12 +93,21 @@ FIELD_EMIT, FIELD_ABSORB, FIELD_J1, FIELD_J2, FIELD_FRAME = (
 FRAME_ROTATION = 0.5 * FIELD_FRAME
 
 
+def weigh_fields(fields, params: ModelParams, j1: float, j2: float,
+                 alpha: float = 0.0) -> np.ndarray:
+    """Sum of the five fields, or of their images under a linear map,
+    weighted by gamma1, gamma2, j1, j2 and alpha, left to right."""
+    emit, absorb, f_j1, f_j2, frame = fields
+    r = params.rates
+    return (r.gamma1 * emit + r.gamma2 * absorb
+            + j1 * f_j1 + j2 * f_j2 + alpha * frame)
+
+
 def rwa_generator(params: ModelParams, j1: float, j2: float,
                   alpha: float = 0.0) -> np.ndarray:
     """Assembled 16x16 generator at fixed coefficient values."""
-    r = params.rates
-    return (r.gamma1 * FIELD_EMIT + r.gamma2 * FIELD_ABSORB
-            + j1 * FIELD_J1 + j2 * FIELD_J2 + alpha * FIELD_FRAME)
+    return weigh_fields((FIELD_EMIT, FIELD_ABSORB, FIELD_J1, FIELD_J2,
+                         FIELD_FRAME), params, j1, j2, alpha)
 
 
 def make_rhs_rwa(params: ModelParams, drive: ConstantDrive):
@@ -124,9 +133,9 @@ def make_rhs_rwa(params: ModelParams, drive: ConstantDrive):
 # Lab frame (no rotating-frame reduction)
 # ====================================================================
 
-def lab_hamiltonian(params: ModelParams, epsilon: float) -> np.ndarray:
-    """Bare two-body Hamiltonian with the control shift applied."""
-    return (-0.5 * (params.omega_q + epsilon) * _SZ_Q
+def lab_hamiltonian(params: ModelParams) -> np.ndarray:
+    """Bare two-body Hamiltonian; the control shift enters through L_eps."""
+    return (-0.5 * params.omega_q * _SZ_Q
             - 0.5 * params.omega_tls * _SZ_T
             - params.J * _SXSX)
 
@@ -138,7 +147,7 @@ def lab_liouvillian(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     defect dissipator) applied to basis vector k.  No secular or
     rotating-frame approximation; jump operators act on the defect only."""
     r = params.rates
-    l0 = (_commutator(lab_hamiltonian(params, 0.0))
+    l0 = (_commutator(lab_hamiltonian(params))
           + r.gamma1 * _DISS_EMIT + r.gamma2 * _DISS_ABSORB)
     l_eps = _commutator(-0.5 * _SZ_Q)
     return tuple(matrix_to_x(np.array([l0, l_eps])).swapaxes(-1, -2))

@@ -91,11 +91,10 @@ def _check_json(values) -> None:
 
 class Table:
     def __init__(self, command: str, columns: list[str],
-                 rows: list[tuple] | None = None,
                  metadata: dict | None = None):
         self.command = command
         self.columns = columns
-        self.rows = [] if rows is None else rows
+        self.rows = []
         self.metadata = {} if metadata is None else metadata
 
     def add(self, *cells) -> None:

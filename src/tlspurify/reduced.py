@@ -16,10 +16,10 @@ coordinates, and the flow closes on them (0-based slots, with x also
 Qubit purity = 1/2 + 2 (z[0]^2 + z[4]^2 + z[6]^2).  x_to_z and z_purity
 take one state or a stack of them, on the last axis, as model.x_to_matrix
 does.  The first four coordinates (block S1) and last four (block S2)
-evolve independently of each other.  The package runs the reduced flow
-only resonant (simulate_z exactly, make_rhs_z for the checks'
-Runge-Kutta side); z_generator keeps the general coefficients (J1, J2,
-alpha) of the full generator, the reduction that the tests hold it to.
+evolve independently of each other.  The reduced flow is liouville's,
+projected through x_to_z and a lift of z to a unit-trace state; no entry
+of it is typed by hand.  The package runs it only resonant (simulate_z
+exactly, make_rhs_z for the checks' Runge-Kutta side).
 
 The spherical picture sits on S1: with  c = -(z[3]+1)/2  and
 
@@ -51,6 +51,7 @@ whose flow is linear and regular (a = 2 J cos(u) = 2 J):
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -85,55 +86,41 @@ def z_purity(z: np.ndarray) -> np.ndarray:
 
 
 # ====================================================================
-# Static fields of the reduced flow:  dz/dt = M z + b
+# The reduced flow, projected from the full one:  dz/dt = M z + b
 # ====================================================================
 
-def _mat8(entries: dict[tuple[int, int], float]) -> np.ndarray:
-    m = np.zeros((8, 8))
-    for (i, j), v in entries.items():
-        m[i, j] = v
-    return m
+#: x_to_z(x) = _P x + _Z_OFF, read off x_to_z itself
+_Z_OFF = x_to_z(np.zeros(16))
+_P = (x_to_z(np.eye(16)) - _Z_OFF).T
+
+#: maps (z, 1) to a unit-trace x with x_to_z(x) == z: x[0] = 0, the
+#: populations from z[0], z[3] and the trace, and every other z slot in
+#: the one x slot that x_to_z reads it from
+_LIFT = np.zeros((16, 9))
+_LIFT[1, [0, 8]] = 1.0, 0.5                  # x[1] = z[0] + 1/2
+_LIFT[2, [0, 3, 8]] = -1.0, -1.0, -0.5       # x[2] = -z[0] - z[3] - 1/2
+_LIFT[3, [3, 8]] = 1.0, 1.0                  # x[3] = z[3] + 1
+_LIFT[[11, 10, 6, 5, 7, 4], [1, 2, 4, 5, 6, 7]] = 1.0
 
 
-#: shared linear part of both dissipator halves
-_Z_DISS = _mat8({
-    (1, 1): -0.5, (2, 2): -0.5,
-    (3, 0): -1.0, (3, 3): -1.0,
-    (5, 5): -0.5, (7, 7): -0.5,
-})
-_Z_DISS_B1 = np.array([0.0, 0.0, 0.0, -1.5, 0.0, 0.0, 0.0, 0.0])  # emission
-_Z_DISS_B2 = np.array([0.0, 0.0, 0.0, -0.5, 0.0, 0.0, 0.0, 0.0])  # absorption
-
-_Z_J1 = _mat8({
-    (0, 1): 2.0,
-    (1, 0): -2.0, (1, 3): -1.0,
-    (4, 5): 1.0, (5, 4): -1.0,
-    (6, 7): -1.0, (7, 6): 1.0,
-})
-_Z_J1_B = np.array([0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-
-_Z_J2 = _mat8({
-    (0, 2): 2.0,
-    (2, 0): -2.0, (2, 3): -1.0,
-    (4, 7): -1.0, (5, 6): 1.0,
-    (6, 5): -1.0, (7, 4): 1.0,
-})
-_Z_J2_B = np.array([0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-
-_Z_FRAME = _mat8({
-    (1, 2): -2.0, (2, 1): 2.0,
-    (4, 6): 2.0, (6, 4): -2.0,
-})
+@functools.cache
+def _z_fields() -> np.ndarray:
+    """[M | b] of each of liouville's five fields: the flow closes on z,
+    so _P F applied to the lift of (z, 1) is M z + b.  Built on first
+    use: optimal imports this module without running the dynamics."""
+    from .liouville import (FIELD_ABSORB, FIELD_EMIT, FIELD_FRAME,
+                            FIELD_J1, FIELD_J2)
+    return _P @ np.array([FIELD_EMIT, FIELD_ABSORB, FIELD_J1, FIELD_J2,
+                          FIELD_FRAME]) @ _LIFT
 
 
 def z_generator(params: ModelParams, j1: float, j2: float,
                 alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(M, b) of the affine reduced flow at fixed coefficients."""
-    r = params.rates
-    m = (r.gamma * _Z_DISS + j1 * _Z_J1 + j2 * _Z_J2 + alpha * _Z_FRAME)
-    b = (r.gamma1 * _Z_DISS_B1 + r.gamma2 * _Z_DISS_B2
-         + j1 * _Z_J1_B + j2 * _Z_J2_B)
-    return m, b
+    """(M, b) of the affine reduced flow at fixed coefficients: the
+    projected fields, weighted as rwa_generator weights the full ones."""
+    from .liouville import weigh_fields
+    g = weigh_fields(_z_fields(), params, j1, j2, alpha)
+    return g[:, :8], g[:, 8]
 
 
 def make_rhs_z(params: ModelParams):

@@ -49,7 +49,8 @@ def _trace(params, xi, mu, t_end, n):
 
 def simulate_trace(cfg: RunConfig) -> Table:
     """Full-model trajectory at the configured parameters; the run ends at
-    the drift-flow pole time when that is defined, else at the horizon."""
+    the drift-flow pole time when that is defined, else at the horizon.
+    The pole engine knows only a real, non-negative xi."""
     params = cfg.params()
     drive = cfg.drive()
     state = build_initial_state(params, cfg.state_spec())
@@ -58,9 +59,9 @@ def simulate_trace(cfg: RunConfig) -> Table:
         else 2.0 * math.pi / params.omega_q
     t_end = cfg.horizon * t_ref
     pole_status = "not-tracked"
-    if drive.detuning == 0.0 and params.J > 0.0 and cfg.xi_im == 0.0:
-        lead = t_min_numeric(params, math.hypot(cfg.xi_re, cfg.xi_im),
-                             horizon_mult=cfg.horizon)
+    if (drive.detuning == 0.0 and params.J > 0.0 and cfg.xi_re >= 0.0
+            and cfg.xi_im == 0.0):
+        lead = t_min_numeric(params, cfg.xi_re, horizon_mult=cfg.horizon)
         pole_status = lead.status
         if lead.status == "reached":
             t_end = lead.time

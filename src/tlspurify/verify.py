@@ -53,7 +53,7 @@ def suite_passed(checks: list[CheckResult]) -> bool:
     return all(c.passed for c in checks)
 
 
-def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
+def run_suite(params: ModelParams, *, rtol: float = 1e-10,
               atol: float = 1e-10, z_rhs_override=None) -> list[CheckResult]:
     """Run every self-check and return the results in a fixed order.
 
@@ -61,8 +61,6 @@ def run_suite(params: ModelParams | None = None, *, rtol: float = 1e-10,
     side inside the full-vs-reduced equivalence check only; a corrupted
     override must make that check fail.
     """
-    if params is None:
-        params = ModelParams().with_gamma_over_j(2.0)
     checks: list[CheckResult] = []
 
     # -- generator is trace-free for any drive coefficients ------------

@@ -23,9 +23,12 @@ The matrix: every command, simulate in both frames, in CSV and in JSON,
 under ten configs (the default, a detuned drive, a cold and a colder
 bath, J = 0, a hot bath with a larger loss and coupling, the README's
 flat config and its quoted twin, and a log beta axis); CI's bad-config
-and usage-error cases; and the benchmark's invocations
-(perfbench/workloads.py) at two seeds.  This is not a test module: pytest
-does not collect it, and test_outdiff.py runs a few of its cases.
+and usage-error cases; and, at two seeds, the benchmark's invocations
+(perfbench/workloads.py) and every command under each config file of
+each workload, in CSV and in JSON (a config whose text an earlier seed
+or workload already wrote runs once, under that first name).  This is
+not a test module: pytest does not collect it, and test_outdiff.py runs
+a few of its cases.
 """
 
 from __future__ import annotations
@@ -344,7 +347,8 @@ def cases(workdir: Path) -> list[tuple[str, list[str]]]:
         found.append((f"error/{name}/{argv[0]}", argv))
     if str(REPO / "perfbench") not in sys.path:
         sys.path.insert(0, str(REPO / "perfbench"))
-    from workloads import WORKLOADS, invocations, write_configs
+    from workloads import WORKLOADS, draw, invocations, write_configs
+    seen = set()
     for seed in BENCH_SEEDS:
         seed_dir = workdir / f"seed{seed}"
         for workload in WORKLOADS:
@@ -353,6 +357,15 @@ def cases(workdir: Path) -> list[tuple[str, list[str]]]:
                 found.append((f"seed{seed}/{inv.name}", [
                     inv.command, "--config", str(seed_dir / inv.config),
                     *inv.flags]))
+            for file, text in draw(workload, seed).items():
+                if text in seen:
+                    continue
+                seen.add(text)
+                flags = ["--config", str(seed_dir / file)]
+                found += [(f"seed{seed}/{Path(file).stem}/{name}/{fmt}",
+                           [*argv, *flags, "--format", fmt])
+                          for name, argv in COMMANDS.items()
+                          for fmt in ("csv", "json")]
     return found
 
 

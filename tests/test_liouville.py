@@ -98,10 +98,10 @@ def test_simulate_matches_scipy_on_matrix_oracle(params_bath):
 
 def test_lab_hamiltonian_structure():
     p = ModelParams(J=0.05)
-    h = lab_hamiltonian(p, 0.4)
+    h = lab_hamiltonian(p)
     sz = np.diag([1.0, -1.0])
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    expected = (-0.5 * (p.omega_q + 0.4) * np.kron(sz, np.eye(2))
+    expected = (-0.5 * p.omega_q * np.kron(sz, np.eye(2))
                 - 0.5 * p.omega_tls * np.kron(np.eye(2), sz)
                 - p.J * np.kron(sx, sx))
     assert np.abs(h - expected).max() < 1e-15

@@ -135,13 +135,18 @@ def test_every_import_names_the_defining_module():
     for module_name in _module_names():
         tree = ast.parse((REPO / "src" / "tlspurify"
                           / f"{module_name}.py").read_text())
+        # a tuple target binds each of its elements
         defined[f"tlspurify.{module_name}"] = {
             target.id if isinstance(target, ast.Name) else target.name
             for node in tree.body
-            for target in (node.targets if isinstance(node, ast.Assign)
-                           else [node])
+            for bound in (node.targets if isinstance(node, ast.Assign)
+                          else [node])
+            for target in (bound.elts if isinstance(bound, ast.Tuple)
+                           else [bound])
             if isinstance(target, (ast.Name, ast.FunctionDef,
                                    ast.ClassDef))}
+    assert {"FIELD_EMIT", "FIELD_ABSORB", "FIELD_J1", "FIELD_J2",
+            "FIELD_FRAME"} <= defined["tlspurify.liouville"]
     borrowed = []
     for path in sorted([*(REPO / "src" / "tlspurify").glob("*.py"),
                         *(REPO / "tests").glob("*.py")]):

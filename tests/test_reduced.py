@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 
 from oracles import random_density_x, z_to_spherical
 from tlspurify.integrator import integrate
-from tlspurify.liouville import (qubit_purity, rwa_generator, simulate,
-                                 tls_purity)
+from tlspurify.liouville import (FIELD_ABSORB, FIELD_EMIT, FIELD_FRAME,
+                                 FIELD_J1, FIELD_J2, qubit_purity,
+                                 rwa_generator, simulate, tls_purity)
 from tlspurify.model import (InitialStateSpec, ModelParams,
                              build_initial_state, mu_max, xi_max)
 from tlspurify.pole import initial_direction, t_min_numeric
-from tlspurify.reduced import (make_rhs_rct, make_rhs_s1, make_rhs_z,
-                               simulate_z, x_to_z, z_generator, z_purity)
+from tlspurify.reduced import (_LIFT, _P, _Z_OFF, _z_fields, make_rhs_rct,
+                               make_rhs_s1, make_rhs_z, simulate_z, x_to_z,
+                               z_generator, z_purity)
 
 # Frozen by hand from the coordinate layout: each z entry reads specific
 # x slots, so a handcrafted x with distinct slot values pins the wiring.
@@ -64,6 +66,24 @@ def test_z_map_intertwines_generators(params_bath, rng):
             # subtract the image of 0 to isolate the linear part of x_to_z
             lhs = x_to_z(g @ x) - x_to_z(np.zeros(16))
             assert np.abs(lhs - (m @ x_to_z(x) + b)).max() < 1e-13
+
+
+def test_projected_fields_are_exact():
+    """Each of liouville's five fields F and its projection [M | b]
+    satisfy _P F = M _P + (M z_off + b) tr on every coordinate unit
+    vector, with no rounding at all; the lift of (e_k, 1) is a unit-trace
+    state that x_to_z maps back to e_k bit for bit."""
+    trace_row = np.array([1.0] * 4 + [0.0] * 12)
+    fields = [FIELD_EMIT, FIELD_ABSORB, FIELD_J1, FIELD_J2, FIELD_FRAME]
+    for field, projected in zip(fields, _z_fields(), strict=True):
+        m, b = projected[:, :8], projected[:, 8]
+        resid = _P @ field - (m @ _P + np.outer(m @ _Z_OFF + b, trace_row))
+        assert np.abs(resid).max() == 0.0
+    for e_k in np.eye(8):
+        x = _LIFT @ np.append(e_k, 1.0)
+        assert x_to_z(x).tobytes() == e_k.tobytes()
+        assert x[:4].sum() == 1.0
+    assert _LIFT[:4, 8].sum() == 1.0
 
 
 def test_z_purity_equals_qubit_purity(rng):

@@ -77,6 +77,21 @@ def test_simulate_trace_detuned_not_tracked():
     assert tab.metadata["pole_status"] == "not-tracked"
 
 
+@pytest.mark.parametrize("xi_re", [-0.05, 0.05])
+def test_simulate_trace_tracks_only_a_start_the_engine_knows(xi_re):
+    """The pole engine knows coherence only on the non-negative in-phase
+    axis: a start at -0.05 runs to the horizon, one at +0.05 ends on its
+    own pole, where Re xi (x11) is zero."""
+    cfg = _cfg(run={"samples": 21}, state={"xi_re": xi_re})
+    tab = simulate_trace(cfg)
+    if xi_re < 0.0:
+        assert tab.metadata["pole_status"] == "not-tracked"
+        assert tab.metadata["t_end"] == cfg.horizon * T0
+    else:
+        assert tab.metadata["pole_status"] == "reached"
+        assert abs(tab.rows[-1][tab.columns.index("x11")]) < 1e-12
+
+
 def test_simulate_trace_closed_system_is_frozen():
     tab = simulate_trace(_cfg(run={"samples": 21, "horizon": 1.0},
                               model={"J": 0.0, "kappa": 0.0},

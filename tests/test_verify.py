@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tlspurify.config import RunConfig
+from tlspurify.model import ModelParams
 from tlspurify.reduced import make_rhs_z
 from tlspurify.sweeps import verify_table
 from tlspurify.verify import run_suite, suite_passed
@@ -40,7 +41,7 @@ def default_report():
 
 
 def test_suite_all_green():
-    checks = run_suite()
+    checks = run_suite(ModelParams().with_gamma_over_j(2.0))
     assert [c.name for c in checks] == EXPECTED_ORDER
     failed = [(c.name, c.residual, c.tol) for c in checks if not c.passed]
     assert failed == []
@@ -53,7 +54,6 @@ def test_suite_all_green():
 def test_suite_catches_corrupted_reduction():
     """Feed the equivalence check a reduced flow that is 1% off; exactly
     that one check must go red."""
-    from tlspurify.model import ModelParams
     params = ModelParams().with_gamma_over_j(2.0)
     true_rhs = make_rhs_z(params)
 
@@ -99,7 +99,6 @@ def test_verify_on_colder_bath():
 
 
 def test_verify_table_reports_failure():
-    from tlspurify.model import ModelParams
     params = ModelParams().with_gamma_over_j(2.0)
     true_rhs = make_rhs_z(params)
     table, ok = verify_table(RunConfig.from_dict({}),
