@@ -9,9 +9,13 @@ purity-trace, verify.  Flags override the corresponding config keys; every
 command writes one table to --out (stdout if omitted).  Errors go to
 stderr as a JSON object {code, message, parameter} with a nonzero exit.
 
-The parser is one table of the seven commands (_HELP) and one of the
-seven options (_OPTIONS); both drive parsing, usage errors and the
---help text.  It reads arguments as argparse did: an option is
+One table of the seven commands (_COMMANDS) drives parsing, the --help
+text and dispatch; one of the seven options (_OPTIONS) drives parsing,
+usage errors and the --help text.  A table whose all_passed is false
+(verify's report of a failed check) is written, then exits 1 with a
+verify-failed error object.
+
+The parser reads arguments as argparse did: an option is
 ``--name VALUE`` or ``--name=VALUE``, a unique prefix of a name will do
 (--conf), the last of a repeated option wins, and a token starting with
 "-" is a value only if it is "-", a negative number or holds a space.
@@ -47,36 +51,23 @@ from .output import emit_error, write_table
 __all__ = ["main", "entry"]
 
 
-def _driver(module: str, name: str):
-    """The driver `name` of the package module `module`, imported when the
-    command runs: a pole-time scan never loads the integrator stack.
-    (__import__ rather than importlib.import_module, so that
-    ``python -X importtime`` lists the driver module too.)"""
-    def run(cfg):
-        found = __import__(f"{__package__}.{module}", fromlist=[name])
-        return getattr(found, name)(cfg)
-    return run
-
-
+#: the seven commands, in --help order: name -> (driver module, driver,
+#: help line).  The module is imported only when its command runs
 _COMMANDS = {
-    "simulate": _driver("sweeps", "simulate_trace"),
-    "scan-gamma": _driver("scans", "scan_gamma"),
-    "scan-beta": _driver("scans", "scan_beta"),
-    "region-map": _driver("scans", "region_map"),
-    "coherence-map": _driver("sweeps", "coherence_map"),
-    "purity-trace": _driver("sweeps", "purity_trace"),
-}
-_VERIFY = _driver("sweeps", "verify_table")
-
-#: the seven commands, in --help order, with their help lines
-_HELP = {
-    "simulate": "integrate one full-model trajectory and emit it",
-    "scan-gamma": "pole time against gamma/J, bare and correlated",
-    "scan-beta": "pole time against inverse temperature",
-    "region-map": "stall-region labels over the (coupling, correlation) plane",
-    "coherence-map": "coherence purity gain over the (xi, mu) plane",
-    "purity-trace": "purity traces over a coherence grid",
-    "verify": "run the self-check suite and report residuals",
+    "simulate": ("sweeps", "simulate_trace",
+                 "integrate one full-model trajectory and emit it"),
+    "scan-gamma": ("scans", "scan_gamma",
+                   "pole time against gamma/J, bare and correlated"),
+    "scan-beta": ("scans", "scan_beta",
+                  "pole time against inverse temperature"),
+    "region-map": ("scans", "region_map", "stall-region labels over the "
+                   "(coupling, correlation) plane"),
+    "coherence-map": ("sweeps", "coherence_map",
+                      "coherence purity gain over the (xi, mu) plane"),
+    "purity-trace": ("sweeps", "purity_trace",
+                     "purity traces over a coherence grid"),
+    "verify": ("sweeps", "verify_table",
+               "run the self-check suite and report residuals"),
 }
 
 #: the options of every command, in --help order: name -> (metavar, type,
@@ -111,7 +102,8 @@ def _help(command: str | None) -> str:
             "usage: tlspurify <command> [options]\n\n"
             "purification dynamics of a qubit coupled to a lossy two-level "
             "defect\n\ncommands:\n",
-            *(f"  {name:<15}{line}\n" for name, line in _HELP.items()),
+            *(f"  {name:<15}{line}\n"
+              for name, (_, _, line) in _COMMANDS.items()),
             "\n'tlspurify <command> --help' lists the options of a "
             "command.\n"])
     flags = {"-h, --help": "show this help and exit"}
@@ -119,8 +111,8 @@ def _help(command: str | None) -> str:
         shown = metavar or "{" + ",".join(choices(name)) + "}"
         flags[f"--{name} {shown}"] = line
     return "".join([
-        f"usage: tlspurify {command} [options]\n\n{_HELP[command]}\n\n"
-        "options:\n",
+        f"usage: tlspurify {command} [options]\n\n"
+        f"{_COMMANDS[command][2]}\n\noptions:\n",
         *(f"  {flag:<21}{line}\n" for flag, line in flags.items()),
         "\nAn option is --name VALUE or --name=VALUE, a unique prefix of "
         "its name will do\n(--conf for --config), and the last of a "
@@ -230,11 +222,11 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
         else:
             _show_help(None, value)
     else:
-        _usage(f"a command is required: one of {', '.join(_HELP)}")
+        _usage(f"a command is required: one of {', '.join(_COMMANDS)}")
     command = argv[k]
-    if command not in _HELP:
+    if command not in _COMMANDS:
         _usage(f"invalid command {command!r}: choose from "
-               f"{', '.join(_HELP)}")
+               f"{', '.join(_COMMANDS)}")
     given = _options(command, argv[k + 1:])
     if extras:
         _usage(f"unrecognized arguments: {' '.join(extras)}")
@@ -267,25 +259,21 @@ def main(argv: list[str] | None = None) -> int:
 def _run(command: str, flags: dict) -> int:
     try:
         cfg = load_config(flags.get("config"))
-        overrides = {key: flags.get(key) for key in
-                     ("out", "format", "frame", "horizon", "workers")}
+        overrides = {key: flags.get(key) for key in _OPTIONS
+                     if key not in ("config", "tol")}
         if "tol" in flags:
             overrides["abs_tol"], overrides["rel_tol"] = _parse_tol(
                 flags["tol"])
         cfg = cfg.override(**overrides)
-
-        if command == "verify":
-            table, ok = _VERIFY(cfg)
-            write_table(table, cfg)
-            if not ok:
-                emit_error("verify-failed",
-                           "one or more self-checks exceeded tolerance",
-                           "")
-                return 1
-            return 0
-
-        table = _COMMANDS[command](cfg)
+        module, name, _ = _COMMANDS[command]
+        # __import__, so that python -X importtime lists the module too
+        found = __import__(f"{__package__}.{module}", fromlist=[name])
+        table = getattr(found, name)(cfg)
         write_table(table, cfg)
+        if table.metadata.get("all_passed") is False:
+            emit_error("verify-failed",
+                       "one or more self-checks exceeded tolerance", "")
+            return 1
         return 0
     except ConfigError as exc:
         emit_error(exc.code, exc.message, exc.parameter)

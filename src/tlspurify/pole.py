@@ -35,7 +35,9 @@ import numpy as np
 
 from .model import ModelParams, StepStats
 
-#: |gamma - 4J| below this counts as sitting on the divergence boundary
+#: relative width of the band below gamma = 4J that counts as sitting on
+#: the divergence boundary: t/t0 depends on gamma/J alone, so the band
+#: scales with the rates
 CRITICAL_TOL = 1e-12
 
 #: curvature slack when deciding that a theta-rate zero is a genuine stall
@@ -53,7 +55,7 @@ def j_min(gamma: float) -> float:
 
 def is_divergent(J: float, gamma: float) -> bool:
     """True when the uncorrelated pole time is infinite (gamma >= 4J)."""
-    return gamma >= 4.0 * J - CRITICAL_TOL
+    return gamma >= 4.0 * J * (1.0 - CRITICAL_TOL)
 
 
 def t_min_from_rates(J: float, gamma: float) -> float:

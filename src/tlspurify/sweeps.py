@@ -30,7 +30,8 @@ from .pole import first_events, t_min_numeric
 from .reduced import simulate_z, x_to_z, z_purity
 # perfbench's fan-out probe imports scan_gamma from here
 from .scans import _coupled, scan_gamma  # noqa: F401
-from .verify import run_suite, suite_passed
+# perfbench's tracer wraps run_suite where verify_table calls it: here
+from .verify import CheckResult, run_suite, suite_passed
 
 __all__ = ["simulate_trace", "coherence_map", "purity_trace", "verify_table"]
 
@@ -169,21 +170,17 @@ def purity_trace(cfg: RunConfig) -> Table:
 # Self-check report
 # ====================================================================
 
-def verify_table(cfg: RunConfig, z_rhs_override=None) -> tuple[Table, bool]:
-    """Run the self-check suite and lay the report out as a table."""
+def verify_table(cfg: RunConfig, z_rhs_override=None) -> Table:
+    """The self-check report: its rows are the suite's CheckResults, and
+    its metadata says whether all passed."""
     checks = run_suite(_coupled(cfg.params()), rtol=cfg.rel_tol,
                        atol=cfg.abs_tol,
                        z_rhs_override=z_rhs_override)
-    blind = [c.name for c in checks if not math.isfinite(c.residual)]
+    blind = [c.check for c in checks if not math.isfinite(c.residual)]
     if blind:
         raise ValueError("no finite residual in verify check "
                          + ", ".join(blind))
-    ok = suite_passed(checks)
-    table = Table("verify",
-                  ["check", "passed", "residual", "tol",
-                   "n_steps", "n_rejected"],
-                  metadata={"all_passed": ok})
-    for c in checks:
-        table.add(c.name, c.passed, c.residual, c.tol,
-                  c.n_steps, c.n_rejected)
-    return table, ok
+    table = Table("verify", list(CheckResult._fields),
+                  metadata={"all_passed": suite_passed(checks)})
+    table.rows = checks
+    return table

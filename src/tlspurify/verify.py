@@ -2,7 +2,8 @@
 
 Every check measures a residual and holds it to a stated tolerance; checks
 that propagate also report accepted/rejected step counts (node steps, with
-none rejected, for an exact run).  Each check compares two independent
+none rejected, for an exact run), and its CheckResult is its row of
+verify's report, field for column.  Each check compares two independent
 paths: the runs that simulate propagates exactly are held against
 Runge-Kutta integration of the same flow or of its reduction, and rtol and
 atol set only that Runge-Kutta side.  ``run_suite`` accepts an override for
@@ -32,21 +33,21 @@ __all__ = ["CheckResult", "run_suite", "suite_passed"]
 
 
 class CheckResult(NamedTuple):
-    name: str
+    """One check: a row of verify's report, its fields the columns."""
+    check: str
     passed: bool
     residual: float
     tol: float
-    detail: str = ""
     n_steps: int = 0
     n_rejected: int = 0
 
 
-def _check(name: str, residual: float, tol: float, detail: str,
+def _check(name: str, residual: float, tol: float,
            stats: StepStats | None = None) -> CheckResult:
     if stats is None:
         stats = StepStats()
     return CheckResult(name, bool(residual < tol), float(residual), tol,
-                       detail, stats.accepted, stats.rejected)
+                       stats.accepted, stats.rejected)
 
 
 def suite_passed(checks: list[CheckResult]) -> bool:
@@ -64,15 +65,16 @@ def run_suite(params: ModelParams, *, rtol: float = 1e-10,
     checks: list[CheckResult] = []
 
     # -- generator is trace-free for any drive coefficients ------------
+    # the largest column sum of its four diagonal rows
     worst = 0.0
     for j1, j2, al in [(params.J, 0.0, 0.0), (0.02, -0.05, 0.3),
                        (0.0, 0.0, 0.0), (-0.1, 0.07, -1.2)]:
         m = rwa_generator(params, j1, j2, al)
         worst = max(worst, float(np.abs(m[:4].sum(axis=0)).max()))
-    checks.append(_check("generator-trace-free", worst, 1e-12,
-                         "max column sum of the four diagonal rows"))
+    checks.append(_check("generator-trace-free", worst, 1e-12))
 
     # -- full 16-dim run mapped to z matches the reduced run ----------
+    # the largest z gap at the reduced run's steps, correlated start
     xi = xi_max(params)
     mu = 0.5 * mu_max(params, 0.5 * xi)
     spec = InitialStateSpec(mu_q=mu, xi_re=0.5 * xi)
@@ -84,43 +86,38 @@ def run_suite(params: ModelParams, *, rtol: float = 1e-10,
     red = integrate(z_rhs, t_span, z0, rtol=rtol, atol=atol)
     resid = float(np.abs(x_to_z(full.trajectory(red.t)) - red.y).max())
     checks.append(_check("full-vs-reduced", resid, 1e-8,
-                         "max-abs z gap at the reduced run's steps on "
-                         "[0, 2 T0], correlated start",
                          full.stats + red.stats))
 
     # -- exact propagation matches Runge-Kutta on the same run ----------
+    # the largest x gap at the integrated run's steps, same start and span
     rk = integrate(make_rhs_rwa(params, resonant()), t_span, state.x,
                    rtol=rtol, atol=atol)
     resid = float(np.abs(full.trajectory(rk.t) - rk.y).max())
-    checks.append(_check("exact-vs-rk", resid, 1e-8,
-                         "max-abs x gap at the integrated run's steps on "
-                         "[0, 2 T0], same start", full.stats + rk.stats))
+    checks.append(_check("exact-vs-rk", resid, 1e-8, full.stats + rk.stats))
 
     ts = np.linspace(t_span[0], t_span[1], 400)
 
-    # -- trace preserved along the full run ---------------------------
+    # -- trace preserved along the full run: max |trace - 1| ----------
     xs = full.trajectory(ts)
     drift = float(np.abs(xs[:, :4].sum(axis=1) - 1.0).max())
-    checks.append(_check("trace-preservation", drift, 1e-9,
-                         "max |trace - 1| along the same run", full.stats))
+    checks.append(_check("trace-preservation", drift, 1e-9, full.stats))
 
-    # -- state stays positive along the full run ----------------------
+    # -- state stays positive: the most negative eigenvalue seen -------
     checks.append(_check("positivity",
-                         max(0.0, -min_eigenvalue(xs[::8])), 1e-8,
-                         "most negative density eigenvalue seen"))
+                         max(0.0, -min_eigenvalue(xs[::8])), 1e-8))
 
-    # -- eta-line conservation for the uncorrelated start -------------
+    # -- eta-line conservation at xi = 0: max |r + c - eta| -----------
     plain = build_initial_state(params, InitialStateSpec())
     res0 = simulate(params, plain, t_span)
     zz = x_to_z(res0.y)
     cc = -0.5 * (zz[:, 3] + 1.0)
     rr = np.hypot(zz[:, 0] - cc, zz[:, 1])
     resid = float(np.abs(rr + cc - params.eta).max())
-    checks.append(_check("z-conservation", resid, 1e-9,
-                         "max |r + c - eta| at xi = 0", res0.stats))
+    checks.append(_check("z-conservation", resid, 1e-9, res0.stats))
 
     # -- radius never grows under the drift flow ----------------------
-    # r = e^{-gamma t/2} |q_wv| on the regular S1 direction flow, so
+    # the largest dr/dt at an accepted step: r = e^{-gamma t/2} |q_wv|
+    # on the regular S1 direction flow, so
     # dr/dt = e^{-gamma t/2} (q_wv . q_wv' / |q_wv| - (gamma/2) |q_wv|)
     s1 = integrate(make_rhs_s1(params), t_span, initial_direction(params, xi),
                    rtol=rtol, atol=atol)
@@ -130,12 +127,13 @@ def run_suite(params: ModelParams, *, rtol: float = 1e-10,
         (q * dq).sum(axis=1), norm, out=np.zeros_like(norm), where=norm > 0.0)
         - 0.5 * params.gamma * norm)
     checks.append(_check("radius-monotone", float(max(0.0, rate.max())),
-                         1e-10, "largest dr/dt at an accepted step", s1.stats))
+                         1e-10, s1.stats))
 
     # -- coherence block closed form ----------------------------------
-    # a cold qubit carries little coherence: the start keeps mu = 0.3
-    # while that is within 3/4 of the ceiling (beta up to about 1.3 at the
-    # default splittings), and sits at 3/4 of the ceiling past that
+    # the largest gap to the damped-oscillator solution.  A cold qubit
+    # carries little coherence: the start keeps mu = 0.3 while that is
+    # within 3/4 of the ceiling (beta up to about 1.3 at the default
+    # splittings), and sits at 3/4 of the ceiling past that
     mu_s2 = min(0.3, 0.75 * mu_max(params, 0.0))
     worst = 0.0
     tot = StepStats()
@@ -148,12 +146,11 @@ def run_suite(params: ModelParams, *, rtol: float = 1e-10,
         exact = s2_resonant_solution(p, mu_s2, tt)
         worst = max(worst, float(np.abs(zr.trajectory(tt)[:, 4] - exact).max()))
         tot += zr.stats
-    checks.append(_check("s2-closed-form", worst, 1e-8,
-                         "max gap to the damped-oscillator solution", tot))
+    checks.append(_check("s2-closed-form", worst, 1e-8, tot))
 
     # -- pole time closed form vs direct integration ------------------
-    # one engine call for the bare leads of this check (gamma/J = 1, 2,
-    # 3.5) and of the two below (the configured params)
+    # worst relative gap at gamma/J = 1, 2, 3.5; one engine call for the
+    # bare leads of this check and of the two below (the configured params)
     fixed = [params.with_gamma_over_j(ratio) for ratio in (1.0, 2.0, 3.5)]
     *runs, bare = first_events([*fixed, params], [0.0] * 4)
     worst = 0.0
@@ -162,8 +159,7 @@ def run_suite(params: ModelParams, *, rtol: float = 1e-10,
         exact = t_min_analytic(p)
         worst = max(worst, abs(run.time - exact) / exact)
         tot += run.stats
-    checks.append(_check("pole-time-closed-form", worst, 1e-12,
-                         "worst relative gap at gamma/J = 1, 2, 3.5", tot))
+    checks.append(_check("pole-time-closed-form", worst, 1e-12, tot))
 
     # the two checks below read the bare start's pole; where that start
     # never reaches it (gamma >= 4J, or a pole past the horizon) they run
@@ -172,16 +168,14 @@ def run_suite(params: ModelParams, *, rtol: float = 1e-10,
     if bare.status != "reached":
         p, lead = fixed[1], runs[1]
 
-    # -- purity on pole arrival ---------------------------------------
+    # -- purity on pole arrival: gap to the bath-polarization value ----
     resid = abs(lead.purity - uncorrelated_pole_purity(p))
-    checks.append(_check("pole-purity", resid, 1e-5,
-                         "gap to the bath-polarization value", lead.stats))
+    checks.append(_check("pole-purity", resid, 1e-5, lead.stats))
 
-    # -- no coherence gain without correlation ------------------------
+    # -- no coherence gain without correlation: |delta_p| at xi = 0 ----
     gain = math.nan
     if lead.status == "reached":
         gain = pole_gains(p, 0.0, [mu_max(p, 0.0)], lead.time)[0, 0]
-    checks.append(_check("coherence-gain-uncorrelated", abs(gain), 1e-6,
-                         "|delta_p| at xi = 0, mu at its ceiling"))
+    checks.append(_check("coherence-gain-uncorrelated", abs(gain), 1e-6))
 
     return checks

@@ -22,8 +22,9 @@ one of the glob patterns, for example 'default/*/csv'.
 The matrix: every command, simulate in both frames, in CSV and in JSON,
 under ten configs (the default, a detuned drive, a cold and a colder
 bath, J = 0, a hot bath with a larger loss and coupling, the README's
-flat config and its quoted twin, and a log beta axis); CI's bad-config
-and usage-error cases; and, at two seeds, the benchmark's invocations
+flat config and its quoted twin, and a log beta axis); verify at two
+more Runge-Kutta tolerances, in CSV and in JSON; CI's bad-config and
+usage-error cases; and, at two seeds, the benchmark's invocations
 (perfbench/workloads.py) and every command under each config file of
 each workload, in CSV and in JSON (a config whose text an earlier seed
 or workload already wrote runs once, under that first name).  This is
@@ -76,6 +77,11 @@ COMMANDS = {
         "scan-gamma", "scan-beta", "region-map", "coherence-map",
         "purity-trace", "verify")},
 }
+
+#: verify's --tol cases: name -> ABS:REL.  CI's 1e-12 passes; at 1e-4
+#: three checks fail, so verify writes its report and exits 1 with a
+#: verify-failed error object
+TOL_CASES = {"tol-1e-12": "1e-12:1e-12", "tol-1e-4": "1e-4:1e-4"}
 
 _HOT = "model:\n  beta: {}\n  omega_q: 0.05\n  omega_tls: 0.1\n"
 _BETA_AXIS = ("sweep:\n  axes:\n    - {{name: beta, start: {}, stop: {}, "
@@ -336,6 +342,9 @@ def cases(workdir: Path) -> list[tuple[str, list[str]]]:
             for fmt in ("csv", "json"):
                 found.append((f"{config}/{name}/{fmt}",
                               [*argv, *flags, "--format", fmt]))
+    found += [(f"{name}/verify/{fmt}", ["verify", "--tol", tol, "--format",
+                                          fmt])
+              for name, tol in TOL_CASES.items() for fmt in ("csv", "json")]
     for command, config in BAD_CONFIG_CASES:
         path = workdir
         if config != "directory":

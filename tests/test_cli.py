@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import importlib
+import inspect
 import io
 import json
 import os
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tlspurify
-from tlspurify import cli
+from tlspurify import cli, scans
 from tlspurify.cli import main
 from tlspurify.config import AXIS_NAMES
 
@@ -354,7 +356,7 @@ def test_fresh_csv_run_has_no_collector_and_no_json():
     off at the end.  A CSV run of any command imports none of
     _NOT_LOADED."""
     src = str(Path(tlspurify.__file__).resolve().parents[1])
-    for command in cli._HELP:
+    for command in cli._COMMANDS:
         proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, command,
                                *_NOT_LOADED],
                               env={**os.environ, "PYTHONPATH": src},
@@ -451,7 +453,7 @@ def test_runtime_error_from_driver(capsys, monkeypatch):
         def fail(cfg, exc=exc):
             raise exc
 
-        monkeypatch.setitem(cli._COMMANDS, "scan-gamma",
+        monkeypatch.setattr(scans, "scan_gamma",
                             overflow if exc is None else fail)
         assert main(["scan-gamma"]) == 1
         captured = capsys.readouterr()
@@ -721,14 +723,32 @@ def test_help_exits_0_with_text_on_stdout(capsys, argv):
     assert (exc.value.code, captured.err) == (0, "")
     assert captured.out.startswith("usage: tlspurify ")
     command = argv[0]
-    if command in cli._HELP:
+    if command in cli._COMMANDS:
         assert captured.out.startswith(f"usage: tlspurify {command} ")
-        assert cli._HELP[command] in captured.out
+        assert cli._COMMANDS[command][2] in captured.out
         for flag in ("--config PATH", "--format {csv,json}",
                      "--frame {rwa,lab}", "--workers N"):
             assert flag in captured.out
     else:
-        assert all(name in captured.out for name in cli._HELP)
+        assert all(name in captured.out for name in cli._COMMANDS)
+
+
+def test_help_lists_the_command_table_in_order(capsys):
+    """The program's --help lists the commands of cli._COMMANDS, in its
+    order, each with its help line."""
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    listing = capsys.readouterr().out.split("commands:\n")[1].split("\n\n")[0]
+    rows = [line.split(None, 1) for line in listing.splitlines()]
+    assert rows == [[name, line] for name, (_, _, line)
+                    in cli._COMMANDS.items()]
+
+
+def test_every_command_names_a_driver_function():
+    """Each entry of cli._COMMANDS names a function of a package module."""
+    for command, (module, driver, _) in cli._COMMANDS.items():
+        found = importlib.import_module(f"tlspurify.{module}")
+        assert inspect.isfunction(getattr(found, driver, None)), command
 
 
 def test_bad_number_is_reported_before_a_later_usage_error(capsys):

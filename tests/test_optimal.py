@@ -19,6 +19,7 @@ from tlspurify.pole import (first_events, initial_spherical, is_divergent,
                             j_min, region_labels, stall_cosine,
                             t_min_analytic, t_min_from_rates, t_min_numeric)
 from tlspurify.reduced import x_to_z
+from tlspurify.scans import scan_beta, scan_gamma
 from tlspurify.sweeps import coherence_map
 
 from oracles import (Threshold, mp_first_event, s1_pole_run, s2_first_zero,
@@ -88,6 +89,27 @@ def test_is_divergent_tolerance_edges():
     assert is_divergent(J, 4 * J - 1e-13)     # inside the critical band
     assert not is_divergent(J, 4 * J - 1e-11)
     assert not is_divergent(J, 0.0)
+    # the band is relative: at J = 1e-12 it is 4e-24 wide, not 1e-12
+    J = 1e-12
+    assert is_divergent(J, 4 * J)
+    assert is_divergent(J, 4 * J * (1 - 1e-13))
+    assert not is_divergent(J, 4 * J * (1 - 1e-11))
+    assert not is_divergent(J, 3.0 * J)
+
+
+@pytest.mark.parametrize("scan", [scan_gamma, scan_beta])
+def test_pole_scans_are_scale_invariant(scan):
+    """t/t0 depends on gamma/J alone: with J and kappa both 1e-11 times
+    the default, each scan labels every cell as the default run does,
+    and each pole time in units of t0 agrees to 1e-13."""
+    scaled = RunConfig.from_dict({"model": {"J": 1e-12, "kappa": 1e-12}})
+    for row, small in zip(scan(RunConfig.from_dict({})).rows,
+                          scan(scaled).rows, strict=True):
+        for cell, tiny in zip(row[-2:], small[-2:]):
+            if isinstance(cell, str):
+                assert tiny == cell, (row, small)
+            else:
+                assert tiny == pytest.approx(cell, rel=1e-13), (row, small)
 
 
 def test_j_min():

@@ -11,7 +11,7 @@ from tlspurify.config import RunConfig
 from tlspurify.model import ModelParams
 from tlspurify.reduced import make_rhs_z
 from tlspurify.sweeps import verify_table
-from tlspurify.verify import run_suite, suite_passed
+from tlspurify.verify import CheckResult, run_suite, suite_passed
 
 EXPECTED_ORDER = [
     "generator-trace-free",
@@ -35,15 +35,15 @@ DEFAULT_STEPS = [0, 105, 104, 29, 0, 29, 98, 306, 3, 1, 0]
 
 @pytest.fixture(scope="module")
 def default_report():
-    table, ok = verify_table(RunConfig.from_dict({}))
-    assert ok
+    table = verify_table(RunConfig.from_dict({}))
+    assert table.metadata["all_passed"] is True
     return table
 
 
 def test_suite_all_green():
     checks = run_suite(ModelParams().with_gamma_over_j(2.0))
-    assert [c.name for c in checks] == EXPECTED_ORDER
-    failed = [(c.name, c.residual, c.tol) for c in checks if not c.passed]
+    assert [c.check for c in checks] == EXPECTED_ORDER
+    failed = [(c.check, c.residual, c.tol) for c in checks if not c.passed]
     assert failed == []
     assert suite_passed(checks)
     for c in checks:
@@ -61,10 +61,10 @@ def test_suite_catches_corrupted_reduction():
         return 1.01 * true_rhs(t, z)
 
     checks = run_suite(params, z_rhs_override=skewed)
-    by_name = {c.name: c for c in checks}
+    by_name = {c.check: c for c in checks}
     assert not by_name["full-vs-reduced"].passed
     assert not suite_passed(checks)
-    others = [c for c in checks if c.name != "full-vs-reduced"]
+    others = [c for c in checks if c.check != "full-vs-reduced"]
     assert all(c.passed for c in others)
 
 
@@ -90,20 +90,28 @@ def test_verify_table_shape(default_report):
     assert table.metadata["all_passed"] is True
 
 
+def test_report_rows_are_the_check_records(default_report):
+    """verify's report holds run_suite's records themselves, field for
+    column."""
+    cfg = RunConfig.from_dict({})
+    assert default_report.rows == run_suite(cfg.params(), rtol=cfg.rel_tol,
+                                            atol=cfg.abs_tol)
+    assert default_report.columns == list(CheckResult._fields)
+
+
 def test_verify_on_colder_bath():
     """Past beta ~ 2.2 a qubit cannot carry mu = 0.3; the coherence check
     starts below its ceiling, and every check still passes."""
-    table, ok = verify_table(RunConfig.from_dict({"model": {"beta": 3.0}}))
-    assert ok
+    table = verify_table(RunConfig.from_dict({"model": {"beta": 3.0}}))
+    assert table.metadata["all_passed"] is True
     assert [r[0] for r in table.rows] == EXPECTED_ORDER
 
 
 def test_verify_table_reports_failure():
     params = ModelParams().with_gamma_over_j(2.0)
     true_rhs = make_rhs_z(params)
-    table, ok = verify_table(RunConfig.from_dict({}),
-                             z_rhs_override=lambda t, z: 1.01 * true_rhs(t, z))
-    assert not ok
+    table = verify_table(RunConfig.from_dict({}),
+                         z_rhs_override=lambda t, z: 1.01 * true_rhs(t, z))
     assert table.metadata["all_passed"] is False
     flags = {r[0]: r[1] for r in table.rows}
     assert flags["full-vs-reduced"] is False
@@ -118,7 +126,7 @@ def test_pole_purity_past_critical_runs_at_ratio_two(kappa):
     params = RunConfig.from_dict({"model": {"kappa": kappa}}).params()
 
     def pole_purity(p):
-        return next(c for c in run_suite(p) if c.name == "pole-purity")
+        return next(c for c in run_suite(p) if c.check == "pole-purity")
 
     got = pole_purity(params)
     want = pole_purity(params.with_gamma_over_j(2.0))
