@@ -98,8 +98,7 @@ def weigh_fields(fields, params: ModelParams, j1: float, j2: float,
     """Sum of the five fields, or of their images under a linear map,
     weighted by gamma1, gamma2, j1, j2 and alpha, left to right."""
     emit, absorb, f_j1, f_j2, frame = fields
-    r = params.rates
-    return (r.gamma1 * emit + r.gamma2 * absorb
+    return (params.gamma1 * emit + params.gamma2 * absorb
             + j1 * f_j1 + j2 * f_j2 + alpha * frame)
 
 
@@ -146,9 +145,8 @@ def lab_liouvillian(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     matrix-level equation (commutator with the bare Hamiltonian plus the
     defect dissipator) applied to basis vector k.  No secular or
     rotating-frame approximation; jump operators act on the defect only."""
-    r = params.rates
     l0 = (_commutator(lab_hamiltonian(params))
-          + r.gamma1 * _DISS_EMIT + r.gamma2 * _DISS_ABSORB)
+          + params.gamma1 * _DISS_EMIT + params.gamma2 * _DISS_ABSORB)
     l_eps = _commutator(-0.5 * _SZ_Q)
     return tuple(matrix_to_x(np.array([l0, l_eps])).swapaxes(-1, -2))
 

@@ -3,8 +3,10 @@
 The system is a controllable qubit (splitting ``omega_q``) exchange-coupled
 with strength ``J`` to a two-level defect (splitting ``omega_tls``).  The
 defect leaks into a thermal bath at inverse temperature ``beta`` with rate
-prefactor ``kappa``.  Everything downstream works in a real parameterization
-of the 4x4 density matrix:
+prefactor ``kappa``.  ModelParams holds these five parameters and derives,
+once, every thermal constant the other layers read, from
+thermal_populations and bose_occupation.  Everything downstream works in
+a real parameterization of the 4x4 density matrix:
 
     rho = [[ x1,        x5 + i x6,  x7 + i x8,   x9 + i x10],
            [ .,         x2,         x11 + i x12, x13 + i x14],
@@ -82,39 +84,6 @@ def bose_occupation(omega: float, beta: float) -> float:
     return math.exp(-x) / -math.expm1(-x)
 
 
-class BathRates(NamedTuple):
-    """Decay channels of the defect: emission gamma1, absorption gamma2."""
-
-    n_occ: float      # thermal occupation of the bath mode at omega_tls
-    gamma1: float     # kappa * (n_occ + 1), emission
-    gamma2: float     # kappa * n_occ, absorption
-    gamma: float      # gamma1 + gamma2
-    eta: float        # gamma1/gamma - 1/2, the asymptotic polarization scale
-
-
-def bath_rates(kappa: float, omega_tls: float, beta: float) -> BathRates:
-    """Thermal rates seen by the defect.
-
-    ``eta`` coincides with a_tls - 1/2 identically; for kappa = 0 the ratio
-    gamma1/gamma is ill-defined and the identity value is used directly.
-    """
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    if beta <= 0.0:
-        raise ValueError(f"bath_rates needs beta > 0, got {beta}")
-    if omega_tls <= 0.0:
-        raise ValueError(f"omega_tls must be positive, got {omega_tls}")
-    n_occ = bose_occupation(omega_tls, beta)
-    gamma1 = kappa * (n_occ + 1.0)
-    gamma2 = kappa * n_occ
-    gamma = gamma1 + gamma2
-    if gamma > 0.0:
-        eta = gamma1 / gamma - 0.5
-    else:
-        eta = thermal_populations(omega_tls, beta)[0] - 0.5
-    return BathRates(n_occ=n_occ, gamma1=gamma1, gamma2=gamma2, gamma=gamma, eta=eta)
-
-
 class ParamError(ValueError):
     """A model parameter out of its range; name is the parameter."""
 
@@ -127,14 +96,26 @@ class ModelParams:
     """Static model parameters, immutable and equal by value.
 
     The rotating-frame treatment assumes J << omega_q and omega_q < omega_tls;
-    the latter is enforced, the former is the caller's responsibility.  The
-    bath rates are computed once, when first read.  A beta so small that
-    beta * omega_tls is below the smallest normal float is refused here:
-    the bath occupation 1/(e^{beta omega_tls} - 1) and the rates built on
-    it have no float value there.
+    the latter is enforced, the former is the caller's responsibility.  A
+    beta so small that beta * omega_tls is below the smallest normal float
+    is refused here: the bath occupation 1/(e^{beta omega_tls} - 1) and the
+    rates built on it have no float value there.
+
+    The constructor derives the thermal constants once, after its range
+    checks, as read-only attributes: the ground and excited populations
+    a_q, b_q of the qubit and a_t, b_t of the defect; the bath occupation
+    n_occ at omega_tls; the emission and absorption rates
+    gamma1 = kappa (n_occ + 1) and gamma2 = kappa n_occ, their sum gamma;
+    the asymptotic polarization scale eta = gamma1/gamma - 1/2, which
+    coincides with a_t - 1/2 and takes that value where gamma = 0; and the
+    lossless pole-to-pole transport time t0 = pi/(2J), infinite at J = 0.
+    Equality, hashing, repr, replace and pickling see only the five
+    parameters.
     """
 
-    __slots__ = ("omega_q", "omega_tls", "beta", "J", "kappa", "_rates")
+    __slots__ = ("omega_q", "omega_tls", "beta", "J", "kappa",
+                 "a_q", "b_q", "a_t", "b_t", "n_occ",
+                 "gamma1", "gamma2", "gamma", "eta", "t0")
 
     def __init__(self, omega_q: float = 1.0, omega_tls: float = 3.0,
                  beta: float = 1.0, J: float = 0.1, kappa: float = 0.0):
@@ -152,12 +133,19 @@ class ModelParams:
             raise ParamError("J", f"must be >= 0, got {J}")
         if not kappa >= 0.0:
             raise ParamError("kappa", f"must be >= 0, got {kappa}")
+        a_q, b_q = thermal_populations(omega_q, beta)
+        a_t, b_t = thermal_populations(omega_tls, beta)
+        n_occ = bose_occupation(omega_tls, beta)
+        gamma1 = kappa * (n_occ + 1.0)
+        gamma2 = kappa * n_occ
+        gamma = gamma1 + gamma2
+        eta = gamma1 / gamma - 0.5 if gamma > 0.0 else a_t - 0.5
+        t0 = math.pi / (2.0 * J) if J > 0.0 else math.inf
         init = object.__setattr__
-        init(self, "omega_q", omega_q)
-        init(self, "omega_tls", omega_tls)
-        init(self, "beta", beta)
-        init(self, "J", J)
-        init(self, "kappa", kappa)
+        for name, value in zip(self.__slots__, (
+                omega_q, omega_tls, beta, J, kappa, a_q, b_q, a_t, b_t,
+                n_occ, gamma1, gamma2, gamma, eta, t0)):
+            init(self, name, value)
 
     def _values(self) -> tuple[float, float, float, float, float]:
         return self.omega_q, self.omega_tls, self.beta, self.J, self.kappa
@@ -189,45 +177,11 @@ class ModelParams:
         return ("ModelParams(omega_q={!r}, omega_tls={!r}, beta={!r}, "
                 "J={!r}, kappa={!r})".format(*self._values()))
 
-    # -- derived thermal quantities ------------------------------------
-
-    @property
-    def qubit_populations(self) -> tuple[float, float]:
-        return thermal_populations(self.omega_q, self.beta)
-
-    @property
-    def tls_populations(self) -> tuple[float, float]:
-        return thermal_populations(self.omega_tls, self.beta)
-
-    @property
-    def rates(self) -> BathRates:
-        try:
-            return self._rates
-        except AttributeError:
-            rates = bath_rates(self.kappa, self.omega_tls, self.beta)
-            object.__setattr__(self, "_rates", rates)
-            return rates
-
-    @property
-    def gamma(self) -> float:
-        return self.rates.gamma
-
-    @property
-    def eta(self) -> float:
-        return self.rates.eta
-
-    @property
-    def t0(self) -> float:
-        """Reference time pi/(2J): lossless pole-to-pole transport time."""
-        if self.J == 0.0:
-            return math.inf
-        return math.pi / (2.0 * self.J)
-
     def with_gamma(self, gamma: float) -> "ModelParams":
         """Same model with kappa chosen so the total rate equals ``gamma``."""
         if gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {gamma}")
-        return self.replace(kappa=gamma / (2.0 * self.rates.n_occ + 1.0))
+        return self.replace(kappa=gamma / (2.0 * self.n_occ + 1.0))
 
     def with_gamma_over_j(self, ratio: float) -> "ModelParams":
         return self.with_gamma(ratio * self.J)
@@ -306,8 +260,7 @@ def _ceiling_sq(params: ModelParams, xi: complex | float
     """(Q, c): Q = a_q b_q and c = Q (1 - |xi|/xi_max), the largest |m|^2
     of a positive start at cross coherence xi; where xi_max = 0, c is Q
     at xi = 0 and -inf at any other xi."""
-    a_q, b_q = params.qubit_populations
-    q, r = a_q * b_q, abs(xi)
+    q, r = params.a_q * params.b_q, abs(xi)
     if r == 0.0:
         return q, q
     cap = xi_max(params)
@@ -333,8 +286,7 @@ def build_initial_state(params: ModelParams, spec: InitialStateSpec) -> DensityS
             f"initial state is not positive (|mu_q + i nu_q| = {abs(m):.6g} "
             f"at |xi| = {abs(spec.xi):.6g}, xi_max = {xi_max(params):.6g}); "
             f"reduce mu_q/nu_q/xi")
-    a_q, b_q = params.qubit_populations
-    a_t, b_t = params.tls_populations
+    a_q, b_q, a_t, b_t = params.a_q, params.b_q, params.a_t, params.b_t
     x = np.zeros(16)
     x[:4] = a_q * a_t, a_q * b_t, b_q * a_t, b_q * b_t
     x[6], x[7] = m.real * a_t, m.imag * a_t
@@ -346,9 +298,7 @@ def build_initial_state(params: ModelParams, spec: InitialStateSpec) -> DensityS
 def xi_max(params: ModelParams) -> float:
     """Largest cross-coherence magnitude compatible with positivity at
     mu_q = nu_q = 0: sqrt(a_q b_q a_tls b_tls)."""
-    a_q, b_q = params.qubit_populations
-    a_t, b_t = params.tls_populations
-    return math.sqrt(a_q * b_q * a_t * b_t)
+    return math.sqrt(params.a_q * params.b_q * params.a_t * params.b_t)
 
 
 def mu_max(params: ModelParams, xi: complex | float = 0.0) -> float:

@@ -102,10 +102,8 @@ def initial_spherical(params: ModelParams, xi: float = 0.0) -> tuple[float, floa
     """(r0, c0, theta0) of the thermal-product start with cross coherence
     of magnitude xi >= 0.  theta0 = -arccos(xi / r0): the polarization gap
     puts the state in the southern hemisphere, the coherence lifts it."""
-    a_q, _ = params.qubit_populations
-    a_t, _ = params.tls_populations
     return tuple(float(x) for x in
-                 _initial_points(a_q, a_t, params.eta, xi))
+                 _initial_points(params.a_q, params.a_t, params.eta, xi))
 
 
 def initial_direction(params: ModelParams, xi: float = 0.0) -> np.ndarray:
@@ -484,22 +482,21 @@ class _Cells(NamedTuple):
 
     @classmethod
     def of(cls, params_seq, xis) -> "_Cells":
-        """The rates of each parameter object are computed once: a sweep
-        row shares one.  Objects are told apart by identity, not hashed;
-        an equal object that is not the same one is computed again, to the
-        same values.  Each object is kept until the end, so no id is
-        reused."""
+        """The constants of each parameter object are read once, into one
+        row of a small table that the cells index: a sweep row shares one
+        object.  Objects are told apart by identity, not hashed; an equal
+        object that is not the same one is read again, to the same values.
+        Each object is kept until the end, so no id is reused."""
         known: dict[int, int] = {}
         distinct, index = [], []
         for p in params_seq:
             k = known.get(id(p))
             if k is None:
                 k = known[id(p)] = len(distinct)
-                distinct.append((p, (p.J, p.gamma, p.eta, p.t0,
-                                     p.qubit_populations[0],
-                                     p.tls_populations[0])))
+                distinct.append(p)
             index.append(k)
-        cols = np.array([rates for _, rates in distinct],
+        cols = np.array([(p.J, p.gamma, p.eta, p.t0, p.a_q, p.a_t)
+                         for p in distinct],
                         dtype=float).reshape(-1, 6)[index].T
         J, gamma, eta, t0, a_q, a_t = cols
         return cls(J, gamma, eta, t0,

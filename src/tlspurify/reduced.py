@@ -158,10 +158,8 @@ def make_rhs_rct(params: ModelParams):
     (eta - c)/r term.  No package path calls it: the checks integrate the
     regular make_rhs_s1.  It stays as a reference form of the spherical
     equations for the tests and for perfbench's RHS probe."""
-    gam = params.rates.gamma
-    eta = params.rates.eta
-    J = params.J
-    half = 0.5 * gam
+    eta, J = params.eta, params.J
+    half = 0.5 * params.gamma
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         r, c, th = y
@@ -180,7 +178,7 @@ def make_rhs_rct(params: ModelParams):
 def make_rhs_s1(params: ModelParams):
     """Right-hand side q' = N(2J) q of the S1 direction
     q = e^{gamma t/2} (r sin theta, r cos theta, eta - c) under u == 0."""
-    b = 0.5 * params.rates.gamma
+    b = 0.5 * params.gamma
     a = 2.0 * params.J
 
     def rhs(t: float, q: np.ndarray) -> np.ndarray:

@@ -56,8 +56,7 @@ def simulate_trace(cfg: RunConfig) -> Table:
     drive = cfg.drive()
     state = build_initial_state(params, cfg.state_spec())
 
-    t_ref = math.pi / (2.0 * params.J) if params.J > 0.0 \
-        else 2.0 * math.pi / params.omega_q
+    t_ref = params.t0 if params.J > 0.0 else 2.0 * math.pi / params.omega_q
     t_end = cfg.horizon * t_ref
     pole_status = "not-tracked"
     if (drive.detuning == 0.0 and params.J > 0.0 and cfg.xi_re >= 0.0
@@ -145,8 +144,7 @@ def purity_trace(cfg: RunConfig) -> Table:
                 f"purity-trace needs a reachable pole; status "
                 f"{lead.status!r} at xi = {xi} (gamma/J = "
                 f"{params.gamma / params.J:.3f})")
-    a_t, _ = params.tls_populations
-    p_tls0 = 0.5 + 2.0 * (a_t - 0.5) ** 2
+    p_tls0 = 0.5 + 2.0 * (params.a_t - 0.5) ** 2
 
     table = Table("purity-trace", ["xi", "mu_q", "t", "purity"],
                   metadata={"p_tls_initial": p_tls0})

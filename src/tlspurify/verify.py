@@ -1,6 +1,9 @@
 """Self-check suite: oracle equivalences, conserved quantities, closed forms.
 
-Every check measures a residual and holds it to a stated tolerance; checks
+Every check measures a dimensionless residual and holds it to a stated
+tolerance: a gap in state coordinates or purity, a relative gap, or a
+quantity in rate units divided by a rate scale of the run, so that a
+check is as strict when J and kappa are small as at the default.  Checks
 that propagate also report accepted/rejected step counts (node steps, with
 none rejected, for an exact run), and its CheckResult is its row of
 verify's report, field for column.  Each check compares two independent
@@ -50,6 +53,12 @@ def _check(name: str, residual: float, tol: float,
                        stats.accepted, stats.rejected)
 
 
+def _relative(residual: float, scale: float) -> float:
+    """A residual in units of its scale; where the scale is 0, the
+    quantities it bounds are 0 too, and the residual is kept as it is."""
+    return residual / scale if scale > 0.0 else residual
+
+
 def suite_passed(checks: list[CheckResult]) -> bool:
     return all(c.passed for c in checks)
 
@@ -65,12 +74,14 @@ def run_suite(params: ModelParams, *, rtol: float = 1e-10,
     checks: list[CheckResult] = []
 
     # -- generator is trace-free for any drive coefficients ------------
-    # the largest column sum of its four diagonal rows
+    # the largest column sum of its four diagonal rows, relative to the
+    # generator's largest entry (a zero generator sums to zero)
     worst = 0.0
     for j1, j2, al in [(params.J, 0.0, 0.0), (0.02, -0.05, 0.3),
                        (0.0, 0.0, 0.0), (-0.1, 0.07, -1.2)]:
         m = rwa_generator(params, j1, j2, al)
-        worst = max(worst, float(np.abs(m[:4].sum(axis=0)).max()))
+        worst = max(worst, _relative(np.abs(m[:4].sum(axis=0)).max(),
+                                     np.abs(m).max()))
     checks.append(_check("generator-trace-free", worst, 1e-12))
 
     # -- full 16-dim run mapped to z matches the reduced run ----------
@@ -118,15 +129,19 @@ def run_suite(params: ModelParams, *, rtol: float = 1e-10,
     # -- radius never grows under the drift flow ----------------------
     # the largest dr/dt at an accepted step: r = e^{-gamma t/2} |q_wv|
     # on the regular S1 direction flow, so
-    # dr/dt = e^{-gamma t/2} (q_wv . q_wv' / |q_wv| - (gamma/2) |q_wv|)
+    # dr/dt = e^{-gamma t/2} (q_wv . q_wv' / |q_wv| - (gamma/2) |q_wv|),
+    # relative to the flow's rate scale 2J + gamma/2 times the largest r
     s1 = integrate(make_rhs_s1(params), t_span, initial_direction(params, xi),
                    rtol=rtol, atol=atol)
     q, dq = s1.y[:, :2], s1.trajectory.fs[:, :2]
     norm = np.hypot(q[:, 0], q[:, 1])
-    rate = np.exp(-0.5 * params.gamma * s1.t) * (np.divide(
+    decay = np.exp(-0.5 * params.gamma * s1.t)
+    rate = decay * (np.divide(
         (q * dq).sum(axis=1), norm, out=np.zeros_like(norm), where=norm > 0.0)
         - 0.5 * params.gamma * norm)
-    checks.append(_check("radius-monotone", float(max(0.0, rate.max())),
+    scale = (2.0 * params.J + 0.5 * params.gamma) * (decay * norm).max()
+    checks.append(_check("radius-monotone",
+                         _relative(max(0.0, rate.max()), scale),
                          1e-10, s1.stats))
 
     # -- coherence block closed form ----------------------------------

@@ -67,9 +67,8 @@ L_ABSORB = np.kron(I2, SM.conj().T)
 def _master_rhs(params: ModelParams, h: np.ndarray,
                 rho: np.ndarray) -> np.ndarray:
     """Commutator with h plus the defect dissipator, matrices only."""
-    r = params.rates
     d = -1.0j * (h @ rho - rho @ h)
-    for g, op in ((r.gamma1, L_EMIT), (r.gamma2, L_ABSORB)):
+    for g, op in ((params.gamma1, L_EMIT), (params.gamma2, L_ABSORB)):
         opd = op.conj().T
         anticomm = opd @ op
         d = d + g * (op @ rho @ opd
@@ -148,8 +147,8 @@ def _family_x(params: ModelParams, spec: InitialStateSpec) -> np.ndarray:
     """Family state assembled directly from its definition (product of
     thermal factors, qubit coherence dressed by the defect populations,
     cross coherence i*xi on the (|01>, |10>) entry)."""
-    a_q, b_q = params.qubit_populations
-    a_t, b_t = params.tls_populations
+    a_q, b_q = params.a_q, params.b_q
+    a_t, b_t = params.a_t, params.b_t
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = a_q * a_t
     rho[1, 1] = a_q * b_t
@@ -185,8 +184,8 @@ def mp_boundary_margin(params: ModelParams, mu: complex, xi: complex):
     and xi_max = sqrt(a_q b_q a_t b_t) of the float populations: positive
     inside the positivity boundary, negative past it (-inf for xi != 0
     when xi_max = 0)."""
-    a_q, b_q = params.qubit_populations
-    a_t, b_t = params.tls_populations
+    a_q, b_q = params.a_q, params.b_q
+    a_t, b_t = params.a_t, params.b_t
     with mp.workdps(50):
         q = mp.mpf(a_q) * mp.mpf(b_q)
         cap = mp.sqrt(q * mp.mpf(a_t) * mp.mpf(b_t))

@@ -120,8 +120,7 @@ def test_criterion_06_defect_purity_ceiling():
     """The bare start arrives at exactly the defect's initial thermal
     purity: the qubit inherits the environment's polarization, no more."""
     p = ModelParams(kappa=0.1).with_gamma_over_j(2.0)
-    a_t, _ = p.tls_populations
-    defect_purity = 0.5 + 2.0 * (a_t - 0.5) ** 2
+    defect_purity = 0.5 + 2.0 * (p.a_t - 0.5) ** 2
     assert defect_purity == pytest.approx(POLE_PURITY_BETA1, rel=1e-13)
     run = t_min_numeric(p, 0.0)
     assert run.status == "reached"

@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 
 from oracles import (family_x, mp_boundary_margin, mp_min_eigenvalue,
                      random_density_matrix, random_density_x)
-from tlspurify import model
 from tlspurify.model import (BOUNDARY_RTOL, OFFDIAG_SLOTS, DensityState,
                              InitialStateSpec, ModelParams, ParamError,
-                             bath_rates, bose_occupation,
-                             build_initial_state, is_physical, matrix_to_x,
-                             min_eigenvalue, mu_max, thermal_populations,
-                             x_to_matrix, xi_max)
+                             bose_occupation, build_initial_state,
+                             is_physical, matrix_to_x, min_eigenvalue,
+                             mu_max, thermal_populations, x_to_matrix,
+                             xi_max)
 
 # Frozen reference values, all recomputed from their printed closed forms.
 A_Q_BETA1 = 0.7310585786300049       # 1/(1 + e^-1)
@@ -29,6 +28,34 @@ A_TLS_BETA1 = 0.9525741268224334     # 1/(1 + e^-3)
 XI_MAX_BETA1 = 0.09424579782190404   # sqrt(a_q b_q a_t b_t) at beta = 1
 MU_MAX_UNCORR = 0.44340944198503696  # sqrt(a_q b_q) at beta = 1
 GAMMA_BETA01 = 0.6716591827020164    # 0.1 * (2/expm1(0.3) + 1)
+
+#: the constants ModelParams derives from its five parameters
+DERIVED = ("a_q", "b_q", "a_t", "b_t", "n_occ", "gamma1", "gamma2", "gamma",
+           "eta", "t0")
+
+
+def derived(p: ModelParams) -> tuple[float, ...]:
+    return tuple(getattr(p, name) for name in DERIVED)
+
+
+def derived_by_hand(omega_q, omega_tls, beta, J, kappa) -> tuple[float, ...]:
+    """The derived constants from their defining expressions, in the
+    order the rates are built: populations and occupation from the two
+    formulas, gamma1 = kappa (n + 1), gamma2 = kappa n, gamma their sum,
+    eta = gamma1/gamma - 1/2 (a_t - 1/2 at gamma = 0) and t0 = pi/(2J)
+    (inf at J = 0)."""
+    a_q, b_q = thermal_populations(omega_q, beta)
+    a_t, b_t = thermal_populations(omega_tls, beta)
+    n = bose_occupation(omega_tls, beta)
+    gamma1 = kappa * (n + 1.0)
+    gamma2 = kappa * n
+    gamma = gamma1 + gamma2
+    if gamma > 0.0:
+        eta = gamma1 / gamma - 0.5
+    else:
+        eta = a_t - 0.5
+    t0 = math.inf if J == 0.0 else math.pi / (2.0 * J)
+    return a_q, b_q, a_t, b_t, n, gamma1, gamma2, gamma, eta, t0
 
 
 # ====================================================================
@@ -52,8 +79,8 @@ def test_thermal_populations_validation():
         thermal_populations(1.0, -0.2)
 
 
-def test_bath_rates_detailed_balance():
-    r = bath_rates(0.1, 3.0, 1.0)
+def test_bath_detailed_balance():
+    r = ModelParams(kappa=0.1)
     n = 1.0 / math.expm1(3.0)
     assert r.n_occ == pytest.approx(n, rel=1e-15)
     assert r.gamma1 == pytest.approx(0.1 * (n + 1.0), rel=1e-15)
@@ -63,16 +90,16 @@ def test_bath_rates_detailed_balance():
     assert r.gamma2 / r.gamma1 == pytest.approx(math.exp(-3.0), rel=1e-12)
 
 
-def test_bath_rates_eta_identity():
+def test_bath_eta_identity():
     # eta = gamma1/gamma - 1/2 coincides with a_tls - 1/2, with or
     # without an actual bath rate
     for kappa in (0.3, 0.0):
-        r = bath_rates(kappa, 3.0, 1.0)
+        r = ModelParams(kappa=kappa)
         assert r.eta == pytest.approx(A_TLS_BETA1 - 0.5, abs=1e-14)
 
 
-def test_bath_rates_frozen_value():
-    assert bath_rates(0.1, 3.0, 0.1).gamma == pytest.approx(
+def test_bath_frozen_value():
+    assert ModelParams(beta=0.1, kappa=0.1).gamma == pytest.approx(
         GAMMA_BETA01, rel=1e-14)
 
 
@@ -85,20 +112,11 @@ def test_bath_occupation_cold_limit():
         1.0 / math.expm1(3e-3), rel=1e-14)
     assert 0.0 < bose_occupation(3.0, 100.0) < 1e-130
     assert bose_occupation(3.0, 1000.0) == 0.0
-    cold = bath_rates(0.1, 3.0, 1000.0)
+    cold = ModelParams(beta=1000.0, kappa=0.1)
     assert (cold.gamma1, cold.gamma2, cold.eta) == (0.1, 0.0, 0.5)
     p = ModelParams(beta=1000.0).with_gamma(0.2)
     assert p.kappa == 0.2
     assert p.gamma == 0.2
-
-
-def test_bath_rates_validation():
-    with pytest.raises(ValueError):
-        bath_rates(-0.1, 3.0, 1.0)
-    with pytest.raises(ValueError):
-        bath_rates(0.1, 3.0, 0.0)
-    with pytest.raises(ValueError):
-        bath_rates(0.1, -3.0, 1.0)
 
 
 # ====================================================================
@@ -106,29 +124,28 @@ def test_bath_rates_validation():
 # ====================================================================
 
 def test_model_params_validation():
-    with pytest.raises(ValueError):
-        ModelParams(omega_q=0.0)
-    with pytest.raises(ValueError):
-        ModelParams(omega_q=3.0, omega_tls=3.0)
-    with pytest.raises(ValueError):
-        ModelParams(beta=0.0)
-    with pytest.raises(ValueError):
-        ModelParams(J=-0.1)
-    with pytest.raises(ValueError):
-        ModelParams(kappa=-1e-3)
+    """Each parameter out of its range is refused by name."""
+    for bad in ({"omega_q": 0.0}, {"omega_q": 3.0, "omega_tls": 3.0},
+                {"omega_tls": -3.0}, {"beta": 0.0}, {"J": -0.1},
+                {"kappa": -1e-3}):
+        with pytest.raises(ParamError) as exc:
+            ModelParams(**bad)
+        assert exc.value.name == list(bad)[-1]
 
 
 def test_model_params_derived():
     p = ModelParams(kappa=0.1)
     assert p.t0 == pytest.approx(math.pi / 0.2, rel=1e-15)
-    assert p.gamma == p.rates.gamma
+    assert p.gamma == p.gamma1 + p.gamma2
     assert p.eta == pytest.approx(A_TLS_BETA1 - 0.5, abs=1e-14)
+    assert (p.a_q, p.a_t) == (A_Q_BETA1, A_TLS_BETA1)
     assert ModelParams(J=0.0).t0 == math.inf
 
 
 def test_model_params_is_an_immutable_value():
     """Equal and hashed by value, shown with every parameter, and closed
-    to assignment; keyword and positional construction agree."""
+    to assignment, derived constants included; keyword and positional
+    construction agree."""
     p = ModelParams(J=0.2, kappa=0.1)
     q = ModelParams(1.0, 3.0, 1.0, 0.2, 0.1)
     assert p == q and hash(p) == hash(q) and len({p, q}) == 1
@@ -138,25 +155,28 @@ def test_model_params_is_an_immutable_value():
                        "J=0.2, kappa=0.1)")
     assert ModelParams() == ModelParams(1.0, 3.0, 1.0, 0.1, 0.0)
     assert pickle.loads(pickle.dumps(p)) == p == copy.deepcopy(p)
+    assert p.__reduce__() == (ModelParams, (1.0, 3.0, 1.0, 0.2, 0.1))
     with pytest.raises(AttributeError):
         p.J = 0.3
     with pytest.raises(AttributeError):
-        p.rates = None
+        p.gamma = None
     with pytest.raises(AttributeError):
         del p.kappa
+    with pytest.raises(AttributeError):
+        del p.t0
     with pytest.raises(TypeError):
         ModelParams(gamma=0.1)
 
 
 def test_model_params_replace_checks_again():
-    """replace changes the named parameters, keeps the rest, recomputes
-    the rates, and runs the range checks of a new object."""
+    """replace changes the named parameters, keeps the rest, derives the
+    constants again, and runs the range checks of a new object."""
     p = ModelParams(kappa=0.1)
     q = p.replace(beta=0.5, J=0.3)
     assert q == ModelParams(beta=0.5, J=0.3, kappa=0.1)
-    assert q.rates == bath_rates(0.1, 3.0, 0.5)
+    assert derived(q) == derived_by_hand(1.0, 3.0, 0.5, 0.3, 0.1)
     assert p.replace() == p and p.replace() is not p
-    assert p.rates == bath_rates(0.1, 3.0, 1.0)
+    assert derived(p) == derived_by_hand(1.0, 3.0, 1.0, 0.1, 0.1)
     for bad in ({"beta": 0.0}, {"omega_tls": 0.5}, {"J": -1.0},
                 {"kappa": math.nan}):
         with pytest.raises(ParamError) as exc:
@@ -166,30 +186,55 @@ def test_model_params_replace_checks_again():
         p.replace(gamma=0.1)
 
 
-def test_model_params_rates_are_computed_once(monkeypatch):
-    """The rates are computed on first read and kept.  A beta whose bath
-    occupation has no float value is refused where the model is built,
-    from beta * omega_tls alone: the rates are still not computed."""
-    calls = []
+#: beta * omega_tls at the smallest normal float
+EDGE_BETA = sys.float_info.min / 0.1
 
-    def counted(*args):
-        calls.append(args)
-        return bath_rates(*args)
 
-    monkeypatch.setattr(model, "bath_rates", counted)
-    p = ModelParams(kappa=0.1)
-    assert calls == []
-    assert p.rates is p.rates
-    assert (p.gamma, p.eta) == (p.rates.gamma, p.rates.eta)
-    assert len(calls) == 1
+@settings(max_examples=200, deadline=None)
+@given(omega_q=st.floats(1e-3, 10.0),
+       gap=st.floats(1e-3, 10.0),
+       beta=st.one_of(st.floats(1e-6, 100.0), st.just(40.0)),
+       J=st.one_of(st.just(0.0), st.floats(1e-12, 1.0)),
+       kappa=st.one_of(st.just(0.0), st.floats(1e-12, 1.0)),
+       gamma=st.floats(0.0, 1.0))
+@example(omega_q=1.0, gap=2.0, beta=40.0, J=0.1, kappa=0.1, gamma=0.2)
+@example(omega_q=1.0, gap=2.0, beta=1.0, J=0.0, kappa=0.0, gamma=0.0)
+@example(omega_q=0.05, gap=1.0, beta=EDGE_BETA, J=0.1, kappa=0.1, gamma=0.3)
+@example(omega_q=0.05, gap=1.0, beta=EDGE_BETA, J=0.0, kappa=0.0, gamma=0.0)
+def test_model_params_rates_are_computed_once(omega_q, gap, beta, J, kappa,
+                                              gamma):
+    """The constructor derives each constant once, bit for bit by its
+    defining expression, at any parameters it accepts: kappa = 0, J = 0,
+    the cold bath of beta = 40, and beta * omega_tls at the smallest
+    normal float.  replace, with_gamma and a pickle round trip derive
+    them again."""
+    omega_tls = omega_q * (1.0 + gap)
+    assume(beta * omega_tls >= sys.float_info.min)
+    p = ModelParams(omega_q, omega_tls, beta, J, kappa)
+    assert (p.omega_q, p.omega_tls, p.beta, p.J, p.kappa) == (
+        omega_q, omega_tls, beta, J, kappa)
+    assert derived(p) == derived_by_hand(omega_q, omega_tls, beta, J, kappa)
+    assert all(not math.isnan(x) for x in derived(p))
+    q = p.replace(beta=2.0 * beta, J=0.5 * J)
+    assert derived(q) == derived_by_hand(omega_q, omega_tls, 2.0 * beta,
+                                         0.5 * J, kappa)
+    g = p.with_gamma(gamma)
+    assert derived(g) == derived_by_hand(omega_q, omega_tls, beta, J,
+                                         g.kappa)
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and derived(back) == derived(p)
+
+
+def test_a_beta_with_no_bath_occupation_is_refused_by_name():
+    """A beta whose bath occupation has no float value is refused where
+    the model is built, from beta * omega_tls alone; the smallest normal
+    product still has finite rates."""
     for beta in (5e-324, 1e-310):
         with pytest.raises(ParamError) as exc:
             ModelParams(beta=beta, omega_q=0.05, omega_tls=0.1)
         assert exc.value.name == "beta"
-    assert len(calls) == 1
-    # the smallest normal product still has finite rates
-    edge = ModelParams(beta=sys.float_info.min / 0.1, omega_q=0.05,
-                       omega_tls=0.1, kappa=0.1)
+    edge = ModelParams(beta=EDGE_BETA, omega_q=0.05, omega_tls=0.1,
+                       kappa=0.1)
     assert math.isfinite(edge.gamma)
 
 
@@ -317,8 +362,8 @@ def test_density_state_container(rng):
 
 def test_initial_state_product_structure(params_bath):
     st_ = build_initial_state(params_bath, InitialStateSpec())
-    a_q, b_q = params_bath.qubit_populations
-    a_t, b_t = params_bath.tls_populations
+    a_q, b_q = params_bath.a_q, params_bath.b_q
+    a_t, b_t = params_bath.a_t, params_bath.b_t
     expected = np.kron(np.diag([a_q, b_q]), np.diag([a_t, b_t]))
     assert np.abs(x_to_matrix(st_.x) - expected).max() < 1e-15
 
@@ -326,7 +371,7 @@ def test_initial_state_product_structure(params_bath):
 def test_initial_state_coherence_slots(params_bath):
     spec = InitialStateSpec(mu_q=0.05, nu_q=-0.02, xi_re=0.03, xi_im=0.01)
     rho = x_to_matrix(build_initial_state(params_bath, spec).x)
-    a_t, b_t = params_bath.tls_populations
+    a_t, b_t = params_bath.a_t, params_bath.b_t
     coh = 0.05 - 0.02j
     assert rho[0, 2] == pytest.approx(coh * a_t, abs=1e-15)
     assert rho[1, 3] == pytest.approx(coh * b_t, abs=1e-15)
@@ -398,7 +443,7 @@ def test_mu_max_closed_form_and_cold_limit():
     assert xi_max(cold_qubit) == 0.0
     assert mu_max(cold_qubit, 0.0) == 0.0
     cold_defect = ModelParams(beta=13.0, kappa=0.1)     # b_t rounds to 0
-    a_q, b_q = cold_defect.qubit_populations
+    a_q, b_q = cold_defect.a_q, cold_defect.b_q
     assert xi_max(cold_defect) == 0.0
     assert mu_max(cold_defect, 0.0) == math.sqrt(a_q * b_q)
     for p in (cold_qubit, cold_defect):
@@ -428,7 +473,7 @@ def test_a_start_just_past_a_cold_ceiling_is_unphysical(xi_frac):
     (Q = a_q b_q) is refused, at xi = 0 and at xi_max/2: the verdict's
     allowance is far below that."""
     p = ModelParams(beta=10.0, kappa=0.1)
-    a_q, b_q = p.qubit_populations
+    a_q, b_q = p.a_q, p.b_q
     xi = xi_frac * xi_max(p)
     over = math.sqrt(mu_max(p, xi) ** 2 + 1e-10 * a_q * b_q)
     assert not is_physical(p, over, xi)

@@ -19,7 +19,7 @@ from tlspurify.pole import (first_events, initial_spherical, is_divergent,
                             j_min, region_labels, stall_cosine,
                             t_min_analytic, t_min_from_rates, t_min_numeric)
 from tlspurify.reduced import x_to_z
-from tlspurify.scans import scan_beta, scan_gamma
+from tlspurify.scans import region_map, scan_beta, scan_gamma
 from tlspurify.sweeps import coherence_map
 
 from oracles import (Threshold, mp_first_event, s1_pole_run, s2_first_zero,
@@ -97,13 +97,20 @@ def test_is_divergent_tolerance_edges():
     assert not is_divergent(J, 3.0 * J)
 
 
-@pytest.mark.parametrize("scan", [scan_gamma, scan_beta])
-def test_pole_scans_are_scale_invariant(scan):
+@pytest.mark.parametrize("scan, model", [
+    (scan_gamma, {}), (scan_beta, {}),
+    *((region_map, {"beta": beta}) for beta in (0.1, 0.3, 1.0))],
+    ids=["scan_gamma", "scan_beta", "region_map-0.1", "region_map-0.3",
+         "region_map-1.0"])
+def test_pole_scans_are_scale_invariant(scan, model):
     """t/t0 depends on gamma/J alone: with J and kappa both 1e-11 times
     the default, each scan labels every cell as the default run does,
-    and each pole time in units of t0 agrees to 1e-13."""
-    scaled = RunConfig.from_dict({"model": {"J": 1e-12, "kappa": 1e-12}})
-    for row, small in zip(scan(RunConfig.from_dict({})).rows,
+    and each pole time in units of t0 agrees to 1e-13.  region-map's
+    stall guard holds a curvature that scales as gamma^2 to an absolute
+    slack, so its labels are compared at three bath temperatures."""
+    scaled = RunConfig.from_dict({"model": {**model, "J": 1e-12,
+                                            "kappa": 1e-12}})
+    for row, small in zip(scan(RunConfig.from_dict({"model": model})).rows,
                           scan(scaled).rows, strict=True):
         for cell, tiny in zip(row[-2:], small[-2:]):
             if isinstance(cell, str):
@@ -257,9 +264,7 @@ def test_xi_fixed_frozen_value():
     assert not th.saturated
     assert th.value == pytest.approx(XI_FIXED_BETA01, abs=1e-9)
     # closed form of the same boundary: d sqrt((gamma/4J)^2 - 1)
-    a_q, _ = p.qubit_populations
-    a_t, _ = p.tls_populations
-    d = 0.5 * (a_t - a_q)
+    d = 0.5 * (p.a_t - p.a_q)
     closed = d * math.sqrt((p.gamma / (4 * p.J)) ** 2 - 1.0)
     assert th.value == pytest.approx(closed, abs=1e-9)
 

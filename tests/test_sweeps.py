@@ -329,7 +329,7 @@ def test_purity_trace_levels():
     assert md["p_max_xihalf"] > md["p_tls_initial"] + 1e-3
     # every trace starts at the thermal-qubit purity plus its own
     # coherence contribution
-    a_q, _ = cfg.params().qubit_populations
+    a_q = cfg.params().a_q
     for r in tab.rows:
         if r[2] == 0.0:
             want = 0.5 + 2.0 * ((a_q - 0.5) ** 2 + r[1] ** 2)
@@ -344,7 +344,7 @@ def test_purity_trace_cold_bath_top_starts_are_positive():
     cfg = _cfg(model={"beta": 10.0}, run={"samples": 3},
                sweep={"mu_count": 2})
     params = cfg.params()
-    a_q, b_q = params.qubit_populations
+    a_q, b_q = params.a_q, params.b_q
     tab = purity_trace(cfg)
     for xi in sorted({r[0] for r in tab.rows}):
         top = max(r[1] for r in tab.rows if r[0] == xi)

@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from tlspurify import verify
 from tlspurify.config import RunConfig
+from tlspurify.liouville import rwa_generator
 from tlspurify.model import ModelParams
-from tlspurify.reduced import make_rhs_z
+from tlspurify.reduced import make_rhs_s1, make_rhs_z
 from tlspurify.sweeps import verify_table
 from tlspurify.verify import CheckResult, run_suite, suite_passed
 
@@ -66,6 +68,44 @@ def test_suite_catches_corrupted_reduction():
     assert not suite_passed(checks)
     others = [c for c in checks if c.check != "full-vs-reduced"]
     assert all(c.passed for c in others)
+
+
+def _leaky_generator(params, j1, j2, alpha=0.0):
+    """The generator with a trace error of 1e-6 gamma1 per entry of its
+    first row, as from an emission field that leaks population."""
+    m = rwa_generator(params, j1, j2, alpha)
+    m[0] += 1e-6 * params.gamma1
+    return m
+
+
+def _growing_s1(params):
+    """The S1 direction flow with an extra radial growth of 3 gamma/2 in
+    (w, v): the radius then grows at rate gamma."""
+    rhs = make_rhs_s1(params)
+    k = 1.5 * params.gamma
+
+    def grown(t, q):
+        dq = rhs(t, q)
+        dq[:2] += k * q[:2]
+        return dq
+
+    return grown
+
+
+@pytest.mark.parametrize("model", [{}, {"J": 1e-12, "kappa": 1e-12}],
+                         ids=["default", "small-rates"])
+@pytest.mark.parametrize("name, target, corrupt", [
+    ("generator-trace-free", "rwa_generator", _leaky_generator),
+    ("radius-monotone", "make_rhs_s1", _growing_s1)])
+def test_rate_checks_fail_at_any_rate_scale(monkeypatch, model, name, target,
+                                            corrupt):
+    """The two checks of a quantity in rate units hold it relative to a
+    rate scale of the run: a corruption in proportion to the rates fails
+    at J = kappa = 1e-12 as it does at the default, and only its check."""
+    params = RunConfig.from_dict({"model": model}).params()
+    monkeypatch.setattr(verify, target, corrupt)
+    checks = run_suite(params)
+    assert [c.check for c in checks if not c.passed] == [name]
 
 
 def test_default_work_counters(default_report):
