@@ -103,6 +103,15 @@ def test_bath_frozen_value():
         GAMMA_BETA01, rel=1e-14)
 
 
+def test_bath_rates_validation():
+    """The ranges the bath rates need (kappa, omega_tls, beta) are
+    refused by name."""
+    for bad in ({"kappa": -1e-3}, {"omega_tls": -3.0}, {"beta": 0.0}):
+        with pytest.raises(ParamError) as exc:
+            ModelParams(**bad)
+        assert exc.value.name == list(bad)[-1]
+
+
 def test_bath_occupation_cold_limit():
     """n_occ falls to 0 in the cold limit instead of overflowing, and
     keeps its closed form where 1/expm1 is fine."""
@@ -126,8 +135,7 @@ def test_bath_occupation_cold_limit():
 def test_model_params_validation():
     """Each parameter out of its range is refused by name."""
     for bad in ({"omega_q": 0.0}, {"omega_q": 3.0, "omega_tls": 3.0},
-                {"omega_tls": -3.0}, {"beta": 0.0}, {"J": -0.1},
-                {"kappa": -1e-3}):
+                {"J": -0.1}):
         with pytest.raises(ParamError) as exc:
             ModelParams(**bad)
         assert exc.value.name == list(bad)[-1]
