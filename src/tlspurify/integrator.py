@@ -242,10 +242,10 @@ TAYLOR_TERMS = 12
 #: (the detuned lab-frame simulate)
 MAX_NODES = 100_000
 
-#: requested times an ExactTrajectory evaluates at once.  Each time in a
-#: chunk holds its TAYLOR_TERMS + 1 series terms, so the working memory is
-#: that of one chunk, about 3.6 MB for a 17-slot state, however many times
-#: are asked for.  The default 601 samples are one chunk
+#: states (requested times, each for every start) an ExactTrajectory
+#: evaluates at once.  Each holds its TAYLOR_TERMS + 1 series terms, so the
+#: working memory is that of one chunk, about 3.6 MB for a 17-slot state,
+#: however many are asked for.  The default 601 samples are one chunk
 EVAL_CHUNK = 2048
 
 
@@ -304,19 +304,20 @@ class ExactTrajectory:
 
     def states(self, t: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Rows of the propagated state at times t, as reported."""
-        out = ys[:, :self.dim]
+        out = ys[..., :self.dim]
         if self.rotation is None:
             return out
         k, omega = self.rotation
-        return _rotate(k, omega * t, out)
+        return _rotate(k, omega * t.reshape((-1,) + (1,) * (out.ndim - 2)),
+                       out)
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((t_arr.size, self.dim))
-        for start in range(0, t_arr.size, EVAL_CHUNK):
-            chunk = t_arr[start:start + EVAL_CHUNK]
-            out[start:start + EVAL_CHUNK] = self.states(chunk,
-                                                        self._series(chunk))
+        out = np.empty(t_arr.shape + self.ys.shape[1:-1] + (self.dim,))
+        size = max(1, EVAL_CHUNK // math.prod(self.ys.shape[1:-1]))
+        for start in range(0, t_arr.size, size):
+            chunk = t_arr[start:start + size]
+            out[start:start + size] = self.states(chunk, self._series(chunk))
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return out[0]
         return out
@@ -335,7 +336,8 @@ class ExactTrajectory:
         terms = np.stack(terms, axis=1)
         powers = np.vander(t_arr - self.ts[k], TAYLOR_TERMS + 1,
                            increasing=True)
-        return np.matmul(powers[:, None, :], terms[which])[:, 0]
+        flat = terms[which].reshape(t_arr.size, TAYLOR_TERMS + 1, -1)
+        return (powers[:, None, :] @ flat).reshape((-1,) + self.ys.shape[1:])
 
 
 def propagate(
@@ -346,11 +348,13 @@ def propagate(
     b: np.ndarray | None = None,
     rotation: tuple[np.ndarray, float] | None = None,
 ) -> IvpResult:
-    """Exact solution of y' = A y + b (b = 0 when omitted) over t_span.
+    """Exact solution of y' = A y + b (b = 0 when omitted) over t_span,
+    from y0 or from each row of a stack of starts y0, shape (k, dim).
 
     The nodes are y_{k+1} = e^{A h} y_k on a uniform grid with
     ||A||_1 h <= NODE_NORM; an affine b rides along as a constant last
-    slot of the augmented generator [[A, b], [0, 0]].
+    slot of the augmented generator [[A, b], [0, 0]].  A stack steps as
+    the columns of one matrix, holding k times the node states.
 
     rotation = (K, omega), for a generator of plane rotations K, makes y
     the state in a frame that rotates at omega: the run reports
@@ -365,14 +369,14 @@ def propagate(
         raise ValueError(f"need tf > t0, got span {t_span}")
     a = np.asarray(a, dtype=float)
     y = np.array(y0, dtype=float)
-    dim = y.size
+    dim = y.shape[-1]
     if rotation is not None and rotation[1] == 0.0:
         rotation = None                 # a frame at rest
     if rotation is not None:
         y = _rotate(rotation[0], -rotation[1] * t0, y)
     if b is not None:
         a = augment(a, b)
-        y = np.append(y, 1.0)
+        y = np.concatenate((y, np.ones_like(y[..., :1])), axis=-1)
     norm = float(np.abs(a).sum(axis=0).max())
     nodes = norm * (tf - t0) / NODE_NORM
     if not nodes <= MAX_NODES:
@@ -382,10 +386,10 @@ def propagate(
     n = max(1, math.ceil(nodes))
     ts = np.linspace(t0, tf, n + 1)
     step = expm(a * ((tf - t0) / n))
-    ys = np.empty((n + 1, y.size))
-    ys[0] = y
+    ys = np.empty((n + 1,) + y.T.shape)       # a stack's starts as columns
+    ys[0] = y.T
     for k in range(n):
         ys[k + 1] = step @ ys[k]
-    traj = ExactTrajectory(a, ts, ys, dim, rotation)
-    return IvpResult(t=ts, y=traj.states(ts, ys),
+    traj = ExactTrajectory(a, ts, np.moveaxis(ys, 1, -1), dim, rotation)
+    return IvpResult(t=ts, y=traj.states(ts, traj.ys),
                      stats=StepStats(accepted=n, n_eval=n), trajectory=traj)

@@ -204,17 +204,14 @@ class InitialStateSpec(NamedTuple):
     xi_re: float = 0.0
     xi_im: float = 0.0
 
-    @property
-    def xi(self) -> complex:
-        return complex(self.xi_re, self.xi_im)
-
 
 class DensityState:
-    """A 4x4 density matrix stored as its 16 real coordinates."""
+    """A 4x4 density matrix stored as its 16 real coordinates, or a stack
+    of them on the last axis."""
 
     def __init__(self, x: np.ndarray):
         self.x = np.asarray(x, dtype=float)
-        if self.x.shape != (16,):
+        if self.x.shape[-1:] != (16,):
             raise ValueError(f"expected 16 coordinates, got shape {self.x.shape}")
 
 
@@ -255,43 +252,47 @@ def min_eigenvalue(x: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(x_to_matrix(x))[..., 0].min())
 
 
-def _ceiling_sq(params: ModelParams, xi: complex | float
-                ) -> tuple[float, float]:
+def _ceiling_sq(params: ModelParams, xi):
     """(Q, c): Q = a_q b_q and c = Q (1 - |xi|/xi_max), the largest |m|^2
-    of a positive start at cross coherence xi; where xi_max = 0, c is Q
-    at xi = 0 and -inf at any other xi."""
-    q, r = params.a_q * params.b_q, abs(xi)
-    if r == 0.0:
-        return q, q
+    of a positive start at cross coherence xi, a number or an array; where
+    xi_max = 0, c is Q at xi = 0 and -inf at any other xi."""
+    q, r = params.a_q * params.b_q, np.abs(xi)
     cap = xi_max(params)
-    return q, q * (1.0 - r / cap) if cap > 0.0 else -math.inf
+    if cap > 0.0:
+        return q, q * (1.0 - r / cap)
+    return q, np.where(r == 0.0, q, -np.inf)
 
 
-def is_physical(params: ModelParams, m: complex | float,
-                xi: complex | float) -> bool:
+def is_physical(params: ModelParams, m, xi):
     """Whether the start of qubit coherence m = mu_q + i nu_q and cross
     coherence xi is positive (the closed form of the module docstring),
-    up to BOUNDARY_RTOL."""
+    up to BOUNDARY_RTOL; numbers or arrays, broadcast against each
+    other."""
     q, ceiling = _ceiling_sq(params, xi)
-    return abs(m) ** 2 <= ceiling + BOUNDARY_RTOL * q
+    return np.square(np.abs(m)) <= ceiling + BOUNDARY_RTOL * q
 
 
 def build_initial_state(params: ModelParams, spec: InitialStateSpec) -> DensityState:
     """The initial density matrix, checked to be physical: the thermal
     product, plus the qubit coherence m = mu_q + i nu_q dressed by the
-    defect populations on entries (0,2), (1,3), plus i*xi on entry (1,2)."""
-    m = complex(spec.mu_q, spec.nu_q)
-    if not is_physical(params, m, spec.xi):
+    defect populations on entries (0,2), (1,3), plus i*xi on entry (1,2).
+    The fields of spec may be arrays: they broadcast against each other,
+    and the result holds one state per cell, shape (..., 16)."""
+    mu, nu, xi_re, xi_im = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in spec))
+    m, xi = np.hypot(mu, nu), np.hypot(xi_re, xi_im)
+    if not np.all(ok := is_physical(params, m, xi)):
+        bad = np.argmin(ok)
         raise ValueError(
-            f"initial state is not positive (|mu_q + i nu_q| = {abs(m):.6g} "
-            f"at |xi| = {abs(spec.xi):.6g}, xi_max = {xi_max(params):.6g}); "
-            f"reduce mu_q/nu_q/xi")
+            f"initial state is not positive (|mu_q + i nu_q| = "
+            f"{m.flat[bad]:.6g} at |xi| = {xi.flat[bad]:.6g}, xi_max = "
+            f"{xi_max(params):.6g}); reduce mu_q/nu_q/xi")
     a_q, b_q, a_t, b_t = params.a_q, params.b_q, params.a_t, params.b_t
-    x = np.zeros(16)
-    x[:4] = a_q * a_t, a_q * b_t, b_q * a_t, b_q * b_t
-    x[6], x[7] = m.real * a_t, m.imag * a_t
-    x[12], x[13] = m.real * b_t, m.imag * b_t
-    x[10], x[11] = -spec.xi.imag, spec.xi.real
+    x = np.zeros(mu.shape + (16,))
+    x[..., :4] = a_q * a_t, a_q * b_t, b_q * a_t, b_q * b_t
+    x[..., 6], x[..., 7] = mu * a_t, nu * a_t
+    x[..., 12], x[..., 13] = mu * b_t, nu * b_t
+    x[..., 10], x[..., 11] = -xi_im, xi_re
     return DensityState(x)
 
 
@@ -301,12 +302,13 @@ def xi_max(params: ModelParams) -> float:
     return math.sqrt(params.a_q * params.b_q * params.a_t * params.b_t)
 
 
-def mu_max(params: ModelParams, xi: complex | float = 0.0) -> float:
+def mu_max(params: ModelParams, xi=0.0):
     """Largest real qubit coherence mu_q keeping the state positive at the
-    given cross coherence: sqrt(a_q b_q (1 - |xi|/xi_max)) (is_physical)."""
-    if not is_physical(params, 0.0, xi):
+    given cross coherence, a number or an array:
+    sqrt(a_q b_q (1 - |xi|/xi_max)) (is_physical)."""
+    if not np.all(is_physical(params, 0.0, xi)):
         raise ValueError(f"no positive state exists at xi = {xi}")
-    return math.sqrt(max(0.0, _ceiling_sq(params, xi)[1]))
+    return np.sqrt(np.maximum(0.0, _ceiling_sq(params, xi)[1]))
 
 
 class StepStats:

@@ -77,10 +77,9 @@ def pole_gains(params: ModelParams, xi: float, mus, t_pole: float
     yet, and the gain is positive and grows with mu.  The reduced
     resonant run of every start, with the cross coherence laid on the
     in-phase axis (xi real), realizes the u == 0 geometry; it is one
-    exponential, applied to all starts as one product."""
-    z0s = [x_to_z(build_initial_state(
-        params, InitialStateSpec(mu_q=mu, xi_re=xi)).x) for mu in mus]
-    zf = z_states_at(params, z0s, t_pole)
+    exponential, applied to the row's stack of starts as one product."""
+    starts = build_initial_state(params, InitialStateSpec(mu_q=mus, xi_re=xi))
+    zf = z_states_at(params, x_to_z(starts.x), t_pole)
     p_pole = z_purity(zf)
     p_s1 = 0.5 + 2.0 * zf[:, 0] ** 2
     return np.column_stack([p_pole / p_s1 - 1.0, p_pole, p_s1])

@@ -136,7 +136,8 @@ def make_rhs_z(params: ModelParams):
 def simulate_z(params: ModelParams, z0: np.ndarray,
                t_span: tuple[float, float]) -> IvpResult:
     """Evolve the reduced coordinates of the resonant run over t_span
-    exactly: the affine flow on the augmented 9x9 generator."""
+    exactly: the affine flow on the augmented 9x9 generator, from one
+    start z0 or from each row of a stack of them, shape (k, 8)."""
     m, b = z_generator(params, params.J, 0.0)
     return propagate(m, t_span, z0, b=b)
 

@@ -7,16 +7,18 @@ Every driver returns an output.Table; cells never hold NaN — a cell whose
 pole time is infinite carries the label "divergent", and a state outside
 the positivity boundary carries "unphysical".
 
-One process: coherence-map and purity-trace take their rows' pole times
-from one array-valued engine call (pole.first_events), then one
-exponential per row, and the engine gives each cell the result of its own
-batch of one.  So the emitted bytes do not depend on how a grid is cut,
-and run.workers changes nothing.
+One process: coherence-map and purity-trace take their pole times from
+one array-valued engine call (pole.first_events), then make one
+exponential per coherence-map row or one stacked reduced run per
+purity-trace cross coherence; the engine gives each cell the result of
+its own batch of one, so the emitted bytes do not depend on how a grid
+is cut, and run.workers changes nothing.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -34,14 +36,6 @@ from .scans import _coupled, scan_gamma  # noqa: F401
 from .verify import CheckResult, run_suite, suite_passed
 
 __all__ = ["simulate_trace", "coherence_map", "purity_trace", "verify_table"]
-
-
-def _trace(params, xi, mu, t_end, n):
-    """Purity samples of one reduced run."""
-    state = build_initial_state(params, InitialStateSpec(mu_q=mu, xi_re=xi))
-    res = simulate_z(params, x_to_z(state.x), (0.0, t_end))
-    ts = np.linspace(0.0, t_end, n)
-    return z_purity(res.trajectory(ts))
 
 
 # ====================================================================
@@ -94,29 +88,27 @@ def coherence_map(cfg: RunConfig) -> Table:
     m_axis = cfg.axis("mu_frac") or SweepAxis("mu_frac", 0.0, 1.0, 21)
     xi_cap = xi_max(params)
     mu_cap0 = mu_max(params, 0.0)
-    mus = [float(mf) * mu_cap0 for mf in m_axis.values()]
+    mus = m_axis.values() * mu_cap0
 
-    xfs = [float(xf) for xf in x_axis.values()]
-    xis = [xf * xi_cap for xf in xfs]
-    leads = first_events([params] * len(xis), xis, cfg.horizon)
+    xfs = x_axis.values()
+    xis = xfs * xi_cap
+    leads = first_events([params] * len(xis), xis.tolist(), cfg.horizon)
+    inside = is_physical(params, mus, xis[:, None])     # one row per xi
+    cells = np.array(["unphysical", "divergent"], dtype=object)[
+        inside.astype(int)]
+    for row, cell, xi, lead in zip(inside, cells, xis, leads):
+        if lead.status == "reached":    # one exponential per row
+            cell[row] = pole_gains(params, xi, mus[row], lead.time)[:, 0]
 
     table = Table("coherence-map",
                   ["xi_frac", "xi", "mu_q", "mu_max", "delta_p"],
                   metadata={"xi_max": xi_cap, "mu_max_uncorrelated": mu_cap0,
                             "t0": params.t0})
-    for xf, xi, lead in zip(xfs, xis, leads):
-        # one exponential per row for all its physical mu cells
-        cap = mu_max(params, xi)
-        inside = [is_physical(params, mu, xi) for mu in mus]
-        cells: list[object] = ["divergent" if ok else "unphysical"
-                               for ok in inside]
-        if lead.status == "reached":
-            phys = [k for k, ok in enumerate(inside) if ok]
-            gains = pole_gains(params, xi, [mus[k] for k in phys], lead.time)
-            for k, gain in zip(phys, gains[:, 0].tolist()):
-                cells[k] = gain
-        for mu, cell in zip(mus, cells):
-            table.add(xf, xi, float(mu), cap, cell)
+    mu_cells = mus.tolist()
+    for xf, xi, cap, row in zip(xfs.tolist(), xis.tolist(),
+                                mu_max(params, xis).tolist(), cells.tolist()):
+        table.rows.extend(zip(repeat(xf), repeat(xi), mu_cells, repeat(cap),
+                              row))
     return table
 
 
@@ -138,29 +130,29 @@ def purity_trace(cfg: RunConfig) -> Table:
     params = _coupled(cfg.params())
     xis = {"xi0": 0.0, "xihalf": 0.5 * xi_max(params)}
     leads = first_events([params] * 2, list(xis.values()), cfg.horizon)
-    for xi, lead in zip(xis.values(), leads):
-        if lead.status != "reached":
-            raise ValueError(
-                f"purity-trace needs a reachable pole; status "
-                f"{lead.status!r} at xi = {xi} (gamma/J = "
-                f"{params.gamma / params.J:.3f})")
     p_tls0 = 0.5 + 2.0 * (params.a_t - 0.5) ** 2
 
     table = Table("purity-trace", ["xi", "mu_q", "t", "purity"],
                   metadata={"p_tls_initial": p_tls0})
     for (tag, xi), lead in zip(xis.items(), leads):
-        cap = mu_max(params, xi)
+        if lead.status != "reached":
+            raise ValueError(
+                f"purity-trace needs a reachable pole; status "
+                f"{lead.status!r} at xi = {xi} (gamma/J = "
+                f"{params.gamma / params.J:.3f})")
+        # one reduced run of the whole coherence grid, top start last, read
+        # at the samples and then at the pole time: the reference level is
+        # the top-coherence trace's purity at the pole
+        mus = np.linspace(0.0, 1.0, cfg.mu_count) * mu_max(params, xi)
+        starts = build_initial_state(params, InitialStateSpec(mus, xi_re=xi))
         t_end = 1.15 * lead.time
-        table.metadata[f"t_pole_{tag}"] = lead.time
-        # reference level: the top-coherence trace's purity at the pole
-        top = _trace(params, xi, cap, lead.time, 2)
-        table.metadata[f"p_max_{tag}"] = float(top[-1])
         ts = np.linspace(0.0, t_end, cfg.samples)
-        for frac in np.linspace(0.0, 1.0, cfg.mu_count):
-            mu = float(frac) * cap
-            ps = _trace(params, xi, mu, t_end, cfg.samples)
-            for t, p in zip(ts, ps):
-                table.add(float(xi), float(mu), float(t), float(p))
+        ps = z_purity(simulate_z(params, x_to_z(starts.x), (0.0, t_end))
+                      .trajectory(np.append(ts, lead.time)))
+        table.metadata[f"t_pole_{tag}"] = lead.time
+        table.metadata[f"p_max_{tag}"] = float(ps[-1, -1])
+        for mu, trace in zip(mus.tolist(), ps[:-1].T.tolist()):
+            table.rows.extend(zip(repeat(xi), repeat(mu), ts.tolist(), trace))
     return table
 
 

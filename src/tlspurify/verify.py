@@ -127,19 +127,20 @@ def run_suite(params: ModelParams, *, rtol: float = 1e-10,
     checks.append(_check("z-conservation", resid, 1e-9, res0.stats))
 
     # -- radius never grows under the drift flow ----------------------
-    # the largest dr/dt at an accepted step: r = e^{-gamma t/2} |q_wv|
-    # on the regular S1 direction flow, so
-    # dr/dt = e^{-gamma t/2} (q_wv . q_wv' / |q_wv| - (gamma/2) |q_wv|),
-    # relative to the flow's rate scale 2J + gamma/2 times the largest r
-    s1 = integrate(make_rhs_s1(params), t_span, initial_direction(params, xi),
-                   rtol=rtol, atol=atol)
-    q, dq = s1.y[:, :2], s1.trajectory.fs[:, :2]
-    norm = np.hypot(q[:, 0], q[:, 1])
-    decay = np.exp(-0.5 * params.gamma * s1.t)
-    rate = decay * (np.divide(
-        (q * dq).sum(axis=1), norm, out=np.zeros_like(norm), where=norm > 0.0)
-        - 0.5 * params.gamma * norm)
-    scale = (2.0 * params.J + 0.5 * params.gamma) * (decay * norm).max()
+    # the largest dr/dt = s_wv . s_wv' / |s_wv| at an accepted step, on the
+    # decaying direction s = e^{-gamma t/2} q from s0/|s0| (r in units of
+    # |s0|: no overflow where q grows, no absolute error where s0 is
+    # small), relative to the rate scale 2J + gamma/2 times the largest r
+    half = 0.5 * params.gamma
+    q_rhs = make_rhs_s1(params)
+    s0 = initial_direction(params, xi)
+    s1 = integrate(lambda t, s: q_rhs(t, s) - half * s, t_span,
+                   s0 / (np.linalg.norm(s0) or 1.0), rtol=rtol, atol=atol)
+    s, ds = s1.y[:, :2], s1.trajectory.fs[:, :2]
+    norm = np.hypot(s[:, 0], s[:, 1])
+    rate = np.divide((s * ds).sum(axis=1), norm, out=np.zeros_like(norm),
+                     where=norm > 0.0)
+    scale = (2.0 * params.J + half) * norm.max()
     checks.append(_check("radius-monotone",
                          _relative(max(0.0, rate.max()), scale),
                          1e-10, s1.stats))

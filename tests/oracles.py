@@ -21,7 +21,9 @@ verdict that model.is_physical answers in closed form.
 
 The gain oracle steps the reduced flow node by node (reduced.simulate_z)
 to the pole time, where optimal.pole_gains applies one exponential over
-the whole span.  The spherical chart, the coherence oscillator's first
+the whole span.  The trace oracle makes one reduced run per start, where
+sweeps.purity_trace steps all the starts of a cross coherence as one
+stack.  The spherical chart, the coherence oscillator's first
 zero and the region-A threshold are physics that only the tests read.
 """
 
@@ -157,7 +159,7 @@ def _family_x(params: ModelParams, spec: InitialStateSpec) -> np.ndarray:
     coh = complex(spec.mu_q, spec.nu_q)
     rho[0, 2] = coh * a_t
     rho[1, 3] = coh * b_t
-    rho[1, 2] = 1.0j * spec.xi
+    rho[1, 2] = 1.0j * complex(spec.xi_re, spec.xi_im)
     rho = rho + rho.conj().T - np.diag(rho.diagonal().real)
     return matrix_to_x(rho)
 
@@ -357,6 +359,15 @@ def simulated_gain(params: ModelParams, xi: float, mu: float,
     state = build_initial_state(params, InitialStateSpec(mu_q=mu, xi_re=xi))
     z = simulate_z(params, x_to_z(state.x), (0.0, t_pole)).y[-1]
     return float(z_purity(z) / (0.5 + 2.0 * z[0] ** 2) - 1.0)
+
+
+def reduced_trace(params: ModelParams, xi: float, mu: float, t_end: float,
+                  n: int) -> np.ndarray:
+    """Qubit purity at n evenly spaced times over [0, t_end] of the
+    reduced run from the start (mu, xi) alone."""
+    state = build_initial_state(params, InitialStateSpec(mu_q=mu, xi_re=xi))
+    res = simulate_z(params, x_to_z(state.x), (0.0, t_end))
+    return z_purity(res.trajectory(np.linspace(0.0, t_end, n)))
 
 
 # ====================================================================

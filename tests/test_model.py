@@ -21,6 +21,8 @@ from tlspurify.model import (BOUNDARY_RTOL, OFFDIAG_SLOTS, DensityState,
                              is_physical, matrix_to_x, min_eigenvalue,
                              mu_max, thermal_populations, x_to_matrix,
                              xi_max)
+from tlspurify.optimal import pole_gains
+from tlspurify.reduced import x_to_z, z_purity, z_states_at
 
 # Frozen reference values, all recomputed from their printed closed forms.
 A_Q_BETA1 = 0.7310585786300049       # 1/(1 + e^-1)
@@ -384,7 +386,7 @@ def test_initial_state_coherence_slots(params_bath):
     assert rho[0, 2] == pytest.approx(coh * a_t, abs=1e-15)
     assert rho[1, 3] == pytest.approx(coh * b_t, abs=1e-15)
     # the cross coherence enters as i*xi on the (|01>, |10>) entry
-    assert rho[1, 2] == pytest.approx(1.0j * spec.xi, abs=1e-15)
+    assert rho[1, 2] == pytest.approx(1.0j * (0.03 + 0.01j), abs=1e-15)
 
 
 def test_initial_state_rejects_unphysical(params_bath):
@@ -457,6 +459,50 @@ def test_mu_max_closed_form_and_cold_limit():
     for p in (cold_qubit, cold_defect):
         with pytest.raises(ValueError):
             mu_max(p, 1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+# the cold limit: xi_max = mu_max = 0, and the ceiling's one ulp above is
+# the smallest subnormal
+@example(beta=40.0, xi_fracs=[0.5], mu_fracs=[0.5])
+@given(beta=st.floats(0.05, 40.0),
+       xi_fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       mu_fracs=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=5))
+def test_array_starts_equal_scalar_starts(beta, xi_fracs, mu_fracs):
+    """is_physical, mu_max and build_initial_state on arrays give, bit
+    for bit, the stack of their scalar calls.  The grid: xi = 0, xi_max
+    and random fractions of it; per xi, mu at mu_max(xi), one ulp above
+    it and random fractions of it.  pole_gains on a row equals the
+    reduced states of the row's scalar starts, stacked into one
+    z_states_at product as pole_gains makes it (a product of one row may
+    differ from the same row of a larger product in its last bit)."""
+    p = ModelParams(beta=beta, kappa=0.1)
+    xis = np.array([0.0, 1.0, *xi_fracs]) * xi_max(p)
+    caps = mu_max(p, xis)
+    assert caps.tobytes() == np.array([mu_max(p, xi)
+                                       for xi in xis.tolist()]).tobytes()
+    mus = np.column_stack([caps, np.nextafter(caps, 1.0),
+                           np.outer(caps, mu_fracs)])
+    inside = is_physical(p, mus, xis[:, None])
+    assert inside.tolist() == [[is_physical(p, mu, xi) for mu in row]
+                               for row, xi in zip(mus.tolist(), xis.tolist())]
+    assert inside[:, 0].all()
+    xi_grid = np.broadcast_to(xis[:, None], mus.shape)
+    starts = build_initial_state(p, InitialStateSpec(
+        mu_q=mus[inside], xi_re=xi_grid[inside])).x
+    one_by_one = [build_initial_state(p, InitialStateSpec(
+        mu_q=mu, xi_re=xi)).x for mu, xi in zip(mus[inside].tolist(),
+                                                  xi_grid[inside].tolist())]
+    assert starts.tobytes() == np.array(one_by_one).tobytes()
+    for xi, row, ok in zip(xis.tolist(), mus, inside):
+        row = row[ok]
+        z0s = [x_to_z(build_initial_state(p, InitialStateSpec(
+            mu_q=mu, xi_re=xi)).x) for mu in row.tolist()]
+        gains = pole_gains(p, xi, row, p.t0)
+        zf = z_states_at(p, np.array(z0s), p.t0)
+        p_pole, p_s1 = z_purity(zf), 0.5 + 2.0 * zf[:, 0] ** 2
+        assert gains.tobytes() == np.column_stack(
+            [p_pole / p_s1 - 1.0, p_pole, p_s1]).tobytes()
 
 
 def test_on_boundary_starts_are_physical(params_bath):
