@@ -15,10 +15,11 @@ each accepted step, whose error is far below the working tolerances
 here.
 
 A flow y' = A y + b with constant A and b needs no stepping: propagate()
-lays exact nodes y_{k+1} = e^{A h} y_k over the span and evaluates any time
-in between by a short Taylor series from the nearest node, exact to
-roundoff.  expm is Pade-13 scaling and squaring (Higham 2005), in numpy
-alone.
+returns the states at the times its caller asks for.  It lays exact
+nodes y_{k+1} = e^{A h} y_k over the span, keeps only the node nearest
+each requested time, and evaluates the time by a short Taylor series from
+it, exact to roundoff.  expm is Pade-13 scaling and squaring (Higham
+2005), in numpy alone.
 """
 
 from __future__ import annotations
@@ -92,10 +93,10 @@ class Trajectory:
 
 
 class IvpResult(NamedTuple):
-    t: np.ndarray                       # accepted step times, t[0] = t0
-    y: np.ndarray                       # states at those times, shape (len(t), dim)
+    t: np.ndarray       # accepted steps (t[0] = t0), or the requested times
+    y: np.ndarray       # states at those times, shape (len(t), dim)
     stats: StepStats
-    trajectory: Trajectory | ExactTrajectory
+    trajectory: Trajectory | None = None    # Runge-Kutta runs only
 
 
 # ====================================================================
@@ -236,16 +237,17 @@ TAYLOR_TERMS = 12
 
 #: most node steps one propagate() run may take.  The count is
 #: ||A||_1 span / NODE_NORM, so it grows with the rates and the span
-#: without limit, and the node states are held in memory: at the cap a
-#: 17-slot run holds 13.6 MB of them and takes about 0.4 s on a 2-core
-#: x86_64 host.  The default and benchmark configs need at most 3,456
-#: (the detuned lab-frame simulate)
+#: without limit, and so does the run's time, one matrix product per
+#: node: at the cap a 17-slot run takes about 0.1 s on a 2-core x86_64
+#: host.  The default and benchmark configs need at most 3,456 (the
+#: detuned lab-frame simulate)
 MAX_NODES = 100_000
 
-#: states (requested times, each for every start) an ExactTrajectory
-#: evaluates at once.  Each holds its TAYLOR_TERMS + 1 series terms, so the
-#: working memory is that of one chunk, about 3.6 MB for a 17-slot state,
-#: however many are asked for.  The default 601 samples are one chunk
+#: states (requested times, each for every start) propagate() evaluates
+#: at once.  Each holds its TAYLOR_TERMS + 1 series terms, so the working
+#: memory of the series is that of one chunk, about 3.6 MB for a 17-slot
+#: state, however many are asked for.  The default 601 samples are one
+#: chunk
 EVAL_CHUNK = 2048
 
 
@@ -288,85 +290,40 @@ def _rotate(k: np.ndarray, phi, y: np.ndarray) -> np.ndarray:
     return y + np.sin(phi) * ky + (1.0 - np.cos(phi)) * (ky @ k.T)
 
 
-class ExactTrajectory:
-    """Exact view of a propagate() run between its nodes: each time in the
-    span is a Taylor series from its nearest node.  The state is cut to
-    its first dim entries (dropping the affine slot) and, for a rotating
-    run, turned back to the fixed frame."""
-
-    def __init__(self, a: np.ndarray, ts: np.ndarray, ys: np.ndarray,
-                 dim: int, rotation: tuple[np.ndarray, float] | None):
-        self.a = a
-        self.ts = ts
-        self.ys = ys
-        self.dim = dim
-        self.rotation = rotation
-
-    def states(self, t: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Rows of the propagated state at times t, as reported."""
-        out = ys[..., :self.dim]
-        if self.rotation is None:
-            return out
-        k, omega = self.rotation
-        return _rotate(k, omega * t.reshape((-1,) + (1,) * (out.ndim - 2)),
-                       out)
-
-    def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty(t_arr.shape + self.ys.shape[1:-1] + (self.dim,))
-        size = max(1, EVAL_CHUNK // math.prod(self.ys.shape[1:-1]))
-        for start in range(0, t_arr.size, size):
-            chunk = t_arr[start:start + size]
-            out[start:start + size] = self.states(chunk, self._series(chunk))
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return out[0]
-        return out
-
-    def _series(self, t_arr: np.ndarray) -> np.ndarray:
-        """Propagated state at each time of t_arr, affine slot included."""
-        h = (self.ts[-1] - self.ts[0]) / (len(self.ts) - 1)
-        k = np.clip(np.rint((t_arr - self.ts[0]) / h).astype(int),
-                    0, len(self.ts) - 1)
-        nodes, which = np.unique(k, return_inverse=True)
-        # Taylor terms A^j y_k / j! of each node in use, weighted by the
-        # powers of each time's offset from its node
-        terms = [self.ys[nodes]]
-        for j in range(1, TAYLOR_TERMS + 1):
-            terms.append(terms[-1] @ (self.a.T / j))
-        terms = np.stack(terms, axis=1)
-        powers = np.vander(t_arr - self.ts[k], TAYLOR_TERMS + 1,
-                           increasing=True)
-        flat = terms[which].reshape(t_arr.size, TAYLOR_TERMS + 1, -1)
-        return (powers[:, None, :] @ flat).reshape((-1,) + self.ys.shape[1:])
-
-
 def propagate(
     a: np.ndarray,
     t_span: tuple[float, float],
     y0: np.ndarray,
+    times: np.ndarray,
     *,
     b: np.ndarray | None = None,
     rotation: tuple[np.ndarray, float] | None = None,
 ) -> IvpResult:
     """Exact solution of y' = A y + b (b = 0 when omitted) over t_span,
-    from y0 or from each row of a stack of starts y0, shape (k, dim).
+    from y0 or from each row of a stack of starts y0, shape (k, dim),
+    reported at times: t is the times and y their states, shape
+    (len(times), dim) or (len(times), k, dim).
 
     The nodes are y_{k+1} = e^{A h} y_k on a uniform grid with
     ||A||_1 h <= NODE_NORM; an affine b rides along as a constant last
     slot of the augmented generator [[A, b], [0, 0]].  A stack steps as
-    the columns of one matrix, holding k times the node states.
+    the columns of one matrix.  The run keeps only the node nearest each
+    time (a time outside the span takes the span's end node) and steps no
+    further than the last of them; each time is a Taylor series from its
+    node, EVAL_CHUNK states at a time.
 
     rotation = (K, omega), for a generator of plane rotations K, makes y
     the state in a frame that rotates at omega: the run reports
     x(t) = e^{omega t K} y(t), and y0 is x(t0).  A constant detuning gets
     constant coefficients this way.
 
-    stats counts node steps as accepted steps and as evaluations; nothing
-    is rejected.
+    stats counts the grid's node steps as accepted steps and as
+    evaluations; nothing is rejected.
     """
     t0, tf = float(t_span[0]), float(t_span[1])
     if tf <= t0:
         raise ValueError(f"need tf > t0, got span {t_span}")
+    times = np.atleast_1d(np.asarray(times, dtype=float))
     a = np.asarray(a, dtype=float)
     y = np.array(y0, dtype=float)
     dim = y.shape[-1]
@@ -384,12 +341,41 @@ def propagate(
                          f"{nodes:.3g} node steps, more than MAX_NODES = "
                          f"{MAX_NODES}: the rates or the span are too large")
     n = max(1, math.ceil(nodes))
-    ts = np.linspace(t0, tf, n + 1)
-    step = expm(a * ((tf - t0) / n))
-    ys = np.empty((n + 1,) + y.T.shape)       # a stack's starts as columns
-    ys[0] = y.T
-    for k in range(n):
-        ys[k + 1] = step @ ys[k]
-    traj = ExactTrajectory(a, ts, np.moveaxis(ys, 1, -1), dim, rotation)
-    return IvpResult(t=ts, y=traj.states(ts, traj.ys),
-                     stats=StepStats(accepted=n, n_eval=n), trajectory=traj)
+    h = (tf - t0) / n
+    near = np.clip(np.rint((times - t0) / h).astype(int), 0, n)
+    offset = times - np.linspace(t0, tf, n + 1)[near]
+    in_use = np.zeros(n + 1, dtype=bool)    # cheaper than np.unique's sort
+    in_use[near] = True
+    used = np.flatnonzero(in_use)
+    slot = np.searchsorted(used, near)      # each time's row of kept
+    step = expm(a * h)
+    kept = np.empty((len(used),) + y.T.shape)   # a stack's starts as columns
+    y, done = y.T, 0
+    for j, node in enumerate(used.tolist()):
+        while done < node:
+            y = step @ y
+            done += 1
+        kept[j] = y
+    kept = np.moveaxis(kept, 1, -1)             # and as rows again
+
+    out = np.empty(times.shape + kept.shape[1:-1] + (dim,))
+    size = max(1, EVAL_CHUNK // math.prod(kept.shape[1:-1]))
+    for start in range(0, times.size, size):
+        part = slice(start, start + size)
+        # Taylor terms A^j y_k / j! of each node in use, weighted by the
+        # powers of each time's offset from its node
+        rows, which = np.unique(slot[part], return_inverse=True)
+        terms = [kept[rows]]
+        for j in range(1, TAYLOR_TERMS + 1):
+            terms.append(terms[-1] @ (a.T / j))
+        powers = np.vander(offset[part], TAYLOR_TERMS + 1, increasing=True)
+        flat = np.stack(terms, axis=1)[which].reshape(
+            len(powers), TAYLOR_TERMS + 1, -1)
+        ys = (powers[:, None, :] @ flat).reshape(
+            (-1,) + kept.shape[1:])[..., :dim]
+        if rotation is not None:
+            k, omega = rotation
+            ys = _rotate(k, omega * times[part].reshape(
+                (-1,) + (1,) * (ys.ndim - 2)), ys)
+        out[part] = ys
+    return IvpResult(t=times, y=out, stats=StepStats(accepted=n, n_eval=n))

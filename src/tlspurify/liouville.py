@@ -193,13 +193,15 @@ def simulate(
     params: ModelParams,
     state: DensityState,
     t_span: tuple[float, float],
+    times: np.ndarray,
     drive: ConstantDrive | None = None,
     *,
     frame: str = "rwa",
 ) -> IvpResult:
-    """Evolve a density state over t_span in the chosen frame, exactly:
-    the lab generator at the drive's shift, or the rotating-frame one in
-    the frame that co-rotates with its detuning."""
+    """Evolve a density state over t_span in the chosen frame, exactly,
+    and report it at times: the lab generator at the drive's shift, or
+    the rotating-frame one in the frame that co-rotates with its
+    detuning."""
     if drive is None:
         drive = resonant()
     if frame == "lab":
@@ -211,4 +213,4 @@ def simulate(
         rotation = (FRAME_ROTATION, delta)
     else:
         raise ValueError(f"frame must be 'rwa' or 'lab', got {frame!r}")
-    return propagate(a, t_span, state.x, rotation=rotation)
+    return propagate(a, t_span, state.x, times, rotation=rotation)

@@ -134,18 +134,19 @@ def make_rhs_z(params: ModelParams):
 
 
 def simulate_z(params: ModelParams, z0: np.ndarray,
-               t_span: tuple[float, float]) -> IvpResult:
+               t_span: tuple[float, float], times: np.ndarray) -> IvpResult:
     """Evolve the reduced coordinates of the resonant run over t_span
-    exactly: the affine flow on the augmented 9x9 generator, from one
-    start z0 or from each row of a stack of them, shape (k, 8)."""
+    exactly, and report them at times: the affine flow on the augmented
+    9x9 generator, from one start z0 or from each row of a stack of them,
+    shape (k, 8)."""
     m, b = z_generator(params, params.J, 0.0)
-    return propagate(m, t_span, z0, b=b)
+    return propagate(m, t_span, z0, times, b=b)
 
 
 def z_states_at(params: ModelParams, z0s, t: float) -> np.ndarray:
     """z(t) of the resonant reduced run from each row of z0s: one
     exponential of the augmented generator [[M, b], [0, 0]] over [0, t],
-    applied to every start as one product."""
+    applied to every start as one product: no node grid for one time."""
     step = expm(augment(*z_generator(params, params.J, 0.0)) * t)
     return np.reshape(z0s, (-1, 8)) @ step[:8, :8].T + step[:8, 8]
 

@@ -60,9 +60,9 @@ def simulate_trace(cfg: RunConfig) -> Table:
         if lead.status == "reached":
             t_end = lead.time
 
-    res = simulate(params, state, (0.0, t_end), drive, frame=cfg.frame)
     ts = np.linspace(0.0, t_end, cfg.samples)
-    xs = res.trajectory(ts)
+    res = simulate(params, state, (0.0, t_end), ts, drive, frame=cfg.frame)
+    xs = res.y
 
     cols = ["t", "purity_qubit", "purity_tls"] + [f"x{k:02d}" for k in range(16)]
     table = Table("simulate", cols, metadata={
@@ -147,8 +147,8 @@ def purity_trace(cfg: RunConfig) -> Table:
         starts = build_initial_state(params, InitialStateSpec(mus, xi_re=xi))
         t_end = 1.15 * lead.time
         ts = np.linspace(0.0, t_end, cfg.samples)
-        ps = z_purity(simulate_z(params, x_to_z(starts.x), (0.0, t_end))
-                      .trajectory(np.append(ts, lead.time)))
+        ps = z_purity(simulate_z(params, x_to_z(starts.x), (0.0, t_end),
+                                 np.append(ts, lead.time)).y)
         table.metadata[f"t_pole_{tag}"] = lead.time
         table.metadata[f"p_max_{tag}"] = float(ps[-1, -1])
         for mu, trace in zip(mus.tolist(), ps[:-1].T.tolist()):

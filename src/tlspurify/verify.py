@@ -84,32 +84,35 @@ def run_suite(params: ModelParams, *, rtol: float = 1e-10,
                                      np.abs(m).max()))
     checks.append(_check("generator-trace-free", worst, 1e-12))
 
-    # -- full 16-dim run mapped to z matches the reduced run ----------
-    # the largest z gap at the reduced run's steps, correlated start
+    # the full 16-dim run from a correlated start, exact, read at the
+    # steps of a Runge-Kutta run of the reduced flow and of the full one
+    # (same start and span), and at 400 even times
     xi = xi_max(params)
     mu = 0.5 * mu_max(params, 0.5 * xi)
     spec = InitialStateSpec(mu_q=mu, xi_re=0.5 * xi)
     state = build_initial_state(params, spec)
     t_span = (0.0, 2.0 * params.t0)
-    full = simulate(params, state, t_span)
     z0 = x_to_z(state.x)
     z_rhs = z_rhs_override if z_rhs_override is not None else make_rhs_z(params)
     red = integrate(z_rhs, t_span, z0, rtol=rtol, atol=atol)
-    resid = float(np.abs(x_to_z(full.trajectory(red.t)) - red.y).max())
+    rk = integrate(make_rhs_rwa(params, resonant()), t_span, state.x,
+                   rtol=rtol, atol=atol)
+    ts = np.linspace(t_span[0], t_span[1], 400)
+    full = simulate(params, state, t_span, np.concatenate((red.t, rk.t, ts)))
+    at_red, at_rk, xs = np.split(full.y, np.cumsum((len(red.t), len(rk.t))))
+
+    # -- full run mapped to z matches the reduced run -----------------
+    # the largest z gap at the reduced run's steps
+    resid = float(np.abs(x_to_z(at_red) - red.y).max())
     checks.append(_check("full-vs-reduced", resid, 1e-8,
                          full.stats + red.stats))
 
     # -- exact propagation matches Runge-Kutta on the same run ----------
-    # the largest x gap at the integrated run's steps, same start and span
-    rk = integrate(make_rhs_rwa(params, resonant()), t_span, state.x,
-                   rtol=rtol, atol=atol)
-    resid = float(np.abs(full.trajectory(rk.t) - rk.y).max())
+    # the largest x gap at the integrated run's steps
+    resid = float(np.abs(at_rk - rk.y).max())
     checks.append(_check("exact-vs-rk", resid, 1e-8, full.stats + rk.stats))
 
-    ts = np.linspace(t_span[0], t_span[1], 400)
-
     # -- trace preserved along the full run: max |trace - 1| ----------
-    xs = full.trajectory(ts)
     drift = float(np.abs(xs[:, :4].sum(axis=1) - 1.0).max())
     checks.append(_check("trace-preservation", drift, 1e-9, full.stats))
 
@@ -117,9 +120,9 @@ def run_suite(params: ModelParams, *, rtol: float = 1e-10,
     checks.append(_check("positivity",
                          max(0.0, -min_eigenvalue(xs[::8])), 1e-8))
 
-    # -- eta-line conservation at xi = 0: max |r + c - eta| -----------
+    # -- eta-line conservation at xi = 0: max |r + c - eta|, 400 times -
     plain = build_initial_state(params, InitialStateSpec())
-    res0 = simulate(params, plain, t_span)
+    res0 = simulate(params, plain, t_span, ts)
     zz = x_to_z(res0.y)
     cc = -0.5 * (zz[:, 3] + 1.0)
     rr = np.hypot(zz[:, 0] - cc, zz[:, 1])
@@ -146,7 +149,9 @@ def run_suite(params: ModelParams, *, rtol: float = 1e-10,
                          1e-10, s1.stats))
 
     # -- coherence block closed form ----------------------------------
-    # the largest gap to the damped-oscillator solution.  A cold qubit
+    # the largest gap to the damped-oscillator solution at the accepted
+    # steps, where the run is as good as its tolerances (the cubic
+    # interpolant in between adds its own error).  A cold qubit
     # carries little coherence: the start keeps mu = 0.3 while that is
     # within 3/4 of the ceiling (beta up to about 1.3 at the default
     # splittings), and sits at 3/4 of the ceiling past that
@@ -158,9 +163,8 @@ def run_suite(params: ModelParams, *, rtol: float = 1e-10,
         st = build_initial_state(p, InitialStateSpec(mu_q=mu_s2))
         zr = integrate(make_rhs_z(p), (0.0, 3.0 * p.t0), x_to_z(st.x),
                        rtol=rtol, atol=atol)
-        tt = np.linspace(0.0, 3.0 * p.t0, 300)
-        exact = s2_resonant_solution(p, mu_s2, tt)
-        worst = max(worst, float(np.abs(zr.trajectory(tt)[:, 4] - exact).max()))
+        exact = s2_resonant_solution(p, mu_s2, zr.t)
+        worst = max(worst, float(np.abs(zr.y[:, 4] - exact).max()))
         tot += zr.stats
     checks.append(_check("s2-closed-form", worst, 1e-8, tot))
 

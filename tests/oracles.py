@@ -357,7 +357,7 @@ def simulated_gain(params: ModelParams, xi: float, mu: float,
     reduced flow stepped node by node, not one exponential over the span
     as optimal.pole_gains applies it."""
     state = build_initial_state(params, InitialStateSpec(mu_q=mu, xi_re=xi))
-    z = simulate_z(params, x_to_z(state.x), (0.0, t_pole)).y[-1]
+    z = simulate_z(params, x_to_z(state.x), (0.0, t_pole), [t_pole]).y[-1]
     return float(z_purity(z) / (0.5 + 2.0 * z[0] ** 2) - 1.0)
 
 
@@ -366,8 +366,9 @@ def reduced_trace(params: ModelParams, xi: float, mu: float, t_end: float,
     """Qubit purity at n evenly spaced times over [0, t_end] of the
     reduced run from the start (mu, xi) alone."""
     state = build_initial_state(params, InitialStateSpec(mu_q=mu, xi_re=xi))
-    res = simulate_z(params, x_to_z(state.x), (0.0, t_end))
-    return z_purity(res.trajectory(np.linspace(0.0, t_end, n)))
+    res = simulate_z(params, x_to_z(state.x), (0.0, t_end),
+                     np.linspace(0.0, t_end, n))
+    return z_purity(res.y)
 
 
 # ====================================================================

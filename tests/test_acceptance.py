@@ -83,11 +83,10 @@ def test_criterion_04_full_vs_reduced_equivalence():
     spec = InitialStateSpec(mu_q=0.5 * mu_max(p, xi), xi_re=xi)
     state = build_initial_state(p, spec)
     t_end = 2.0 * p.t0
-    full = simulate(p, state, (0.0, t_end))
-    red = simulate_z(p, x_to_z(state.x), (0.0, t_end))
     ts = np.linspace(0.0, t_end, 400)
-    gap = float(np.abs(x_to_z(full.trajectory(ts))
-                       - red.trajectory(ts)).max())
+    full = simulate(p, state, (0.0, t_end), ts)
+    red = simulate_z(p, x_to_z(state.x), (0.0, t_end), ts)
+    gap = float(np.abs(x_to_z(full.y) - red.y).max())
     elapsed = time.perf_counter() - tic
     assert gap < 1e-8
     assert elapsed < 5.0
@@ -99,10 +98,11 @@ def test_criterion_05_conservation_suite():
     p = ModelParams(kappa=0.1)
     rng = np.random.default_rng(20260822)
     t_end = 2.0 * p.t0
+    ts = np.linspace(0.0, t_end, 400)
     for _ in range(10):
         spec = random_family_spec(p, rng)
         state = build_initial_state(p, spec)
-        res = simulate(p, state, (0.0, t_end))
+        res = simulate(p, state, (0.0, t_end), ts)
         traces = res.y[:, :4].sum(axis=1)
         assert np.abs(traces - 1.0).max() < 1e-9
         assert min(min_eigenvalue(x) for x in res.y) >= -1e-8
@@ -111,7 +111,7 @@ def test_criterion_05_conservation_suite():
                         np.array([r0, c0, th0]), rtol=1e-10, atol=1e-10)
         assert rct.trajectory.fs[:, 0].max() <= 1e-10
     z0 = x_to_z(build_initial_state(p, InitialStateSpec()).x)
-    zres = simulate_z(p, z0, (0.0, t_end))
+    zres = simulate_z(p, z0, (0.0, t_end), ts)
     zsum = np.array([sum(z_to_spherical(z)[:2]) for z in zres.y])
     assert np.abs(zsum - p.eta).max() < 1e-9
 
@@ -228,10 +228,10 @@ def test_criterion_11_rotating_frame_validity():
     t_end = t_min_analytic(p)
     state = build_initial_state(p, InitialStateSpec())
     ts = np.linspace(0.0, t_end, 400)
-    runs = {frame: simulate(p, state, (0.0, t_end), frame=frame)
+    runs = {frame: simulate(p, state, (0.0, t_end), ts, frame=frame)
             for frame in ("rwa", "lab")}
-    pa = qubit_purity(runs["rwa"].trajectory(ts))
-    pb = qubit_purity(runs["lab"].trajectory(ts))
+    pa = qubit_purity(runs["rwa"].y)
+    pb = qubit_purity(runs["lab"].y)
     assert np.abs(pa - pb).max() < 0.01
 
 

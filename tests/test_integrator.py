@@ -210,18 +210,19 @@ def test_propagate_refuses_past_node_cap():
     a = np.array([[-1e12]])
     for span in ((0.0, 1e6), (0.0, math.inf)):
         with pytest.raises(ValueError, match="MAX_NODES"):
-            propagate(a, span, np.ones(1))
+            propagate(a, span, np.ones(1), span[1:])
     unit = np.array([[-1.0]])               # ||A||_1 = 1, NODE_NORM = 1/2
     edge = 0.5 * MAX_NODES
-    assert propagate(unit, (0.0, edge), np.ones(1)).stats.accepted \
+    assert propagate(unit, (0.0, edge), np.ones(1), [edge]).stats.accepted \
         == MAX_NODES
     with pytest.raises(ValueError, match="MAX_NODES"):
-        propagate(unit, (0.0, edge * (1.0 + 1e-9)), np.ones(1))
+        propagate(unit, (0.0, edge * (1.0 + 1e-9)), np.ones(1), [edge])
 
 
 def test_propagate_matches_expm_between_nodes():
     """Nodes, midpoints and arbitrary times of an affine run match
-    e^{At} applied to the augmented state, scalar or array."""
+    e^{At} applied to the augmented state; the run reports the times it
+    was asked for, and a scalar time as one row."""
     rng = np.random.default_rng(3)
     a = 0.7 * rng.normal(size=(5, 5))
     b = rng.normal(size=5)
@@ -229,41 +230,46 @@ def test_propagate_matches_expm_between_nodes():
     aug = np.zeros((6, 6))
     aug[:5, :5] = a
     aug[:5, 5] = b
-    res = propagate(a, (0.5, 4.0), y0, b=b)
-    assert res.stats.rejected == 0
-    assert res.stats.accepted == len(res.t) - 1 > 1
-    ts = np.concatenate([res.t, 0.5 * (res.t[1:] + res.t[:-1]),
+    n = propagate(a, (0.5, 4.0), y0, [4.0], b=b).stats.accepted
+    nodes = np.linspace(0.5, 4.0, n + 1)
+    ts = np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1]),
                          rng.uniform(0.5, 4.0, size=50)])
-    got = res.trajectory(ts)
+    res = propagate(a, (0.5, 4.0), y0, ts, b=b)
+    assert res.stats.rejected == 0
+    assert res.stats.accepted == n > 1
+    assert np.array_equal(res.t, ts)
     exact = np.array([(expm((t - 0.5) * aug) @ np.append(y0, 1.0))[:5]
                       for t in ts])
-    assert _rel_gap(got, exact) < 1e-13
-    assert _rel_gap(res.y, exact[:len(res.t)]) < 1e-13
-    assert res.trajectory(2.5).shape == (5,)
-    assert res.y[-1] == pytest.approx(exact[len(res.t) - 1], rel=1e-13)
+    assert _rel_gap(res.y, exact) < 1e-13
+    assert propagate(a, (0.5, 4.0), y0, 2.5, b=b).y.shape == (1, 5)
+    assert res.y[n] == pytest.approx(exact[n], rel=1e-13)
     with pytest.raises(ValueError):
-        propagate(a, (1.0, 1.0), y0)
+        propagate(a, (1.0, 1.0), y0, [1.0])
 
 
 def test_exact_trajectory_memory_is_bounded():
-    """One call at 100,000 times evaluates them EVAL_CHUNK at a time: its
+    """One run at 100,000 times evaluates them EVAL_CHUNK at a time: its
     peak allocation stays below twice the output array, and the chunks
-    agree with evaluating their times on their own."""
+    agree with runs at their times alone."""
     rng = np.random.default_rng(5)
-    res = propagate(0.1 * rng.normal(size=(16, 16)), (0.0, 50.0),
-                    rng.normal(size=16), b=rng.normal(size=16))
+    a = 0.1 * rng.normal(size=(16, 16))
+    y0, b = rng.normal(size=16), rng.normal(size=16)
+
+    def run(times):
+        return propagate(a, (0.0, 50.0), y0, times, b=b).y
+
     ts = np.linspace(0.0, 50.0, 100_000)
     tracemalloc.start()
     try:
-        out = res.trajectory(ts)
+        out = run(ts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert out.shape == (100_000, 16)
     assert peak < 2 * out.nbytes
-    assert np.array_equal(out[:EVAL_CHUNK], res.trajectory(ts[:EVAL_CHUNK]))
+    assert np.array_equal(out[:EVAL_CHUNK], run(ts[:EVAL_CHUNK]))
     picks = np.array([EVAL_CHUNK, 50_000, 99_999])
-    assert _rel_gap(out[picks], res.trajectory(ts[picks])) < 1e-13
+    assert _rel_gap(out[picks], run(ts[picks])) < 1e-13
 
 
 def test_propagate_runs_a_stack_as_its_rows():
@@ -277,13 +283,14 @@ def test_propagate_runs_a_stack_as_its_rows():
     plane = np.zeros((4, 4))
     plane[0, 1], plane[1, 0] = -1.0, 1.0
     y0s = rng.normal(size=(3, 4))
-    ts = np.linspace(0.5, 4.0, EVAL_CHUNK // 2)
+    n = propagate(a, (0.5, 4.0), y0s, [4.0], b=b).stats.accepted
+    ts = np.concatenate([np.linspace(0.5, 4.0, n + 1),
+                         np.linspace(0.5, 4.0, EVAL_CHUNK // 2)])
     for rotation in (None, (plane, 1.3)):
-        stack = propagate(a, (0.5, 4.0), y0s, b=b, rotation=rotation)
-        assert stack.y.shape == (len(stack.t), 3, 4)
-        assert stack.trajectory(2.0).shape == (3, 4)
-        got = stack.trajectory(ts)
+        stack = propagate(a, (0.5, 4.0), y0s, ts, b=b, rotation=rotation)
+        assert stack.y.shape == (len(ts), 3, 4)
+        assert propagate(a, (0.5, 4.0), y0s, 2.0, b=b,
+                         rotation=rotation).y.shape == (1, 3, 4)
         for i, y0 in enumerate(y0s):
-            one = propagate(a, (0.5, 4.0), y0, b=b, rotation=rotation)
+            one = propagate(a, (0.5, 4.0), y0, ts, b=b, rotation=rotation)
             assert _rel_gap(stack.y[:, i], one.y) < 1e-13
-            assert _rel_gap(got[:, i], one.trajectory(ts)) < 1e-13

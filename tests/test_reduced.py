@@ -110,9 +110,9 @@ def test_state_helpers_take_a_stack_as_its_rows(rng):
 def _compare_full_vs_reduced(params, spec, t_end, tol):
     state = build_initial_state(params, spec)
     ts = np.linspace(0.0, t_end, 60)
-    full = simulate(params, state, (0.0, t_end))
-    red = simulate_z(params, x_to_z(state.x), (0.0, t_end))
-    gap = x_to_z(full.trajectory(ts)) - red.trajectory(ts)
+    full = simulate(params, state, (0.0, t_end), ts)
+    red = simulate_z(params, x_to_z(state.x), (0.0, t_end), ts)
+    gap = x_to_z(full.y) - red.y
     return float(np.abs(gap).max()) < tol
 
 
@@ -213,11 +213,11 @@ def test_rct_flow_matches_z_flow(params_bath):
     t_end = 0.75 * params_bath.t0
     ts = np.linspace(0.0, t_end, 80)
 
-    zres = simulate_z(params_bath, z0, (0.0, t_end))
+    zres = simulate_z(params_bath, z0, (0.0, t_end), ts)
     rres = integrate(make_rhs_rct(params_bath), (0.0, t_end),
                      np.array([r0, c0, th0]), rtol=1e-11, atol=1e-12)
 
-    zs = zres.trajectory(ts)
+    zs = zres.y
     sph = np.array([z_to_spherical(z)[:3] for z in zs])
     rct = rres.trajectory(ts)
     assert np.abs(sph - rct).max() < 1e-8
@@ -234,7 +234,7 @@ def test_s1_direction_flow_matches_z_flow(ratio):
     t_end = 1.2 * t_min_numeric(p, xi).time
     qres = integrate(make_rhs_s1(p), (0.0, t_end), initial_direction(p, xi),
                      rtol=1e-10, atol=1e-10)
-    zs = simulate_z(p, z0, (0.0, t_end)).trajectory(qres.t)
+    zs = simulate_z(p, z0, (0.0, t_end), qres.t).y
     c = -0.5 * (zs[:, 3] + 1.0)
     s = np.column_stack([zs[:, 0] - c, zs[:, 1], p.eta - c])
     qs = qres.y * np.exp(-0.5 * p.gamma * qres.t)[:, None]
@@ -250,8 +250,8 @@ def test_exact_simulate_z_matches_rk(params_bath):
     z0 = x_to_z(build_initial_state(
         params_bath, InitialStateSpec(mu_q=mu, xi_re=xi)).x)
     span = (0.5, 2.0 * params_bath.t0)
-    exact = simulate_z(params_bath, z0, span)
     rk = integrate(make_rhs_z(params_bath), span, z0,
                    rtol=1e-12, atol=1e-12)
+    exact = simulate_z(params_bath, z0, span, rk.t)
     assert exact.stats.rejected == 0
-    assert np.abs(exact.trajectory(rk.t) - rk.y).max() < 1e-11
+    assert np.abs(exact.y - rk.y).max() < 1e-11
