@@ -169,11 +169,9 @@ def integrate(
     if not t0 < tf < math.inf:          # an endless span never ends the loop
         raise ValueError(f"need a finite span with tf > t0, got {t_span}")
     y = np.array(y0, dtype=float)
-    stats = StepStats()
     fy = f(t0, y)
-    stats.n_eval += 1
     h = _initial_step(f, t0, y, fy, tf, atol, rtol)
-    stats.n_eval += 1
+    accepted = rejected = 0
 
     ts = [t0]
     ys = [y.copy()]
@@ -181,7 +179,7 @@ def integrate(
     t = t0
 
     while t < tf:
-        if stats.accepted + stats.rejected >= MAX_STEPS:
+        if accepted + rejected >= MAX_STEPS:
             raise RuntimeError(f"integration past MAX_STEPS = {MAX_STEPS} "
                                f"attempted steps at t = {t:.6g} of {tf:.6g}:"
                                " the tolerances are too tight for the span")
@@ -189,13 +187,12 @@ def integrate(
         if h < 1e-14 * max(1.0, abs(t)):
             raise RuntimeError(f"step size underflow at t = {t:.6g}")
         y1, f1, err = _rk_step(f, t, y, fy, h)
-        stats.n_eval += 6
         enorm = _error_norm(err, y, y1, atol, rtol)
         if enorm > 1.0:
-            stats.rejected += 1
+            rejected += 1
             h *= max(MIN_FACTOR, SAFETY * enorm ** -0.2)
             continue
-        stats.accepted += 1
+        accepted += 1
         t1 = t + h
         if 0.0 < tf - t1 < 1e-14 * max(1.0, abs(t1)):
             t1 = tf             # a step clipped to tf fell short by roundoff
@@ -210,6 +207,8 @@ def integrate(
 
     t_arr = np.array(ts)
     y_arr = np.array(ys)
+    # two evaluations start the run, six go to each attempted step
+    stats = StepStats(accepted, rejected, 2 + 6 * (accepted + rejected))
     return IvpResult(t=t_arr, y=y_arr, stats=stats,
                      trajectory=Trajectory(t_arr, y_arr, np.array(fs)))
 

@@ -3,9 +3,10 @@
 The system is a controllable qubit (splitting ``omega_q``) exchange-coupled
 with strength ``J`` to a two-level defect (splitting ``omega_tls``).  The
 defect leaks into a thermal bath at inverse temperature ``beta`` with rate
-prefactor ``kappa``.  ModelParams holds these five parameters and derives,
-once, every thermal constant the other layers read, from
-thermal_populations and bose_occupation.  Everything downstream works in
+prefactor ``kappa``.  ModelParams holds these five parameters and is the
+one place that turns them into thermal numbers: its constructor derives,
+once, every thermal constant the other layers read, the start's
+polarization gap among them.  Everything downstream works in
 a real parameterization of the 4x4 density matrix:
 
     rho = [[ x1,        x5 + i x6,  x7 + i x8,   x9 + i x10],
@@ -62,28 +63,6 @@ _ROWS, _COLS = np.array(list(OFFDIAG_SLOTS)).T
 _RE, _IM = np.array(list(OFFDIAG_SLOTS.values())).T
 
 
-def thermal_populations(omega: float, beta: float) -> tuple[float, float]:
-    """Ground/excited occupation (a, b) of a two-level system at equilibrium.
-
-    a = e^{beta*omega/2} / (2 cosh(beta*omega/2)) = 1/(1 + e^{-beta*omega}),
-    b = 1 - a.  ``beta = 0`` is allowed and gives the maximally mixed (1/2, 1/2).
-    """
-    if omega <= 0.0:
-        raise ValueError(f"level splitting must be positive, got {omega}")
-    if beta < 0.0:
-        raise ValueError(f"inverse temperature must be >= 0, got {beta}")
-    a = 1.0 / (1.0 + math.exp(-beta * omega))
-    return a, 1.0 - a
-
-
-def bose_occupation(omega: float, beta: float) -> float:
-    """Thermal occupation 1/(e^{beta omega} - 1) of a bath mode, written as
-    e^{-x}/(1 - e^{-x}) with x = beta omega so that it falls to 0 in the
-    cold limit instead of overflowing."""
-    x = beta * omega
-    return math.exp(-x) / -math.expm1(-x)
-
-
 class ParamError(ValueError):
     """A model parameter out of its range; name is the parameter."""
 
@@ -101,20 +80,24 @@ class ModelParams:
     is refused here: the bath occupation 1/(e^{beta omega_tls} - 1) and the
     rates built on it have no float value there.
 
-    The constructor derives the thermal constants once, after its range
-    checks, as read-only attributes: the ground and excited populations
-    a_q, b_q of the qubit and a_t, b_t of the defect; the bath occupation
-    n_occ at omega_tls; the emission and absorption rates
-    gamma1 = kappa (n_occ + 1) and gamma2 = kappa n_occ, their sum gamma;
-    the asymptotic polarization scale eta = gamma1/gamma - 1/2, which
-    coincides with a_t - 1/2 and takes that value where gamma = 0; and the
-    lossless pole-to-pole transport time t0 = pi/(2J), infinite at J = 0.
-    Equality, hashing, repr, replace and pickling see only the five
-    parameters.
+    The constructor is the one place that derives the thermal constants.
+    It derives each once, after its range checks, as a read-only
+    attribute: the ground and excited populations
+    a = 1/(1 + e^{-beta omega}) and b = 1 - a of the qubit (a_q, b_q) and
+    of the defect (a_t, b_t); the polarization gap
+    pol_gap = (a_t - a_q)/2 of the thermal-product start; the bath
+    occupation n_occ = e^{-x}/(1 - e^{-x}) at x = beta omega_tls, which
+    falls to 0 in the cold limit instead of overflowing; the emission and
+    absorption rates gamma1 = kappa (n_occ + 1) and gamma2 = kappa n_occ,
+    and their sum gamma; the asymptotic polarization scale
+    eta = gamma1/gamma - 1/2, which coincides with a_t - 1/2 and takes
+    that value where gamma = 0; and the lossless pole-to-pole transport
+    time t0 = pi/(2J), infinite at J = 0.  Equality, hashing, repr,
+    replace and pickling see only the five parameters.
     """
 
     __slots__ = ("omega_q", "omega_tls", "beta", "J", "kappa",
-                 "a_q", "b_q", "a_t", "b_t", "n_occ",
+                 "a_q", "b_q", "a_t", "b_t", "pol_gap", "n_occ",
                  "gamma1", "gamma2", "gamma", "eta", "t0")
 
     def __init__(self, omega_q: float = 1.0, omega_tls: float = 3.0,
@@ -133,9 +116,13 @@ class ModelParams:
             raise ParamError("J", f"must be >= 0, got {J}")
         if not kappa >= 0.0:
             raise ParamError("kappa", f"must be >= 0, got {kappa}")
-        a_q, b_q = thermal_populations(omega_q, beta)
-        a_t, b_t = thermal_populations(omega_tls, beta)
-        n_occ = bose_occupation(omega_tls, beta)
+        a_q = 1.0 / (1.0 + math.exp(-beta * omega_q))
+        b_q = 1.0 - a_q
+        a_t = 1.0 / (1.0 + math.exp(-beta * omega_tls))
+        b_t = 1.0 - a_t
+        pol_gap = 0.5 * (a_t - a_q)
+        x = beta * omega_tls
+        n_occ = math.exp(-x) / -math.expm1(-x)
         gamma1 = kappa * (n_occ + 1.0)
         gamma2 = kappa * n_occ
         gamma = gamma1 + gamma2
@@ -144,7 +131,7 @@ class ModelParams:
         init = object.__setattr__
         for name, value in zip(self.__slots__, (
                 omega_q, omega_tls, beta, J, kappa, a_q, b_q, a_t, b_t,
-                n_occ, gamma1, gamma2, gamma, eta, t0)):
+                pol_gap, n_occ, gamma1, gamma2, gamma, eta, t0)):
             init(self, name, value)
 
     def _values(self) -> tuple[float, float, float, float, float]:
@@ -311,30 +298,15 @@ def mu_max(params: ModelParams, xi=0.0):
     return np.sqrt(np.maximum(0.0, _ceiling_sq(params, xi)[1]))
 
 
-class StepStats:
+class StepStats(NamedTuple):
     """Work counters of one run: accepted and rejected steps and
     right-hand-side evaluations of the integrator, or roots refined and
-    closed-form evaluations of the pole engine."""
+    closed-form evaluations of the pole engine.  Counters add up field by
+    field."""
 
-    __slots__ = ("accepted", "rejected", "n_eval")
-
-    def __init__(self, accepted: int = 0, rejected: int = 0, n_eval: int = 0):
-        self.accepted = accepted
-        self.rejected = rejected
-        self.n_eval = n_eval
-
-    def _counts(self) -> tuple[int, int, int]:
-        return self.accepted, self.rejected, self.n_eval
+    accepted: int = 0
+    rejected: int = 0
+    n_eval: int = 0
 
     def __add__(self, other: "StepStats") -> "StepStats":
-        return StepStats(*(a + b for a, b in zip(self._counts(),
-                                                  other._counts())))
-
-    def __eq__(self, other):
-        if type(other) is not StepStats:
-            return NotImplemented
-        return self._counts() == other._counts()
-
-    def __repr__(self) -> str:
-        return ("StepStats(accepted={!r}, rejected={!r}, n_eval={!r})"
-                .format(*self._counts()))
+        return StepStats(*(a + b for a, b in zip(self, other)))

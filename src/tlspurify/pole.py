@@ -23,12 +23,15 @@ stall bracket shares.
       "U": reaches the pole only after the horizon.
 
 The module imports only numpy and model, so the pole-time sweeps run
-without the integrator stack.
+without the integrator stack.  It derives no thermal number: the rates,
+eta, t0 and the start's polarization gap pol_gap are ModelParams
+attributes.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -83,16 +86,15 @@ def t_min_analytic(params: ModelParams) -> float:
 # Initial point and stall condition of the (r, c, theta) flow
 # ====================================================================
 
-def _initial_points(a_q, a_t, eta, xi):
-    """(r0, c0, theta0) arrays of thermal-product starts, from the ground
-    populations a_q, a_t, the bath scale eta and the cross coherence xi,
-    one entry per cell."""
+def _initial_points(pol_gap, eta, xi):
+    """(r0, c0, theta0) arrays of thermal-product starts, from the
+    polarization gap (a_t - a_q)/2, the bath scale eta and the cross
+    coherence xi, one entry per cell."""
     xi = np.asarray(xi, dtype=float)
     if (xi < 0.0).any():
         raise ValueError(f"xi is a magnitude, got {xi[xi < 0.0].flat[0]}")
-    d = 0.5 * (a_t - a_q)
-    r0 = np.hypot(d, xi)
-    c0 = eta - d
+    r0 = np.hypot(pol_gap, xi)
+    c0 = eta - pol_gap
     ratio = np.divide(xi, r0, out=np.ones_like(r0), where=r0 > 0.0)
     theta0 = np.where(r0 > 0.0, -np.arccos(np.minimum(1.0, ratio)), 0.0)
     return r0, c0, theta0
@@ -103,7 +105,7 @@ def initial_spherical(params: ModelParams, xi: float = 0.0) -> tuple[float, floa
     of magnitude xi >= 0.  theta0 = -arccos(xi / r0): the polarization gap
     puts the state in the southern hemisphere, the coherence lifts it."""
     return tuple(float(x) for x in
-                 _initial_points(params.a_q, params.a_t, params.eta, xi))
+                 _initial_points(params.pol_gap, params.eta, xi))
 
 
 def initial_direction(params: ModelParams, xi: float = 0.0) -> np.ndarray:
@@ -131,11 +133,12 @@ def stall_cosine(params: ModelParams, r: float, c: float) -> float:
 def _stall_curvature(gamma, eta, r, c, th):
     """d2(theta)/dt2 on the theta-rate zero set, for floats or arrays of
     cells: negative curvature means the rate keeps falling (a genuine
-    stall, not a graze)."""
+    stall, not a graze).  r * r is floored at the smallest normal float,
+    so a zero radius (where theta reads 0) divides by no zero."""
     d = eta - c
-    rr = np.maximum(r, 1e-300)
+    r2 = r * r
     return (0.25 * gamma * gamma * np.cos(th) * np.sin(th)
-            * (r * r - d * d) / (rr * rr))
+            * (r2 - d * d) / np.maximum(r2, sys.float_info.min))
 
 
 # ====================================================================
@@ -495,12 +498,12 @@ class _Cells(NamedTuple):
                 k = known[id(p)] = len(distinct)
                 distinct.append(p)
             index.append(k)
-        cols = np.array([(p.J, p.gamma, p.eta, p.t0, p.a_q, p.a_t)
+        cols = np.array([(p.J, p.gamma, p.eta, p.t0, p.pol_gap)
                          for p in distinct],
-                        dtype=float).reshape(-1, 6)[index].T
-        J, gamma, eta, t0, a_q, a_t = cols
+                        dtype=float).reshape(-1, 5)[index].T
+        J, gamma, eta, t0, pol_gap = cols
         return cls(J, gamma, eta, t0,
-                   *_initial_points(a_q, a_t, eta, np.asarray(xis, float)))
+                   *_initial_points(pol_gap, eta, np.asarray(xis, float)))
 
     def take(self, rows) -> "_Cells":
         return _Cells(*(x[rows] for x in self))

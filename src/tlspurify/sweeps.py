@@ -160,12 +160,11 @@ def purity_trace(cfg: RunConfig) -> Table:
 # Self-check report
 # ====================================================================
 
-def verify_table(cfg: RunConfig, z_rhs_override=None) -> Table:
+def verify_table(cfg: RunConfig) -> Table:
     """The self-check report: its rows are the suite's CheckResults, and
     its metadata says whether all passed."""
     checks = run_suite(_coupled(cfg.params()), rtol=cfg.rel_tol,
-                       atol=cfg.abs_tol,
-                       z_rhs_override=z_rhs_override)
+                       atol=cfg.abs_tol)
     blind = [c.check for c in checks if not math.isfinite(c.residual)]
     if blind:
         raise ValueError("no finite residual in verify check "

@@ -9,10 +9,7 @@ none rejected, for an exact run), and its CheckResult is its row of
 verify's report, field for column.  Each check compares two independent
 paths: the runs that simulate propagates exactly are held against
 Runge-Kutta integration of the same flow or of its reduction, and rtol and
-atol set only that Runge-Kutta side.  ``run_suite`` accepts an override for
-the reduced-system right-hand side so a deliberately broken generator can
-be shown to trip the equivalence check (negative control for the suite
-itself).
+atol set only that Runge-Kutta side.
 """
 
 from __future__ import annotations
@@ -64,13 +61,8 @@ def suite_passed(checks: list[CheckResult]) -> bool:
 
 
 def run_suite(params: ModelParams, *, rtol: float = 1e-10,
-              atol: float = 1e-10, z_rhs_override=None) -> list[CheckResult]:
-    """Run every self-check and return the results in a fixed order.
-
-    ``z_rhs_override``, when given, replaces the reduced-system right-hand
-    side inside the full-vs-reduced equivalence check only; a corrupted
-    override must make that check fail.
-    """
+              atol: float = 1e-10) -> list[CheckResult]:
+    """Run every self-check and return the results in a fixed order."""
     checks: list[CheckResult] = []
 
     # -- generator is trace-free for any drive coefficients ------------
@@ -93,8 +85,7 @@ def run_suite(params: ModelParams, *, rtol: float = 1e-10,
     state = build_initial_state(params, spec)
     t_span = (0.0, 2.0 * params.t0)
     z0 = x_to_z(state.x)
-    z_rhs = z_rhs_override if z_rhs_override is not None else make_rhs_z(params)
-    red = integrate(z_rhs, t_span, z0, rtol=rtol, atol=atol)
+    red = integrate(make_rhs_z(params), t_span, z0, rtol=rtol, atol=atol)
     rk = integrate(make_rhs_rwa(params, resonant()), t_span, state.x,
                    rtol=rtol, atol=atol)
     ts = np.linspace(t_span[0], t_span[1], 400)

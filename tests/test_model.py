@@ -17,10 +17,8 @@ from oracles import (family_x, mp_boundary_margin, mp_min_eigenvalue,
                      random_density_matrix, random_density_x)
 from tlspurify.model import (BOUNDARY_RTOL, OFFDIAG_SLOTS, DensityState,
                              InitialStateSpec, ModelParams, ParamError,
-                             bose_occupation, build_initial_state,
-                             is_physical, matrix_to_x, min_eigenvalue,
-                             mu_max, thermal_populations, x_to_matrix,
-                             xi_max)
+                             build_initial_state, is_physical, matrix_to_x,
+                             min_eigenvalue, mu_max, x_to_matrix, xi_max)
 from tlspurify.optimal import pole_gains
 from tlspurify.reduced import x_to_z, z_purity, z_states_at
 
@@ -32,8 +30,8 @@ MU_MAX_UNCORR = 0.44340944198503696  # sqrt(a_q b_q) at beta = 1
 GAMMA_BETA01 = 0.6716591827020164    # 0.1 * (2/expm1(0.3) + 1)
 
 #: the constants ModelParams derives from its five parameters
-DERIVED = ("a_q", "b_q", "a_t", "b_t", "n_occ", "gamma1", "gamma2", "gamma",
-           "eta", "t0")
+DERIVED = ("a_q", "b_q", "a_t", "b_t", "pol_gap", "n_occ", "gamma1",
+           "gamma2", "gamma", "eta", "t0")
 
 
 def derived(p: ModelParams) -> tuple[float, ...]:
@@ -42,13 +40,18 @@ def derived(p: ModelParams) -> tuple[float, ...]:
 
 def derived_by_hand(omega_q, omega_tls, beta, J, kappa) -> tuple[float, ...]:
     """The derived constants from their defining expressions, in the
-    order the rates are built: populations and occupation from the two
-    formulas, gamma1 = kappa (n + 1), gamma2 = kappa n, gamma their sum,
-    eta = gamma1/gamma - 1/2 (a_t - 1/2 at gamma = 0) and t0 = pi/(2J)
-    (inf at J = 0)."""
-    a_q, b_q = thermal_populations(omega_q, beta)
-    a_t, b_t = thermal_populations(omega_tls, beta)
-    n = bose_occupation(omega_tls, beta)
+    order the rates are built: populations a = 1/(1 + e^{-beta omega}),
+    b = 1 - a, the polarization gap (a_t - a_q)/2, the occupation
+    n = e^{-x}/(1 - e^{-x}) at x = beta omega_tls, gamma1 = kappa (n + 1),
+    gamma2 = kappa n, gamma their sum, eta = gamma1/gamma - 1/2
+    (a_t - 1/2 at gamma = 0) and t0 = pi/(2J) (inf at J = 0)."""
+    a_q = 1.0 / (1.0 + math.exp(-beta * omega_q))
+    b_q = 1.0 - a_q
+    a_t = 1.0 / (1.0 + math.exp(-beta * omega_tls))
+    b_t = 1.0 - a_t
+    pol_gap = 0.5 * (a_t - a_q)
+    x = beta * omega_tls
+    n = math.exp(-x) / -math.expm1(-x)
     gamma1 = kappa * (n + 1.0)
     gamma2 = kappa * n
     gamma = gamma1 + gamma2
@@ -57,7 +60,7 @@ def derived_by_hand(omega_q, omega_tls, beta, J, kappa) -> tuple[float, ...]:
     else:
         eta = a_t - 0.5
     t0 = math.inf if J == 0.0 else math.pi / (2.0 * J)
-    return a_q, b_q, a_t, b_t, n, gamma1, gamma2, gamma, eta, t0
+    return a_q, b_q, a_t, b_t, pol_gap, n, gamma1, gamma2, gamma, eta, t0
 
 
 # ====================================================================
@@ -65,20 +68,13 @@ def derived_by_hand(omega_q, omega_tls, beta, J, kappa) -> tuple[float, ...]:
 # ====================================================================
 
 def test_thermal_populations_closed_form():
-    a, b = thermal_populations(1.0, 1.0)
-    assert a == pytest.approx(A_Q_BETA1, abs=1e-15)
-    assert a + b == pytest.approx(1.0, abs=1e-15)
-    a3, _ = thermal_populations(3.0, 1.0)
-    assert a3 == pytest.approx(A_TLS_BETA1, abs=1e-15)
-    # infinite temperature is allowed and maximally mixed
-    assert thermal_populations(2.0, 0.0) == (0.5, 0.5)
-
-
-def test_thermal_populations_validation():
-    with pytest.raises(ValueError):
-        thermal_populations(0.0, 1.0)
-    with pytest.raises(ValueError):
-        thermal_populations(1.0, -0.2)
+    p = ModelParams()
+    assert p.a_q == pytest.approx(A_Q_BETA1, abs=1e-15)
+    assert p.a_q + p.b_q == pytest.approx(1.0, abs=1e-15)
+    assert p.a_t == pytest.approx(A_TLS_BETA1, abs=1e-15)
+    assert p.a_t + p.b_t == pytest.approx(1.0, abs=1e-15)
+    assert p.pol_gap == pytest.approx(0.5 * (A_TLS_BETA1 - A_Q_BETA1),
+                                      abs=1e-15)
 
 
 def test_bath_detailed_balance():
@@ -117,12 +113,13 @@ def test_bath_rates_validation():
 def test_bath_occupation_cold_limit():
     """n_occ falls to 0 in the cold limit instead of overflowing, and
     keeps its closed form where 1/expm1 is fine."""
-    assert bose_occupation(3.0, 1.0) == pytest.approx(1.0 / math.expm1(3.0),
-                                                      rel=1e-15)
-    assert bose_occupation(3.0, 1e-3) == pytest.approx(
-        1.0 / math.expm1(3e-3), rel=1e-14)
-    assert 0.0 < bose_occupation(3.0, 100.0) < 1e-130
-    assert bose_occupation(3.0, 1000.0) == 0.0
+    def n_occ(beta):
+        return ModelParams(beta=beta).n_occ
+
+    assert n_occ(1.0) == pytest.approx(1.0 / math.expm1(3.0), rel=1e-15)
+    assert n_occ(1e-3) == pytest.approx(1.0 / math.expm1(3e-3), rel=1e-14)
+    assert 0.0 < n_occ(100.0) < 1e-130
+    assert n_occ(1000.0) == 0.0
     cold = ModelParams(beta=1000.0, kappa=0.1)
     assert (cold.gamma1, cold.gamma2, cold.eta) == (0.1, 0.0, 0.5)
     p = ModelParams(beta=1000.0).with_gamma(0.2)

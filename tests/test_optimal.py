@@ -630,19 +630,9 @@ def test_stall_guard_drops_a_bracket_with_no_rate_zero(monkeypatch):
     xi = xi_max(p)
     status, t_ref = mp_first_event(p, xi)
     assert status == "reached"
-    signs = pole._DriftFlow._signs
     misread = []
-
-    def misread_before_pole(self, v, rate, t):
-        fv, fr = signs(self, v, rate, t)
-        k = np.flatnonzero(t[0] < float(t_ref))[-1]
-        if fr[0, k - 1] > 0.0 and fr[0, k] > 0.0:
-            misread.append(t[0, k])
-            fr = fr.copy()
-            fr[0, k] = 0.0
-        return fv, fr
-
-    monkeypatch.setattr(pole._DriftFlow, "_signs", misread_before_pole)
+    monkeypatch.setattr(pole._DriftFlow, "_signs",
+                        _misread_before(float(t_ref), misread))
     run = t_min_numeric(p, xi)
     assert misread and 0.0 < misread[0] < float(t_ref)
     assert run.status == status
@@ -650,6 +640,70 @@ def test_stall_guard_drops_a_bracket_with_no_rate_zero(monkeypatch):
     # the label path, which refines no pole here, keeps the guard too
     assert region_labels([p], [xi])[0] == "C"
     assert len(misread) == 2
+
+
+def _misread_before(t_ref, misread):
+    """_DriftFlow._signs, except that the last sample before t_ref reads
+    the rate as zero where it and the sample before are positive; each
+    misread sample's time is appended to misread."""
+    signs = pole._DriftFlow._signs
+
+    def misread_before_pole(self, v, rate, t):
+        fv, fr = signs(self, v, rate, t)
+        k = np.flatnonzero(t[0] < t_ref)[-1]
+        if fr[0, k - 1] > 0.0 and fr[0, k] > 0.0:
+            misread.append(t[0, k])
+            fr = fr.copy()
+            fr[0, k] = 0.0
+        return fv, fr
+    return misread_before_pole
+
+
+def test_stall_guard_drops_a_graze_at_small_rates(monkeypatch):
+    """The guard's slack STALL_CURVATURE_TOL is absolute, and the
+    curvature it reads scales as gamma^2.  Run the start above at rates
+    1e-3 of it (J = 1e-4): the sampled theta rate touches zero at the
+    misread sample and rises again, a graze, and the guard reads a
+    curvature of 5.0e-9 there, inside (1e-12, 1e-6].  The graze is no
+    stall: the run reaches the reference's pole, and the label is C.  A
+    slack of 1e-6 would count it and stop the run short, "trapped"."""
+    p = ModelParams(beta=0.1, J=1e-4).with_gamma_over_j(2.0)
+    xi = xi_max(p)
+    status, t_ref = mp_first_event(p, xi)
+    assert status == "reached"
+    curvature = pole._stall_curvature
+    misread, read = [], []
+
+    def reading(*args):
+        c = curvature(*args)
+        read.extend(np.ravel(c).tolist())
+        return c
+
+    monkeypatch.setattr(pole._DriftFlow, "_signs",
+                        _misread_before(float(t_ref), misread))
+    monkeypatch.setattr(pole, "_stall_curvature", reading)
+    run = t_min_numeric(p, xi)
+    assert run.status == status
+    assert abs(run.time - float(t_ref)) <= 1e-12 * float(t_ref)
+    assert region_labels([p], [xi])[0] == "C"
+    assert len(misread) == len(read) == 2
+    assert all(1e-12 < c <= 1e-6 for c in read), read
+
+
+def test_stall_curvature_at_zero_radius():
+    """At zero radius (where theta reads 0) the guard's curvature is
+    finite under the raising errstate of cli.main: r * r is floored at
+    the smallest normal float, so nothing underflows or divides by zero.
+    Where r * r is a normal float the floor changes no bit."""
+    gamma, eta, c = 0.2, 0.45, 0.3
+    d = eta - c
+    with np.errstate(all="raise"):
+        for th in (0.0, 0.3):
+            assert np.isfinite(pole._stall_curvature(gamma, eta, 0.0, c, th))
+        r = 1e-150
+        assert pole._stall_curvature(gamma, eta, r, c, 0.3) == (
+            0.25 * gamma * gamma * np.cos(0.3) * np.sin(0.3)
+            * (r * r - d * d) / (r * r))
 
 
 def test_label_path_refines_the_pole_of_a_shared_piece(monkeypatch):

@@ -53,16 +53,24 @@ def test_suite_all_green():
         assert 0.0 <= c.residual < c.tol
 
 
-def test_suite_catches_corrupted_reduction():
+def _skewed_rhs_z(only=None):
+    """make_rhs_z with a right-hand side 1% off, for the given params
+    object only, or for every one."""
+    def make(p):
+        rhs = make_rhs_z(p)
+        if only is not None and p is not only:
+            return rhs
+        return lambda t, z: 1.01 * rhs(t, z)
+    return make
+
+
+def test_suite_catches_corrupted_reduction(monkeypatch):
     """Feed the equivalence check a reduced flow that is 1% off; exactly
-    that one check must go red."""
+    that one check must go red.  s2-closed-form builds its own reduced
+    flows, on other params objects, and they stay true."""
     params = ModelParams().with_gamma_over_j(2.0)
-    true_rhs = make_rhs_z(params)
-
-    def skewed(t, z):
-        return 1.01 * true_rhs(t, z)
-
-    checks = run_suite(params, z_rhs_override=skewed)
+    monkeypatch.setattr(verify, "make_rhs_z", _skewed_rhs_z(only=params))
+    checks = run_suite(params)
     by_name = {c.check: c for c in checks}
     assert not by_name["full-vs-reduced"].passed
     assert not suite_passed(checks)
@@ -168,11 +176,9 @@ def test_verify_on_colder_bath():
     assert [r[0] for r in table.rows] == EXPECTED_ORDER
 
 
-def test_verify_table_reports_failure():
-    params = ModelParams().with_gamma_over_j(2.0)
-    true_rhs = make_rhs_z(params)
-    table = verify_table(RunConfig.from_dict({}),
-                         z_rhs_override=lambda t, z: 1.01 * true_rhs(t, z))
+def test_verify_table_reports_failure(monkeypatch):
+    monkeypatch.setattr(verify, "make_rhs_z", _skewed_rhs_z())
+    table = verify_table(RunConfig.from_dict({}))
     assert table.metadata["all_passed"] is False
     flags = {r[0]: r[1] for r in table.rows}
     assert flags["full-vs-reduced"] is False
