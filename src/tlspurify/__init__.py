@@ -8,8 +8,8 @@ Layers, from the full model down to closed forms:
 - ``reduced``     closed 8-coordinate dynamics and the S1 direction flow
 - ``drive``       the control: a constant detuning, resonant by default
 - ``integrator``  exact propagation of the constant-coefficient flows, and
-                  an embedded Runge-Kutta stepper with dense output, the
-                  independent side of the checks
+                  an embedded Runge-Kutta stepper, the independent side of
+                  the checks; each returns states and step counts
 - ``pole``        closed-form engine of the u == 0 flow: pole times and
                   stall labels, on numpy and ``model`` alone
 - ``optimal``     coherence purity gain at pole arrival

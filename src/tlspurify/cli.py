@@ -81,7 +81,8 @@ _OPTIONS = {
     "tol": ("ABS:REL", str, "Runge-Kutta tolerances of verify, "
                             "e.g. 1e-10:1e-10"),
     "horizon": ("MULT", float,
-                "give-up time in units of the lossless pole time"),
+                "give-up time in units of the lossless pole time "
+                "(not read by verify)"),
     "workers": ("N", int, "accepted for compatibility; changes nothing"),
 }
 

@@ -1,18 +1,17 @@
-"""Propagation of the flows: adaptive Dormand-Prince 5(4) integration
-with dense output, and exact propagation of constant-coefficient flows by
-the matrix exponential.
+"""Propagation of the flows: adaptive Dormand-Prince 5(4) integration,
+and exact propagation of constant-coefficient flows by the matrix
+exponential.  Both solve a flow and report its states, nothing else: each
+returns IvpResult(t, y, stats), the times, the states there and the work.
 
 The Runge-Kutta integrator is deliberately hand-rolled rather than wrapping
 scipy.integrate.solve_ivp: the analysis layer needs per-run
-acceptance/rejection statistics and an interpolant we control, all with
-byte-reproducible results independent of how work is distributed across
-processes.  No command's own run needs it, since every drive is a constant
-detuning: it is the independent side of the verify checks and of the
-tests' oracles.  The tableau is the classic DOPRI5 embedded pair, held
-once as arrays, and a step forms each weighted sum of its stages as one
-matrix product; dense evaluation uses the cubic Hermite interpolant of
-each accepted step, whose error is far below the working tolerances
-here.
+acceptance/rejection statistics, all with byte-reproducible results
+independent of how work is distributed across processes.  No command's
+own run needs it, since every drive is a constant detuning: it is the
+independent side of the verify checks and of the tests' oracles, and it
+returns its accepted steps, where the run is as good as its tolerances.
+The tableau is the classic DOPRI5 embedded pair, held once as arrays,
+and a step forms each weighted sum of its stages as one matrix product.
 
 A flow y' = A y + b with constant A and b needs no stepping: propagate()
 returns the states at the times its caller asks for.  It lays exact
@@ -72,31 +71,10 @@ MAX_STEPS = 20_000
 # Result containers
 # ====================================================================
 
-class Trajectory:
-    """Piecewise cubic Hermite view of the accepted steps of one run."""
-
-    def __init__(self, ts: np.ndarray, ys: np.ndarray, fs: np.ndarray):
-        self.ts = ts            # (n+1,)
-        self.ys = ys            # (n+1, dim)
-        self.fs = fs            # (n+1, dim)
-
-    def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        k = np.clip(np.searchsorted(self.ts, t_arr, side="right") - 1,
-                    0, len(self.ts) - 2)
-        t0 = self.ts[k][:, None]
-        out = _hermite(t_arr[:, None], t0, self.ts[k + 1][:, None] - t0,
-                       self.ys[k], self.fs[k], self.ys[k + 1], self.fs[k + 1])
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return out[0]
-        return out
-
-
 class IvpResult(NamedTuple):
     t: np.ndarray       # accepted steps (t[0] = t0), or the requested times
     y: np.ndarray       # states at those times, shape (len(t), dim)
     stats: StepStats
-    trajectory: Trajectory | None = None    # Runge-Kutta runs only
 
 
 # ====================================================================
@@ -143,15 +121,6 @@ def _initial_step(f, t0, y0, f0, tf, atol, rtol):
     return min(100.0 * h0, h1, abs(tf - t0))
 
 
-def _hermite(t, t0, h, y0, f0, y1, f1):
-    s = (t - t0) / h
-    h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-    h10 = s * (1.0 - s) ** 2
-    h01 = s * s * (3.0 - 2.0 * s)
-    h11 = s * s * (s - 1.0)
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
-
-
 def integrate(
     f: Callable[[float, np.ndarray], np.ndarray],
     t_span: tuple[float, float],
@@ -160,11 +129,9 @@ def integrate(
     rtol: float = 1e-10,
     atol: float = 1e-10,
 ) -> IvpResult:
-    """Integrate y' = f(t, y) forward over t_span.
-
-    Accepted steps are recorded as-is (no resampling); the trajectory
-    evaluates in between by the Hermite interpolant of each step.
-    """
+    """Integrate y' = f(t, y) forward over t_span, and return the
+    accepted steps as they are: t[0] = t0, t[-1] = tf, and y the states
+    there, with no resampling."""
     t0, tf = float(t_span[0]), float(t_span[1])
     if not t0 < tf < math.inf:          # an endless span never ends the loop
         raise ValueError(f"need a finite span with tf > t0, got {t_span}")
@@ -175,7 +142,6 @@ def integrate(
 
     ts = [t0]
     ys = [y.copy()]
-    fs = [fy.copy()]
     t = t0
 
     while t < tf:
@@ -197,20 +163,16 @@ def integrate(
         if 0.0 < tf - t1 < 1e-14 * max(1.0, abs(t1)):
             t1 = tf             # a step clipped to tf fell short by roundoff
         ts.append(t1)
-        ys.append(y1.copy())
-        fs.append(f1.copy())
+        ys.append(y1)
         t, y, fy = t1, y1, f1
         if enorm == 0.0:
             h *= MAX_FACTOR
         else:
             h *= min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * enorm ** -0.2))
 
-    t_arr = np.array(ts)
-    y_arr = np.array(ys)
     # two evaluations start the run, six go to each attempted step
     stats = StepStats(accepted, rejected, 2 + 6 * (accepted + rejected))
-    return IvpResult(t=t_arr, y=y_arr, stats=stats,
-                     trajectory=Trajectory(t_arr, y_arr, np.array(fs)))
+    return IvpResult(t=np.array(ts), y=np.array(ys), stats=stats)
 
 
 # ====================================================================
@@ -280,15 +242,6 @@ def augment(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return aug
 
 
-def _rotate(k: np.ndarray, phi, y: np.ndarray) -> np.ndarray:
-    """e^{phi K} applied to each row of y, for a generator of plane
-    rotations (K^3 = -K): e^{phi K} = I + sin(phi) K + (1 - cos(phi)) K^2.
-    phi is a float or one angle per row."""
-    phi = np.asarray(phi, dtype=float)[..., None]
-    ky = y @ k.T
-    return y + np.sin(phi) * ky + (1.0 - np.cos(phi)) * (ky @ k.T)
-
-
 def propagate(
     a: np.ndarray,
     t_span: tuple[float, float],
@@ -296,7 +249,6 @@ def propagate(
     times: np.ndarray,
     *,
     b: np.ndarray | None = None,
-    rotation: tuple[np.ndarray, float] | None = None,
 ) -> IvpResult:
     """Exact solution of y' = A y + b (b = 0 when omitted) over t_span,
     from y0 or from each row of a stack of starts y0, shape (k, dim),
@@ -311,11 +263,6 @@ def propagate(
     further than the last of them; each time is a Taylor series from its
     node, EVAL_CHUNK states at a time.
 
-    rotation = (K, omega), for a generator of plane rotations K, makes y
-    the state in a frame that rotates at omega: the run reports
-    x(t) = e^{omega t K} y(t), and y0 is x(t0).  A constant detuning gets
-    constant coefficients this way.
-
     stats counts the grid's node steps as accepted steps and as
     evaluations; nothing is rejected.
     """
@@ -326,10 +273,6 @@ def propagate(
     a = np.asarray(a, dtype=float)
     y = np.array(y0, dtype=float)
     dim = y.shape[-1]
-    if rotation is not None and rotation[1] == 0.0:
-        rotation = None                 # a frame at rest
-    if rotation is not None:
-        y = _rotate(rotation[0], -rotation[1] * t0, y)
     if b is not None:
         a = augment(a, b)
         y = np.concatenate((y, np.ones_like(y[..., :1])), axis=-1)
@@ -370,11 +313,6 @@ def propagate(
         powers = np.vander(offset[part], TAYLOR_TERMS + 1, increasing=True)
         flat = np.stack(terms, axis=1)[which].reshape(
             len(powers), TAYLOR_TERMS + 1, -1)
-        ys = (powers[:, None, :] @ flat).reshape(
+        out[part] = (powers[:, None, :] @ flat).reshape(
             (-1,) + kept.shape[1:])[..., :dim]
-        if rotation is not None:
-            k, omega = rotation
-            ys = _rotate(k, omega * times[part].reshape(
-                (-1,) + (1,) * (ys.ndim - 2)), ys)
-        out[part] = ys
     return IvpResult(t=times, y=out, stats=StepStats(accepted=n, n_eval=n))

@@ -22,10 +22,12 @@ Every drive gives constant coefficients in both frames, so simulate
 propagates it exactly (integrator.propagate); a detuning delta becomes
 constant in the frame that co-rotates at delta about K = FIELD_FRAME/2,
 because e^{phi K} C e^{-phi K} = cos(phi) C + sin(phi) D and K commutes
-with A and B.  The right-hand sides make_rhs_rwa and make_rhs_lab are the
-same flows for the Runge-Kutta integrator, the independent side of the
-checks.  The observables qubit_purity and tls_purity take one state or a
-stack of them, on the last axis, as model.x_to_matrix does.
+with A and B.  The frame is this module's own: simulate rotates the start
+into it and the reported states out of it (_rotate).  The right-hand
+sides make_rhs_rwa and make_rhs_lab are the same flows for the
+Runge-Kutta integrator, the independent side of the checks.  The
+observables qubit_purity and tls_purity take one state or a stack of
+them, on the last axis, as model.x_to_matrix does.
 """
 
 from __future__ import annotations
@@ -91,6 +93,17 @@ FIELD_EMIT, FIELD_ABSORB, FIELD_J1, FIELD_J2, FIELD_FRAME = (
 
 #: generator of the frame that co-rotates with a constant detuning
 FRAME_ROTATION = 0.5 * FIELD_FRAME
+
+
+def _rotate(phi, x: np.ndarray) -> np.ndarray:
+    """e^{phi K} applied to each state of x, for K = FRAME_ROTATION, a
+    generator of plane rotations (K^3 = -K):
+    e^{phi K} = I + sin(phi) K + (1 - cos(phi)) K^2.  phi is a float or
+    one angle per state, shaped as x without its last axis, or so that it
+    broadcasts against that shape."""
+    phi = np.asarray(phi, dtype=float)[..., None]
+    kx = x @ FRAME_ROTATION.T
+    return x + np.sin(phi) * kx + (1.0 - np.cos(phi)) * (kx @ FRAME_ROTATION.T)
 
 
 def weigh_fields(fields, params: ModelParams, j1: float, j2: float,
@@ -198,19 +211,26 @@ def simulate(
     *,
     frame: str = "rwa",
 ) -> IvpResult:
-    """Evolve a density state over t_span in the chosen frame, exactly,
-    and report it at times: the lab generator at the drive's shift, or
-    the rotating-frame one in the frame that co-rotates with its
-    detuning."""
+    """Evolve a density state, or a stack of them, over t_span in the
+    chosen frame, exactly, and report it at times: the lab generator at
+    the drive's shift, or the rotating-frame one, A - delta K, in the
+    frame that co-rotates with its detuning delta.  A state y of that
+    frame is x = e^{delta t K} y of the rotating frame, so the start is
+    rotated into it and the reported states out of it."""
     if drive is None:
         drive = resonant()
     if frame == "lab":
         l0, l_eps = lab_liouvillian(params)
-        a, rotation = l0 + drive.epsilon(params) * l_eps, None
-    elif frame == "rwa":
-        delta = drive.detuning
-        a = rwa_generator(params, params.J, 0.0) - delta * FRAME_ROTATION
-        rotation = (FRAME_ROTATION, delta)
-    else:
+        return propagate(l0 + drive.epsilon(params) * l_eps, t_span,
+                         state.x, times)
+    if frame != "rwa":
         raise ValueError(f"frame must be 'rwa' or 'lab', got {frame!r}")
-    return propagate(a, t_span, state.x, times, rotation=rotation)
+    delta = drive.detuning
+    a = rwa_generator(params, params.J, 0.0) - delta * FRAME_ROTATION
+    if delta == 0.0:                    # a frame at rest
+        return propagate(a, t_span, state.x, times)
+    res = propagate(a, t_span, _rotate(-delta * float(t_span[0]), state.x),
+                    times)
+    # one angle per time, over every start of a stack
+    phi = delta * res.t.reshape((-1,) + (1,) * (res.y.ndim - 2))
+    return res._replace(y=_rotate(phi, res.y))

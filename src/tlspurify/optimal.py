@@ -4,8 +4,8 @@ steering theta to the north pole.  The pole times come from the
 closed-form engine in ``pole``.
 
   * s2_resonant_solution: the decoupled qubit-coherence block is a damped
-    oscillator; its first zero coincides with t_min_analytic, so an extra
-    qubit coherence mu costs nothing at the optimal arrival time.
+    oscillator; its first zero coincides with pole.t_min_from_rates, so an
+    extra qubit coherence mu costs nothing at the optimal arrival time.
   * uncorrelated_pole_purity: the qubit purity on pole arrival from the
     uncorrelated thermal start.
   * pole_gains: how much purity the coherence block adds at pole arrival

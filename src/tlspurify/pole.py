@@ -11,8 +11,8 @@ bisects every bracket to the float; region_labels, which reads statuses
 alone, bisects the stall brackets and only those pole brackets that a
 stall bracket shares.
 
-  * t_min_from_rates / t_min_analytic: pole-arrival time from the
-    uncorrelated thermal start, finite exactly when gamma < 4J.
+  * t_min_from_rates: pole-arrival time from the uncorrelated thermal
+    start, finite exactly when gamma < 4J.
   * first_events / t_min_numeric: the pole time of any thermal-product
     start with cross coherence xi, for a batch of cells or for one.
   * region_labels labels a batch of starts
@@ -43,7 +43,9 @@ from .model import ModelParams, StepStats
 #: scales with the rates
 CRITICAL_TOL = 1e-12
 
-#: curvature slack when deciding that a theta-rate zero is a genuine stall
+#: curvature slack when deciding that a theta-rate zero is a genuine
+#: stall, in units of gamma^2: the curvature scales as gamma^2, so the
+#: slack scales with the rates
 STALL_CURVATURE_TOL = 1e-12
 
 
@@ -76,10 +78,6 @@ def t_min_from_rates(J: float, gamma: float) -> float:
     sp = 4.0 * J + gamma
     sm = 4.0 * J - gamma
     return 8.0 * math.atan(math.sqrt(sp / sm)) / math.sqrt(sp * sm)
-
-
-def t_min_analytic(params: ModelParams) -> float:
-    return t_min_from_rates(params.J, params.gamma)
 
 
 # ====================================================================
@@ -193,19 +191,14 @@ class _DriftFlow:
         return np.array([self.a * v - self.b * d, -self.a * w, -self.b * w])
 
     def spherical(self, t):
-        """(r, c, theta, theta rate) of every cell at its time t.  At zero
-        radius theta has no meaning; it reads 0, and so does its
-        rate."""
-        rows = _Rows(self, np.arange(t.size))
+        """(r, c, theta) of every cell at its time t.  At zero radius
+        theta has no meaning; it reads 0."""
         self.n_eval += 1
-        w, v, d = rows.direction(t[:, None])
-        rate = rows.rate(w, v, d)[:, 0]
-        w, v, d = w[:, 0], v[:, 0], d[:, 0]
+        w, v, d = (x[:, 0] for x in
+                   _Rows(self, np.arange(t.size)).direction(t[:, None]))
         kappa = np.where(self.hyp, self.root, 0.0)
         f = np.exp((kappa - self.b) * t)        # direction -> s
-        r2 = w * w + v * v
-        return (f * np.hypot(w, v), self.eta - f * d, np.arctan2(w, v),
-                np.divide(rate, r2, out=np.zeros_like(rate), where=r2 != 0.0))
+        return f * np.hypot(w, v), self.eta - f * d, np.arctan2(w, v)
 
     def _bisect(self, cells, lo, hi, stall):
         """First float in (lo, hi] where v (stall False) or the theta rate
@@ -234,12 +227,14 @@ class _DriftFlow:
     def _stalls(self, cells, t):
         """Stall guard of the spherical picture at theta-rate zeros.  The
         curvature test is scale-free, so it reads the direction: the
-        radius itself may underflow on long horizons."""
+        radius itself may underflow on long horizons.  The slack is
+        STALL_CURVATURE_TOL gamma^2, as the curvature scales."""
         self.n_eval[cells] += 1
         w, v, d = (x[:, 0] for x in _Rows(self, cells).direction(t[:, None]))
-        return _stall_curvature(2.0 * self.b[cells], self.eta[cells],
-                                np.hypot(w, v), self.eta[cells] - d,
-                                np.arctan2(w, v)) <= STALL_CURVATURE_TOL
+        gamma = 2.0 * self.b[cells]
+        return (_stall_curvature(gamma, self.eta[cells], np.hypot(w, v),
+                                 self.eta[cells] - d, np.arctan2(w, v))
+                <= STALL_CURVATURE_TOL * gamma * gamma)
 
     def _polynomials(self):
         """Coefficients, lowest power first, of v (3) and of the theta-rate
@@ -461,8 +456,6 @@ class TminResult(NamedTuple):
     r: float
     c: float
     theta: float
-    theta_rate: float           # theta rate at the stop point
-    stall_blocked: bool         # stall condition already held at t = 0
     stats: StepStats
 
     @property
@@ -530,14 +523,12 @@ def first_events(params_seq, xis, horizon_mult: float = 20.0
     cells = _Cells.of(params_seq, xis)
     flow = _flow(cells)
     status, t_stop, accepted = flow.events(horizon_mult * cells.t0)
-    r, c, th, rate = flow.spherical(t_stop)
-    blocked = cells.blocked()
+    r, c, th = flow.spherical(t_stop)
     return [TminResult(t if s == _REACHED else math.inf, _STATUSES[s], t,
                        *row, StepStats(accepted=a, n_eval=e))
             for s, t, *row, a, e in zip(
                 status.tolist(), t_stop.tolist(), r.tolist(), c.tolist(),
-                th.tolist(), rate.tolist(), blocked.tolist(),
-                accepted.tolist(), flow.n_eval.tolist())]
+                th.tolist(), accepted.tolist(), flow.n_eval.tolist())]
 
 
 def t_min_numeric(params: ModelParams, xi: float = 0.0, *,

@@ -26,7 +26,7 @@ from .model import (InitialStateSpec, ModelParams, StepStats,
                     build_initial_state, min_eigenvalue, mu_max, xi_max)
 from .optimal import (pole_gains, s2_resonant_solution,
                       uncorrelated_pole_purity)
-from .pole import first_events, initial_direction, t_min_analytic
+from .pole import first_events, initial_direction, t_min_from_rates
 from .reduced import make_rhs_s1, make_rhs_z, x_to_z
 
 __all__ = ["CheckResult", "run_suite", "suite_passed"]
@@ -125,12 +125,17 @@ def run_suite(params: ModelParams, *, rtol: float = 1e-10,
     # decaying direction s = e^{-gamma t/2} q from s0/|s0| (r in units of
     # |s0|: no overflow where q grows, no absolute error where s0 is
     # small), relative to the rate scale 2J + gamma/2 times the largest r
+    # (ds/dt from the flow itself, one call on every step: it is linear)
     half = 0.5 * params.gamma
     q_rhs = make_rhs_s1(params)
+
+    def decaying(t, s):
+        return q_rhs(t, s) - half * s
+
     s0 = initial_direction(params, xi)
-    s1 = integrate(lambda t, s: q_rhs(t, s) - half * s, t_span,
-                   s0 / (np.linalg.norm(s0) or 1.0), rtol=rtol, atol=atol)
-    s, ds = s1.y[:, :2], s1.trajectory.fs[:, :2]
+    s1 = integrate(decaying, t_span, s0 / (np.linalg.norm(s0) or 1.0),
+                   rtol=rtol, atol=atol)
+    s, ds = s1.y[:, :2], decaying(s1.t, s1.y.T).T[:, :2]
     norm = np.hypot(s[:, 0], s[:, 1])
     rate = np.divide((s * ds).sum(axis=1), norm, out=np.zeros_like(norm),
                      where=norm > 0.0)
@@ -141,8 +146,7 @@ def run_suite(params: ModelParams, *, rtol: float = 1e-10,
 
     # -- coherence block closed form ----------------------------------
     # the largest gap to the damped-oscillator solution at the accepted
-    # steps, where the run is as good as its tolerances (the cubic
-    # interpolant in between adds its own error).  A cold qubit
+    # steps, where the run is as good as its tolerances.  A cold qubit
     # carries little coherence: the start keeps mu = 0.3 while that is
     # within 3/4 of the ceiling (beta up to about 1.3 at the default
     # splittings), and sits at 3/4 of the ceiling past that
@@ -167,7 +171,7 @@ def run_suite(params: ModelParams, *, rtol: float = 1e-10,
     worst = 0.0
     tot = StepStats()
     for p, run in zip(fixed, runs):
-        exact = t_min_analytic(p)
+        exact = t_min_from_rates(p.J, p.gamma)
         worst = max(worst, abs(run.time - exact) / exact)
         tot += run.stats
     checks.append(_check("pole-time-closed-form", worst, 1e-12, tot))

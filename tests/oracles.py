@@ -9,11 +9,11 @@ against the package's lab Liouvillian.
 
 The pole-time oracle integrates the regular S1 direction flow
 q' = N(2J) q (reduced.make_rhs_s1) on the adaptive integrator and bisects
-the first crossing on its Hermite trajectory, a path independent of the
-closed-form solution of the same flow behind pole.t_min_numeric.  The
-precision oracle solves the same closed form at 50 digits in mpmath: the
-event times to far below double roundoff, with no bracketing or
-bisection.
+the first crossing between two accepted steps on fresh Runge-Kutta runs
+from the earlier step, a path independent of the closed-form solution of
+the same flow behind pole.t_min_numeric.  The precision oracle solves the
+same closed form at 50 digits in mpmath: the event times to far below
+double roundoff, with no bracketing or bisection.
 
 The positivity oracle takes the smallest eigenvalue of a start's float
 entries at 50 digits with mpmath's Hermitian eigensolver, the exact
@@ -237,12 +237,21 @@ def s1_pole_run(params: ModelParams, xi: float = 0.0, *,
     thermal-product start to horizon_mult * pi/(2J), then find the first
     accepted step on which the pole (q_v falls through 0) or a guarded
     stall (r^2 dtheta/dt, up to a positive factor, falls through 0) comes,
-    and bisect it on the Hermite trajectory.  The stall guard is
-    scale-free, so it reads the direction as it is."""
+    and bisect it: q at a time inside the step is a fresh Runge-Kutta run
+    from the step's start, at the same tolerances.  The stall guard is
+    scale-free, so it reads the direction as it is, and its slack is
+    STALL_CURVATURE_TOL gamma^2, as the engine's."""
     a, b, eta = 2.0 * params.J, 0.5 * params.gamma, params.eta
-    res = integrate(make_rhs_s1(params), (0.0, horizon_mult * params.t0),
+    rhs = make_rhs_s1(params)
+    res = integrate(rhs, (0.0, horizon_mult * params.t0),
                     initial_direction(params, xi), rtol=rtol, atol=atol)
-    traj = res.trajectory
+
+    def at(k, t):
+        """q at time t of the step that starts at accepted step k."""
+        if t == res.t[k]:
+            return res.y[k]
+        return integrate(rhs, (res.t[k], t), res.y[k], rtol=rtol,
+                         atol=atol).y[-1]
 
     def pole(q):
         return q[..., 1]
@@ -253,9 +262,9 @@ def s1_pole_run(params: ModelParams, xi: float = 0.0, *,
     def stalls(q):
         return (_stall_curvature(params.gamma, eta, math.hypot(q[0], q[1]),
                                  eta - q[2], math.atan2(q[0], q[1]))
-                <= STALL_CURVATURE_TOL)
+                <= STALL_CURVATURE_TOL * params.gamma ** 2)
 
-    status, t_stop = "horizon", float(res.t[-1])
+    status, t_stop, k_stop = "horizon", float(res.t[-1]), len(res.t) - 1
     steps = sorted({int(k) for g in (pole, rate)
                     for k in np.flatnonzero((g(res.y[:-1]) > 0.0)
                                             & (g(res.y[1:]) <= 0.0))})
@@ -263,14 +272,14 @@ def s1_pole_run(params: ModelParams, xi: float = 0.0, *,
         hits = []
         for name, g in (("reached", pole), ("trapped", rate)):
             if g(res.y[k]) > 0.0 >= g(res.y[k + 1]):
-                t = _falling_root(lambda t: g(traj(t)), res.t[k],
+                t = _falling_root(lambda t: g(at(k, t)), res.t[k],
                                   res.t[k + 1])
-                if name == "reached" or stalls(traj(t)):
+                if name == "reached" or stalls(at(k, t)):
                     hits.append((t, name))
         if hits:
-            t_stop, status = min(hits)
+            (t_stop, status), k_stop = min(hits), k
             break
-    w, v, d = traj(t_stop)
+    w, v, d = at(k_stop, t_stop)
     f = math.exp(-b * t_stop)
     return S1Run(status, t_stop, f * math.hypot(w, v), eta - f * d,
                  math.atan2(w, v), res.stats)
@@ -304,7 +313,7 @@ def z_to_spherical(z: np.ndarray) -> tuple[float, float, float, float]:
 def s2_first_zero(params: ModelParams) -> float:
     """First zero of the resonant coherence block z'' + (gamma/2) z' +
     J^2 z = 0 started at rest; infinite in the overdamped and critical
-    regimes.  Coincides with pole.t_min_analytic."""
+    regimes.  Coincides with pole.t_min_from_rates."""
     q = 0.25 * params.gamma
     J = params.J
     disc = J * J - q * q
@@ -472,7 +481,7 @@ def mp_first_event(params: ModelParams, xi: float = 0.0, *,
             th = mp.atan2(w, v)
             curv = (gamma ** 2 / 4 * mp.cos(th) * mp.sin(th)
                     * (w * w + v * v - d * d) / (w * w + v * v))
-            return curv <= STALL_CURVATURE_TOL
+            return curv <= STALL_CURVATURE_TOL * gamma ** 2
 
         poles = falling_times(v_poly)
         t_pole = next((t for t in poles if t <= t_end), None)

@@ -744,6 +744,18 @@ def test_help_lists_the_command_table_in_order(capsys):
                     in cli._COMMANDS.items()]
 
 
+def test_horizon_help_says_verify_does_not_read_it(capsys):
+    """--horizon's help line is the README's flag line for it: verify runs
+    its pole checks at its own horizon, so the flag does not reach it."""
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    line = ("--horizon MULT       give-up time in units of the lossless pole "
+            "time (not read by verify)")
+    assert f"  {line}" in capsys.readouterr().out.splitlines()
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert line in readme.read_text(encoding="utf-8").splitlines()
+
+
 def test_every_command_names_a_driver_function():
     """Each entry of cli._COMMANDS names a function of a package module."""
     for command, (module, driver, _) in cli._COMMANDS.items():

@@ -11,12 +11,12 @@ from scipy.integrate import solve_ivp
 from oracles import (lab_rhs, lindblad_rhs, partial_trace_defect,
                      partial_trace_qubit, random_density_x)
 from tlspurify.drive import ConstantDrive, resonant
-from tlspurify.integrator import integrate
+from tlspurify.integrator import EVAL_CHUNK, integrate
 from tlspurify import liouville
 from tlspurify.liouville import (lab_hamiltonian, make_rhs_lab, make_rhs_rwa,
                                  qubit_purity, rwa_generator, simulate,
                                  tls_purity)
-from tlspurify.model import (InitialStateSpec, ModelParams,
+from tlspurify.model import (DensityState, InitialStateSpec, ModelParams,
                              build_initial_state, matrix_to_x, mu_max,
                              x_to_matrix, xi_max)
 
@@ -184,3 +184,31 @@ def test_exact_simulate_matches_rk(params_bath, frame, detuning):
         assert exact.stats.rejected == 0
         assert rk.t[-1] == span[1]
         assert np.abs(exact.y - rk.y).max() < bound
+
+
+@pytest.mark.parametrize("samples", [601, EVAL_CHUNK + 952])
+def test_detuned_simulate_runs_a_stack_as_its_rows(params_bath, samples):
+    """A detuned rotating-frame run of a stack of starts, shape (3, 16),
+    rotates every start into the co-rotating frame and every reported
+    state out of it at its own time: it is the stack of its rows' own
+    runs, to 1e-13 relative (the stack steps as the columns of one
+    matrix, whose products round apart from a single start's in the last
+    bit), at 601 times and past one chunk of EVAL_CHUNK states, over a
+    span that does not start at 0.  Runge-Kutta on the detuned flow lands
+    on the stack's last start at its accepted steps, which come after
+    the samples."""
+    p = params_bath
+    xi = 0.5 * xi_max(p)
+    mus = np.array([0.0, 0.2, 0.5]) * mu_max(p, xi)
+    stack = build_initial_state(p, InitialStateSpec(mu_q=mus, xi_re=xi))
+    drive = ConstantDrive(0.25)
+    span = (1.3, 1.3 + 2.0 * p.t0)
+    rk = integrate(make_rhs_rwa(p, drive), span, stack.x[-1], rtol=1e-12,
+                   atol=1e-12)
+    ts = np.concatenate((np.linspace(*span, samples), rk.t))
+    res = simulate(p, stack, span, ts, drive)
+    assert res.y.shape == (len(ts), 3, 16)
+    for i, x in enumerate(stack.x):
+        one = simulate(p, DensityState(x), span, ts, drive).y
+        assert np.abs(res.y[:, i] - one).max() <= 1e-13 * np.abs(one).max()
+    assert np.abs(res.y[samples:, -1] - rk.y).max() < 1e-11

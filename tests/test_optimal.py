@@ -17,7 +17,7 @@ from tlspurify.optimal import (pole_gains, s2_resonant_solution,
                                uncorrelated_pole_purity)
 from tlspurify.pole import (first_events, initial_spherical, is_divergent,
                             j_min, region_labels, stall_cosine,
-                            t_min_analytic, t_min_from_rates, t_min_numeric)
+                            t_min_from_rates, t_min_numeric)
 from tlspurify.reduced import x_to_z
 from tlspurify.scans import region_map, scan_beta, scan_gamma
 from tlspurify.sweeps import coherence_map
@@ -78,9 +78,10 @@ def test_t_min_divergent_cases():
     assert t_min_from_rates(-0.1, 0.1) == math.inf
 
 
-def test_t_min_analytic_from_params():
+def test_t_min_from_rates_of_params():
     p = ModelParams().with_gamma_over_j(2.0)
-    assert t_min_analytic(p) == pytest.approx(T_MIN_RATIO2, rel=1e-14)
+    assert t_min_from_rates(p.J, p.gamma) == pytest.approx(T_MIN_RATIO2,
+                                                         rel=1e-14)
 
 
 def test_is_divergent_tolerance_edges():
@@ -167,7 +168,8 @@ def test_s2_first_zero_equals_pole_time(ratio):
     """The coherence dies exactly on pole arrival: the same combination of
     J and gamma controls both, through different formulas."""
     p = ModelParams().with_gamma_over_j(ratio)
-    assert s2_first_zero(p) == pytest.approx(t_min_analytic(p), rel=1e-12)
+    assert s2_first_zero(p) == pytest.approx(t_min_from_rates(p.J, p.gamma),
+                                             rel=1e-12)
     # and the closed-form solution really vanishes there
     assert abs(s2_resonant_solution(p, 0.4, s2_first_zero(p))) < 1e-13
 
@@ -334,7 +336,8 @@ def test_t_min_numeric_matches_analytic_uncorrelated():
         p = ModelParams(**kw).with_gamma_over_j(ratio)
         run = t_min_numeric(p, 0.0)
         assert run.status == "reached", (kw, ratio)
-        assert run.time == pytest.approx(t_min_analytic(p), rel=1e-12)
+        assert run.time == pytest.approx(t_min_from_rates(p.J, p.gamma),
+                                         rel=1e-12)
         assert run.purity == pytest.approx(uncorrelated_pole_purity(p),
                                            abs=1e-5)
 
@@ -376,7 +379,7 @@ def test_t_min_numeric_long_horizon(ratio):
     p = ModelParams(kappa=0.1).with_gamma_over_j(ratio)
     run = t_min_numeric(p, 0.0, horizon_mult=1200)
     assert run.status == "reached"
-    assert run.time == pytest.approx(t_min_analytic(p), rel=1e-12)
+    assert run.time == pytest.approx(t_min_from_rates(p.J, p.gamma), rel=1e-12)
     for xi in (0.0, xi_max(p)):
         long = t_min_numeric(p, xi, horizon_mult=1200)
         short = t_min_numeric(p, xi)
@@ -452,7 +455,7 @@ def test_t_min_numeric_validation():
 def test_t_min_numeric_zero_radius():
     """A cold bath at xi = 0 starts the S1 block at the centre of the
     sphere (r = 0, c = eta), a rest point: the pole is never reached, and
-    theta and its rate read 0."""
+    theta reads 0."""
     for beta in (100.0, 1000.0):
         p = ModelParams(beta=beta, kappa=0.1)
         r0, c0, _ = initial_spherical(p, 0.0)
@@ -461,27 +464,33 @@ def test_t_min_numeric_zero_radius():
         assert run.status == "trapped"
         assert run.time == math.inf
         assert run.t_stop == 20.0 * p.t0
-        assert (run.r, run.c, run.theta, run.theta_rate) == (0.0, p.eta,
-                                                             0.0, 0.0)
+        assert (run.r, run.c, run.theta) == (0.0, p.eta, 0.0)
         assert region_labels([p], [0.0])[0] == "B"
 
 
 def test_t_min_numeric_trapped_run():
     """Just under the critical coupling, a small extra coherence puts the
     start in the en-route stall region: the flow pinches onto the
-    attracting stall angle and the rate dies."""
+    attracting stall angle and the rate dies there, so the run stops
+    where cos(theta) is the stall cosine of its (r, c).  The stall
+    condition did not hold at the start: the label is B, not A."""
     p = ModelParams(beta=0.1, kappa=0.1, J=0.9 * J_MIN_BETA01)
-    run = t_min_numeric(p, 2.0 * XI_FIXED_BETA01, horizon_mult=40)
+    xi = 2.0 * XI_FIXED_BETA01
+    run = t_min_numeric(p, xi, horizon_mult=40)
     assert run.status == "trapped"
     assert run.time == math.inf
-    assert not run.stall_blocked
-    assert abs(run.theta_rate) < 1e-6
+    assert math.cos(run.theta) == pytest.approx(stall_cosine(p, run.r, run.c),
+                                                rel=1e-12)
+    assert region_labels([p], [xi]) == ["B"]
 
 
 def test_t_min_numeric_instant_stall():
+    """A start where the stall condition already holds (region A) never
+    reaches the pole."""
     p = ModelParams(beta=0.1, kappa=0.1, J=0.9 * J_MIN_BETA01)
-    run = t_min_numeric(p, 0.5 * XI_FIXED_BETA01, horizon_mult=3)
-    assert run.stall_blocked
+    xi = 0.5 * XI_FIXED_BETA01
+    run = t_min_numeric(p, xi, horizon_mult=3)
+    assert region_labels([p], [xi]) == ["A"]
     assert run.time == math.inf
     assert run.status in ("trapped", "horizon")
 
@@ -642,15 +651,19 @@ def test_stall_guard_drops_a_bracket_with_no_rate_zero(monkeypatch):
     assert len(misread) == 2
 
 
-def _misread_before(t_ref, misread):
+def _misread_before(t_ref, misread, at=None):
     """_DriftFlow._signs, except that the last sample before t_ref reads
     the rate as zero where it and the sample before are positive; each
-    misread sample's time is appended to misread."""
+    misread sample's time is appended to misread.  Given a time at, that
+    sample is first moved there, in the array the brackets are then read
+    from."""
     signs = pole._DriftFlow._signs
 
     def misread_before_pole(self, v, rate, t):
-        fv, fr = signs(self, v, rate, t)
         k = np.flatnonzero(t[0] < t_ref)[-1]
+        if at is not None:
+            t[0, k] = at
+        fv, fr = signs(self, v, rate, t)
         if fr[0, k - 1] > 0.0 and fr[0, k] > 0.0:
             misread.append(t[0, k])
             fr = fr.copy()
@@ -660,34 +673,42 @@ def _misread_before(t_ref, misread):
 
 
 def test_stall_guard_drops_a_graze_at_small_rates(monkeypatch):
-    """The guard's slack STALL_CURVATURE_TOL is absolute, and the
-    curvature it reads scales as gamma^2.  Run the start above at rates
-    1e-3 of it (J = 1e-4): the sampled theta rate touches zero at the
-    misread sample and rises again, a graze, and the guard reads a
-    curvature of 5.0e-9 there, inside (1e-12, 1e-6].  The graze is no
-    stall: the run reaches the reference's pole, and the label is C.  A
-    slack of 1e-6 would count it and stop the run short, "trapped"."""
-    p = ModelParams(beta=0.1, J=1e-4).with_gamma_over_j(2.0)
-    xi = xi_max(p)
-    status, t_ref = mp_first_event(p, xi)
-    assert status == "reached"
+    """The curvature the guard reads scales as gamma^2, and so does its
+    slack, STALL_CURVATURE_TOL gamma^2.  Run the start above at rates
+    1e-3 down to 1e-11 of it, with the misread sample moved to 1e-8
+    (relative) short of the reference's pole: the sampled theta rate
+    touches zero there and rises again, a graze, and the guard reads a
+    curvature of 3.6e-9 gamma^2, inside (1e-12, 1e-6] gamma^2.  The graze
+    is no stall: at every scale the run reaches the reference's pole, and
+    the label is C.  An absolute slack of 1e-12 would count it at these
+    rates (at J = 1e-6 the curvature is 1.4e-20), and a slack of
+    1e-6 gamma^2 at any rates; either stops the run short, "trapped"."""
     curvature = pole._stall_curvature
-    misread, read = [], []
+    read = []
 
     def reading(*args):
         c = curvature(*args)
         read.extend(np.ravel(c).tolist())
         return c
 
-    monkeypatch.setattr(pole._DriftFlow, "_signs",
-                        _misread_before(float(t_ref), misread))
     monkeypatch.setattr(pole, "_stall_curvature", reading)
-    run = t_min_numeric(p, xi)
-    assert run.status == status
-    assert abs(run.time - float(t_ref)) <= 1e-12 * float(t_ref)
-    assert region_labels([p], [xi])[0] == "C"
-    assert len(misread) == len(read) == 2
-    assert all(1e-12 < c <= 1e-6 for c in read), read
+    for J in (1e-4, 1e-6, 1e-7, 1e-12):
+        p = ModelParams(beta=0.1, J=J).with_gamma_over_j(2.0)
+        xi = xi_max(p)
+        status, t_ref = mp_first_event(p, xi)
+        assert status == "reached"
+        t_ref = float(t_ref)
+        misread = []
+        del read[:]
+        with monkeypatch.context() as m:
+            m.setattr(pole._DriftFlow, "_signs", _misread_before(
+                t_ref, misread, at=t_ref * (1.0 - 1e-8)))
+            run = t_min_numeric(p, xi)
+            assert region_labels([p], [xi])[0] == "C", J
+        assert run.status == status, J
+        assert abs(run.time - t_ref) <= 1e-12 * t_ref, J
+        assert len(misread) == len(read) == 2, J
+        assert all(1e-12 < c / p.gamma ** 2 <= 1e-6 for c in read), (J, read)
 
 
 def test_stall_curvature_at_zero_radius():

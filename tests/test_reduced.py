@@ -130,7 +130,8 @@ def test_reduced_tracks_full_table_drive(params_bath):
     """A time-varying detuning: delta(t) piecewise linear through (0, 0),
     (0.4 T0, 0.2) and (T0, 0.2), in the literal convention (phase
     delta(t) t, frame term alpha = (t/2) delta'(t)).  The 8-dim affine
-    flow tracks the 16-dim one under the same coefficients."""
+    flow tracks the 16-dim one under the same coefficients: one
+    Runge-Kutta run of (x, z) together, compared at its steps."""
     p = params_bath
     t0 = p.t0
     knots, deltas = (0.0, 0.4 * t0, t0), (0.0, 0.2, 0.2)
@@ -144,14 +145,18 @@ def test_reduced_tracks_full_table_drive(params_bath):
         m, b = z_generator(p, *coefficients(t))
         return m @ z + b
 
+    def joint_rhs(t, xz):
+        x, z = xz[:16], xz[16:]
+        return np.concatenate((rwa_generator(p, *coefficients(t)) @ x,
+                               z_rhs(t, z)))
+
     state = build_initial_state(p, InitialStateSpec(xi_re=0.5 * xi_max(p)))
-    full = integrate(lambda t, x: rwa_generator(p, *coefficients(t)) @ x,
-                     (0.0, t0), state.x, rtol=1e-11, atol=1e-12)
-    red = integrate(z_rhs, (0.0, t0), x_to_z(state.x), rtol=1e-11,
-                    atol=1e-12)
-    ts = np.linspace(0.0, t0, 60)
-    za = x_to_z(full.trajectory(ts))
-    assert np.abs(za - red.trajectory(ts)).max() < 1e-6
+    joint = integrate(joint_rhs, (0.0, t0),
+                      np.concatenate((state.x, x_to_z(state.x))),
+                      rtol=1e-11, atol=1e-12)
+    assert len(joint.t) > 10
+    za = x_to_z(joint.y[:, :16])
+    assert np.abs(za - joint.y[:, 16:]).max() < 1e-6
 
 
 # ====================================================================
@@ -201,8 +206,8 @@ def test_spherical_round_trip_property(r, c, theta, phi):
 
 def test_rct_flow_matches_z_flow(params_bath):
     """Integrate (r, c, theta) directly and compare against the cartesian
-    reduced run converted pointwise — exercises the negative initial
-    latitude branch of a correlated start."""
+    reduced run converted pointwise at its accepted steps — exercises the
+    negative initial latitude branch of a correlated start."""
     xi = 0.5 * xi_max(params_bath)
     state = build_initial_state(params_bath, InitialStateSpec(xi_re=xi))
     z0 = x_to_z(state.x)
@@ -211,16 +216,12 @@ def test_rct_flow_matches_z_flow(params_bath):
     # stay short of the polar crossing: the asin chart in z_to_spherical
     # folds theta back once the flow passes latitude pi/2
     t_end = 0.75 * params_bath.t0
-    ts = np.linspace(0.0, t_end, 80)
-
-    zres = simulate_z(params_bath, z0, (0.0, t_end), ts)
     rres = integrate(make_rhs_rct(params_bath), (0.0, t_end),
                      np.array([r0, c0, th0]), rtol=1e-11, atol=1e-12)
+    zres = simulate_z(params_bath, z0, (0.0, t_end), rres.t)
 
-    zs = zres.y
-    sph = np.array([z_to_spherical(z)[:3] for z in zs])
-    rct = rres.trajectory(ts)
-    assert np.abs(sph - rct).max() < 1e-8
+    sph = np.array([z_to_spherical(z)[:3] for z in zres.y])
+    assert np.abs(sph - rres.y).max() < 1e-8
 
 
 @pytest.mark.parametrize("ratio", [1.0, 3.9])

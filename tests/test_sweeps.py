@@ -21,7 +21,7 @@ from tlspurify.cli import main as cli_main
 from tlspurify.config import MAX_ROWS, ConfigError, RunConfig
 from tlspurify.model import BOUNDARY_RTOL, mu_max, xi_max
 from tlspurify.output import write_table
-from tlspurify.pole import t_min_analytic, t_min_numeric
+from tlspurify.pole import t_min_from_rates, t_min_numeric
 from tlspurify.scans import region_map, scan_beta, scan_gamma
 from tlspurify.sweeps import coherence_map, purity_trace, simulate_trace
 
@@ -59,9 +59,9 @@ def test_simulate_trace_resonant_default():
     assert tab.metadata["n_steps"] > 0
     # the run is cut at the drift-flow pole time and arrives at the
     # thermal-defect purity ceiling
-    cfg = _cfg()
+    p = _cfg().params()
     assert tab.metadata["t_end"] == pytest.approx(
-        t_min_analytic(cfg.params()), rel=1e-5)
+        t_min_from_rates(p.J, p.gamma), rel=1e-5)
     assert tab.rows[-1][0] == pytest.approx(tab.metadata["t_end"], rel=1e-14)
     assert tab.rows[-1][1] == pytest.approx(POLE_PURITY_BETA1, abs=1e-6)
 
@@ -322,7 +322,8 @@ def test_purity_trace_levels():
     assert len(tab.rows) == 2 * 3 * 51
     md = tab.metadata
     assert md["p_tls_initial"] == pytest.approx(POLE_PURITY_BETA1, rel=1e-13)
-    assert md["t_pole_xi0"] == pytest.approx(t_min_analytic(cfg.params()),
+    p = cfg.params()
+    assert md["t_pole_xi0"] == pytest.approx(t_min_from_rates(p.J, p.gamma),
                                              rel=1e-5)
     assert md["t_pole_xihalf"] < md["t_pole_xi0"]
     # uncorrelated, fully coherent trace tops out at the defect's thermal

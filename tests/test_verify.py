@@ -129,9 +129,9 @@ def test_suite_passes_at_hard_corners(model):
     leaves its radial rate good to only 5e-6 relative; at gamma/J near
     670, e^{gamma t/2} times the decaying direction overflows within
     2 t0.  s2-closed-form reads the Runge-Kutta run at its accepted
-    steps: at a hot bath the cubic interpolant in between reads 1.06e-8
-    off the closed form, against a bound of 1e-8, while the steps
-    themselves are within 2.2e-10.  Every check passes at all four, with
+    steps, which at a hot bath are within 2.2e-10 of the closed form: a
+    cubic interpolant between them read 1.06e-8, against a bound of
+    1e-8.  Every check passes at all four, with
     no floating-point warning."""
     checks = run_suite(RunConfig.from_dict({"model": model}).params())
     assert [c.check for c in checks if not c.passed] == []
