@@ -10,9 +10,9 @@ Layers, from the full model down to closed forms:
 - ``integrator``  exact propagation of the constant-coefficient flows, and
                   an embedded Runge-Kutta stepper, the independent side of
                   the checks; each returns states and step counts
-- ``pole``        closed-form engine of the u == 0 flow: pole times and
-                  stall labels, on numpy and ``model`` alone
-- ``optimal``     coherence purity gain at pole arrival
+- ``pole``        closed forms of the u == 0 flow: pole times, stall
+                  labels, resonant purity, on numpy and ``model`` alone
+- ``optimal``     pole-engine names the benchmark imports from here
 - ``verify``      self-check suite with measured residuals
 - ``scans``       the pole-engine sweeps: scan-gamma, scan-beta, region-map
 - ``sweeps``      the other table builders behind the CLI

@@ -27,10 +27,11 @@ prints text to stdout and exits 0.
 The process entry of ``python -m tlspurify.cli`` and of the ``tlspurify``
 script is entry().  The process runs without the cyclic collector: under
 ``-m`` it is off from the first statements of this module, before numpy
-is imported, and entry() turns it off for the console script.  entry()
-freezes the collector after main(), so that exit does not sweep the heap;
-main(argv) never touches the collector, so one process can call it many
-times.
+is imported, and entry() turns it off for the console script.  They
+also set OPENBLAS_NUM_THREADS=1 unless it or OMP_NUM_THREADS is set (not
+for the console script).  entry() freezes the collector after main(), so
+that exit does not sweep the heap; main(argv) never touches the
+collector, so one process can call it many times.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ import gc
 
 if __name__ == "__main__":
     gc.disable()
+    # OpenBLAS's worker thread only competes for a core with the main one,
+    # which multiplies small matrices; a value the caller set is kept
+    import os
+    if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import re
 import sys

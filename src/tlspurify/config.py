@@ -57,7 +57,7 @@ MAX_SAMPLES = 100_000
 #: built in Python lists before any work, one row per cell: at the bound,
 #: fresh on a 2-core x86_64 host, region-map's 250,000 cells take 4.3 s
 #: and 221 MB RSS, a 500 x 500 coherence-map 0.8-1.0 s and 99 MB, and
-#: purity-trace's 2 x 500 traces of 250 samples (MAX_ROWS) 0.65 s and 95 MB.
+#: purity-trace's 2 x 500 traces of 250 samples (MAX_ROWS) 0.3-0.45 s, 95 MB.
 #: The default and benchmark grids need at most 80
 MAX_COUNT = 500
 
@@ -65,7 +65,7 @@ MAX_COUNT = 500
 #: which the two keys' own bounds allow up to 1e8: MAX_COUNT squared, the
 #: largest table region-map and coherence-map can emit.  At the bound,
 #: fresh on a 2-core x86_64 host, 125 mu values x 1000 samples take
-#: 0.7-0.9 s and 95 MB RSS, 2 x 62,500 samples 0.8 s and 94 MB
+#: 0.5-0.7 s and 94 MB RSS, 2 x 62,500 samples 0.7-0.8 s and 95 MB
 MAX_ROWS = MAX_COUNT ** 2
 
 #: upper bound on run.horizon.  The pole engine solves each cell's events

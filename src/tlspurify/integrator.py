@@ -13,11 +13,11 @@ returns its accepted steps, where the run is as good as its tolerances.
 The tableau is the classic DOPRI5 embedded pair, held once as arrays,
 and a step forms each weighted sum of its stages as one matrix product.
 
-A flow y' = A y + b with constant A and b needs no stepping: propagate()
-returns the states at the times its caller asks for.  It lays exact
-nodes y_{k+1} = e^{A h} y_k over the span, keeps only the node nearest
-each requested time, and evaluates the time by a short Taylor series from
-it, exact to roundoff.  expm is Pade-13 scaling and squaring (Higham
+A flow y' = A y with constant A needs no stepping: propagate() returns
+the states at the times its caller asks for.  It lays exact nodes
+y_{k+1} = e^{A h} y_k over the span, keeps only the node nearest each
+requested time, and evaluates the time by a short Taylor series from it,
+exact to roundoff.  expm is Pade-13 scaling and squaring (Higham
 2005), in numpy alone.
 """
 
@@ -247,21 +247,19 @@ def propagate(
     t_span: tuple[float, float],
     y0: np.ndarray,
     times: np.ndarray,
-    *,
-    b: np.ndarray | None = None,
 ) -> IvpResult:
-    """Exact solution of y' = A y + b (b = 0 when omitted) over t_span,
-    from y0 or from each row of a stack of starts y0, shape (k, dim),
-    reported at times: t is the times and y their states, shape
-    (len(times), dim) or (len(times), k, dim).
+    """Exact solution of y' = A y over t_span, from y0 or from each row of
+    a stack of starts y0, shape (k, dim), reported at times: t is the
+    times and y their states, shape (len(times), dim) or
+    (len(times), k, dim).  An affine flow y' = A y + b runs as the linear
+    flow of augment(A, b) on (y, 1).
 
     The nodes are y_{k+1} = e^{A h} y_k on a uniform grid with
-    ||A||_1 h <= NODE_NORM; an affine b rides along as a constant last
-    slot of the augmented generator [[A, b], [0, 0]].  A stack steps as
-    the columns of one matrix.  The run keeps only the node nearest each
-    time (a time outside the span takes the span's end node) and steps no
-    further than the last of them; each time is a Taylor series from its
-    node, EVAL_CHUNK states at a time.
+    ||A||_1 h <= NODE_NORM.  A stack steps as the columns of one matrix.
+    The run keeps only the node nearest each time (a time outside the
+    span takes the span's end node) and steps no further than the last of
+    them; each time is a Taylor series from its node, EVAL_CHUNK states
+    at a time.
 
     stats counts the grid's node steps as accepted steps and as
     evaluations; nothing is rejected.
@@ -272,10 +270,6 @@ def propagate(
     times = np.atleast_1d(np.asarray(times, dtype=float))
     a = np.asarray(a, dtype=float)
     y = np.array(y0, dtype=float)
-    dim = y.shape[-1]
-    if b is not None:
-        a = augment(a, b)
-        y = np.concatenate((y, np.ones_like(y[..., :1])), axis=-1)
     norm = float(np.abs(a).sum(axis=0).max())
     nodes = norm * (tf - t0) / NODE_NORM
     if not nodes <= MAX_NODES:
@@ -300,7 +294,7 @@ def propagate(
         kept[j] = y
     kept = np.moveaxis(kept, 1, -1)             # and as rows again
 
-    out = np.empty(times.shape + kept.shape[1:-1] + (dim,))
+    out = np.empty(times.shape + kept.shape[1:])
     size = max(1, EVAL_CHUNK // math.prod(kept.shape[1:-1]))
     for start in range(0, times.size, size):
         part = slice(start, start + size)
@@ -313,6 +307,5 @@ def propagate(
         powers = np.vander(offset[part], TAYLOR_TERMS + 1, increasing=True)
         flat = np.stack(terms, axis=1)[which].reshape(
             len(powers), TAYLOR_TERMS + 1, -1)
-        out[part] = (powers[:, None, :] @ flat).reshape(
-            (-1,) + kept.shape[1:])[..., :dim]
+        out[part] = (powers[:, None, :] @ flat).reshape(out[part].shape)
     return IvpResult(t=times, y=out, stats=StepStats(accepted=n, n_eval=n))

@@ -571,3 +571,72 @@ def region_labels(params_seq, xis, horizon_mult: float = 20.0) -> list[str]:
     labels[run] = _LABELS[status]
     return labels.tolist()
 
+
+# ====================================================================
+# Resonant purity in closed form
+# ====================================================================
+
+def uncorrelated_pole_purity(params: ModelParams) -> float:
+    """Qubit purity on pole arrival from the uncorrelated thermal start:
+    the qubit inherits the full bath polarization scale eta."""
+    eta = params.eta
+    return 0.5 + 2.0 * eta * eta
+
+
+def s2_resonant_solution(params: ModelParams, mu: float, t) -> np.ndarray:
+    """Qubit coherence z[4](t) under the resonant drive, initial value mu
+    with zero initial rate.  (The other quadrature z[6] obeys the same
+    damped oscillator; pass its initial value for mu.)
+
+    z'' + (gamma/2) z' + J^2 z = 0, branches by the sign of J^2 - gamma^2/16.
+    """
+    t = np.asarray(t, dtype=float)
+    J, q = params.J, 0.25 * params.gamma     # q: decay rate of the envelope
+    disc = (J - q) * (J + q)                # no cancellation
+    env = np.exp(-q * t)
+    if disc == 0.0:
+        return mu * env * (1.0 + q * t)
+    if disc > 0.0:
+        w = math.sqrt(disc)
+        return mu * env * (np.cos(w * t) + (q / w) * np.sin(w * t))
+    w = math.sqrt(-disc)
+    return mu * env * (np.cosh(w * t) + (q / w) * np.sinh(w * t))
+
+
+def _s1_polarization(params: ModelParams, xis, ts) -> np.ndarray:
+    """z[0] = c + r sin(theta) at ts[k] of the resonant run from the
+    thermal-product start with cross coherence xis[k] (broadcast), one
+    drift-flow cell each.  The start's angle is -atan2(pol_gap, xi): the
+    engine's -arccos(xi / r0) loses digits where xi / r0 rounds to 1."""
+    xis, ts = np.broadcast_arrays(np.asarray(xis, float),
+                                  np.asarray(ts, float))
+    one, gap, eta = np.ones(ts.shape), params.pol_gap, params.eta
+    r, c, th = _DriftFlow(params.J * one, params.gamma * one, eta * one,
+                          np.hypot(gap, xis), (eta - gap) * one,
+                          -np.arctan2(gap, xis)).spherical(ts)
+    return c + r * np.sin(th)
+
+
+def resonant_purity(params: ModelParams, xi: float, mus, ts) -> np.ndarray:
+    """Qubit purity at each time of ts (rows) of the resonant run from the
+    thermal-product start with cross coherence xi >= 0 and real qubit
+    coherence mu, for each mu of mus (columns).  The reduced flow splits
+    there: S1 carries xi alone, in its polarization z[0]; S2 carries mu
+    alone, z[4] = mu g(t) with g = s2_resonant_solution(params, 1, t), and
+    z[6] = 0.  So the purity is 1/2 + 2 (z[0]^2 + mu^2 g^2), with one S1
+    evaluation per time for every mu."""
+    z0 = _s1_polarization(params, xi, ts)
+    coherence = np.outer(s2_resonant_solution(params, 1.0, ts), mus)
+    return 0.5 + 2.0 * (z0[:, None] ** 2 + coherence ** 2)
+
+
+def coherence_gains(params: ModelParams, xis, ts, mus) -> np.ndarray:
+    """The gain delta_p = p / p_s1 - 1 from the coherence block of the
+    start (mu, xis[k]) at time ts[k] (rows), for each mu of mus (columns),
+    p_s1 the purity of the S1 block alone: 2 mu^2 g^2 / p_s1, with nothing
+    cancelled.  At the pole it is 0 for mu = 0, and near 0 for xi = 0,
+    where the oscillator's first zero meets the pole; correlations bring
+    the pole earlier, and the gain is positive and grows with mu."""
+    p_s1 = 0.5 + 2.0 * _s1_polarization(params, xis, ts) ** 2
+    g = s2_resonant_solution(params, 1.0, ts)
+    return 2.0 * np.outer(g * g / p_s1, np.square(mus))

@@ -18,8 +18,9 @@ take one state or a stack of them, on the last axis, as model.x_to_matrix
 does.  The first four coordinates (block S1) and last four (block S2)
 evolve independently of each other.  The reduced flow is liouville's,
 projected through x_to_z and a lift of z to a unit-trace state; no entry
-of it is typed by hand.  The package runs it only resonant (simulate_z
-exactly, make_rhs_z for the checks' Runge-Kutta side).
+of it is typed by hand.  Only verify runs it, resonant: z_states_at
+exactly, make_rhs_z for the Runge-Kutta side.  The commands read the
+resonant runs off their closed forms in pole.
 
 The spherical picture sits on S1: with  c = -(z[3]+1)/2  and
 
@@ -51,12 +52,13 @@ whose flow is linear and regular (a = 2 J cos(u) = 2 J):
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .integrator import IvpResult, augment, expm, propagate
+from .integrator import augment, expm
+from .liouville import (FIELD_ABSORB, FIELD_EMIT, FIELD_FRAME, FIELD_J1,
+                        FIELD_J2, weigh_fields)
 from .model import ModelParams
 
 
@@ -103,23 +105,17 @@ _LIFT[3, [3, 8]] = 1.0, 1.0                  # x[3] = z[3] + 1
 _LIFT[[11, 10, 6, 5, 7, 4], [1, 2, 4, 5, 6, 7]] = 1.0
 
 
-@functools.cache
-def _z_fields() -> np.ndarray:
-    """[M | b] of each of liouville's five fields: the flow closes on z,
-    so _P F applied to the lift of (z, 1) is M z + b.  Built on first
-    use: optimal imports this module without running the dynamics."""
-    from .liouville import (FIELD_ABSORB, FIELD_EMIT, FIELD_FRAME,
-                            FIELD_J1, FIELD_J2)
-    return _P @ np.array([FIELD_EMIT, FIELD_ABSORB, FIELD_J1, FIELD_J2,
-                          FIELD_FRAME]) @ _LIFT
+#: [M | b] of each of liouville's five fields: the flow closes on z, so
+#: _P F applied to the lift of (z, 1) is M z + b
+_Z_FIELDS = _P @ np.array([FIELD_EMIT, FIELD_ABSORB, FIELD_J1, FIELD_J2,
+                           FIELD_FRAME]) @ _LIFT
 
 
 def z_generator(params: ModelParams, j1: float, j2: float,
                 alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """(M, b) of the affine reduced flow at fixed coefficients: the
     projected fields, weighted as rwa_generator weights the full ones."""
-    from .liouville import weigh_fields
-    g = weigh_fields(_z_fields(), params, j1, j2, alpha)
+    g = weigh_fields(_Z_FIELDS, params, j1, j2, alpha)
     return g[:, :8], g[:, 8]
 
 
@@ -133,20 +129,11 @@ def make_rhs_z(params: ModelParams):
     return rhs
 
 
-def simulate_z(params: ModelParams, z0: np.ndarray,
-               t_span: tuple[float, float], times: np.ndarray) -> IvpResult:
-    """Evolve the reduced coordinates of the resonant run over t_span
-    exactly, and report them at times: the affine flow on the augmented
-    9x9 generator, from one start z0 or from each row of a stack of them,
-    shape (k, 8)."""
-    m, b = z_generator(params, params.J, 0.0)
-    return propagate(m, t_span, z0, times, b=b)
-
-
 def z_states_at(params: ModelParams, z0s, t: float) -> np.ndarray:
     """z(t) of the resonant reduced run from each row of z0s: one
     exponential of the augmented generator [[M, b], [0, 0]] over [0, t],
-    applied to every start as one product: no node grid for one time."""
+    applied to every start as one product: verify's independent side of
+    pole.resonant_purity and pole.coherence_gains."""
     step = expm(augment(*z_generator(params, params.J, 0.0)) * t)
     return np.reshape(z0s, (-1, 8)) @ step[:8, :8].T + step[:8, 8]
 

@@ -8,11 +8,11 @@ pole time is infinite carries the label "divergent", and a state outside
 the positivity boundary carries "unphysical".
 
 One process: coherence-map and purity-trace take their pole times from
-one array-valued engine call (pole.first_events), then make one
-exponential per coherence-map row or one stacked reduced run per
-purity-trace cross coherence; the engine gives each cell the result of
-its own batch of one, so the emitted bytes do not depend on how a grid
-is cut, and run.workers changes nothing.
+one array-valued engine call (pole.first_events), then read every cell
+off the resonant closed forms (pole.coherence_gains and
+pole.resonant_purity): neither propagates nor exponentiates.  The engine
+gives each cell the result of its own batch of one, so the emitted bytes
+do not depend on how a grid is cut, and run.workers changes nothing.
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ import numpy as np
 
 from .config import MAX_ROWS, ConfigError, RunConfig, SweepAxis
 from .liouville import qubit_purity, simulate, tls_purity
-from .model import (InitialStateSpec, build_initial_state, is_physical,
-                    mu_max, xi_max)
-from .optimal import pole_gains
+from .model import build_initial_state, is_physical, mu_max, xi_max
 from .output import Table
-from .pole import first_events, t_min_numeric
-from .reduced import simulate_z, x_to_z, z_purity
+from .pole import (coherence_gains, first_events, resonant_purity,
+                   t_min_numeric)
 # perfbench's fan-out probe imports scan_gamma from here
 from .scans import _coupled, scan_gamma  # noqa: F401
 # perfbench's tracer wraps run_suite where verify_table calls it: here
@@ -96,9 +94,10 @@ def coherence_map(cfg: RunConfig) -> Table:
     inside = is_physical(params, mus, xis[:, None])     # one row per xi
     cells = np.array(["unphysical", "divergent"], dtype=object)[
         inside.astype(int)]
-    for row, cell, xi, lead in zip(inside, cells, xis, leads):
-        if lead.status == "reached":    # one exponential per row
-            cell[row] = pole_gains(params, xi, mus[row], lead.time)[:, 0]
+    reached = [k for k, lead in enumerate(leads) if lead.status == "reached"]
+    gains = coherence_gains(params, xis[reached],
+                            [leads[k].time for k in reached], mus)
+    cells[reached] = np.where(inside[reached], gains, cells[reached])
 
     table = Table("coherence-map",
                   ["xi_frac", "xi", "mu_q", "mu_max", "delta_p"],
@@ -117,10 +116,10 @@ def coherence_map(cfg: RunConfig) -> Table:
 # ====================================================================
 
 def purity_trace(cfg: RunConfig) -> Table:
-    """Reduced-model purity traces over a coherence grid, at zero cross
-    coherence and at half the maximal one.  Metadata carries the two
-    reference levels: the defect's thermal purity and the largest purity
-    the trace family attains at its pole time."""
+    """Resonant purity traces over a coherence grid, at zero cross
+    coherence and at half the maximal one, in closed form.  Metadata
+    carries the two reference levels: the defect's thermal purity and the
+    largest purity the trace family attains at its pole time."""
     rows = 2 * cfg.mu_count * cfg.samples
     if rows > MAX_ROWS:
         raise ConfigError("bad-value",
@@ -140,15 +139,11 @@ def purity_trace(cfg: RunConfig) -> Table:
                 f"purity-trace needs a reachable pole; status "
                 f"{lead.status!r} at xi = {xi} (gamma/J = "
                 f"{params.gamma / params.J:.3f})")
-        # one reduced run of the whole coherence grid, top start last, read
-        # at the samples and then at the pole time: the reference level is
-        # the top-coherence trace's purity at the pole
+        # the coherence grid, top start last, at the samples and then at
+        # the pole: the reference level is the top trace's pole purity
         mus = np.linspace(0.0, 1.0, cfg.mu_count) * mu_max(params, xi)
-        starts = build_initial_state(params, InitialStateSpec(mus, xi_re=xi))
-        t_end = 1.15 * lead.time
-        ts = np.linspace(0.0, t_end, cfg.samples)
-        ps = z_purity(simulate_z(params, x_to_z(starts.x), (0.0, t_end),
-                                 np.append(ts, lead.time)).y)
+        ts = np.linspace(0.0, 1.15 * lead.time, cfg.samples)
+        ps = resonant_purity(params, xi, mus, np.append(ts, lead.time))
         table.metadata[f"t_pole_{tag}"] = lead.time
         table.metadata[f"p_max_{tag}"] = float(ps[-1, -1])
         for mu, trace in zip(mus.tolist(), ps[:-1].T.tolist()):

@@ -9,7 +9,8 @@ none rejected, for an exact run), and its CheckResult is its row of
 verify's report, field for column.  Each check compares two independent
 paths: the runs that simulate propagates exactly are held against
 Runge-Kutta integration of the same flow or of its reduction, and rtol and
-atol set only that Runge-Kutta side.
+atol set only that Runge-Kutta side; the closed forms that coherence-map
+and purity-trace read are held against the reduced flow's exponential.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from .integrator import integrate
 from .liouville import make_rhs_rwa, rwa_generator, simulate
 from .model import (InitialStateSpec, ModelParams, StepStats,
                     build_initial_state, min_eigenvalue, mu_max, xi_max)
-from .optimal import (pole_gains, s2_resonant_solution,
-                      uncorrelated_pole_purity)
-from .pole import first_events, initial_direction, t_min_from_rates
-from .reduced import make_rhs_s1, make_rhs_z, x_to_z
+from .pole import (coherence_gains, first_events, initial_direction,
+                   resonant_purity, s2_resonant_solution, t_min_from_rates,
+                   t_min_numeric, uncorrelated_pole_purity)
+from .reduced import make_rhs_s1, make_rhs_z, x_to_z, z_purity, z_states_at
 
 __all__ = ["CheckResult", "run_suite", "suite_passed"]
 
@@ -54,6 +55,15 @@ def _relative(residual: float, scale: float) -> float:
     """A residual in units of its scale; where the scale is 0, the
     quantities it bounds are 0 too, and the residual is kept as it is."""
     return residual / scale if scale > 0.0 else residual
+
+
+def _reduced_purity(params: ModelParams, mu: float, xi: float, t: float):
+    """(p, p_s1) at time t of the resonant reduced run from the start
+    (mu, xi), the qubit purity and that of the S1 block alone: one
+    exponential of the reduced flow over [0, t]."""
+    start = build_initial_state(params, InitialStateSpec(mu_q=mu, xi_re=xi))
+    zf = z_states_at(params, x_to_z(start.x), t)
+    return z_purity(zf)[0], (0.5 + 2.0 * zf[:, 0] ** 2)[0]
 
 
 def suite_passed(checks: list[CheckResult]) -> bool:
@@ -188,9 +198,26 @@ def run_suite(params: ModelParams, *, rtol: float = 1e-10,
     checks.append(_check("pole-purity", resid, 1e-5, lead.stats))
 
     # -- no coherence gain without correlation: |delta_p| at xi = 0 ----
+    # from the reduced flow's exponential, p / p_s1 - 1
     gain = math.nan
     if lead.status == "reached":
-        gain = pole_gains(p, 0.0, [mu_max(p, 0.0)], lead.time)[0, 0]
+        p_pole, p_s1 = _reduced_purity(p, mu_max(p, 0.0), 0.0, lead.time)
+        gain = p_pole / p_s1 - 1.0
     checks.append(_check("coherence-gain-uncorrelated", abs(gain), 1e-6))
+
+    # -- resonant closed forms vs the reduced flow's exponential -------
+    # the largest gap in the purity of a start with xi, mu > 0 at
+    # quarters of its stop point (its pole), and in its gain there
+    xi_c = 0.5 * xi_max(p)
+    mu_c = 0.5 * mu_max(p, xi_c)
+    corr = t_min_numeric(p, xi_c)
+    ts = np.linspace(0.25, 1.0, 4) * corr.t_stop
+    purity, p_s1 = np.array([_reduced_purity(p, mu_c, xi_c, t)
+                             for t in ts]).T
+    gain = coherence_gains(p, [xi_c], [corr.t_stop], [mu_c])[0, 0]
+    resid = max(np.abs(resonant_purity(p, xi_c, [mu_c], ts)[:, 0]
+                       - purity).max(),
+                abs(gain - (purity[-1] / p_s1[-1] - 1.0)))
+    checks.append(_check("purity-closed-form", resid, 1e-12, corr.stats))
 
     return checks

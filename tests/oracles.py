@@ -19,12 +19,14 @@ The positivity oracle takes the smallest eigenvalue of a start's float
 entries at 50 digits with mpmath's Hermitian eigensolver, the exact
 verdict that model.is_physical answers in closed form.
 
-The gain oracle steps the reduced flow node by node (reduced.simulate_z)
-to the pole time, where optimal.pole_gains applies one exponential over
-the whole span.  The trace oracle makes one reduced run per start, where
-sweeps.purity_trace steps all the starts of a cross coherence as one
-stack.  The spherical chart, the coherence oscillator's first
-zero and the region-A threshold are physics that only the tests read.
+The gain and trace oracles step the reduced flow node by node
+(simulate_z, the exact propagation of the reduced generator) from one
+start, where coherence-map and purity-trace read the resonant closed
+forms (pole.coherence_gains, pole.resonant_purity).  The precision
+oracle of those closed forms is the exponential of the same generator at
+40 digits (mp_reduced_state).  The spherical chart, the coherence
+oscillator's first zero and the region-A threshold are physics that only
+the tests read.
 """
 
 from __future__ import annotations
@@ -36,14 +38,14 @@ from typing import NamedTuple
 import numpy as np
 from mpmath import mp
 
-from tlspurify.integrator import integrate
+from tlspurify.integrator import IvpResult, augment, integrate, propagate
 from tlspurify.model import (InitialStateSpec, ModelParams, StepStats,
                              build_initial_state, matrix_to_x,
                              min_eigenvalue, mu_max, x_to_matrix, xi_max)
 from tlspurify.pole import (STALL_CURVATURE_TOL, _stall_curvature,
                             initial_direction, initial_spherical,
                             stall_cosine)
-from tlspurify.reduced import make_rhs_s1, simulate_z, x_to_z, z_purity
+from tlspurify.reduced import make_rhs_s1, x_to_z, z_generator, z_purity
 
 # ====================================================================
 # Pauli algebra and model operators
@@ -359,12 +361,41 @@ def xi_fixed(params: ModelParams) -> Threshold:
     return Threshold(0.5 * (lo + hi), False)
 
 
+def affine_run(a, b, t_span, y0, times) -> IvpResult:
+    """integrator.propagate of y' = A y + b from y0 (one start, or a stack
+    of them, shape (k, dim)): the linear flow of augment(A, b) on (y, 1),
+    with the constant slot dropped from the states it reports."""
+    y0 = np.asarray(y0, dtype=float)
+    res = propagate(augment(a, b), t_span, np.concatenate(
+        (y0, np.ones_like(y0[..., :1])), axis=-1), times)
+    return res._replace(y=res.y[..., :-1])
+
+
+def simulate_z(params: ModelParams, z0: np.ndarray,
+               t_span: tuple[float, float], times) -> IvpResult:
+    """The resonant reduced run from z0 (one start, or a stack of them,
+    shape (k, 8)) over t_span, reported at times, stepped over exact
+    nodes."""
+    return affine_run(*z_generator(params, params.J, 0.0), t_span, z0, times)
+
+
+def mp_reduced_state(params: ModelParams, mu: float, xi: float, t: float):
+    """z(t), a list of 8 mpf, of the resonant reduced run from the float
+    start (mu, xi) at 40 digits: the exponential of the augmented
+    generator [[M, b], [0, 0]] over [0, t], its float entries taken as
+    exact."""
+    state = build_initial_state(params, InitialStateSpec(mu_q=mu, xi_re=xi))
+    with mp.workdps(40):
+        gen = mp.matrix(augment(*z_generator(params, params.J, 0.0)).tolist())
+        start = mp.matrix([*x_to_z(state.x).tolist(), 1.0])
+        return list(mp.expm(gen * mp.mpf(t)) * start)[:8]
+
+
 def simulated_gain(params: ModelParams, xi: float, mu: float,
                    t_pole: float) -> float:
     """Relative purity gain P / P_S1 - 1 at t_pole from the start (mu, xi),
     read off the last node of a simulate_z run over [0, t_pole]: the
-    reduced flow stepped node by node, not one exponential over the span
-    as optimal.pole_gains applies it."""
+    reduced flow stepped node by node, not the closed form."""
     state = build_initial_state(params, InitialStateSpec(mu_q=mu, xi_re=xi))
     z = simulate_z(params, x_to_z(state.x), (0.0, t_pole), [t_pole]).y[-1]
     return float(z_purity(z) / (0.5 + 2.0 * z[0] ** 2) - 1.0)

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from oracles import (random_family_spec, simulated_gain, xi_fixed,
-                     z_to_spherical)
+from oracles import (random_family_spec, simulate_z, simulated_gain,
+                     xi_fixed, z_to_spherical)
 from tlspurify.cli import main as cli_main
 from tlspurify.config import RunConfig
 from tlspurify.integrator import integrate
@@ -24,10 +24,10 @@ from tlspurify.liouville import qubit_purity, simulate
 from tlspurify.model import (InitialStateSpec, ModelParams,
                              build_initial_state, min_eigenvalue, mu_max,
                              xi_max)
-from tlspurify.optimal import pole_gains, s2_resonant_solution
-from tlspurify.pole import (is_divergent, j_min, region_labels,
+from tlspurify.pole import (coherence_gains, is_divergent, j_min,
+                            region_labels, s2_resonant_solution,
                             t_min_from_rates, t_min_numeric)
-from tlspurify.reduced import make_rhs_rct, simulate_z, x_to_z
+from tlspurify.reduced import make_rhs_rct, x_to_z
 from tlspurify.scans import region_map
 
 T_MIN_RATIO2 = 24.183991523122902       # frozen quadrature value, J=0.1 gamma=0.2
@@ -171,13 +171,13 @@ def test_criterion_09_coherence_gain():
     lead0 = t_min_numeric(p, 0.0)
     assert lead0.status == "reached"
     mu0 = mu_max(p, 0.0)
-    assert abs(pole_gains(p, 0.0, [mu0], lead0.time)[0, 0]) < 1e-6
+    assert abs(coherence_gains(p, [0.0], [lead0.time], [mu0])[0, 0]) < 1e-6
     assert abs(simulated_gain(p, 0.0, mu0, lead0.time)) < 1e-6
     xi = 0.5 * xi_max(p)
     cap = mu_max(p, xi)
     t_pole = t_min_numeric(p, xi).time
     mus = [f * cap for f in (0.2, 0.4, 0.6, 0.8, 1.0)]
-    gains = pole_gains(p, xi, mus, t_pole)[:, 0].tolist()
+    gains = coherence_gains(p, [xi], [t_pole], mus)[0].tolist()
     assert gains[0] > 0.0
     assert all(a < b for a, b in zip(gains, gains[1:]))
     for mu, gain in zip(mus, gains):

@@ -340,8 +340,10 @@ try:
     runpy.run_module("tlspurify.cli", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
-print(code, len(late), gc.isenabled(),
-      *sorted(set(unwanted) & set(sys.modules)))
+threads = (len(os.listdir("/proc/self/task"))
+           if os.path.isdir("/proc/self/task") else None)
+print(code, len(late), gc.isenabled(), os.environ.get("OPENBLAS_NUM_THREADS"),
+      threads, *sorted(set(unwanted) & set(sys.modules)))
 """
 
 #: stdlib modules a CSV run does without: json writes only a JSON document
@@ -350,19 +352,39 @@ print(code, len(late), gc.isenabled(),
 _NOT_LOADED = ("json", "argparse", "gettext", "locale", "dataclasses", "copy")
 
 
+#: the environment of a fresh run, without the two thread-count variables
+_NO_THREAD_VARS = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+
+
+def _fresh_main(command: str, env: dict[str, str]) -> list[str]:
+    src = str(Path(tlspurify.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, command,
+                           *_NOT_LOADED], env={**env, "PYTHONPATH": src},
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode().split()
+
+
 def test_fresh_csv_run_has_no_collector_and_no_json():
     """python -m tlspurify.cli turns the collector off before numpy is
     imported: no collection runs from then on, and the collector is still
-    off at the end.  A CSV run of any command imports none of
-    _NOT_LOADED."""
-    src = str(Path(tlspurify.__file__).resolve().parents[1])
+    off at the end.  It also asks OpenBLAS for one thread, so the process
+    runs one thread where /proc shows it.  A CSV run of any command
+    imports none of _NOT_LOADED."""
+    one = "1" if os.path.isdir("/proc/self/task") else "None"
     for command in cli._COMMANDS:
-        proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, command,
-                               *_NOT_LOADED],
-                              env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr.decode()
-        assert proc.stdout.decode().split() == ["0", "0", "False"], command
+        assert _fresh_main(command, _NO_THREAD_VARS) == [
+            "0", "0", "False", "1", one], command
+
+
+@pytest.mark.parametrize("preset, want", [("OPENBLAS_NUM_THREADS", "2"),
+                                          ("OMP_NUM_THREADS", "None")])
+def test_fresh_run_keeps_a_preset_thread_count(preset, want):
+    """A thread count the caller set is kept: OPENBLAS_NUM_THREADS as it
+    is, and OMP_NUM_THREADS with OPENBLAS_NUM_THREADS left unset."""
+    out = _fresh_main("scan-gamma", {**_NO_THREAD_VARS, preset: "2"})
+    assert out[:4] == ["0", "0", "False", want]
 
 
 def _code_and_error(argv: list[str], capsys) -> tuple[int, dict]:
@@ -577,7 +599,7 @@ def test_verify_near_and_past_the_critical_line(capsys, tmp_path, kappa):
     """kappa = 0.36 puts gamma/J at 3.977: every check runs and passes.
     At 0.362 and 1.0 (gamma >= 4J) the bare start never reaches the pole,
     so the coherence-gain check runs at gamma/J = 2 instead: the report
-    still holds all 11 checks, and every one passes."""
+    still holds all 12 checks, and every one passes."""
     cfg = tmp_path / "kappa.yaml"
     cfg.write_text(f"model:\n  kappa: {kappa}\n")
     code = main(["verify", "--config", str(cfg), "--format", "json"])
@@ -586,8 +608,9 @@ def test_verify_near_and_past_the_critical_line(capsys, tmp_path, kappa):
     assert captured.err == ""
     doc = json.loads(captured.out)
     assert doc["metadata"]["all_passed"] is True
-    assert len(doc["rows"]) == 11
-    assert doc["rows"][-1][0] == "coherence-gain-uncorrelated"
+    assert len(doc["rows"]) == 12
+    assert [row[0] for row in doc["rows"][-2:]] == [
+        "coherence-gain-uncorrelated", "purity-closed-form"]
 
 
 @pytest.mark.parametrize("beta", [100, 1000])

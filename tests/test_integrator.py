@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from oracles import affine_run
 from tlspurify import integrator
 from tlspurify.integrator import EVAL_CHUNK, MAX_NODES, integrate, propagate
 from tlspurify.integrator import expm as exact_expm
@@ -227,18 +228,18 @@ def test_propagate_matches_expm_between_nodes():
     aug = np.zeros((6, 6))
     aug[:5, :5] = a
     aug[:5, 5] = b
-    n = propagate(a, (0.5, 4.0), y0, [4.0], b=b).stats.accepted
+    n = affine_run(a, b, (0.5, 4.0), y0, [4.0]).stats.accepted
     nodes = np.linspace(0.5, 4.0, n + 1)
     ts = np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1]),
                          rng.uniform(0.5, 4.0, size=50)])
-    res = propagate(a, (0.5, 4.0), y0, ts, b=b)
+    res = affine_run(a, b, (0.5, 4.0), y0, ts)
     assert res.stats.rejected == 0
     assert res.stats.accepted == n > 1
     assert np.array_equal(res.t, ts)
     exact = np.array([(expm((t - 0.5) * aug) @ np.append(y0, 1.0))[:5]
                       for t in ts])
     assert _rel_gap(res.y, exact) < 1e-13
-    assert propagate(a, (0.5, 4.0), y0, 2.5, b=b).y.shape == (1, 5)
+    assert affine_run(a, b, (0.5, 4.0), y0, 2.5).y.shape == (1, 5)
     assert res.y[n] == pytest.approx(exact[n], rel=1e-13)
     with pytest.raises(ValueError):
         propagate(a, (1.0, 1.0), y0, [1.0])
@@ -253,7 +254,7 @@ def test_exact_trajectory_memory_is_bounded():
     y0, b = rng.normal(size=16), rng.normal(size=16)
 
     def run(times):
-        return propagate(a, (0.0, 50.0), y0, times, b=b).y
+        return affine_run(a, b, (0.0, 50.0), y0, times).y
 
     ts = np.linspace(0.0, 50.0, 100_000)
     tracemalloc.start()
@@ -277,12 +278,12 @@ def test_propagate_runs_a_stack_as_its_rows():
     a = 0.7 * rng.normal(size=(4, 4))
     b = rng.normal(size=4)
     y0s = rng.normal(size=(3, 4))
-    n = propagate(a, (0.5, 4.0), y0s, [4.0], b=b).stats.accepted
+    n = affine_run(a, b, (0.5, 4.0), y0s, [4.0]).stats.accepted
     ts = np.concatenate([np.linspace(0.5, 4.0, n + 1),
                          np.linspace(0.5, 4.0, EVAL_CHUNK // 2)])
-    stack = propagate(a, (0.5, 4.0), y0s, ts, b=b)
+    stack = affine_run(a, b, (0.5, 4.0), y0s, ts)
     assert stack.y.shape == (len(ts), 3, 4)
-    assert propagate(a, (0.5, 4.0), y0s, 2.0, b=b).y.shape == (1, 3, 4)
+    assert affine_run(a, b, (0.5, 4.0), y0s, 2.0).y.shape == (1, 3, 4)
     for i, y0 in enumerate(y0s):
-        one = propagate(a, (0.5, 4.0), y0, ts, b=b)
+        one = affine_run(a, b, (0.5, 4.0), y0, ts)
         assert _rel_gap(stack.y[:, i], one.y) < 1e-13

@@ -6,24 +6,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from mpmath import mp
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from tlspurify import pole
 from tlspurify.config import RunConfig
 from tlspurify.model import ModelParams, build_initial_state, InitialStateSpec, mu_max, xi_max
-from tlspurify.optimal import (pole_gains, s2_resonant_solution,
-                               uncorrelated_pole_purity)
-from tlspurify.pole import (first_events, initial_spherical, is_divergent,
-                            j_min, region_labels, stall_cosine,
-                            t_min_from_rates, t_min_numeric)
+from tlspurify.pole import (coherence_gains, first_events, initial_spherical,
+                            is_divergent, j_min, region_labels,
+                            resonant_purity, s2_resonant_solution,
+                            stall_cosine, t_min_from_rates, t_min_numeric,
+                            uncorrelated_pole_purity)
 from tlspurify.reduced import x_to_z
 from tlspurify.scans import region_map, scan_beta, scan_gamma
 from tlspurify.sweeps import coherence_map
 
-from oracles import (Threshold, mp_first_event, s1_pole_run, s2_first_zero,
-                     simulated_gain, xi_fixed, z_to_spherical)
+from oracles import (Threshold, mp_first_event, mp_reduced_state,
+                     s1_pole_run, s2_first_zero, simulated_gain, xi_fixed,
+                     z_to_spherical)
 
 # Frozen oracle values (quadrature / bisection cross-checks, 17 digits)
 T_MIN_RATIO2 = 24.183991523122902       # J = 0.1, gamma = 0.2
@@ -772,13 +774,11 @@ def test_delta_p_zero_cases():
     p = ModelParams(kappa=0.1).with_gamma_over_j(2.0)
     xi = 0.3 * xi_max(p)
     t_pole = t_min_numeric(p, xi).time
-    gain, p_pole, p_s1 = pole_gains(p, xi, [0.0], t_pole)[0]
-    assert gain == 0.0
-    assert p_pole == p_s1
+    assert coherence_gains(p, [xi], [t_pole], [0.0])[0, 0] == 0.0
     # xi = 0: the oscillator's first zero lands exactly on the pole time
     t_pole = t_min_numeric(p, 0.0).time
     mu = 0.5 * mu_max(p, 0.0)
-    gain0 = pole_gains(p, 0.0, [mu], t_pole)[0, 0]
+    gain0 = coherence_gains(p, [0.0], [t_pole], [mu])[0, 0]
     assert abs(gain0) < 1e-6
     assert abs(simulated_gain(p, 0.0, mu, t_pole)) < 1e-6
 
@@ -789,7 +789,7 @@ def test_delta_p_grows_with_mu():
     cap = mu_max(p, xi)
     t_pole = t_min_numeric(p, xi).time
     mus = [f * cap for f in (0.25, 0.5, 0.9)]
-    vals = pole_gains(p, xi, mus, t_pole)[:, 0]
+    vals = coherence_gains(p, [xi], [t_pole], mus)[0]
     assert all(v > 0.0 for v in vals)
     assert vals[0] < vals[1] < vals[2]
     for mu, v in zip(mus, vals):
@@ -797,19 +797,81 @@ def test_delta_p_grows_with_mu():
 
 
 def test_pole_gains_row():
-    """One exponential per coherence-map row: its cells are the gains of
-    node-stepped reduced runs to the pole time, and each gain is the
-    ratio of the row's two purities."""
+    """One outer product for a whole map: row k holds the gains of start
+    k at its own time, and each is the gain of a node-stepped reduced run
+    to that time.  An empty side gives an empty product."""
     p = ModelParams(kappa=0.1).with_gamma_over_j(2.0)
-    xi = 0.5 * xi_max(p)
-    t_pole = t_min_numeric(p, xi).time
-    mus = [f * mu_max(p, xi) for f in (0.0, 0.3, 0.9)]
-    row = pole_gains(p, xi, mus, t_pole)
-    assert row.shape == (3, 3)
-    for mu, (gain, p_pole, p_s1) in zip(mus, row):
-        assert abs(simulated_gain(p, xi, mu, t_pole) - gain) < 1e-13
-        assert gain == p_pole / p_s1 - 1.0
-    assert pole_gains(p, xi, [], t_pole).shape == (0, 3)
+    xis = [0.25 * xi_max(p), 0.5 * xi_max(p)]
+    t_poles = [t_min_numeric(p, xi).time for xi in xis]
+    mus = [f * mu_max(p, xis[1]) for f in (0.0, 0.3, 0.9)]
+    grid = coherence_gains(p, xis, t_poles, mus)
+    assert grid.shape == (2, 3)
+    for xi, t_pole, row in zip(xis, t_poles, grid):
+        for mu, gain in zip(mus, row):
+            assert abs(simulated_gain(p, xi, mu, t_pole) - gain) < 1e-13
+    assert coherence_gains(p, xis, t_poles, []).shape == (2, 0)
+    assert coherence_gains(p, [], [], mus).shape == (0, 3)
+
+
+#: largest gap, in purity, between resonant_purity and the reduced flow's
+#: exponential at 40 digits from the same float start (measured: at most
+#: 5.8e-16 over 1,000 draws, a quarter of them within 1e-3 of gamma = 4J)
+PURITY_ATOL = 2e-15
+
+#: the gain reads the coherence z[4] = mu g(t) of the damped oscillator,
+#: g = e^{-qt} (cos(wt) + (q/w) sin(wt)) with q = gamma/4.  Each of its
+#: terms is at most e^{-qt} (1 + qt), and e^{-qt} carries the rounding of
+#: qt, a relative qt ulps, so g is good to a few ulps of
+#: e^{-qt} (1 + qt)^2 (measured: at most 0.46 of the bound below over
+#: 600 draws).  Near the oscillator's first zero that is all of g, so the
+#: gain of such a start is good to this absolute bound, not relatively
+COHERENCE_ULPS = 4.0
+
+#: amplitudes and gains below this lose digits to underflow
+UNDERFLOW = 1e-290
+
+
+@settings(max_examples=30, deadline=None)
+# gamma/J = 3.99: the exponential read exactly 0 for this gain
+@example(beta=1.0, kappa=0.1, ratio=3.99, xi_frac=0.05, mu_frac=0.5,
+         t_frac=0.5)
+@given(beta=st.floats(0.01, 30.0), kappa=st.floats(0.001, 3.0),
+       ratio=st.one_of(st.floats(0.01, 3.999),
+                       st.floats(3.999, 4.0, exclude_max=True)),
+       xi_frac=st.floats(0.0, 1.0), mu_frac=st.floats(0.0, 1.0),
+       t_frac=st.floats(0.0, 1.15))
+def test_resonant_closed_forms_match_mpmath(beta, kappa, ratio, xi_frac,
+                                            mu_frac, t_frac):
+    """resonant_purity at a fraction of the pole time, and the gain at the
+    pole, against the reduced flow's exponential at 40 digits from the
+    same float start: the purity to PURITY_ATOL, the coherence amplitude
+    to COHERENCE_ULPS of its terms, and so the gain to 1e-13 relative
+    plus what that amplitude bound allows."""
+    p = ModelParams(beta=beta, kappa=kappa)
+    p = p.replace(J=p.gamma / ratio)
+    xi = xi_frac * xi_max(p)
+    mu = mu_frac * mu_max(p, xi)
+    lead = first_events([p], [xi], 100.0)[0]
+    assume(lead.status == "reached")
+    t = t_frac * lead.time
+    z = mp_reduced_state(p, mu, xi, t)
+    with mp.workdps(40):
+        want = 0.5 + 2 * (z[0] ** 2 + z[4] ** 2 + z[6] ** 2)
+    assert abs(resonant_purity(p, xi, [mu], [t])[0, 0] - want) <= PURITY_ATOL
+
+    z = mp_reduced_state(p, mu, xi, lead.time)
+    q = 0.25 * p.gamma
+    with mp.workdps(40):
+        amp = (COHERENCE_ULPS * 2.0 ** -53 * mu * (1 + q * lead.time) ** 2
+               * mp.exp(-q * mp.mpf(lead.time)))
+        p_s1 = 0.5 + 2 * z[0] ** 2
+        want = 2 * (z[4] ** 2 + z[6] ** 2) / p_s1
+        slack = (1e-13 * want + 2 * (2 * abs(z[4]) * amp + amp ** 2) / p_s1
+                 + UNDERFLOW)
+    assert (abs(mu * s2_resonant_solution(p, 1.0, lead.time) - z[4])
+            <= amp + UNDERFLOW)
+    gain = coherence_gains(p, [xi], [lead.time], [mu])[0, 0]
+    assert abs(gain - want) <= slack
 
 
 def test_delta_p_unreached_pole():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_density_x, z_to_spherical
+from oracles import random_density_x, simulate_z, z_to_spherical
 from tlspurify.integrator import integrate
 from tlspurify.liouville import (FIELD_ABSORB, FIELD_EMIT, FIELD_FRAME,
                                  FIELD_J1, FIELD_J2, qubit_purity,
@@ -17,9 +17,9 @@ from tlspurify.liouville import (FIELD_ABSORB, FIELD_EMIT, FIELD_FRAME,
 from tlspurify.model import (InitialStateSpec, ModelParams,
                              build_initial_state, mu_max, xi_max)
 from tlspurify.pole import initial_direction, t_min_numeric
-from tlspurify.reduced import (_LIFT, _P, _Z_OFF, _z_fields, make_rhs_rct,
-                               make_rhs_s1, make_rhs_z, simulate_z, x_to_z,
-                               z_generator, z_purity)
+from tlspurify.reduced import (_LIFT, _P, _Z_FIELDS, _Z_OFF, make_rhs_rct,
+                               make_rhs_s1, make_rhs_z, x_to_z, z_generator,
+                               z_purity)
 
 # Frozen by hand from the coordinate layout: each z entry reads specific
 # x slots, so a handcrafted x with distinct slot values pins the wiring.
@@ -75,7 +75,7 @@ def test_projected_fields_are_exact():
     state that x_to_z maps back to e_k bit for bit."""
     trace_row = np.array([1.0] * 4 + [0.0] * 12)
     fields = [FIELD_EMIT, FIELD_ABSORB, FIELD_J1, FIELD_J2, FIELD_FRAME]
-    for field, projected in zip(fields, _z_fields(), strict=True):
+    for field, projected in zip(fields, _Z_FIELDS, strict=True):
         m, b = projected[:, :8], projected[:, 8]
         resid = _P @ field - (m @ _P + np.outer(m @ _Z_OFF + b, trace_row))
         assert np.abs(resid).max() == 0.0

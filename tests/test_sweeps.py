@@ -14,19 +14,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tlspurify
-from tlspurify import sweeps
+from tlspurify import integrator
 from tlspurify.cli import main as cli_main
 from tlspurify.config import MAX_ROWS, ConfigError, RunConfig
-from tlspurify.model import BOUNDARY_RTOL, mu_max, xi_max
+from tlspurify.model import (BOUNDARY_RTOL, InitialStateSpec, ModelParams,
+                             build_initial_state, mu_max, xi_max)
 from tlspurify.output import write_table
 from tlspurify.pole import t_min_from_rates, t_min_numeric
+from tlspurify.reduced import x_to_z, z_generator
 from tlspurify.scans import region_map, scan_beta, scan_gamma
 from tlspurify.sweeps import coherence_map, purity_trace, simulate_trace
 
-from oracles import (family_x, mp_boundary_margin, mp_min_eigenvalue,
-                     reduced_trace, simulated_gain)
+from oracles import (affine_run, family_x, mp_boundary_margin,
+                     mp_min_eigenvalue, reduced_trace, simulated_gain)
 
 T0 = 15.707963267948966                 # pi / (2 J) at J = 0.1
 RATIO_AT_2 = 1.5396007178390019         # t_min / t0 at gamma / J = 2
@@ -264,6 +268,39 @@ def test_coherence_map_cells_match_delta_p():
     assert computed >= 8
 
 
+@settings(max_examples=40, deadline=None)
+# gamma/J = 3.99: the reduced flow's exponential read p / p_s1 - 1 as
+# exactly 0 in every cell of this row
+@example(beta=1.0, kappa=0.1, ratio=3.99, xi_frac=0.05, mu_lo=0.2,
+         mu_span=0.4)
+@given(beta=st.floats(0.05, 10.0), kappa=st.floats(0.001, 3.0),
+       ratio=st.one_of(st.floats(0.01, 3.999),
+                       st.floats(3.999, 4.0, exclude_max=True)),
+       xi_frac=st.floats(1e-6, 1.0), mu_lo=st.floats(0.01, 0.5),
+       mu_span=st.floats(0.1, 0.5))
+def test_coherence_gain_is_positive_and_grows_with_mu(beta, kappa, ratio,
+                                                      xi_frac, mu_lo,
+                                                      mu_span):
+    """The paper's coherence claim: with correlations (xi > 0), every
+    coherence-map cell whose start reaches the pole gains purity from its
+    coherence, and the gain grows strictly with mu.  The horizon is 100
+    t0, so a reached pole comes at qt < 160 (q = gamma/4 < J), where the
+    squared coherence is e^{-2qt} > 1e-139 times a factor that vanishes
+    only as xi -> 0: with xi_frac >= 1e-6 no gain underflows."""
+    p = ModelParams(beta=beta, kappa=kappa)
+    cfg = _cfg(model={"beta": beta, "kappa": kappa, "J": p.gamma / ratio},
+               run={"horizon": 100.0}, sweep={"axes": [
+                   {"name": "xi_frac", "start": xi_frac, "stop": 1.0,
+                    "count": 2},
+                   {"name": "mu_frac", "start": mu_lo,
+                    "stop": mu_lo + mu_span, "count": 4}]})
+    rows = coherence_map(cfg).rows
+    for k in range(0, len(rows), 4):
+        gains = [r[4] for r in rows[k:k + 4] if not isinstance(r[4], str)]
+        assert all(g > 0.0 for g in gains)
+        assert all(a < b for a, b in zip(gains, gains[1:]))
+
+
 def test_coherence_map_cold_bath_labels_follow_the_exact_boundary():
     """At beta = 10 every cell whose start lies past the exact boundary
     (50 digits from the float populations) is labelled "unphysical", and
@@ -339,31 +376,22 @@ def test_purity_trace_levels():
             assert r[3] == pytest.approx(want, abs=1e-12)
 
 
-#: largest gap, in purity, between purity-trace's stacked run and one run
-#: per start: the two step their nodes through different matrix
-#: products, and read the top start at the pole time from different
-#: node grids (measured over the betas below, at this grid and at the
-#: default one: at most 8.9e-16 for a purity cell, 5.1e-15 for p_max)
+#: largest gap, in purity, between purity-trace's closed form and a
+#: node-stepped reduced run of each start alone (measured over the betas
+#: below, at this grid and at the default one: at most 6.0e-15 for a
+#: purity cell and 3.8e-15 for p_max)
 TRACE_ATOL = 1e-14
 
 
 @pytest.mark.parametrize("beta, kappa", [(0.1, 0.02), (1.0, 0.1),
                                          (3.0, 0.1), (10.0, 0.1)])
-def test_purity_trace_matches_one_run_per_start(monkeypatch, beta, kappa):
-    """purity-trace makes one reduced run per cross coherence, two in all,
-    and each cell and each p_max agree with a run of its start alone to
-    TRACE_ATOL; the xi, mu and t columns are the same floats."""
-    real, runs = sweeps.simulate_z, []
-
-    def counted(*args):
-        runs.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(sweeps, "simulate_z", counted)
+def test_purity_trace_matches_one_run_per_start(beta, kappa):
+    """Each purity-trace cell and each p_max agree with a reduced run of
+    its start alone to TRACE_ATOL; the xi, mu and t columns are the same
+    floats."""
     cfg = _cfg(model={"beta": beta, "kappa": kappa}, run={"samples": 41},
                sweep={"mu_count": 4})
     tab = purity_trace(cfg)
-    assert len(runs) == 2
     params = cfg.params()
     rows = iter(tab.rows)
     for tag, xi in (("xi0", 0.0), ("xihalf", 0.5 * xi_max(params))):
@@ -381,36 +409,58 @@ def test_purity_trace_matches_one_run_per_start(monkeypatch, beta, kappa):
                 <= TRACE_ATOL
 
 
-#: traced peak, in MiB, of one stacked purity-trace run over 500 starts
-#: and 6,944 nodes, read at 251 times: the run holds the node nearest
-#: each time and the series of one EVAL_CHUNK at a time (measured: 23.6
-#: MiB).  Holding every node of every start, as a lazy view of the run
-#: did, peaks at 238 MiB
+#: traced peak, in MiB, of one stacked reduced run over 500 starts and
+#: 6,944 nodes, read at 251 times: the run holds the node nearest each
+#: time and the series of one EVAL_CHUNK at a time (measured: 23.6 MiB).
+#: Holding every node of every start, as a lazy view of the run did,
+#: peaks at 238 MiB
 STACK_PEAK_MIB = 32
 
 
-def test_purity_trace_stack_holds_only_the_nodes_it_reads(monkeypatch):
-    """Each reduced run of a long purity-trace over a large coherence grid
+def test_purity_trace_stack_holds_only_the_nodes_it_reads():
+    """A long stacked propagate run over a large coherence grid (the long
+    purity-trace's starts, spans and times, on the affine reduced flow)
     keeps its working set far below its node grid's states."""
-    real, runs = sweeps.simulate_z, []
-
-    def traced(*args):
+    params = _cfg(model={"kappa": 0.36205024997541013}).params()
+    m, b = z_generator(params, params.J, 0.0)
+    runs = []
+    for xi in (0.0, 0.5 * xi_max(params)):
+        t_pole = t_min_numeric(params, xi, horizon_mult=1000.0).time
+        mus = np.linspace(0.0, 1.0, 500) * mu_max(params, xi)
+        z0s = x_to_z(build_initial_state(
+            params, InitialStateSpec(mus, xi_re=xi)).x)
+        times = np.append(np.linspace(0.0, 1.15 * t_pole, 250), t_pole)
         tracemalloc.start()
         try:
-            res = real(*args)
+            res = affine_run(m, b, (0.0, 1.15 * t_pole), z0s, times)
             runs.append((res, tracemalloc.get_traced_memory()[1] / 2 ** 20))
         finally:
             tracemalloc.stop()
-        return res
-
-    monkeypatch.setattr(sweeps, "simulate_z", traced)
-    purity_trace(_cfg(model={"kappa": 0.36205024997541013},
-                      run={"horizon": 1000.0, "samples": 250},
-                      sweep={"mu_count": 500}))
     assert [res.stats.accepted for res, _ in runs] == [6944, 6936]
     for res, peak in runs:
         assert peak < STACK_PEAK_MIB
         assert res.y.shape == (251, 500, 8)
+
+
+def test_resonant_drivers_neither_propagate_nor_exponentiate(monkeypatch):
+    """coherence-map and purity-trace read closed forms: with every
+    binding of integrator.propagate and integrator.expm in the package
+    made to raise, both still build their tables, while simulate, which
+    propagates, fails."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a resonant driver propagated")
+
+    targets = {integrator.propagate, integrator.expm}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tlspurify":
+            for attr, value in list(vars(module).items()):
+                if any(value is target for target in targets):
+                    monkeypatch.setattr(module, attr, refuse)
+    cfg = _cfg(run={"samples": 11}, sweep={"mu_count": 3})
+    assert len(coherence_map(cfg).rows) == 21 * 21
+    assert len(purity_trace(cfg).rows) == 2 * 3 * 11
+    with pytest.raises(AssertionError):
+        simulate_trace(cfg)
 
 
 def test_purity_trace_cold_bath_top_starts_are_positive():

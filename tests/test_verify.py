@@ -27,12 +27,13 @@ EXPECTED_ORDER = [
     "pole-time-closed-form",
     "pole-purity",
     "coherence-gain-uncorrelated",
+    "purity-closed-form",
 ]
 
 #: the n_steps column of the default report, in EXPECTED_ORDER.  The
 #: Runge-Kutta controller's constants (SAFETY, MAX_FACTOR) set the
 #: counts of the integrated checks, so a changed controller shows here
-DEFAULT_STEPS = [0, 105, 104, 29, 0, 29, 117, 306, 3, 1, 0]
+DEFAULT_STEPS = [0, 105, 104, 29, 0, 29, 117, 306, 3, 1, 0, 1]
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,16 @@ def test_suite_catches_corrupted_reduction(monkeypatch):
     assert not suite_passed(checks)
     others = [c for c in checks if c.check != "full-vs-reduced"]
     assert all(c.passed for c in others)
+
+
+@pytest.mark.parametrize("target", ["resonant_purity", "coherence_gains"])
+def test_suite_catches_a_wrong_closed_form(monkeypatch, target):
+    """A resonant closed form 1e-9 off, in the purity or in the gain,
+    fails purity-closed-form and nothing else."""
+    real = getattr(verify, target)
+    monkeypatch.setattr(verify, target, lambda *args: real(*args) + 1e-9)
+    checks = run_suite(ModelParams().with_gamma_over_j(2.0))
+    assert [c.check for c in checks if not c.passed] == ["purity-closed-form"]
 
 
 def _leaky_generator(params, j1, j2, alpha=0.0):
