@@ -53,19 +53,19 @@ AXIS_NAMES = tuple(AXIS_DOMAINS)
 #: allocation of many GiB; 100000 rows is far past any plot
 MAX_SAMPLES = 100_000
 
-#: upper bound on a sweep axis count and on sweep.mu_count.  A grid is
-#: built in Python lists before any work, one row per cell: at the bound,
-#: fresh on a 2-core x86_64 host, region-map's 250,000 cells take 4.3 s
-#: and 221 MB RSS, a 500 x 500 coherence-map 0.8-1.0 s and 99 MB, and
-#: purity-trace's 2 x 500 traces of 250 samples (MAX_ROWS) 0.3-0.45 s, 95 MB.
-#: The default and benchmark grids need at most 80
+#: upper bound on a sweep axis count and on sweep.mu_count.  A table is
+#: held as columns, and region-map's engine runs in blocks: at the bound,
+#: fresh on a 2-core x86_64 host, a 500 x 500 region-map takes 1.1-1.4 s
+#: and 65 MB RSS, a coherence-map 0.45-0.5 s and 52 MB, and purity-trace's
+#: 2 x 500 traces of 250 samples (MAX_ROWS) 0.23-0.25 s and 49 MB.  The
+#: default and benchmark grids need at most 80
 MAX_COUNT = 500
 
 #: upper bound on purity-trace's 2 x sweep.mu_count x run.samples rows,
 #: which the two keys' own bounds allow up to 1e8: MAX_COUNT squared, the
 #: largest table region-map and coherence-map can emit.  At the bound,
 #: fresh on a 2-core x86_64 host, 125 mu values x 1000 samples take
-#: 0.5-0.7 s and 94 MB RSS, 2 x 62,500 samples 0.7-0.8 s and 95 MB
+#: 0.5-0.75 s and 49 MB RSS, 2 x 62,500 samples 0.7-1.2 s and 57 MB
 MAX_ROWS = MAX_COUNT ** 2
 
 #: upper bound on run.horizon.  The pole engine solves each cell's events

@@ -6,17 +6,17 @@ notation, which round-trips exactly and pins the output bytes.  Cells may
 also be labels ("divergent", "unphysical", region letters); NaN or infinity
 reaching a writer is a bug and raises instead of leaking into a file.
 
-A CSV body is formatted column by column.  A column of plain floats is
-held as an array, and in each chunk every distinct value, told apart by
-its bit pattern so that -0.0 and 0.0 stay apart, is formatted once and
-its text repeated wherever it occurs; only the other columns (labels, a
-float column with labels in it, bools, ints) are rendered cell by cell.
-A JSON document is written as its sorted-key head up to "rows":[, then
-the rows, then ]}: "rows" sorts after every other key, so the bytes are
-those of json.dumps on the whole document.  In both formats every cell is
-checked before the first byte is written, and the body then goes out in
-chunks of CHUNK_ROWS rows, so the text of a whole table is never held at
-once.  json is imported only for a JSON document or an error object.
+A Table holds named columns: float arrays, and lists of cells (labels, a
+float column with labels in it, bools, ints); its rows are a read-only
+view of them.  A CSV body is formatted column by column: in each chunk of
+an array every distinct float, told apart by its bit pattern so that -0.0
+and 0.0 stay apart, is formatted once; a list is rendered cell by cell.
+A JSON document is its sorted-key head up to "rows":[, the rows, then ]}:
+"rows" sorts after every other key, so the bytes are those of json.dumps
+on the whole document.  Both check every cell before the first byte, then
+write the body in chunks of CHUNK_ROWS rows, so the text of a whole table
+is never held at once.  json is imported only for a JSON document or an
+error object.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +34,6 @@ __all__ = ["Table", "fmt_float", "write_table", "emit_error"]
 
 #: rows of text formatted and written at a time
 CHUNK_ROWS = 4096
-
-#: cell types a column may hold to be formatted by one row format string
-_FLOAT_TYPES = {float, np.float64}
 
 #: cell types a JSON document takes as they are (a bool is an int)
 _JSON_TYPES = (str, int, float, type(None))
@@ -68,57 +64,67 @@ def _cell(v) -> str:
     return fmt_float(float(v))
 
 
-def _check_finite(floats) -> np.ndarray:
-    """floats as an array; raise on the first non-finite value."""
-    array = np.array(floats, dtype=float)
-    finite = np.isfinite(array)
+def _check_finite(floats) -> None:
+    """Raise on the first of floats (an array or a list) _cell refuses."""
+    finite = np.isfinite(np.asarray(floats, dtype=float))
     if not finite.all():
-        fmt_float(float(floats[int(finite.argmin())]))      # raises
-    return array
+        _cell(floats[int(finite.argmin())])         # raises
 
 
-def _check_json(values) -> None:
+def _check_json(values: list) -> None:
     """Raise unless the JSON encoder takes every one of values and each
     float among them is finite."""
-    kinds = set(map(type, values))
-    for kind in kinds:
+    for kind in set(map(type, values)):
         if not issubclass(kind, _JSON_TYPES):
             raise TypeError(f"Object of type {kind.__name__} "
                             "is not JSON serializable")
-    _check_finite(values if kinds <= _FLOAT_TYPES
-                  else [v for v in values if isinstance(v, float)])
+    _check_finite([v for v in values if isinstance(v, float)])
+
+
+class _RowView:
+    """The rows of a table's columns, read-only: a row is the tuple of its
+    cells, built when read, with a float as a Python float."""
+
+    def __init__(self, columns: list):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0]) if self._columns else 0
+
+    def __getitem__(self, k):
+        cells = [c[k].tolist() if isinstance(c, np.ndarray) else c[k]
+                 for c in self._columns]
+        return list(zip(*cells)) if isinstance(k, slice) else tuple(cells)
+
+    def __iter__(self):
+        for start in range(0, len(self), CHUNK_ROWS):
+            yield from self[start:start + CHUNK_ROWS]
 
 
 class Table:
-    def __init__(self, command: str, columns: list[str],
+    """A command's output: named columns of one length, and metadata.  A
+    list is a column of cells; any other column is taken as floats."""
+
+    def __init__(self, command: str, columns: dict,
                  metadata: dict | None = None):
         self.command = command
-        self.columns = columns
-        self.rows = []
+        self.columns = list(columns)
+        self.values = [v if isinstance(v, list) else np.asarray(v, float)
+                       for v in columns.values()]
+        if (any(getattr(v, "ndim", 1) != 1 for v in self.values)
+                or len(set(map(len, self.values))) > 1):
+            raise ValueError("the columns of a table must be 1-D and of "
+                             "one length")
+        self.rows = _RowView(self.values)
         self.metadata = {} if metadata is None else metadata
 
-    def add(self, *cells) -> None:
-        if len(cells) != len(self.columns):
-            raise ValueError(f"row width {len(cells)} != header width "
-                             f"{len(self.columns)}")
-        self.rows.append(cells)
 
-
-def _column(values: tuple) -> np.ndarray | list[str]:
-    """One CSV column, ready to be cut into chunks: a column of plain
-    floats as an array, once every one is checked to be finite; any other
-    column as the text of each cell."""
-    if set(map(type, values)) <= _FLOAT_TYPES:
-        return _check_finite(values)
-    return [_cell(v) for v in values]
-
-
-def _texts(column: np.ndarray | list[str], rows: slice) -> list[str]:
-    """The cell texts of some rows of a column from _column.  Each
-    distinct float among them, told apart by its bit pattern, is
-    formatted once."""
+def _texts(column: np.ndarray | list, rows: slice) -> list[str]:
+    """The cell texts of some rows of a column.  Each distinct float of
+    an array among them, told apart by its bit pattern, is formatted
+    once."""
     if isinstance(column, list):
-        return column[rows]
+        return list(map(_cell, column[rows]))
     distinct, where = np.unique(column[rows].view(np.int64),
                                 return_inverse=True)
     text = list(map("{:.16e}".format, distinct.view(float).tolist()))
@@ -134,13 +140,15 @@ def _csv_chunks(table: Table, cfg: RunConfig):
     head += [f"# meta {key} = {_cell(table.metadata[key])}"
              for key in sorted(table.metadata)]
     head.append(",".join(table.columns))
-    planned = [_column(values) for values in zip(*table.rows)]
+    for column in table.values:
+        _check_finite(column if isinstance(column, np.ndarray) else
+                      [v for v in column if not isinstance(v, (str, int))])
 
     def chunks():
         yield "\n".join(head) + "\n"
         for start in range(0, len(table.rows), CHUNK_ROWS):
             rows = slice(start, start + CHUNK_ROWS)
-            cells = zip(*(_texts(column, rows) for column in planned))
+            cells = zip(*(_texts(column, rows) for column in table.values))
             yield "\n".join(map(",".join, cells)) + "\n"
 
     return chunks()
@@ -152,19 +160,19 @@ def _json_chunks(table: Table, cfg: RunConfig):
     checked before this returns, so a bad cell raises before the first
     chunk is written."""
     _check_json(list(table.metadata.values()))
-    for values in zip(*table.rows):
-        _check_json(values)
+    for column in table.values:
+        (_check_finite if isinstance(column, np.ndarray) else
+         _check_json)(column)
     encode = _encoder()
     head = encode({"command": table.command, "config": cfg.to_dict(),
                     "metadata": table.metadata, "columns": table.columns})
-    rows = iter(table.rows)
+    rows = table.rows
 
     def chunks():
         yield head[:-1] + ',"rows":['
-        sep = ""
-        while body := list(islice(rows, CHUNK_ROWS)):
-            yield sep + encode(body)[1:-1]
-            sep = ","
+        for start in range(0, len(rows), CHUNK_ROWS):
+            yield ("," if start else "") + encode(
+                rows[start:start + CHUNK_ROWS])[1:-1]
         yield "]}\n"
 
     return chunks()

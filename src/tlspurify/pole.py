@@ -14,8 +14,8 @@ stall bracket shares.
   * t_min_from_rates: pole-arrival time from the uncorrelated thermal
     start, finite exactly when gamma < 4J.
   * first_events / t_min_numeric: the pole time of any thermal-product
-    start with cross coherence xi, for a batch of cells or for one.
-  * region_labels labels a batch of starts
+    start with cross coherence xi, for a grid of cells or for one.
+  * region_labels labels a grid of starts
       "A": the stall condition already holds at t = 0 (no flow run),
       "B": theta rate falls through zero en route (stalled short of the
            pole), or the pole is provably never reached,
@@ -117,7 +117,7 @@ def initial_direction(params: ModelParams, xi: float = 0.0) -> np.ndarray:
 def _stall_cosines(J, gamma, eta, r, c):
     """stall_cosine for arrays of cells: inf where gamma <= 0 or c >= eta."""
     d = np.subtract(eta, c)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         arg = 4.0 * J * r / (gamma * d)
     return np.where((gamma > 0.0) & (d > 0.0), arg, np.inf)
 
@@ -478,33 +478,22 @@ class _Cells(NamedTuple):
 
     @classmethod
     def of(cls, params_seq, xis) -> "_Cells":
-        """The constants of each parameter object are read once, into one
-        row of a small table that the cells index: a sweep row shares one
-        object.  Objects are told apart by identity, not hashed; an equal
-        object that is not the same one is read again, to the same values.
-        Each object is kept until the end, so no id is reused."""
-        known: dict[int, int] = {}
-        distinct, index = [], []
-        for p in params_seq:
-            k = known.get(id(p))
-            if k is None:
-                k = known[id(p)] = len(distinct)
-                distinct.append(p)
-            index.append(k)
-        cols = np.array([(p.J, p.gamma, p.eta, p.t0, p.pol_gap)
-                         for p in distinct],
-                        dtype=float).reshape(-1, 5)[index].T
-        J, gamma, eta, t0, pol_gap = cols
+        """The cells of a grid, laid out as first_events takes it: each
+        object's constants are read once and repeated along its row."""
+        xis = np.asarray(xis, dtype=float)
+        if xis.ndim == 1:
+            xis = xis[:, None]
+        consts = np.array([(p.J, p.gamma, p.eta, p.t0, p.pol_gap)
+                           for p in params_seq], dtype=float).reshape(-1, 5)
+        if xis.ndim != 2 or len(xis) != len(consts):
+            raise ValueError(f"xis of shape {xis.shape} does not give one "
+                             f"row to each of {len(consts)} parameter objects")
+        J, gamma, eta, t0, pol_gap = np.repeat(consts, xis.shape[1], axis=0).T
         return cls(J, gamma, eta, t0,
-                   *_initial_points(pol_gap, eta, np.asarray(xis, float)))
+                   *_initial_points(pol_gap, eta, xis.ravel()))
 
     def take(self, rows) -> "_Cells":
         return _Cells(*(x[rows] for x in self))
-
-    def blocked(self) -> np.ndarray:
-        """The stall condition holds at t = 0 (region A)."""
-        return _stall_cosines(self.J, self.gamma, self.eta, self.r0,
-                              self.c0) <= 1.0
 
 
 def _flow(cells: _Cells) -> _DriftFlow:
@@ -517,9 +506,10 @@ def _flow(cells: _Cells) -> _DriftFlow:
 
 def first_events(params_seq, xis, horizon_mult: float = 20.0
                  ) -> list[TminResult]:
-    """t_min_numeric over a batch of cells, cell k at params_seq[k] and
-    cross coherence xis[k]: one array-valued engine for the whole batch,
-    with the same result for each cell as a batch of one."""
+    """t_min_numeric over a grid of cells, in row-major order: row k at
+    params_seq[k], its cells at the cross coherences xis[k] (a 1-D xis
+    gives each row one cell).  One array-valued engine runs the whole
+    grid, with the same result for each cell as a batch of one."""
     cells = _Cells.of(params_seq, xis)
     flow = _flow(cells)
     status, t_stop, accepted = flow.events(horizon_mult * cells.t0)
@@ -555,20 +545,29 @@ def t_min_numeric(params: ModelParams, xi: float = 0.0, *,
     return first_events([params], [xi], horizon_mult)[0]
 
 
+#: cells region_labels runs at a time: the engine's working set is about
+#: 1 KB per cell, so a block holds it near 16 MB on any grid
+REGION_BLOCK = 16384
+
+
 def region_labels(params_seq, xis, horizon_mult: float = 20.0) -> list[str]:
-    """Label the start of each cell, cell k at params_seq[k] and cross
-    coherence xis[k]: A (instant stall condition), B (stalls en route, or
-    provably never arrives), C (reaches the pole), U (arrives only after
-    the horizon).  The A test is analytic; the cells that need the flow
-    run it as one batch, which finds statuses only (_DriftFlow.statuses),
-    and each cell gets the label of its own batch of one."""
+    """Label the start of each cell of a grid, laid out as first_events
+    takes it: A (instant stall condition), B (stalls en route, or provably
+    never arrives), C (reaches the pole), U (arrives only after the
+    horizon).  The A test is analytic; the cells that need the flow run
+    it in blocks of REGION_BLOCK, finding statuses only
+    (_DriftFlow.statuses), and each gets the label of its own batch of one."""
     cells = _Cells.of(params_seq, xis)
     labels = np.where(cells.gamma == 0.0,
                       np.where(cells.J > 0.0, "C", "U"), "A")
-    run = np.flatnonzero((cells.gamma != 0.0) & ~cells.blocked())
-    run_cells = cells.take(run)
-    status = _flow(run_cells).statuses(horizon_mult * run_cells.t0)
-    labels[run] = _LABELS[status]
+    # region A: the stall condition holds at t = 0
+    blocked = _stall_cosines(cells.J, cells.gamma, cells.eta, cells.r0,
+                             cells.c0) <= 1.0
+    run = np.flatnonzero((cells.gamma != 0.0) & ~blocked)
+    for start in range(0, run.size, REGION_BLOCK):
+        part = run[start:start + REGION_BLOCK]
+        block = cells.take(part)
+        labels[part] = _LABELS[_flow(block).statuses(horizon_mult * block.t0)]
     return labels.tolist()
 
 

@@ -41,6 +41,11 @@ def _coupled(params: ModelParams) -> ModelParams:
 # Pole-time scans
 # ====================================================================
 
+def _per_t0(times, t0: float) -> list:
+    """Pole times in units of t0, "divergent" where a time is infinite."""
+    return [t / t0 if math.isfinite(t) else "divergent" for t in times]
+
+
 def scan_gamma(cfg: RunConfig) -> Table:
     """Normalized pole time against gamma/J: closed form for the bare
     thermal start, the exact engine for the maximally correlated one."""
@@ -49,22 +54,17 @@ def scan_gamma(cfg: RunConfig) -> Table:
     t0 = base.t0
     xi_val = xi_max(base)           # thermal populations do not move with gamma
     ratios = axis.values()
+    gammas = ratios * base.J
 
     correlated = first_events([base.with_gamma_over_j(float(g))
                                for g in ratios], [xi_val] * len(ratios),
                               cfg.horizon)
-
-    table = Table("scan-gamma",
-                  ["gamma_over_j", "gamma",
-                   "t_over_t0_uncorrelated", "t_over_t0_correlated"],
-                  metadata={"t0": t0, "xi_max": xi_val, "J": base.J})
-    for g, run in zip(ratios, correlated):
-        gamma = float(g) * base.J
-        t_unc = t_min_from_rates(base.J, gamma)
-        cell_unc = t_unc / t0 if math.isfinite(t_unc) else "divergent"
-        cell_corr = run.time / t0 if run.status == "reached" else "divergent"
-        table.add(float(g), gamma, cell_unc, cell_corr)
-    return table
+    return Table("scan-gamma", {
+        "gamma_over_j": ratios, "gamma": gammas,
+        "t_over_t0_uncorrelated": _per_t0(
+            [t_min_from_rates(base.J, g) for g in gammas.tolist()], t0),
+        "t_over_t0_correlated": _per_t0([r.time for r in correlated], t0),
+    }, metadata={"t0": t0, "xi_max": xi_val, "J": base.J})
 
 
 def _beta_star(params: ModelParams) -> float | None:
@@ -93,16 +93,12 @@ def scan_beta(cfg: RunConfig) -> Table:
     star = _beta_star(base)
     if star is not None:
         meta["beta_star"] = star
-    table = Table("scan-beta",
-                  ["beta", "gamma", "xi_max",
-                   "t_over_t0_uncorrelated", "t_over_t0_correlated"],
-                  metadata=meta)
-    for b, p, xi, run in zip(betas, params, xis, correlated):
-        t_unc = t_min_from_rates(p.J, p.gamma)
-        cell_unc = t_unc / t0 if math.isfinite(t_unc) else "divergent"
-        cell_corr = run.time / t0 if run.status == "reached" else "divergent"
-        table.add(float(b), p.gamma, xi, cell_unc, cell_corr)
-    return table
+    return Table("scan-beta", {
+        "beta": betas, "gamma": [p.gamma for p in params], "xi_max": xis,
+        "t_over_t0_uncorrelated": _per_t0(
+            [t_min_from_rates(p.J, p.gamma) for p in params], t0),
+        "t_over_t0_correlated": _per_t0([r.time for r in correlated], t0),
+    }, metadata=meta)
 
 
 # ====================================================================
@@ -122,21 +118,16 @@ def region_map(cfg: RunConfig) -> Table:
     jm = j_min(gamma)
     xi_cap = xi_max(base)
 
-    # the grid row by row (one J per row), built a column at a time
+    # the grid row by row: one J per row, the same xi values along each
     j_fracs, xi_fracs = j_axis.values(), x_axis.values()
     n_j, n_xi = j_fracs.size, xi_fracs.size
     js = j_fracs * jm
-    xi_col = np.tile(xi_fracs * xi_cap, n_j)
-    per_row = [base.replace(J=j) for j in js.tolist()]
-    labels = region_labels([p for p in per_row for _ in range(n_xi)], xi_col,
-                           cfg.horizon)
-
-    table = Table("region-map",
-                  ["j_frac", "J", "xi_frac", "xi", "region"],
-                  metadata={"beta": beta, "kappa": base.kappa,
-                            "gamma": gamma, "j_min": jm, "xi_max": xi_cap})
-    table.rows.extend(zip(np.repeat(j_fracs, n_xi).tolist(),
-                          np.repeat(js, n_xi).tolist(),
-                          np.tile(xi_fracs, n_j).tolist(), xi_col.tolist(),
-                          labels))
-    return table
+    xis = xi_fracs * xi_cap
+    labels = region_labels([base.replace(J=j) for j in js.tolist()],
+                           np.broadcast_to(xis, (n_j, n_xi)), cfg.horizon)
+    return Table("region-map", {
+        "j_frac": np.repeat(j_fracs, n_xi), "J": np.repeat(js, n_xi),
+        "xi_frac": np.tile(xi_fracs, n_j), "xi": np.tile(xis, n_j),
+        "region": labels,
+    }, metadata={"beta": beta, "kappa": base.kappa, "gamma": gamma,
+                 "j_min": jm, "xi_max": xi_cap})

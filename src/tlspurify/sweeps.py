@@ -18,7 +18,6 @@ do not depend on how a grid is cut, and run.workers changes nothing.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
 import numpy as np
 
@@ -62,15 +61,15 @@ def simulate_trace(cfg: RunConfig) -> Table:
     res = simulate(params, state, (0.0, t_end), ts, drive, frame=cfg.frame)
     xs = res.y
 
-    cols = ["t", "purity_qubit", "purity_tls"] + [f"x{k:02d}" for k in range(16)]
-    table = Table("simulate", cols, metadata={
+    return Table("simulate", {
+        "t": ts, "purity_qubit": qubit_purity(xs),
+        "purity_tls": tls_purity(xs),
+        **{f"x{k:02d}": x for k, x in enumerate(xs.T)},
+    }, metadata={
         "t_end": float(t_end), "pole_status": pole_status,
         "frame": cfg.frame, "n_steps": res.stats.accepted,
         "n_rejected": res.stats.rejected,
     })
-    table.rows.extend(zip(ts.tolist(), qubit_purity(xs).tolist(),
-                          tls_purity(xs).tolist(), *xs.T.tolist()))
-    return table
 
 
 # ====================================================================
@@ -90,7 +89,7 @@ def coherence_map(cfg: RunConfig) -> Table:
 
     xfs = x_axis.values()
     xis = xfs * xi_cap
-    leads = first_events([params] * len(xis), xis.tolist(), cfg.horizon)
+    leads = first_events([params], [xis], cfg.horizon)
     inside = is_physical(params, mus, xis[:, None])     # one row per xi
     cells = np.array(["unphysical", "divergent"], dtype=object)[
         inside.astype(int)]
@@ -99,16 +98,13 @@ def coherence_map(cfg: RunConfig) -> Table:
                             [leads[k].time for k in reached], mus)
     cells[reached] = np.where(inside[reached], gains, cells[reached])
 
-    table = Table("coherence-map",
-                  ["xi_frac", "xi", "mu_q", "mu_max", "delta_p"],
-                  metadata={"xi_max": xi_cap, "mu_max_uncorrelated": mu_cap0,
-                            "t0": params.t0})
-    mu_cells = mus.tolist()
-    for xf, xi, cap, row in zip(xfs.tolist(), xis.tolist(),
-                                mu_max(params, xis).tolist(), cells.tolist()):
-        table.rows.extend(zip(repeat(xf), repeat(xi), mu_cells, repeat(cap),
-                              row))
-    return table
+    return Table("coherence-map", {
+        "xi_frac": np.repeat(xfs, mus.size), "xi": np.repeat(xis, mus.size),
+        "mu_q": np.tile(mus, xis.size),
+        "mu_max": np.repeat(mu_max(params, xis), mus.size),
+        "delta_p": cells.ravel().tolist(),
+    }, metadata={"xi_max": xi_cap, "mu_max_uncorrelated": mu_cap0,
+                 "t0": params.t0})
 
 
 # ====================================================================
@@ -128,11 +124,11 @@ def purity_trace(cfg: RunConfig) -> Table:
                           "sweep.mu_count")
     params = _coupled(cfg.params())
     xis = {"xi0": 0.0, "xihalf": 0.5 * xi_max(params)}
-    leads = first_events([params] * 2, list(xis.values()), cfg.horizon)
+    leads = first_events([params], [list(xis.values())], cfg.horizon)
     p_tls0 = 0.5 + 2.0 * (params.a_t - 0.5) ** 2
 
-    table = Table("purity-trace", ["xi", "mu_q", "t", "purity"],
-                  metadata={"p_tls_initial": p_tls0})
+    metadata = {"p_tls_initial": p_tls0}
+    parts = []
     for (tag, xi), lead in zip(xis.items(), leads):
         if lead.status != "reached":
             raise ValueError(
@@ -144,11 +140,14 @@ def purity_trace(cfg: RunConfig) -> Table:
         mus = np.linspace(0.0, 1.0, cfg.mu_count) * mu_max(params, xi)
         ts = np.linspace(0.0, 1.15 * lead.time, cfg.samples)
         ps = resonant_purity(params, xi, mus, np.append(ts, lead.time))
-        table.metadata[f"t_pole_{tag}"] = lead.time
-        table.metadata[f"p_max_{tag}"] = float(ps[-1, -1])
-        for mu, trace in zip(mus.tolist(), ps[:-1].T.tolist()):
-            table.rows.extend(zip(repeat(xi), repeat(mu), ts.tolist(), trace))
-    return table
+        metadata[f"t_pole_{tag}"] = lead.time
+        metadata[f"p_max_{tag}"] = float(ps[-1, -1])
+        # one trace per mu, its samples in time order
+        parts.append((np.full(ps[:-1].size, xi), np.repeat(mus, ts.size),
+                      np.tile(ts, mus.size), ps[:-1].T.ravel()))
+    return Table("purity-trace", dict(zip(["xi", "mu_q", "t", "purity"],
+                                          map(np.concatenate, zip(*parts)))),
+                 metadata=metadata)
 
 
 # ====================================================================
@@ -164,7 +163,6 @@ def verify_table(cfg: RunConfig) -> Table:
     if blind:
         raise ValueError("no finite residual in verify check "
                          + ", ".join(blind))
-    table = Table("verify", list(CheckResult._fields),
-                  metadata={"all_passed": suite_passed(checks)})
-    table.rows = checks
-    return table
+    return Table("verify", {name: list(cells) for name, cells in
+                            zip(CheckResult._fields, zip(*checks))},
+                 metadata={"all_passed": suite_passed(checks)})

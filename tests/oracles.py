@@ -27,10 +27,14 @@ oracle of those closed forms is the exponential of the same generator at
 40 digits (mp_reduced_state).  The spherical chart, the coherence
 oscillator's first zero and the region-A threshold are physics that only
 the tests read.
+
+The reference table writer renders a table's rows one by one, cell by
+cell, where the package's writers work a column at a time.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -529,7 +533,7 @@ def mp_first_event(params: ModelParams, xi: float = 0.0, *,
 
 
 # ====================================================================
-# Reference CSV renderer: one isinstance chain per cell
+# Reference table writer: row by row, one isinstance chain per cell
 # ====================================================================
 
 def _reference_cell(v) -> str:
@@ -545,15 +549,23 @@ def _reference_cell(v) -> str:
     return f"{x:.16e}"
 
 
-def reference_csv(table, cfg) -> str:
-    """The CSV text of an output.Table, rendered cell by cell and joined
-    at once: the renderer the column-wise writer must match byte for
-    byte."""
+def reference_text(table, rows, cfg, fmt: str = "csv") -> str:
+    """The CSV or JSON text of a table whose head (command, column names,
+    metadata) is that of an output.Table and whose rows are given, one
+    sequence of cells each: the CSV rendered cell by cell, the JSON as
+    one json.dumps of the whole document.  The writers must match it
+    byte for byte."""
+    if fmt == "json":
+        doc = {"command": table.command, "config": cfg.to_dict(),
+               "metadata": table.metadata, "columns": table.columns,
+               "rows": [list(row) for row in rows]}
+        return json.dumps(doc, sort_keys=True, allow_nan=False,
+                          separators=(",", ":")) + "\n"
     lines = [f"# {table.command}"]
     lines += [f"# {line}" for line in cfg.echo_lines()]
     for key in sorted(table.metadata):
         lines.append(f"# meta {key} = {_reference_cell(table.metadata[key])}")
     lines.append(",".join(table.columns))
-    for row in table.rows:
+    for row in rows:
         lines.append(",".join(_reference_cell(v) for v in row))
     return "\n".join(lines) + "\n"

@@ -554,6 +554,43 @@ def test_first_events_match_batches_of_one(cells, horizon, order):
         for p, xi in zip(params, xis)]
 
 
+#: a parameter object of a grid row: a regime of _REGIMES, or a bath
+#: with gamma/J anywhere from no loss to past the critical line
+_ROW_PARAMS = st.one_of(
+    st.sampled_from(_REGIMES),
+    st.builds(lambda beta, ratio: ModelParams(beta=beta, kappa=0.1)
+              .with_gamma_over_j(ratio),
+              st.sampled_from([0.1, 1.0, 3.0]), st.floats(0.0, 6.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=st.lists(_ROW_PARAMS, min_size=1, max_size=5),
+       width=st.integers(1, 5), data=st.data(),
+       horizon=st.sampled_from([3.0, 20.0, 300.0]),
+       block=st.integers(1, 7))
+def test_grid_calls_match_batches_of_one(params, width, data, horizon,
+                                         block):
+    """first_events and region_labels on a grid, one parameter object per
+    row and a row of xi values for each, give every cell, in row-major
+    order, bit for bit the result of its own batch of one.  region_labels
+    walks the grid in blocks of a few cells, so block edges fall inside
+    rows and between them."""
+    fracs = st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0)
+    xis = np.array([[data.draw(fracs) * xi_max(p) for _ in range(width)]
+                    for p in params])
+    cells = [(p, xi) for p, row in zip(params, xis.tolist()) for xi in row]
+    saved = pole.REGION_BLOCK
+    pole.REGION_BLOCK = block
+    try:
+        labels = region_labels(params, xis, horizon)
+    finally:
+        pole.REGION_BLOCK = saved
+    assert labels == [region_labels([p], [xi], horizon)[0]
+                      for p, xi in cells]
+    assert first_events(params, xis, horizon) == [
+        t_min_numeric(p, xi, horizon_mult=horizon) for p, xi in cells]
+
+
 def test_engine_working_set_is_bounded():
     """A 2,500-cell region-map batch keeps a fixed number of floats per
     cell (eight sample times, a 4 x 4 companion matrix, the brackets):
@@ -575,6 +612,26 @@ def test_engine_working_set_is_bounded():
         tracemalloc.stop()
     assert len(labels) == 2500
     assert peak < 4e6
+
+
+def test_region_labels_walk_the_grid_in_blocks():
+    """A 200 x 200 grid (40,000 cells, three blocks of REGION_BLOCK) traces
+    under 24 MB (15.0 MB measured), where one batch of the whole grid,
+    at about 0.9 KB per cell, would trace about 36 MB."""
+    import tracemalloc
+    jm = j_min(_HOT.gamma)
+    params = [_HOT.replace(J=float(jf) * jm)
+              for jf in np.linspace(0.6, 1.05, 200)]
+    xis = np.broadcast_to(np.linspace(0, 1, 200) * XI_MAX_BETA01, (200, 200))
+    assert xis.size > 2 * pole.REGION_BLOCK
+    tracemalloc.start()
+    try:
+        labels = region_labels(params, xis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(labels) == 40_000
+    assert peak < 24e6
 
 
 def _gate_cells():
@@ -762,8 +819,14 @@ def test_label_path_refines_the_pole_of_a_shared_piece(monkeypatch):
 def test_first_events_empty_and_validation():
     assert first_events([], []) == []
     assert region_labels([], []) == []
+    assert region_labels([ModelParams()] * 2, np.zeros((2, 0))) == []
     with pytest.raises(ValueError):
         first_events([ModelParams(kappa=0.1), ModelParams(J=0.0)], [0.0, 0.0])
+    # xis gives one row to each parameter object, no more and no fewer
+    for xis in ([0.0] * 3, np.zeros((3, 2)), np.zeros((2, 2, 1))):
+        for call in (first_events, region_labels):
+            with pytest.raises(ValueError):
+                call([ModelParams(kappa=0.1)] * 2, xis)
 
 
 # ====================================================================

@@ -17,15 +17,14 @@ from tlspurify import output
 from tlspurify.config import RunConfig
 from tlspurify.output import Table, emit_error, fmt_float, write_table
 
-from oracles import reference_csv
+from oracles import reference_text
 
 
 def _demo_table() -> Table:
-    t = Table("demo", ["name", "flag", "count", "value"],
-              metadata={"b_key": 2, "a_key": "note"})
-    t.add("first", True, 3, 0.1)
-    t.add("divergent", False, -1, 2.5e-17)
-    return t
+    return Table("demo", {"name": ["first", "divergent"],
+                          "flag": [True, False], "count": [3, -1],
+                          "value": np.array([0.1, 2.5e-17])},
+                 metadata={"b_key": 2, "a_key": "note"})
 
 
 def test_fmt_float():
@@ -37,12 +36,35 @@ def test_fmt_float():
             fmt_float(bad)
 
 
-def test_row_width_checked():
-    t = Table("demo", ["a", "b"])
-    with pytest.raises(ValueError):
-        t.add(1.0)
-    with pytest.raises(ValueError):
-        t.add(1.0, 2.0, 3.0)
+def test_column_lengths_checked():
+    """Columns of unequal length, or a float column that is not 1-D, are
+    refused when the table is built."""
+    for columns in ({"a": [1.0], "b": np.zeros(2)},
+                    {"a": np.zeros(3), "b": ["x", "y"]},
+                    {"a": np.zeros((2, 2))}, {"a": 1.0}):
+        with pytest.raises(ValueError):
+            Table("demo", columns)
+    assert len(Table("demo", {}).rows) == 0
+
+
+def test_rows_are_a_read_only_view_of_the_columns():
+    """The rows are built from the columns when read: a row is a tuple,
+    a float cell a Python float; the view has a length, takes indices and
+    slices, iterates past a chunk, and refuses assignment."""
+    n = output.CHUNK_ROWS + 5
+    table = Table("demo", {"x": np.arange(n) / 4.0,
+                           "label": ["A", 0.5] * (n // 2) + ["B"]})
+    rows = table.rows
+    assert len(rows) == n
+    assert rows[1] == (0.25, 0.5) and type(rows[1][0]) is float
+    assert rows[-1] == ((n - 1) / 4.0, "B")
+    assert rows[2:4] == [(0.5, "A"), (0.75, 0.5)]
+    assert list(rows) == rows[:] == [(k / 4.0, table.values[1][k])
+                                     for k in range(n)]
+    with pytest.raises(IndexError):
+        rows[n]
+    with pytest.raises(TypeError):
+        rows[0] = (1.0, "A")
 
 
 def test_csv_layout(capsys):
@@ -80,12 +102,12 @@ def test_json_layout(capsys):
 
 def test_non_finite_rejected():
     cfg = RunConfig.from_dict({})
-    t = Table("demo", ["v"])
-    t.add(math.nan)
-    with pytest.raises(ValueError):
-        write_table(t, cfg)
-    with pytest.raises(ValueError):
-        write_table(t, cfg, fmt="json")
+    for column in ([math.nan], np.array([0.0, math.inf])):
+        t = Table("demo", {"v": column})
+        with pytest.raises(ValueError):
+            write_table(t, cfg)
+        with pytest.raises(ValueError):
+            write_table(t, cfg, fmt="json")
 
 
 def test_write_to_file_and_format_override(tmp_path):
@@ -118,7 +140,7 @@ def test_emit_error(capsys):
 
 
 # ====================================================================
-# Column-wise CSV writer against the per-cell reference
+# Column-wise writers against the row-by-row reference
 # ====================================================================
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -130,12 +152,15 @@ _FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 _FLOAT_CELLS = st.one_of(_FLOATS, _FLOATS.map(np.float64))
 _LABELS = st.sampled_from(["divergent", "unphysical", "A", "B", "C", "U"])
 _INTS = st.integers(-10 ** 20, 10 ** 20)
-#: what one column holds: the kinds the drivers emit, and anything at all;
-#: a "pool" column repeats a few floats, as a sweep's grid columns do
-_COLUMNS = st.sampled_from(["float", "float+label", "label", "bool", "int",
-                            "mixed", "pool"])
+#: what one column holds: a float array (a "pool" array repeats a few
+#: floats, as a sweep's grid columns do), or a list of the kinds of cells
+#: the drivers emit, or of anything at all
+_ARRAYS = {"float", "pool"}
+_COLUMNS = st.sampled_from(["float", "pool", "float-list", "float+label",
+                            "label", "bool", "int", "mixed"])
 _CELLS = {
     "float": _FLOAT_CELLS,
+    "float-list": _FLOAT_CELLS,
     "float+label": st.one_of(_FLOAT_CELLS, _LABELS),
     "label": _LABELS,
     "bool": st.booleans(),
@@ -147,7 +172,9 @@ _CELLS = {
 
 
 @st.composite
-def _tables(draw) -> Table:
+def _drawn(draw) -> tuple[list[str], list[list], dict]:
+    """(kinds, rows, metadata) of a table: each row a list of cells, one
+    per column of the given kind."""
     kinds = draw(st.lists(_COLUMNS, min_size=1, max_size=5))
     metadata = draw(st.dictionaries(
         st.text("abcdefgh_", min_size=1, max_size=6),
@@ -155,11 +182,27 @@ def _tables(draw) -> Table:
     cells = [st.sampled_from(draw(st.lists(_FLOAT_CELLS, min_size=1,
                                            max_size=3)))
              if kind == "pool" else _CELLS[kind] for kind in kinds]
-    table = Table("demo", [f"c{k}" for k in range(len(kinds))],
-                  metadata=metadata)
-    for _ in range(draw(st.integers(0, 12))):
-        table.add(*(draw(column) for column in cells))
-    return table
+    rows = [[draw(column) for column in cells]
+            for _ in range(draw(st.integers(0, 12)))]
+    return kinds, rows, metadata
+
+
+def _table(kinds, rows, metadata) -> Table:
+    """The table of drawn rows: a float array or a list per column."""
+    columns = {}
+    for k, kind in enumerate(kinds):
+        cells = [row[k] for row in rows]
+        columns[f"c{k}"] = (np.array(cells, dtype=float) if kind in _ARRAYS
+                            else cells)
+    return Table("demo", columns, metadata=metadata)
+
+
+def _reference(table: Table, rows, fmt: str) -> tuple[str | None, bool]:
+    """(text, raised) of the reference writer on the drawn rows."""
+    try:
+        return reference_text(table, rows, RunConfig.from_dict({}), fmt), False
+    except (ValueError, TypeError):
+        return None, True
 
 
 def _written(table: Table, chunk_rows: int,
@@ -182,35 +225,51 @@ def _written(table: Table, chunk_rows: int,
 
 
 @settings(max_examples=200, deadline=None)
-@given(table=_tables(), chunk_rows=st.integers(1, 5))
-def test_csv_matches_per_cell_reference(table, chunk_rows):
-    """Float and float64 cells, -0.0, subnormals and extreme exponents,
-    labels inside float columns, bools, ints and metadata: the
-    column-wise writer gives the reference's bytes, in any chunking."""
-    text, raised = _written(table, chunk_rows)
+@given(drawn=_drawn(), chunk_rows=st.integers(1, 5))
+def test_csv_matches_per_cell_reference(drawn, chunk_rows):
+    """Float arrays and lists of float and float64 cells, -0.0,
+    subnormals and extreme exponents, labels inside float columns, bools,
+    ints and metadata, from no rows to several chunks: the column-wise
+    writer gives the bytes of the row-by-row reference, in any
+    chunking."""
+    kinds, rows, metadata = drawn
+    table = _table(kinds, rows, metadata)
+    text, raised = _reference(table, rows, "csv")
     assert not raised
-    assert text == reference_csv(table, RunConfig.from_dict({}))
+    assert _written(table, chunk_rows) == (text, False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_drawn(), chunk_rows=st.integers(1, 5))
+def test_json_matches_one_document(drawn, chunk_rows):
+    """The head, the rows in chunks and the tail are the bytes of one
+    json.dumps of the whole document, in any chunking and for no rows; a
+    table the encoder refuses (a float32 cell) raises and leaves no
+    file."""
+    kinds, rows, metadata = drawn
+    table = _table(kinds, rows, metadata)
+    assert _written(table, chunk_rows, "json") == _reference(table, rows,
+                                                              "json")
 
 
 @settings(max_examples=100, deadline=None)
-@given(table=_tables(), bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+@given(drawn=_drawn(), bad=st.sampled_from([math.nan, math.inf, -math.inf]),
        as_numpy=st.booleans(), where=st.floats(0.0, 1.0),
        in_metadata=st.booleans(), fmt=st.sampled_from(["csv", "json"]))
-def test_non_finite_cell_raises_before_any_byte(table, bad, as_numpy, where,
+def test_non_finite_cell_raises_before_any_byte(drawn, bad, as_numpy, where,
                                                 in_metadata, fmt):
-    """A NaN or infinity anywhere, in a float column or among labels or in
-    the metadata, raises and leaves no file, in either format."""
+    """A NaN or infinity anywhere, in a float array or among the cells of
+    a list or in the metadata, raises and leaves no file, in either
+    format."""
+    kinds, rows, metadata = drawn
     value = np.float64(bad) if as_numpy else bad
-    if in_metadata or not table.rows:
-        table.metadata["zz_bad"] = value
+    if in_metadata or not rows:
+        metadata["zz_bad"] = value
     else:
-        k = int(where * (len(table.rows) * len(table.columns) - 1))
-        row, col = divmod(k, len(table.columns))
-        cells = list(table.rows[row])
-        cells[col] = value
-        table.rows[row] = tuple(cells)
-    with pytest.raises(ValueError):
-        reference_csv(table, RunConfig.from_dict({}))
+        k = int(where * (len(rows) * len(kinds) - 1))
+        rows[k // len(kinds)][k % len(kinds)] = value
+    table = _table(kinds, rows, metadata)
+    assert _reference(table, rows, fmt) == (None, True)
     assert _written(table, 2, fmt) == (None, True)
 
 
@@ -220,12 +279,12 @@ def test_repeated_zeros_and_subnormals_keep_their_sign():
     compare equal in pairs or not at all, yet each repeat keeps its own
     text."""
     values = [0.0, -0.0, 5e-324, -5e-324]
-    table = Table("demo", ["x", "y"])
-    for k in range(16):
-        table.add(values[k % 4], np.float64(values[k // 4]))
+    rows = [(values[k % 4], values[k // 4]) for k in range(16)]
+    table = Table("demo", {"x": np.array([r[0] for r in rows]),
+                           "y": np.array([r[1] for r in rows])})
     cfg = RunConfig.from_dict({})
     text = "".join(output._csv_chunks(table, cfg))
-    assert text == reference_csv(table, cfg)
+    assert text == reference_text(table, rows, cfg)
     body = text.splitlines()[-16:]
     assert body[:4] == ["0.0000000000000000e+00,0.0000000000000000e+00",
                         "-0.0000000000000000e+00,0.0000000000000000e+00",
@@ -236,40 +295,16 @@ def test_repeated_zeros_and_subnormals_keep_their_sign():
 def test_csv_writes_in_chunks(tmp_path):
     """A body longer than one chunk goes out in several writes of at most
     CHUNK_ROWS rows each, and their bytes are the reference's."""
-    table = Table("demo", ["t", "label", "flag"])
-    for k in range(2 * output.CHUNK_ROWS + 3):
-        table.add(k / 7.0, "divergent" if k % 5 else 0.5, k % 2 == 0)
+    rows = [(k / 7.0, "divergent" if k % 5 else 0.5, k % 2 == 0)
+            for k in range(2 * output.CHUNK_ROWS + 3)]
+    t, label, flag = zip(*rows)
+    table = Table("demo", {"t": np.array(t), "label": list(label),
+                           "flag": list(flag)})
     cfg = RunConfig.from_dict({})
     chunks = list(output._csv_chunks(table, cfg))
     assert len(chunks) == 1 + 3
     assert all(c.count("\n") <= output.CHUNK_ROWS for c in chunks[1:])
-    assert "".join(chunks) == reference_csv(table, cfg)
-
-
-# ====================================================================
-# Streamed JSON writer against one json.dumps of the whole document
-# ====================================================================
-
-def _json_reference(table: Table, cfg: RunConfig) -> str:
-    doc = {"command": table.command, "config": cfg.to_dict(),
-           "metadata": table.metadata, "columns": table.columns,
-           "rows": [list(row) for row in table.rows]}
-    return json.dumps(doc, sort_keys=True, allow_nan=False,
-                      separators=(",", ":")) + "\n"
-
-
-@settings(max_examples=200, deadline=None)
-@given(table=_tables(), chunk_rows=st.integers(1, 5))
-def test_json_matches_one_document(table, chunk_rows):
-    """The head, the rows in chunks and the tail are the bytes of one
-    json.dumps of the whole document, in any chunking and for no rows; a
-    table the encoder refuses (a float32 cell) raises and leaves no
-    file."""
-    try:
-        expected = (_json_reference(table, RunConfig.from_dict({})), False)
-    except TypeError:
-        expected = (None, True)
-    assert _written(table, chunk_rows, "json") == expected
+    assert "".join(chunks) == reference_text(table, rows, cfg)
 
 
 def test_json_writes_in_chunks(tmp_path):
@@ -277,13 +312,12 @@ def test_json_writes_in_chunks(tmp_path):
     rows and its tail, and peaks no higher in memory than the CSV
     writer on the same table."""
     rng = np.random.default_rng(3)
-    table = Table("demo", [f"c{k}" for k in range(19)])
-    for row in rng.normal(size=(2 * output.CHUNK_ROWS + 3, 19)).tolist():
-        table.add(*row)
+    rows = rng.normal(size=(2 * output.CHUNK_ROWS + 3, 19))
+    table = Table("demo", {f"c{k}": column for k, column in enumerate(rows.T)})
     cfg = RunConfig.from_dict({})
     chunks = list(output._json_chunks(table, cfg))
     assert len(chunks) == 1 + 3 + 1
-    assert "".join(chunks) == _json_reference(table, cfg)
+    assert "".join(chunks) == reference_text(table, rows.tolist(), cfg, "json")
 
     peaks = {}
     for fmt in ("csv", "json"):

@@ -506,7 +506,7 @@ def test_fan_out_preserves_order():
             {"name": "gamma_over_j", "start": 4.4, "stop": 0.0, "count": 7},
             {"name": "j_frac", "start": 0.6, "stop": 1.05, "count": 3},
             {"name": "xi_frac", "start": 1.0, "stop": 0.0, "count": 4}]})
-        return scan_gamma(cfg).rows, region_map(cfg).rows
+        return list(scan_gamma(cfg).rows), list(region_map(cfg).rows)
 
     gammas, regions = rows(1)
     assert [r[0] for r in gammas] == np.linspace(4.4, 0.0, 7).tolist()

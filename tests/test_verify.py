@@ -171,10 +171,9 @@ def test_verify_table_shape(default_report):
 
 
 def test_report_rows_are_the_check_records(default_report):
-    """verify's report holds run_suite's records themselves, field for
-    column."""
+    """verify's report rows are run_suite's records, field for column."""
     cfg = RunConfig.from_dict({})
-    assert default_report.rows == run_suite(cfg.params(), rtol=cfg.rel_tol,
+    assert list(default_report.rows) == run_suite(cfg.params(), rtol=cfg.rel_tol,
                                             atol=cfg.abs_tol)
     assert default_report.columns == list(CheckResult._fields)
 
