@@ -595,11 +595,13 @@ def s2_resonant_solution(params: ModelParams, mu: float, t) -> np.ndarray:
     env = np.exp(-q * t)
     if disc == 0.0:
         return mu * env * (1.0 + q * t)
+    w = math.sqrt(abs(disc))
     if disc > 0.0:
-        w = math.sqrt(disc)
         return mu * env * (np.cos(w * t) + (q / w) * np.sin(w * t))
-    w = math.sqrt(-disc)
-    return mu * env * (np.cosh(w * t) + (q / w) * np.sinh(w * t))
+    # overdamped: terms e^{(w - q)t} and e^{-(w + q)t}, w - q = -J^2/(w + q)
+    slow = -(J / (w + q)) * J
+    return 0.5 * mu * ((1.0 + q / w) * np.exp(slow * t)
+                       + slow / w * np.exp(-(w + q) * t))
 
 
 def _s1_polarization(params: ModelParams, xis, ts) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,27 @@ def test_s2_first_zero_equals_pole_time(ratio):
                                              rel=1e-12)
     # and the closed-form solution really vanishes there
     assert abs(s2_resonant_solution(p, 0.4, s2_first_zero(p))) < 1e-13
+
+
+@pytest.mark.parametrize("ratio", [4.5, 10.0, 100.0])
+def test_s2_overdamped_matches_mpmath(ratio):
+    """The overdamped branch (gamma > 4J) up to 1000 t0, where cosh and
+    sinh formed apart overflow: no warning, and within 4 ulps of the
+    40-digit solution per unit of q t (the exponent's own rounding), or
+    an underflow below 1e-300."""
+    p = ModelParams(kappa=0.1).with_gamma_over_j(ratio)
+    ts = np.linspace(0.0, 1000.0, 2001) * p.t0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = s2_resonant_solution(p, 1.0, ts)
+    q = 0.25 * p.gamma
+    with mp.workdps(40):
+        J, qm = mp.mpf(p.J), mp.mpf(q)
+        w = mp.sqrt((qm - J) * (qm + J))
+        for t, g in zip(ts.tolist(), got.tolist()):
+            ref = mp.exp(-qm * t) * (mp.cosh(w * t) + qm / w * mp.sinh(w * t))
+            bound = 4.0 * np.finfo(float).eps * (1.0 + q * t)
+            assert abs(g - ref) <= bound * ref + 1e-300, t / p.t0
 
 
 def test_s2_first_zero_divergent():
