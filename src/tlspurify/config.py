@@ -56,8 +56,8 @@ MAX_SAMPLES = 100_000
 #: upper bound on a sweep axis count and on sweep.mu_count.  A table is
 #: held as columns, and region-map's engine runs in blocks: at the bound,
 #: fresh on a 2-core x86_64 host, a 500 x 500 region-map takes 1.1-1.4 s
-#: and 65 MB RSS, a coherence-map 0.45-0.5 s and 52 MB, and purity-trace's
-#: 2 x 500 traces of 250 samples (MAX_ROWS) 0.23-0.25 s and 49 MB.  The
+#: and 65 MB RSS, a coherence-map 0.45-0.65 s and 52 MB, and purity-trace's
+#: 2 x 500 traces of 250 samples (MAX_ROWS) 0.23-0.27 s and 49 MB.  The
 #: default and benchmark grids need at most 80
 MAX_COUNT = 500
 
