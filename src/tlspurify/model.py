@@ -85,7 +85,9 @@ class ModelParams:
     attribute: the ground and excited populations
     a = 1/(1 + e^{-beta omega}) and b = 1 - a of the qubit (a_q, b_q) and
     of the defect (a_t, b_t); the polarization gap
-    pol_gap = (a_t - a_q)/2 of the thermal-product start; the bath
+    pol_gap = (a_t - a_q)/2 of the thermal-product start, the pole
+    engine's only start input (pole.initial_direction), so a more exact
+    gap reaches the engine through this one attribute; the bath
     occupation n_occ = e^{-x}/(1 - e^{-x}) at x = beta omega_tls, which
     falls to 0 in the cold limit instead of overflowing; the emission and
     absorption rates gamma1 = kappa (n_occ + 1) and gamma2 = kappa n_occ,

@@ -2,14 +2,15 @@
 
 The locked control u == 0 (drive phase glued to the coherence azimuth)
 advances theta at the full rate 2J on top of the drift.  In
-s = (r sin theta, r cos theta, eta - c) its flow is linear, and in one
-variable that runs with t the pole and the guarded stall are roots of a
-quadratic and a quartic: each cell's roots are solved in closed form or
-as companion-matrix eigenvalues and bracketed between their midpoints;
-nothing here integrates and nothing scans a grid.  Only first_events
-bisects every bracket to the float; region_labels, which reads statuses
-alone, bisects the stall brackets and only those pole brackets that a
-stall bracket shares.
+s = (r sin theta, r cos theta, eta - c) its flow is linear, and every
+cell starts at s0 = (-pol_gap, xi, pol_gap) (initial_direction), with no
+angle.  In one variable that runs with t the pole and the guarded stall
+are roots of a quadratic and a quartic: each cell's roots are solved in
+closed form or as companion-matrix eigenvalues and bracketed between
+their midpoints; nothing here integrates and nothing scans a grid.  Only
+first_events bisects every bracket to the float; region_labels, which
+reads statuses alone, bisects the stall brackets and only those pole
+brackets that a stall bracket shares.
 
   * t_min_from_rates: pole-arrival time from the uncorrelated thermal
     start, finite exactly when gamma < 4J.
@@ -25,7 +26,8 @@ stall bracket shares.
 The module imports only numpy and model, so the pole-time sweeps run
 without the integrator stack.  It derives no thermal number: the rates,
 eta, t0 and the start's polarization gap pol_gap are ModelParams
-attributes.
+attributes.  Spherical coordinates are read only on the way out
+(initial_spherical, TminResult, stall_cosine).
 """
 
 from __future__ import annotations
@@ -81,37 +83,31 @@ def t_min_from_rates(J: float, gamma: float) -> float:
 
 
 # ====================================================================
-# Initial point and stall condition of the (r, c, theta) flow
+# Start and stall condition
 # ====================================================================
 
-def _initial_points(pol_gap, eta, xi):
-    """(r0, c0, theta0) arrays of thermal-product starts, from the
-    polarization gap (a_t - a_q)/2, the bath scale eta and the cross
-    coherence xi, one entry per cell."""
-    xi = np.asarray(xi, dtype=float)
+def initial_direction(pol_gap, xi=0.0) -> np.ndarray:
+    """Start s0 = (-pol_gap, xi, pol_gap) of the u == 0 flow, in
+    s = (r sin theta, r cos theta, eta - c), from the thermal-product
+    start with polarization gap pol_gap = (a_t - a_q)/2 and cross
+    coherence of magnitude xi >= 0: the gap puts the state in the
+    southern hemisphere, the coherence lifts it.  The engine's only
+    start, and the q0 of reduced.make_rhs_s1.  pol_gap and xi broadcast:
+    arrays of them give one column per cell."""
+    pol_gap, xi = np.broadcast_arrays(np.asarray(pol_gap, dtype=float),
+                                      np.asarray(xi, dtype=float))
     if (xi < 0.0).any():
         raise ValueError(f"xi is a magnitude, got {xi[xi < 0.0].flat[0]}")
-    r0 = np.hypot(pol_gap, xi)
-    c0 = eta - pol_gap
-    ratio = np.divide(xi, r0, out=np.ones_like(r0), where=r0 > 0.0)
-    theta0 = np.where(r0 > 0.0, -np.arccos(np.minimum(1.0, ratio)), 0.0)
-    return r0, c0, theta0
+    return np.array([-pol_gap, xi, pol_gap])
 
 
 def initial_spherical(params: ModelParams, xi: float = 0.0) -> tuple[float, float, float]:
     """(r0, c0, theta0) of the thermal-product start with cross coherence
-    of magnitude xi >= 0.  theta0 = -arccos(xi / r0): the polarization gap
-    puts the state in the southern hemisphere, the coherence lifts it."""
-    return tuple(float(x) for x in
-                 _initial_points(params.pol_gap, params.eta, xi))
-
-
-def initial_direction(params: ModelParams, xi: float = 0.0) -> np.ndarray:
-    """Start q0 = (r0 sin theta0, r0 cos theta0, eta - c0) of the
-    reduced.make_rhs_s1 flow from the thermal-product start."""
-    r0, c0, th0 = initial_spherical(params, xi)
-    return np.array([r0 * math.sin(th0), r0 * math.cos(th0),
-                     params.eta - c0])
+    of magnitude xi >= 0, read off its direction: r0 = hypot(pol_gap, xi),
+    c0 = eta - pol_gap and theta0 = -atan2(pol_gap, xi)."""
+    w, v, d = initial_direction(params.pol_gap, xi)
+    return (float(np.hypot(w, v)), float(params.eta - d),
+            float(np.arctan2(w, v)))
 
 
 def _stall_cosines(J, gamma, eta, r, c):
@@ -128,15 +124,16 @@ def stall_cosine(params: ModelParams, r: float, c: float) -> float:
     return float(_stall_cosines(params.J, params.gamma, params.eta, r, c))
 
 
-def _stall_curvature(gamma, eta, r, c, th):
+def _stall_curvature(gamma, w, v, d):
     """d2(theta)/dt2 on the theta-rate zero set, for floats or arrays of
-    cells: negative curvature means the rate keeps falling (a genuine
-    stall, not a graze).  r * r is floored at the smallest normal float,
-    so a zero radius (where theta reads 0) divides by no zero."""
-    d = eta - c
-    r2 = r * r
-    return (0.25 * gamma * gamma * np.cos(th) * np.sin(th)
-            * (r2 - d * d) / np.maximum(r2, sys.float_info.min))
+    cells: (gamma^2/4) w v (w^2 + v^2 - d^2)/(w^2 + v^2)^2 at any positive
+    multiple of the direction (w, v, d); negative means the rate keeps
+    falling (a genuine stall, not a graze).  w^2 + v^2 is floored at the
+    smallest normal float and w v is divided first, so a zero radius
+    reads 0, with no division by zero, whatever d is."""
+    r2 = w * w + v * v
+    floor = np.maximum(r2, sys.float_info.min)
+    return 0.25 * gamma * gamma * (w * v / floor * (r2 - d * d) / floor)
 
 
 # ====================================================================
@@ -151,8 +148,9 @@ _REACHED, _TRAPPED, _HORIZON = range(3)
 
 class _DriftFlow:
     """Closed-form u == 0 flow of a batch of cells, in s = (w, v, d) =
-    (r sin theta, r cos theta, eta - c).  The flow of each cell is linear
-    and homogeneous there, s' = (-gamma/2 + N) s with N = N(2J) of
+    (r sin theta, r cos theta, eta - c), from the starts s0 (one column
+    per cell, as initial_direction gives them).  The flow of each cell is
+    linear and homogeneous there, s' = (-gamma/2 + N) s with N = N(2J) of
     reduced.make_rhs_s1, and N^3 = -Omega^2 N with
     Omega^2 = 4J^2 - gamma^2/4, so
     s(t) = e^{-gamma t/2} (s0 + S(t) N s0 + C(t) N^2 s0).  theta is
@@ -173,7 +171,7 @@ class _DriftFlow:
     in.  Methods that work on some cells take them as an index array.
     """
 
-    def __init__(self, J, gamma, eta, r0, c0, th0):
+    def __init__(self, J, gamma, eta, s0):
         self.a = 2.0 * J
         self.b = 0.5 * gamma
         self.eta = eta
@@ -181,7 +179,6 @@ class _DriftFlow:
         self.root = np.sqrt(np.abs(self.om2))   # Omega, or kappa
         self.trig = self.om2 > 0.0
         self.hyp = self.om2 < 0.0
-        s0 = np.array([r0 * np.sin(th0), r0 * np.cos(th0), eta - c0])
         n1 = self._apply_n(s0)
         self.basis = np.array([s0, n1, self._apply_n(n1)])  # term, axis, cell
         self.n_eval = np.zeros(self.a.size, dtype=np.int64)
@@ -232,8 +229,7 @@ class _DriftFlow:
         self.n_eval[cells] += 1
         w, v, d = (x[:, 0] for x in _Rows(self, cells).direction(t[:, None]))
         gamma = 2.0 * self.b[cells]
-        return (_stall_curvature(gamma, self.eta[cells], np.hypot(w, v),
-                                 self.eta[cells] - d, np.arctan2(w, v))
+        return (_stall_curvature(gamma, w, v, d)
                 <= STALL_CURVATURE_TOL * gamma * gamma)
 
     def _polynomials(self):
@@ -270,7 +266,9 @@ class _DriftFlow:
         rate, as eigenvalues of the companion matrix in x or in 1/x,
         whichever puts the larger end coefficient in the lead.  A complex
         root stands for its real part, which still samples the dip
-        between a near-double pair."""
+        between a near-double pair.  A root too large for a float (v's
+        lead coefficient is -xi at kappa = 0, so a subnormal xi) reads as
+        the largest float, as an infinite one does."""
         disc = v[1] * v[1] - 4.0 * v[2] * v[0]
         q = -0.5 * (v[1] + np.copysign(np.sqrt(np.abs(disc)), v[1]))
         flip = np.abs(rate[4]) < np.abs(rate[0])
@@ -279,7 +277,7 @@ class _DriftFlow:
         comp[:, 1:, :3] = np.eye(3)
         comp[:, :, 3] = -(c[:4] / np.where(c[4] == 0.0, 1.0, c[4])).T
         z = np.linalg.eigvals(comp).real.T
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             x = np.array([np.where(disc < 0.0, -0.5 * v[1] / v[2], q / v[2]),
                           np.where(disc < 0.0, -0.5 * v[1] / v[2], v[0] / q),
                           *np.where(flip, 1.0 / z, z)])
@@ -466,15 +464,14 @@ class TminResult(NamedTuple):
 
 
 class _Cells(NamedTuple):
-    """Per-cell arrays of a batch: model constants and thermal start."""
+    """Per-cell arrays of a batch: model constants and the thermal start
+    s0 (initial_direction, one column per cell)."""
 
     J: np.ndarray
     gamma: np.ndarray
     eta: np.ndarray
     t0: np.ndarray
-    r0: np.ndarray
-    c0: np.ndarray
-    th0: np.ndarray
+    s0: np.ndarray
 
     @classmethod
     def of(cls, params_seq, xis) -> "_Cells":
@@ -489,19 +486,15 @@ class _Cells(NamedTuple):
             raise ValueError(f"xis of shape {xis.shape} does not give one "
                              f"row to each of {len(consts)} parameter objects")
         J, gamma, eta, t0, pol_gap = np.repeat(consts, xis.shape[1], axis=0).T
-        return cls(J, gamma, eta, t0,
-                   *_initial_points(pol_gap, eta, xis.ravel()))
+        return cls(J, gamma, eta, t0, initial_direction(pol_gap, xis.ravel()))
 
     def take(self, rows) -> "_Cells":
-        return _Cells(*(x[rows] for x in self))
+        return _Cells(*(x[..., rows] for x in self))
 
 
 def _flow(cells: _Cells) -> _DriftFlow:
     """The u == 0 flow of every cell."""
-    if (cells.J <= 0.0).any():
-        raise ValueError("t_min_numeric needs J > 0")
-    return _DriftFlow(cells.J, cells.gamma, cells.eta, cells.r0, cells.c0,
-                      cells.th0)
+    return _DriftFlow(cells.J, cells.gamma, cells.eta, cells.s0)
 
 
 def first_events(params_seq, xis, horizon_mult: float = 20.0
@@ -511,6 +504,8 @@ def first_events(params_seq, xis, horizon_mult: float = 20.0
     gives each row one cell).  One array-valued engine runs the whole
     grid, with the same result for each cell as a batch of one."""
     cells = _Cells.of(params_seq, xis)
+    if (cells.J <= 0.0).any():
+        raise ValueError("t_min_numeric needs J > 0")
     flow = _flow(cells)
     status, t_stop, accepted = flow.events(horizon_mult * cells.t0)
     r, c, th = flow.spherical(t_stop)
@@ -560,9 +555,11 @@ def region_labels(params_seq, xis, horizon_mult: float = 20.0) -> list[str]:
     cells = _Cells.of(params_seq, xis)
     labels = np.where(cells.gamma == 0.0,
                       np.where(cells.J > 0.0, "C", "U"), "A")
-    # region A: the stall condition holds at t = 0
-    blocked = _stall_cosines(cells.J, cells.gamma, cells.eta, cells.r0,
-                             cells.c0) <= 1.0
+    # region A: the stall condition holds at t = 0, read off
+    # initial_spherical's r0 and c0 as stall_cosine reads them
+    w, v, d = cells.s0
+    blocked = _stall_cosines(cells.J, cells.gamma, cells.eta, np.hypot(w, v),
+                             cells.eta - d) <= 1.0
     run = np.flatnonzero((cells.gamma != 0.0) & ~blocked)
     for start in range(0, run.size, REGION_BLOCK):
         part = run[start:start + REGION_BLOCK]
@@ -607,14 +604,10 @@ def s2_resonant_solution(params: ModelParams, mu: float, t) -> np.ndarray:
 def _s1_polarization(params: ModelParams, xis, ts) -> np.ndarray:
     """z[0] = c + r sin(theta) at ts[k] of the resonant run from the
     thermal-product start with cross coherence xis[k] (broadcast), one
-    drift-flow cell each.  The start's angle is -atan2(pol_gap, xi): the
-    engine's -arccos(xi / r0) loses digits where xi / r0 rounds to 1."""
+    drift-flow cell each."""
     xis, ts = np.broadcast_arrays(np.asarray(xis, float),
                                   np.asarray(ts, float))
-    one, gap, eta = np.ones(ts.shape), params.pol_gap, params.eta
-    r, c, th = _DriftFlow(params.J * one, params.gamma * one, eta * one,
-                          np.hypot(gap, xis), (eta - gap) * one,
-                          -np.arctan2(gap, xis)).spherical(ts)
+    r, c, th = _flow(_Cells.of([params], [xis])).spherical(ts)
     return c + r * np.sin(th)
 
 

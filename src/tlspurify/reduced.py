@@ -48,6 +48,9 @@ whose flow is linear and regular (a = 2 J cos(u) = 2 J):
     q' = N(a) q,  N(a) = [[0, a, -gamma/2], [-a, 0, 0], [-gamma/2, 0, 0]],
     theta = atan2(q_w, q_v),  r = e^{-gamma t/2} |(q_w, q_v)|,
     c = eta - e^{-gamma t/2} q_d.
+
+From the thermal-product start with cross coherence xi it starts at
+q0 = (-pol_gap, xi, pol_gap) (pole.initial_direction), with no angle.
 """
 
 from __future__ import annotations

@@ -142,7 +142,7 @@ def run_suite(params: ModelParams, *, rtol: float = 1e-10,
     def decaying(t, s):
         return q_rhs(t, s) - half * s
 
-    s0 = initial_direction(params, xi)
+    s0 = initial_direction(params.pol_gap, xi)
     s1 = integrate(decaying, t_span, s0 / (np.linalg.norm(s0) or 1.0),
                    rtol=rtol, atol=atol)
     s, ds = s1.y[:, :2], decaying(s1.t, s1.y.T).T[:, :2]

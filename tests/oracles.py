@@ -244,13 +244,15 @@ def s1_pole_run(params: ModelParams, xi: float = 0.0, *,
     accepted step on which the pole (q_v falls through 0) or a guarded
     stall (r^2 dtheta/dt, up to a positive factor, falls through 0) comes,
     and bisect it: q at a time inside the step is a fresh Runge-Kutta run
-    from the step's start, at the same tolerances.  The stall guard is
-    scale-free, so it reads the direction as it is, and its slack is
-    STALL_CURVATURE_TOL gamma^2, as the engine's."""
+    from the step's start, at the same tolerances.  The run starts where
+    the engine does, at initial_direction, and the stall guard is the
+    engine's: _stall_curvature(gamma, *q) reads the direction as it is
+    (it is scale-free), with the slack STALL_CURVATURE_TOL gamma^2."""
     a, b, eta = 2.0 * params.J, 0.5 * params.gamma, params.eta
     rhs = make_rhs_s1(params)
     res = integrate(rhs, (0.0, horizon_mult * params.t0),
-                    initial_direction(params, xi), rtol=rtol, atol=atol)
+                    initial_direction(params.pol_gap, xi), rtol=rtol,
+                    atol=atol)
 
     def at(k, t):
         """q at time t of the step that starts at accepted step k."""
@@ -266,8 +268,7 @@ def s1_pole_run(params: ModelParams, xi: float = 0.0, *,
         return a * (q[..., 0] ** 2 + q[..., 1] ** 2) - b * q[..., 2] * q[..., 1]
 
     def stalls(q):
-        return (_stall_curvature(params.gamma, eta, math.hypot(q[0], q[1]),
-                                 eta - q[2], math.atan2(q[0], q[1]))
+        return (_stall_curvature(params.gamma, *q)
                 <= STALL_CURVATURE_TOL * params.gamma ** 2)
 
     status, t_stop, k_stop = "horizon", float(res.t[-1]), len(res.t) - 1
@@ -422,8 +423,9 @@ def reduced_trace(params: ModelParams, xi: float, mu: float, t_end: float,
 def mp_first_event(params: ModelParams, xi: float = 0.0, *,
                    horizon_mult: float = 20.0) -> tuple[str, object]:
     """(status, event time as an mpf) of the u == 0 flow, at 50 digits,
-    from the float start (r0, c0, theta0) the engine reads; the time is
-    None when the run meets neither event by the horizon.
+    from the float start s0 = initial_direction(pol_gap, xi) the engine
+    reads, taken exactly; the time is None when the run meets neither
+    event by the horizon.
 
     The direction D(t) = s0 + S(t) N s0 + C(t) N^2 s0 is a quadratic in
     x = tan(Omega t/2) (times 1 + x^2), in x = e^{-kappa t} (times
@@ -436,9 +438,8 @@ def mp_first_event(params: ModelParams, xi: float = 0.0, *,
     t = 1/0 for Omega^2 = 0; those coefficients are exactly 0.
     """
     with mp.workdps(50):
-        J, gamma, eta = (mp.mpf(x) for x in (params.J, params.gamma,
-                                              params.eta))
-        r0, c0, th0 = (mp.mpf(x) for x in initial_spherical(params, xi))
+        J, gamma = mp.mpf(params.J), mp.mpf(params.gamma)
+        s0 = [mp.mpf(x) for x in initial_direction(params.pol_gap, xi)]
         a, b = 2 * J, gamma / 2
         om2 = a * a - b * b
         om = mp.sqrt(abs(om2))
@@ -447,7 +448,6 @@ def mp_first_event(params: ModelParams, xi: float = 0.0, *,
         def apply_n(s):
             return [a * s[1] - b * s[2], -a * s[0], -b * s[0]]
 
-        s0 = [r0 * mp.sin(th0), r0 * mp.cos(th0), eta - c0]
         n1 = apply_n(s0)
         n2 = apply_n(n1)
         if not any(s0):

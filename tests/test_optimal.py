@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -242,6 +243,38 @@ def test_initial_spherical_consistent_with_state_builder():
 def test_initial_spherical_rejects_negative_xi():
     with pytest.raises(ValueError):
         initial_spherical(ModelParams(), -0.01)
+
+
+@settings(max_examples=60, deadline=None)
+# a subnormal xi: the lead coefficient of v is -xi, and its root overflows
+@example(log_beta=0.0, xi_frac=2.225073858507e-311, log_j=0.0)
+@given(log_beta=st.floats(math.log(1e-8), math.log(36.0)),
+       xi_frac=st.floats(0.0, 1.0),
+       log_j=st.floats(math.log(1e-3), math.log(10.0)))
+def test_lossless_pole_time_to_a_few_ulps(log_beta, xi_frac, log_j):
+    """At kappa = 0 the direction turns at the rate 2J from the angle
+    -atan2(pol_gap, xi), so the pole comes at
+    (pi/2 + atan2(pol_gap, xi))/(2J).  The engine starts at exactly
+    s0 = (-pol_gap, xi, pol_gap), takes no angle, and its pole time is
+    within 4 ulps of that time at 40 digits (3.4 ulps the largest seen in
+    58,000 random draws over these ranges).  A start through
+    theta0 = -arccos(xi / r0) was 2.9e7 ulps off at a hot bath, where
+    xi / r0 rounds toward 1.  initial_spherical reads r0 and c0 off the
+    same start, bit for bit as stall_cosine's callers form them.  The run
+    raises on overflow, division by zero and invalid values, as the CLI
+    does."""
+    p = ModelParams(beta=math.exp(log_beta), kappa=0.0, J=math.exp(log_j))
+    xi = xi_frac * xi_max(p)
+    w, v, d = pole.initial_direction(p.pol_gap, xi)
+    assert (w, v, d) == (-p.pol_gap, xi, p.pol_gap)
+    r0, c0, _ = initial_spherical(p, xi)
+    assert (r0, c0) == (np.hypot(p.pol_gap, xi), p.eta - p.pol_gap)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        run = t_min_numeric(p, xi)
+    assert run.status == "reached"
+    with mp.workdps(40):
+        t_ref = (mp.pi / 2 + mp.atan2(p.pol_gap, xi)) / (2 * mp.mpf(p.J))
+        assert abs(mp.mpf(run.time) - t_ref) <= 4 * math.ulp(float(t_ref))
 
 
 def test_stall_cosine_branches():
@@ -793,19 +826,22 @@ def test_stall_guard_drops_a_graze_at_small_rates(monkeypatch):
 
 
 def test_stall_curvature_at_zero_radius():
-    """At zero radius (where theta reads 0) the guard's curvature is
-    finite under the raising errstate of cli.main: r * r is floored at
-    the smallest normal float, so nothing underflows or divides by zero.
-    Where r * r is a normal float the floor changes no bit."""
-    gamma, eta, c = 0.2, 0.45, 0.3
-    d = eta - c
+    """At zero radius (w = v = 0, where theta reads 0) the guard's
+    curvature is finite under a raising errstate, whatever d is:
+    w^2 + v^2 is floored at the smallest normal float and w v is divided
+    first, so nothing divides by zero or overflows.  Where w^2 + v^2 is a
+    normal float the floor changes no bit."""
+    gamma = 0.2
     with np.errstate(all="raise"):
-        for th in (0.0, 0.3):
-            assert np.isfinite(pole._stall_curvature(gamma, eta, 0.0, c, th))
-        r = 1e-150
-        assert pole._stall_curvature(gamma, eta, r, c, 0.3) == (
-            0.25 * gamma * gamma * np.cos(0.3) * np.sin(0.3)
-            * (r * r - d * d) / (r * r))
+        for d in (0.0, 0.15, 1e10):
+            for w, v in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)):
+                assert np.isfinite(pole._stall_curvature(gamma, w, v, d))
+        for r in (1e-150, 1.0, 1e150):
+            w, v, d = r * math.sin(0.3), r * math.cos(0.3), 0.15
+            r2 = w * w + v * v
+            assert r2 >= sys.float_info.min
+            assert pole._stall_curvature(gamma, w, v, d) == (
+                0.25 * gamma * gamma * (w * v / r2 * (r2 - d * d) / r2))
 
 
 def test_label_path_refines_the_pole_of_a_shared_piece(monkeypatch):
@@ -957,6 +993,22 @@ def test_resonant_closed_forms_match_mpmath(beta, kappa, ratio, xi_frac,
             <= amp + UNDERFLOW)
     gain = coherence_gains(p, [xi], [lead.time], [mu])[0, 0]
     assert abs(gain - want) <= slack
+
+
+def test_resonant_purity_without_coupling():
+    """At J = 0 the qubit is decoupled and its purity stays at its start,
+    the reduced flow's value at 40 digits: the closed forms read the drift
+    flow, which needs no pole time, so they take J = 0 where first_events
+    refuses it."""
+    p = ModelParams(J=0.0, kappa=0.1)
+    xi, mu = 0.5 * xi_max(p), 0.5 * mu_max(p, 0.0)
+    ps = resonant_purity(p, xi, [mu], [0.0, 1.0, 50.0])[:, 0]
+    z = mp_reduced_state(p, mu, xi, 0.0)
+    with mp.workdps(40):
+        want = float(0.5 + 2 * (z[0] ** 2 + z[4] ** 2 + z[6] ** 2))
+    assert ps == pytest.approx([want] * 3, abs=PURITY_ATOL)
+    with pytest.raises(ValueError):
+        first_events([p], [xi])
 
 
 def test_delta_p_unreached_pole():

@@ -233,8 +233,8 @@ def test_s1_direction_flow_matches_z_flow(ratio):
     xi = 0.5 * xi_max(p)
     z0 = x_to_z(build_initial_state(p, InitialStateSpec(xi_re=xi)).x)
     t_end = 1.2 * t_min_numeric(p, xi).time
-    qres = integrate(make_rhs_s1(p), (0.0, t_end), initial_direction(p, xi),
-                     rtol=1e-10, atol=1e-10)
+    qres = integrate(make_rhs_s1(p), (0.0, t_end),
+                     initial_direction(p.pol_gap, xi), rtol=1e-10, atol=1e-10)
     zs = simulate_z(p, z0, (0.0, t_end), qres.t).y
     c = -0.5 * (zs[:, 3] + 1.0)
     s = np.column_stack([zs[:, 0] - c, zs[:, 1], p.eta - c])
